@@ -104,7 +104,11 @@ def _cmd_corpus(args) -> int:
             flags = f"contraction={entry.contraction} unitary={entry.unitary}"
             print(f"{name:24s} {flags}")
         return EXIT_OK
-    entry = corpus_mod.get_entry(args.run)
+    try:
+        entry = corpus_mod.get_entry(args.run)
+    except KeyError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return EXIT_USAGE
     system = entry.system()
     verdict = analyze(system)
     _print_text_verdict(verdict)
@@ -197,9 +201,6 @@ def main(argv=None) -> int:
     except (ValidationError, PhwellError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
-    except KeyError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ParseError
 from .model import (
+    UNIT_INTERVAL,
     HamiltonianDensity,
     PortHamiltonianSystem,
     Tolerances,
@@ -63,6 +64,9 @@ def _parse_H(raw, path: str, allow_complex: bool) -> HamiltonianDensity:
         raise ParseError(f"{path}: expected a matrix or an object with 'kind'",
                          path=path)
     kind = raw["kind"]
+    key = "matrix" if kind == "constant" else "matrices"
+    if kind in ("constant", "piecewise_constant", "grid") and key not in raw:
+        raise ParseError(f"{path}: kind {kind!r} needs key {key!r}", path=path)
     if kind == "constant":
         return HamiltonianDensity.constant(
             _matrix(raw["matrix"], f"{path}.matrix", allow_complex))
@@ -103,7 +107,13 @@ def system_from_dict(doc: dict) -> PortHamiltonianSystem:
         raise ParseError(f"P must list N+1 = {N + 1} matrices", path="P")
     P = [_matrix(m, f"P[{k}]", allow_complex) for k, m in enumerate(P_raw)]
     H = _parse_H(doc["H"], "H", allow_complex)
-    WB = _matrix(doc["WB_hat"], "WB_hat", allow_complex)
+    if isinstance(doc["WB_hat"], list) and not doc["WB_hat"]:
+        # k = 0 boundary rows, as system_to_dict writes them
+        interval = doc.get("interval", UNIT_INTERVAL)
+        width = (2 if interval == UNIT_INTERVAL else 1) * N * d
+        WB = np.zeros((0, width), dtype=complex)
+    else:
+        WB = _matrix(doc["WB_hat"], "WB_hat", allow_complex)
     tols = doc.get("tolerances")
     tolerances = None
     if tols is not None:

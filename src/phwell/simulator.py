@@ -8,10 +8,16 @@ from the matrix checkers:
   integrate Re <A0 x, x> by composite Gauss-Legendre quadrature;
 * simulate evolves first-order (N = 1) systems with an upwind
   finite-volume method in characteristic variables and records the
-  discrete energy <x, H x> together with boundary / interior power.
+  discrete energy <x, H x> together with boundary / interior power.  The
+  scheme and its ghost-trace boundary closure are linear in the state, so
+  _semidiscrete_operator assembles them once as a sparse matrix A_h and
+  every Runge-Kutta stage is one product with it.
 
 The upwind scheme only ever adds numerical dissipation, so it can confirm
-an energy inequality but never fake energy growth.
+an energy inequality but never fake energy growth.  For the assembled
+operator this is checked, not assumed: tests/test_simulation.py asserts
+lambda_max(Herm(h Hb A_h)) <= 0 on dissipative systems and > 0 on the
+antidamped control.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
 
 from . import numlin
@@ -523,50 +530,50 @@ def _initial_state(x0, centers, d) -> np.ndarray:
 
 
 class _BoundaryClosure:
-    """Solves the ghost trace values for one of the two closure layouts.
+    """Ghost traces as one linear map of the first and last cells.
 
     Unit interval: unknown z = [w_hat(1); w_hat(0)] with rows WB_hat plus
     one characteristic extrapolation row per outgoing component at each
     end.  Half line: unknown w_hat(0) only; the truncation end is closed
-    by outgoing extrapolation with zero incoming characteristics.
+    by outgoing extrapolation with zero incoming characteristics.  Either
+    way [w_left; w_right] = G [w_first; w_last], solved once for all
+    columns.
     """
 
-    def __init__(self, sys, S, delta_signs):
-        self.S = S
-        self.pos = np.where(delta_signs > 0)[0]  # moving left; outgoing at z=0
-        self.neg = np.where(delta_signs < 0)[0]  # moving right; outgoing at z=1
+    def __init__(self, sys, S, delta):
+        self.delta = delta
+        self.pos = np.where(delta > 0)[0]  # moving left; outgoing at z=0
+        self.neg = np.where(delta < 0)[0]  # moving right; outgoing at z=1
         d = S.shape[0]
         self.d = d
         WB = np.asarray(sys.WB_hat, dtype=complex)
         k = WB.shape[0]
-        self.interval = sys.interval
+        n_out = self.neg.size + self.pos.size
         if sys.interval == UNIT_INTERVAL:
-            n_rows = k + self.neg.size + self.pos.size
-            if n_rows != 2 * d:
+            if k + n_out != 2 * d:
                 raise BoundaryClosureSingular(
                     f"boundary closure needs k = d = {d} conditions for the "
                     f"upwind scheme, got k = {k}")
+            # columns of R act on [w_first; w_last]
             M = np.zeros((2 * d, 2 * d), dtype=complex)
+            R = np.zeros((2 * d, 2 * d), dtype=complex)
             M[:k, :] = WB
-            row = k
-            for i in self.neg:  # outgoing at the right end
-                M[row, :d] = S[i, :]
-                row += 1
-            for i in self.pos:  # outgoing at the left end
-                M[row, d:] = S[i, :]
-                row += 1
+            rows = k + np.arange(n_out)
+            out_right, out_left = rows[:self.neg.size], rows[self.neg.size:]
+            M[out_right, :d] = S[self.neg]  # outgoing at the right end
+            R[out_right, d:] = S[self.neg]
+            M[out_left, d:] = S[self.pos]  # outgoing at the left end
+            R[out_left, :d] = S[self.pos]
         else:
-            n_rows = k + self.pos.size
-            if n_rows != d:
+            if k + self.pos.size != d:
                 raise BoundaryClosureSingular(
                     f"half-line closure needs k = n2 = {self.neg.size} "
                     f"conditions, got k = {k}")
             M = np.zeros((d, d), dtype=complex)
+            R = np.zeros((d, 2 * d), dtype=complex)
             M[:k, :] = WB
-            row = k
-            for i in self.pos:
-                M[row, :] = S[i, :]
-                row += 1
+            M[k:, :] = S[self.pos]
+            R[k:, :d] = S[self.pos]
         try:
             cond_s = np.linalg.svd(M, compute_uv=False)
             if cond_s[0] == 0.0 or cond_s[-1] < 1e-12 * cond_s[0]:
@@ -574,37 +581,78 @@ class _BoundaryClosure:
                     "ghost-state system is singular: the boundary conditions "
                     "constrain outgoing characteristics inconsistently",
                     matrix=M)
-            self.lu = lu_factor(M)
+            Z = lu_solve(lu_factor(M), R)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise BoundaryClosureSingular(str(exc), matrix=M)
-        self.k = k
+        if sys.interval == UNIT_INTERVAL:
+            self.G = np.vstack([Z[d:], Z[:d]])  # z lists w_hat(1) first
+        else:
+            # outgoing leaves freely, incoming set to zero (absorbing)
+            Sn = S[self.neg]
+            far = np.hstack([np.zeros((d, d)), Sn.conj().T @ Sn])
+            self.G = np.vstack([Z, far])
 
     def traces(self, w):
-        """(w_hat_left, w_hat_right) ghost traces for the current state."""
-        S, d = self.S, self.d
-        v_first = S @ w[:, 0]
-        v_last = S @ w[:, -1]
-        if self.interval == UNIT_INTERVAL:
-            rhs = np.zeros(2 * d, dtype=complex)
-            row = self.k
-            for i in self.neg:
-                rhs[row] = v_last[i]
-                row += 1
-            for i in self.pos:
-                rhs[row] = v_first[i]
-                row += 1
-            z = lu_solve(self.lu, rhs)
-            return z[d:], z[:d]
-        rhs = np.zeros(d, dtype=complex)
-        row = self.k
-        for i in self.pos:
-            rhs[row] = v_first[i]
-            row += 1
-        w_left = lu_solve(self.lu, rhs)
-        v_right = np.zeros(d, dtype=complex)
-        v_right[self.neg] = v_last[self.neg]  # outgoing leaves freely
-        w_right = S.conj().T @ v_right  # incoming set to zero (absorbing)
-        return w_left, w_right
+        """(w_hat_left, w_hat_right) ghost traces of the cell-major w = Hx."""
+        d = self.d
+        g = self.G @ np.concatenate([w[:d], w[-d:]])
+        return g[:d], g[d:]
+
+
+def _semidiscrete_operator(sys: PortHamiltonianSystem, nx: int, L: float = 10.0):
+    """The upwind scheme with its boundary closure as one sparse matrix.
+
+    Returns (A_h, Hb, h, closure): dx/dt = A_h x on the cell-major state
+    (cell c holds entries c*d .. c*d+d-1), Hb = blockdiag(H_c) and the cell
+    width h.  With w = Hb x, Bp = S* Pi+ S and Bn = S* Pi- S, an interior
+    cell sees -P1 Bn/h on its left neighbour, P1 (Bn - Bp)/h + P0 on itself
+    and P1 Bp/h on its right neighbour; the ghost traces G fold into the
+    blocks of cells 0 and nx-1.  The discrete energy is h x* Hb x, so
+    Herm(h Hb A_h) <= 0 certifies that the semi-discrete scheme dissipates.
+    """
+    d = sys.dim_d
+    h = (1.0 if sys.interval == UNIT_INTERVAL else float(L)) / nx
+    P1 = np.asarray(sys.P[1], dtype=complex)
+    P0 = np.asarray(sys.P[0], dtype=complex)
+    S, delta = numlin.hermitian_eigendecomposition(P1)
+    closure = _BoundaryClosure(sys, S, delta)
+    Sp, Sn = S[closure.pos], S[closure.neg]
+    Bp = Sp.conj().T @ Sp
+    Bn = Sn.conj().T @ Sn
+
+    # cells 0 and nx-1: own upwind half plus the ghost traces
+    ends = np.zeros((2 * d, 2 * d), dtype=complex)
+    ends[:d, :d] = P1 @ Bn / h + P0
+    ends[d:, d:] = P0 - P1 @ Bp / h
+    ends[:d] -= P1 @ closure.G[:d] / h
+    ends[d:] += P1 @ closure.G[d:] / h
+    idx = np.concatenate([np.arange(d), (nx - 1) * d + np.arange(d)])
+    rows, cols = np.meshgrid(idx, idx, indexing="ij")
+    dn = d * nx
+    interior = sparse.coo_array(
+        (np.ones(nx - 2), (np.arange(1, nx - 1),) * 2), shape=(nx, nx))
+    A_w = (sparse.kron(sparse.eye_array(nx, k=-1), sparse.csr_array(-P1 @ Bn / h))
+           + sparse.kron(interior, sparse.csr_array(P1 @ (Bn - Bp) / h + P0))
+           + sparse.kron(sparse.eye_array(nx, k=1), sparse.csr_array(P1 @ Bp / h))
+           + sparse.coo_array((ends.ravel(), (rows.ravel(), cols.ravel())),
+                              shape=(dn, dn)))
+
+    # H frozen per cell; piecewise representations extend flat beyond the
+    # last breakpoint, which covers the truncated half line as well.
+    if sys.H.kind == "constant":
+        Hb = sparse.kron(sparse.eye_array(nx), sparse.csr_array(sys.H.matrices[0]),
+                         format="csr")
+    else:
+        Hc = sys.H.cell_values((np.arange(nx) + 0.5) * h)
+        base = (np.arange(nx) * d)[:, None, None]
+        r = np.broadcast_to(base + np.arange(d)[:, None], Hc.shape)
+        c = np.broadcast_to(base + np.arange(d), Hc.shape)
+        Hb = sparse.coo_array((Hc.ravel(), (r.ravel(), c.ravel())),
+                              shape=(dn, dn)).tocsr()
+        Hb.eliminate_zeros()
+    A_h = (A_w.tocsr() @ Hb).tocsr()
+    A_h.eliminate_zeros()
+    return A_h, Hb, h, closure
 
 
 def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
@@ -614,11 +662,14 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
 
     First order in space (characteristic upwinding of w = Hx with H frozen
     per cell), classical four-stage explicit stepping in time with
-    dt = cfl * h / lambda_max.  Boundary ghost traces solve the linear
-    system {WB_hat traces = 0} + {outgoing characteristic extrapolation}
-    each stage.  Half-line systems are truncated to [0, L] with an
-    absorbing characteristic closure at the far end (adds artificial
-    dissipation, noted on the trace).
+    dt = cfl * h / lambda_max.  The boundary ghost traces solve
+    {WB_hat traces = 0} + {outgoing characteristic extrapolation}; they are
+    linear in the end cells, so the whole scheme is assembled once as the
+    sparse matrix A_h of _semidiscrete_operator and each stage is one
+    product A_h x (tests/test_simulation.py checks that Herm(h Hb A_h) is
+    negative semidefinite for dissipative systems).  Half-line systems are
+    truncated to [0, L] with an absorbing characteristic closure at the far
+    end (adds artificial dissipation, noted on the trace).
 
     Records the discrete energy sum_c h x_c^* H_c x_c per step along with
     the boundary port power 2 Re <f, e> and interior power 2 Re <P0 w, w>.
@@ -631,95 +682,54 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
         raise CFLViolation(f"cfl must lie in (0, 0.9], got {cfl}")
 
     d = sys.dim_d
-    domain = 1.0 if sys.interval == UNIT_INTERVAL else float(L)
-    h = domain / nx
+    A, Hb, h, closure = _semidiscrete_operator(sys, nx, L)
     centers = (np.arange(nx) + 0.5) * h
     notes = []
     if sys.interval == HALF_LINE:
         notes.append(
-            f"half-line run truncated to [0, {domain:g}]; the absorbing "
+            f"half-line run truncated to [0, {float(L):g}]; the absorbing "
             "closure adds artificial dissipation")
-
-    P1 = np.asarray(sys.P[1], dtype=complex)
-    P0 = np.asarray(sys.P[0], dtype=complex)
-    S, delta = numlin.hermitian_eigendecomposition(P1)
-    signs = np.sign(delta)
-
-    # H frozen per cell; piecewise representations extend flat beyond the
-    # last breakpoint, which covers the truncated half line as well.
-    Hc = sys.H.cell_values(centers)
-    H_is_const = sys.H.kind == "constant"
-    Hmat = Hc[0]
-
-    closure = _BoundaryClosure(sys, S, signs)
+    P0b = sparse.kron(sparse.eye_array(nx), sparse.csr_array(sys.P[0]), format="csr")
     Q = build_q_for_system(sys)
 
-    lam_max = float(np.max(np.abs(delta))) * sys.h_max_eig
+    lam_max = float(np.max(np.abs(closure.delta))) * sys.h_max_eig
     dt = cfl * h / lam_max
     n_steps = max(1, int(np.ceil(t_final / dt - 1e-12)))
     dt = t_final / n_steps
-
-    pos, neg = closure.pos, closure.neg
-
-    def apply_H(x):
-        if H_is_const:
-            return Hmat @ x
-        return np.einsum("cij,jc->ic", Hc, x)
-
-    def ghost_traces(x):
-        w = apply_H(x)
-        return closure.traces(w) + (w,)
-
-    def rhs(x):
-        w = apply_H(x)
-        v = S @ w
-        # interface characteristic states, interfaces 0..nx
-        vhat = np.zeros((d, nx + 1), dtype=complex)
-        vhat[pos[:, None], np.arange(1, nx)] = v[pos][:, 1:]
-        vhat[neg[:, None], np.arange(1, nx)] = v[neg][:, :-1]
-        what = S.conj().T @ vhat
-        w_left, w_right = closure.traces(w)
-        what[:, 0] = w_left
-        what[:, nx] = w_right
-        return P1 @ (what[:, 1:] - what[:, :-1]) / h + P0 @ w
-
-    x = _initial_state(x0, centers, d)
-
-    def energy(x):
-        w = apply_H(x)
-        return float(h * np.real(np.sum(x.conj() * w)))
-
-    def powers(x):
-        w_left, w_right, w = ghost_traces(x)
-        pv = port_variables(BoundaryTrace(phi1=w_right, phi0=w_left), Q)
-        bp = pv.pairing()
-        ip = float(2.0 * h * np.real(np.sum(w.conj() * (P0 @ w))))
-        return bp, ip
 
     times = np.zeros(n_steps + 1)
     energies = np.zeros(n_steps + 1)
     bpow = np.zeros(n_steps + 1)
     ipow = np.zeros(n_steps + 1)
-    energies[0] = energy(x)
-    bpow[0], ipow[0] = powers(x)
+
+    def record(i, x):
+        w = Hb @ x
+        energies[i] = h * np.vdot(x, w).real
+        w_left, w_right = closure.traces(w)
+        bpow[i] = port_variables(BoundaryTrace(phi1=w_right, phi0=w_left), Q).pairing()
+        ipow[i] = 2.0 * h * np.vdot(w, P0b @ w).real
+
+    def as_cells(x):
+        return x.reshape(nx, d).T.copy()
+
+    x = _initial_state(x0, centers, d).T.ravel()  # cell-major
+    record(0, x)
 
     snap_list = []
     snap_times = sorted(float(t) for t in snapshot_times)
     snap_idx = 0
 
-    t = 0.0
     for step in range(n_steps):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * dt * k1)
-        k3 = rhs(x + 0.5 * dt * k2)
-        k4 = rhs(x + dt * k3)
+        k1 = A @ x
+        k2 = A @ (x + 0.5 * dt * k1)
+        k3 = A @ (x + 0.5 * dt * k2)
+        k4 = A @ (x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t = (step + 1) * dt
         times[step + 1] = t
-        energies[step + 1] = energy(x)
-        bpow[step + 1], ipow[step + 1] = powers(x)
+        record(step + 1, x)
         while snap_idx < len(snap_times) and snap_times[snap_idx] <= t + 1e-12:
-            snap_list.append((t, x.copy()))
+            snap_list.append((t, as_cells(x)))
             snap_idx += 1
 
     violation = float(max(0.0, np.max(np.diff(energies)))) if n_steps else 0.0
@@ -732,5 +742,5 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
         notes=tuple(notes),
         snapshots=tuple(snap_list),
         cell_centers=centers,
-        final_state=x,
+        final_state=as_cells(x),
     )

@@ -92,7 +92,19 @@ def test_corpus_run_matches(capsys):
 
 
 def test_corpus_run_unknown(capsys):
-    assert main(["corpus", "--run", "nope"]) == 1
+    assert main(["corpus", "--run", "nosuch"]) == 1
+    assert "unknown corpus entry 'nosuch'" in capsys.readouterr().err
+
+
+def test_library_key_error_is_not_a_usage_error(monkeypatch):
+    import phwell.cli as cli_mod
+
+    def broken(system):
+        raise KeyError("library bug")
+
+    monkeypatch.setattr(cli_mod, "analyze", broken)
+    with pytest.raises(KeyError, match="library bug"):
+        main(["corpus", "--run", "path_graph_d8"])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])

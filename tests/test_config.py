@@ -5,8 +5,8 @@ import pytest
 
 from phwell import parse_config, system_from_dict, system_to_dict
 from phwell.cli import analyze
-from phwell.config import write_config
-from phwell.corpus import CORPUS
+from phwell.config import verdict_to_json, write_config
+from phwell.corpus import CORPUS, random_system
 from phwell.errors import ParseError, ShapeError
 
 
@@ -82,6 +82,16 @@ def test_shape_error_propagates():
         system_from_dict(doc)
 
 
+def test_h_object_without_matrices_is_parse_error():
+    doc = wave_doc()
+    doc["H"] = {"kind": "constant"}
+    with pytest.raises(ParseError):
+        system_from_dict(doc)
+    doc["H"] = {"kind": "grid"}
+    with pytest.raises(ParseError):
+        system_from_dict(doc)
+
+
 def test_tolerance_overrides():
     doc = wave_doc()
     doc["tolerances"] = {"tau_rank": 1e-6}
@@ -137,3 +147,22 @@ def test_corpus_round_trip_preserves_verdicts(tmp_path):
         assert v1.consensus == v2.consensus, name
         assert v1.unitary == v2.unitary, name
         assert v1.discrepancy == v2.discrepancy == False, name
+
+
+@pytest.mark.parametrize("seed", [1024879331, 1060008488, 1785171175, 1151426712])
+def test_halfline_without_boundary_rows_round_trips(seed):
+    sys = random_system(seed, klass="halfline")
+    doc = json.loads(json.dumps(system_to_dict(sys)))
+    assert doc["WB_hat"] == []
+    again = system_from_dict(doc)
+    assert again.WB_hat.shape == (0, sys.dim_d)
+    v1, v2 = analyze(sys), analyze(again)
+    assert v1.consensus == v2.consensus == "contraction"
+    assert v1.discrepancy == v2.discrepancy == False
+    assert verdict_to_json(v1) == verdict_to_json(v2)
+
+
+def test_empty_boundary_rows_on_the_interval_have_width_2nd():
+    doc = wave_doc()
+    doc["WB_hat"] = []
+    assert system_from_dict(doc).WB_hat.shape == (0, 4)

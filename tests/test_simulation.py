@@ -3,12 +3,15 @@ import pytest
 
 from phwell import simulate, smooth_bump
 from phwell.corpus import (
+    CORPUS,
     build_path_graph,
     build_periodic_transport,
     build_transport,
     build_wave,
 )
 from phwell.errors import BoundaryClosureSingular, CFLViolation, ShapeError
+from phwell.model import UNIT_INTERVAL
+from phwell.simulator import _semidiscrete_operator
 
 
 def test_transport_exact_solution():
@@ -124,3 +127,65 @@ def test_initial_state_array_forms():
     arr = np.array([smooth_bump(0.3, 0.2, 1)(z) for z in base.cell_centers])
     tr2 = simulate(sys, arr, 0.1, nx=32, cfl=0.5)
     np.testing.assert_allclose(tr2.energy, base.energy, rtol=1e-12)
+
+
+# Values recorded with the stage-by-stage right-hand side that preceded the
+# assembled operator: (energy[-1], max boundary power, min boundary power,
+# max_violation, sum |final_state|).  Runs use cfl = 0.45 and a snapshot at
+# t_final / 2.
+SEED_RUNS = {
+    "wave_interval_damped": (
+        lambda: build_wave(UNIT_INTERVAL, 0.7), 200, 0.5, (0.5, 0.25),
+        (0.1684612555615293, 0.0, -0.44442823451428837, 0.0, 60.42723654610538)),
+    "wave_piecewise_damped": (
+        lambda: build_wave(UNIT_INTERVAL, 0.7, rho=([0.5], [1.0, 4.0])),
+        200, 0.5, (0.5, 0.25),
+        (0.11638686164120675, 0.0, -0.00013012161511740915, 0.0, 91.906758562916)),
+    "path_graph_d8": (
+        CORPUS["path_graph_d8"].system, 100, 0.25, (0.4, 0.25),
+        (0.21336133461920612, 0.0, -0.3005213222207426, 0.0, 27.31172642347518)),
+    "transport_periodic": (
+        CORPUS["transport_periodic"].system, 200, 0.5, (0.5, 0.3),
+        (0.27421495734837104, 0.0, 0.0, 0.0, 72.41401935215526)),
+    "wave_halfline_u05": (
+        CORPUS["wave_halfline_u05"].system, 400, 1.5, (3.0, 2.0),
+        (1.9111780156681606, 0.0, -0.032107179700667995, 0.0, 186.24487067958478)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_RUNS))
+def test_simulation_matches_recorded_seed_runs(name):
+    build, nx, t_final, (center, width), expected = SEED_RUNS[name]
+    sys = build()
+    tr = simulate(sys, smooth_bump(center, width, sys.dim_d), t_final=t_final,
+                  nx=nx, cfl=0.45, snapshot_times=[t_final / 2])
+    got = (tr.energy[-1], np.max(tr.boundary_power), np.min(tr.boundary_power),
+           tr.max_violation, np.sum(np.abs(tr.final_state)))
+    # relative agreement; values recorded as exactly 0 get 1e-12 * E0
+    floor = 1e-12 * tr.energy[0]
+    for g, e in zip(got, expected):
+        assert g == pytest.approx(e, rel=1e-12, abs=floor)
+    assert tr.final_state.shape == (sys.dim_d, nx)
+    assert len(tr.snapshots) == 1
+    assert tr.snapshots[0][1].shape == (sys.dim_d, nx)
+
+
+def _energy_certificate(name):
+    """lambda_max(Herm(h Hb A_h)) and ||h Hb A_h|| of the stepping operator."""
+    A, Hb, h, _ = _semidiscrete_operator(CORPUS[name].system(), nx=100)
+    M = (h * (Hb @ A)).toarray()
+    lam = np.linalg.eigvalsh(0.5 * (M + M.conj().T))[-1]
+    return lam, np.linalg.norm(M, 2)
+
+
+@pytest.mark.parametrize("name", ["wave_interval_damped", "transport_periodic",
+                                  "transport_inflow", "path_graph_d8",
+                                  "wave_halfline_u05"])
+def test_semidiscrete_operator_is_dissipative(name):
+    lam, norm = _energy_certificate(name)
+    assert lam <= 1e-12 * norm
+
+
+def test_semidiscrete_operator_certificate_flags_growth():
+    lam, _ = _energy_certificate("wave_interval_antidamped")
+    assert lam > 0.0
