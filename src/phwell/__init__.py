@@ -28,8 +28,6 @@ from .errors import (
 )
 from .halfline import (
     analyze_halfline,
-    check_contraction_halfline,
-    check_unitary_halfline,
     decompose_P1,
     factorize_boundary,
     solve_resolvent_halfline,
@@ -70,8 +68,6 @@ __all__ = [
     "boundary_interpolant",
     "boundary_trace",
     "build_q",
-    "check_contraction_halfline",
-    "check_unitary_halfline",
     "decompose_P1",
     "dissipativity_oracle",
     "extract_v",

@@ -18,6 +18,7 @@ from .model import (
     HamiltonianDensity,
     PortHamiltonianSystem,
     Tolerances,
+    _num_to_json,
     validate_system,
 )
 
@@ -150,15 +151,8 @@ def parse_config(path) -> PortHamiltonianSystem:
     return system_from_dict(doc)
 
 
-def _num(x) -> object:
-    x = complex(x)
-    if x.imag == 0.0:
-        return float(x.real)
-    return [float(x.real), float(x.imag)]
-
-
 def _mat(M) -> list:
-    return [[_num(v) for v in row] for row in np.asarray(M)]
+    return [[_num_to_json(v) for v in row] for row in np.asarray(M)]
 
 
 def system_to_dict(sys: PortHamiltonianSystem) -> dict:

@@ -33,8 +33,11 @@ class HNotCoercive(ValidationError):
     """The Hamiltonian density is not uniformly positive definite."""
 
 
-class SingularQ(PhwellError):
-    """The block matrix Q is singular (cannot occur for validated systems)."""
+class SingularQ(ValidationError):
+    """The block matrix Q built from P_1..P_N is numerically singular.
+
+    Q is anti-triangular with +-P_N blocks on its anti-diagonal, so it is
+    invertible exactly when P_N is, yet it can be far worse conditioned."""
 
 
 class NotHermitian(PhwellError):

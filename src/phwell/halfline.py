@@ -149,33 +149,15 @@ def _kernel_quadratic(WB_hat, P1, tol):
     return K.conj().T @ np.asarray(P1, dtype=complex) @ K, K.shape[1]
 
 
-def check_contraction_halfline(sys: PortHamiltonianSystem) -> Verdict:
-    """TA.3 (kernel sign test) against TA.4 (inertia factorization test).
-
-    Both also require Re P0 <= 0.  The two routes are equivalent whenever
-    the factorization hypothesis (full row rank, k <= n2) holds, and the
-    discrepancy flag guards that equivalence numerically.
-    """
-    merged = analyze_halfline(sys)
-    conds = tuple(c for c in merged.conditions if c.condition_id.startswith("TA."))
-    _, disc = family_outcome(conds)
-    return Verdict(conditions=conds, consensus=merged.consensus,
-                   unitary=None, discrepancy=disc, warnings=merged.warnings)
-
-
-def _contraction_conditions(sys, decomp, WB_eff, re_P0, tol):
+def _contraction_conditions(decomp, WB_eff, p0, kernel, kdim, tol):
+    """TA.3 from the kernel form report, TA.4 from the factorization."""
     k_eff = WB_eff.shape[0]
-    p0rep = numlin.definiteness(re_P0, tol)
-    p0_nsd, p0_max = p0rep.is_nsd, float(p0rep.max_eig)
-
-    Gp, kdim = _kernel_quadratic(WB_eff, sys.P[1], tol)
-    grep = numlin.definiteness(Gp, tol)
     ta3 = ConditionResult(
-        "TA.3", True, bool(grep.is_psd and p0_nsd),
+        "TA.3", True, kernel.is_psd and p0.is_nsd,
         {
             "kernel_dim": float(kdim),
-            "min_eig_kernel_form": grep.min_eig,
-            "re_p0_max_eig": p0_max,
+            "min_eig_kernel_form": kernel.min_eig,
+            "re_p0_max_eig": p0.max_eig,
         },
     )
 
@@ -184,41 +166,38 @@ def _contraction_conditions(sys, decomp, WB_eff, re_P0, tol):
             "TA.4", False, None,
             {"k": float(k_eff), "n2": float(decomp.n2)},
             reason=f"needs k <= n2 = {decomp.n2}, got k = {k_eff}")
-        return ta3, ta4, None
+        return ta3, ta4
 
     fact = factorize_boundary(WB_eff, decomp, tol)
     if isinstance(fact, FactorizationFailure):
         diags = {"k": float(k_eff), "n2": float(decomp.n2)}
         diags.update(fact.diagnostics)
         ta4 = ConditionResult("TA.4", True, False, diags, reason=fact.detail)
-        return ta3, ta4, None
+        return ta3, ta4
 
     M = decomp.Lambda + fact.U.conj().T @ decomp.Theta @ fact.U
     mrep = numlin.definiteness(M, tol)
     ta4 = ConditionResult(
-        "TA.4", True, bool(mrep.is_psd and p0_nsd),
+        "TA.4", True, mrep.is_psd and p0.is_nsd,
         {
             "min_eig_lambda_utu": mrep.min_eig,
             "factorization_residual": fact.residual,
-            "re_p0_max_eig": p0_max,
+            "re_p0_max_eig": p0.max_eig,
         },
     )
-    return ta3, ta4, fact
+    return ta3, ta4
 
 
-def _unitary_conditions(sys, decomp, WB_eff, re_P0, tol):
+def _unitary_conditions(decomp, WB_eff, p0, kernel, kdim, tol):
+    """TA2.3 from the kernel form report, TA2.4 from the split blocks."""
     k_eff = WB_eff.shape[0]
-    p0rep = numlin.definiteness(re_P0, tol)
-    p0_zero = p0rep.is_zero
-    p0_norm = float(max(abs(p0rep.min_eig), abs(p0rep.max_eig)))
-
-    Gp, kdim = _kernel_quadratic(WB_eff, sys.P[1], tol)
-    grep = numlin.definiteness(Gp, tol)
+    p0_zero = p0.is_zero
+    p0_norm = max(abs(p0.min_eig), abs(p0.max_eig))
     ta23 = ConditionResult(
-        "TA2.3", True, bool(grep.is_zero and p0_zero),
+        "TA2.3", True, kernel.is_zero and p0_zero,
         {
             "kernel_dim": float(kdim),
-            "norm_kernel_form": max(abs(grep.min_eig), abs(grep.max_eig)),
+            "norm_kernel_form": max(abs(kernel.min_eig), abs(kernel.max_eig)),
             "re_p0_norm": p0_norm,
         },
     )
@@ -280,7 +259,6 @@ def analyze_halfline(sys: PortHamiltonianSystem) -> Verdict:
         raise ShapeError("analyze_halfline needs a half_line system")
     tol = sys.tol.check
     decomp = decompose_P1(sys.P[1], sys.tol.tau_rank)
-    re_P0 = sys.re_P0()
 
     warnings = []
     WB_eff = sys.WB_hat
@@ -291,8 +269,11 @@ def analyze_halfline(sys: PortHamiltonianSystem) -> Verdict:
             f"WB_hat rows are linearly dependent; reduced {k} rows to "
             f"{WB_eff.shape[0]} with the same kernel")
 
-    ta3, ta4, _ = _contraction_conditions(sys, decomp, WB_eff, re_P0, tol)
-    ta23, ta24 = _unitary_conditions(sys, decomp, WB_eff, re_P0, tol)
+    p0 = numlin.definiteness(sys.re_P0(), tol)
+    Gp, kdim = _kernel_quadratic(WB_eff, sys.P[1], tol)
+    kernel = numlin.definiteness(Gp, tol)
+    ta3, ta4 = _contraction_conditions(decomp, WB_eff, p0, kernel, kdim, tol)
+    ta23, ta24 = _unitary_conditions(decomp, WB_eff, p0, kernel, kdim, tol)
     conditions = (ta3, ta4, ta23, ta24)
 
     contraction_value, disc_c = family_outcome([ta3, ta4])
@@ -328,16 +309,6 @@ def analyze_halfline(sys: PortHamiltonianSystem) -> Verdict:
         discrepancy=discrepancy,
         warnings=tuple(warnings),
     )
-
-
-def check_unitary_halfline(sys: PortHamiltonianSystem) -> Verdict:
-    """TA2.3 (kernel zero test) against TA2.4 (factorized zero identity)."""
-    merged = analyze_halfline(sys)
-    conds = tuple(c for c in merged.conditions if c.condition_id.startswith("TA2."))
-    _, disc = family_outcome(conds)
-    return Verdict(conditions=conds, consensus=merged.consensus,
-                   unitary=merged.unitary, discrepancy=disc,
-                   warnings=merged.warnings)
 
 
 def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y,

@@ -27,8 +27,10 @@ import numpy as np
 from . import numlin
 from .errors import ShapeError
 from .model import (
-    PortHamiltonianSystem,
     UNIT_INTERVAL,
+    BoundaryOperator,
+    PortHamiltonianSystem,
+    Tolerances,
     derive_boundary_operator,
 )
 from .verdict import (
@@ -52,34 +54,6 @@ class VExtraction:
     reason: str | None = None
 
 
-def _zero_if_none(re_P0):
-    if re_P0 is None:
-        return np.zeros((1, 1), dtype=complex)
-    return np.asarray(re_P0, dtype=complex)
-
-
-def _injective(M, tol: float):
-    """(is_injective, smin, smax) by relative singular-value threshold."""
-    M = np.asarray(M, dtype=complex)
-    if M.shape[1] == 0:
-        return True, 0.0, 0.0  # map from the zero space
-    s = np.linalg.svd(M, compute_uv=False)
-    smax = float(s[0])
-    if M.shape[0] < M.shape[1]:
-        return False, 0.0, smax  # wide matrices always have a kernel
-    smin = float(s[-1])
-    return smax > 0.0 and smin > tol * smax, smin, smax
-
-
-def _as_extraction(V_or_ext, tol: float) -> VExtraction:
-    if isinstance(V_or_ext, VExtraction):
-        return V_or_ext
-    if V_or_ext is None:
-        return VExtraction(None, 0.0, 0.0, "no factor available")
-    V = np.asarray(V_or_ext, dtype=complex)
-    return VExtraction(V, 0.0, 0.0, None)
-
-
 def sigma_form(W1, W2) -> np.ndarray:
     """W_B Sigma W_B^* = W1 W2^* + W2 W1^* (Hermitian by construction)."""
     W1 = np.asarray(W1, dtype=complex)
@@ -87,13 +61,11 @@ def sigma_form(W1, W2) -> np.ndarray:
     return W1 @ W2.conj().T + W2 @ W1.conj().T
 
 
-def kernel_energy_form(WB_hat, Q, tol: float = None):
+def kernel_energy_form(WB_hat, Q, tol: float = numlin.DEFAULT_TOL):
     """(G, kernel_dim): G = K^* blockdiag(Q, -Q) K on ker WB_hat.
 
     The Phi_1 block comes first, matching the trace stacking order.
     """
-    if tol is None:
-        tol = numlin.DEFAULT_TOL
     WB_hat = np.asarray(WB_hat, dtype=complex)
     Q = np.asarray(Q, dtype=complex)
     n = Q.shape[0]
@@ -107,15 +79,13 @@ def kernel_energy_form(WB_hat, Q, tol: float = None):
     return G, K.shape[1]
 
 
-def extract_v(W1, W2, tol: float = None) -> VExtraction:
+def extract_v(W1, W2, tol: float = numlin.DEFAULT_TOL) -> VExtraction:
     """Unique V with [W1 W2] = 0.5 (W1+W2) [I+V, I-V], when it exists.
 
     V = (W1+W2)^{-1} (W1-W2).  In finite dimensions invertibility of
     W1+W2 stands in for injectivity plus the range containment
     ran(W1-W2) <= ran(W1+W2).
     """
-    if tol is None:
-        tol = numlin.DEFAULT_TOL
     W1 = np.asarray(W1, dtype=complex)
     W2 = np.asarray(W2, dtype=complex)
     T = W1 + W2
@@ -133,14 +103,12 @@ def extract_v(W1, W2, tol: float = None) -> VExtraction:
     return VExtraction(V, smin, smax, None)
 
 
-def range_containment(W1, W2, tol: float = None) -> ConditionResult:
+def range_containment(W1, W2, tol: float = numlin.DEFAULT_TOL) -> ConditionResult:
     """RANBED: rank [W1+W2 | W1-W2] equals rank (W1+W2).
 
     Informational: with W1+W2 injective (square case) the containment is
     automatic, so it never gates the equivalence family.
     """
-    if tol is None:
-        tol = numlin.DEFAULT_TOL
     T = np.asarray(W1) + np.asarray(W2)
     D = np.asarray(W1) - np.asarray(W2)
     r_t = numlin.numerical_rank(T, tol)
@@ -148,148 +116,6 @@ def range_containment(W1, W2, tol: float = None) -> ConditionResult:
     return ConditionResult(
         "RANBED", True, r_td == r_t,
         {"rank_w1_plus_w2": float(r_t), "rank_augmented": float(r_td)},
-    )
-
-
-def _re_p0_nsd(re_P0, tol):
-    rep = numlin.definiteness(re_P0, tol)
-    return rep.is_nsd, float(rep.max_eig)
-
-
-def _re_p0_zero(re_P0, tol):
-    rep = numlin.definiteness(re_P0, tol)
-    return rep.is_zero, float(max(abs(rep.min_eig), abs(rep.max_eig)))
-
-
-def check_kernel_dissipativity(WB_hat, Q, re_P0=None, tol: float = None) -> ConditionResult:
-    """T1.5: u^*Qu - y^*Qy <= 0 on ker WB_hat, plus Re P0 <= 0.
-
-    This is the universal dissipativity test; it applies to any shape of
-    WB_hat.  A trivial kernel passes vacuously.
-    """
-    if tol is None:
-        tol = numlin.DEFAULT_TOL
-    re_P0 = _zero_if_none(re_P0)
-    G, kdim = kernel_energy_form(WB_hat, Q, tol)
-    grep = numlin.definiteness(G, tol)
-    p0_ok, p0_max = _re_p0_nsd(re_P0, tol)
-    return ConditionResult(
-        "T1.5", True, bool(grep.is_nsd and p0_ok),
-        {
-            "kernel_dim": float(kdim),
-            "max_eig_kernel_form": grep.max_eig,
-            "min_eig_kernel_form": grep.min_eig,
-            "re_p0_max_eig": p0_max,
-        },
-    )
-
-
-def check_injective_psd(W1, W2, re_P0=None, tol: float = None) -> ConditionResult:
-    """T1.3: W1+W2 injective, W_B Sigma W_B^* >= 0 and Re P0 <= 0.
-
-    Only applicable in the square case (k = N*d)."""
-    if tol is None:
-        tol = numlin.DEFAULT_TOL
-    W1 = np.asarray(W1, dtype=complex)
-    W2 = np.asarray(W2, dtype=complex)
-    re_P0 = _zero_if_none(re_P0)
-    if W1.shape[0] != W1.shape[1]:
-        return ConditionResult(
-            "T1.3", False, None,
-            reason=f"needs k = N*d, got k={W1.shape[0]}, N*d={W1.shape[1]}")
-    inj, smin, _ = _injective(W1 + W2, tol)
-    srep = numlin.definiteness(sigma_form(W1, W2), tol)
-    p0_ok, p0_max = _re_p0_nsd(re_P0, tol)
-    return ConditionResult(
-        "T1.3", True, bool(inj and srep.is_psd and p0_ok),
-        {
-            "smin_w1_plus_w2": smin,
-            "min_eig_sigma_form": srep.min_eig,
-            "max_eig_sigma_form": srep.max_eig,
-            "re_p0_max_eig": p0_max,
-        },
-    )
-
-
-def check_v_contraction(V_or_ext, re_P0=None, tol: float = None,
-                        slack: float = 1e-8) -> ConditionResult:
-    """T1.4: the factor V exists with ||V|| <= 1, and Re P0 <= 0.
-
-    ||V|| is compared with absolute slack so that shift-type factors
-    sitting exactly at norm 1 pass.  Not applicable when no V exists
-    (the injectivity failure is then carried by T1.3)."""
-    if tol is None:
-        tol = numlin.DEFAULT_TOL
-    re_P0 = _zero_if_none(re_P0)
-    ext = _as_extraction(V_or_ext, tol)
-    if ext.V is None:
-        return ConditionResult("T1.4", False, None,
-                               {"smin_w1_plus_w2": ext.smin}, reason=ext.reason)
-    vnorm = numlin.operator_norm(ext.V)
-    p0_ok, p0_max = _re_p0_nsd(re_P0, tol)
-    return ConditionResult(
-        "T1.4", True, bool(vnorm <= 1.0 + slack and p0_ok),
-        {"v_norm": vnorm, "re_p0_max_eig": p0_max},
-    )
-
-
-def _surjective(WB_hat, tol):
-    WB_hat = np.asarray(WB_hat, dtype=complex)
-    if WB_hat.shape[0] == 0:
-        return True, 0.0  # no conditions: trivially onto the zero space
-    s = np.linalg.svd(WB_hat, compute_uv=False)
-    return s[0] > 0.0 and float(s[-1]) > tol * float(s[0]), float(s[-1])
-
-
-def check_surjective_psd(WB_hat, W1, W2, re_P0=None, tol: float = None) -> ConditionResult:
-    """C2.6: WB_hat full row rank, W_B Sigma W_B^* >= 0 and Re P0 <= 0."""
-    if tol is None:
-        tol = numlin.DEFAULT_TOL
-    WB_hat = np.asarray(WB_hat, dtype=complex)
-    re_P0 = _zero_if_none(re_P0)
-    k, width = WB_hat.shape
-    if k != width // 2:
-        return ConditionResult("C2.6", False, None,
-                               reason=f"needs k = N*d, got k={k}, N*d={width // 2}")
-    surj, smin_wb = _surjective(WB_hat, tol)
-    srep = numlin.definiteness(sigma_form(W1, W2), tol)
-    p0_ok, p0_max = _re_p0_nsd(re_P0, tol)
-    return ConditionResult(
-        "C2.6", True, bool(surj and srep.is_psd and p0_ok),
-        {
-            "smin_wb_hat": smin_wb,
-            "min_eig_sigma_form": srep.min_eig,
-            "re_p0_max_eig": p0_max,
-        },
-    )
-
-
-def check_surjective_v(WB_hat, V_or_ext, re_P0=None, tol: float = None,
-                       slack: float = 1e-8) -> ConditionResult:
-    """C2.7: WB_hat full row rank, V exists with ||V|| <= 1, Re P0 <= 0.
-
-    When W1+W2 is singular no factorization with surjective W_B can
-    exist, so the condition is reported as failing."""
-    if tol is None:
-        tol = numlin.DEFAULT_TOL
-    WB_hat = np.asarray(WB_hat, dtype=complex)
-    re_P0 = _zero_if_none(re_P0)
-    ext = _as_extraction(V_or_ext, tol)
-    k, width = WB_hat.shape
-    if k != width // 2:
-        return ConditionResult("C2.7", False, None,
-                               reason=f"needs k = N*d, got k={k}, N*d={width // 2}")
-    surj, smin_wb = _surjective(WB_hat, tol)
-    p0_ok, p0_max = _re_p0_nsd(re_P0, tol)
-    if ext.V is None:
-        return ConditionResult("C2.7", True, False,
-                               {"smin_wb_hat": smin_wb, "re_p0_max_eig": p0_max,
-                                "smin_w1_plus_w2": ext.smin},
-                               reason=ext.reason)
-    vnorm = numlin.operator_norm(ext.V)
-    return ConditionResult(
-        "C2.7", True, bool(surj and vnorm <= 1.0 + slack and p0_ok),
-        {"smin_wb_hat": smin_wb, "v_norm": vnorm, "re_p0_max_eig": p0_max},
     )
 
 
@@ -302,8 +128,176 @@ def isometry_defect(V) -> float:
     return float(np.linalg.norm(np.eye(n) - V @ V.conj().T, 2))
 
 
-def check_unitary_conditions(WB_hat, Q, W1, W2, P0=None, tol: float = None,
-                             slack: float = 1e-8, V_or_ext=None):
+def _injective(M, tol: float):
+    """(is_injective, smin) of M by relative singular-value threshold."""
+    if M.shape[0] < M.shape[1]:
+        return False, 0.0  # wide matrices always have a kernel
+    s = np.linalg.svd(M, compute_uv=False)
+    smin = float(s[-1])
+    return bool(s[0] > 0.0 and smin > tol * s[0]), smin
+
+
+def _abs_max(rep: numlin.DefinitenessReport) -> float:
+    return max(abs(rep.min_eig), abs(rep.max_eig))
+
+
+@dataclass(frozen=True)
+class _BoundaryAlgebra:
+    """Every input the interval conditions share, each computed once.
+
+    Only computations that would otherwise be repeated bit for bit are
+    shared.  The equivalent criteria -- the sigma form, V, the kernel form,
+    injectivity of W1+W2 against surjectivity of WB_hat -- stay separate
+    entries, so their agreement still detects a bug.  Every decision uses
+    the one threshold Tolerances.check.
+    """
+
+    k: int
+    nd: int
+    re_p0: numlin.DefinitenessReport
+    sigma: numlin.DefinitenessReport
+    kernel: numlin.DefinitenessReport
+    kernel_dim: int
+    ext: VExtraction  # the single decision on W1+W2
+    inj_w2_minus_w1: bool
+    smin_w2_minus_w1: float
+    surjective: bool  # WB_hat has full row rank
+    smin_wb_hat: float
+    v_norm: float | None  # None when ext.V is None, like the two below
+    isometry_defect: float | None
+    v_contractive: bool | None  # ||V|| <= 1 + v_norm_slack
+    v_unitary: bool | None  # isometry defect within its threshold
+
+    @classmethod
+    def of(cls, bop: BoundaryOperator, re_P0, tol: Tolerances) -> "_BoundaryAlgebra":
+        check = tol.check
+        k, nd = bop.W1.shape
+        G, kernel_dim = kernel_energy_form(bop.WB_hat, bop.Q, check)
+        ext = extract_v(bop.W1, bop.W2, check)
+        inj_m, smin_m = _injective(bop.W2 - bop.W1, check)
+        # with no rows WB_hat is trivially onto the zero space
+        s = np.linalg.svd(bop.WB_hat, compute_uv=False) if k else np.zeros(1)
+        v_norm = defect = v_contractive = v_unitary = None
+        if ext.V is not None:
+            v_norm = numlin.operator_norm(ext.V)
+            defect = isometry_defect(ext.V)
+            v_contractive = v_norm <= 1.0 + tol.v_norm_slack
+            v_unitary = defect <= max(tol.v_norm_slack, check * max(1.0, v_norm * v_norm))
+        return cls(
+            k=k,
+            nd=nd,
+            re_p0=numlin.definiteness(re_P0, check),
+            sigma=numlin.definiteness(sigma_form(bop.W1, bop.W2), check),
+            kernel=numlin.definiteness(G, check),
+            kernel_dim=kernel_dim,
+            ext=ext,
+            inj_w2_minus_w1=inj_m,
+            smin_w2_minus_w1=smin_m,
+            surjective=int(np.sum(s > check * s[0])) == k,
+            smin_wb_hat=float(s[-1]),
+            v_norm=v_norm,
+            isometry_defect=defect,
+            v_contractive=v_contractive,
+            v_unitary=v_unitary,
+        )
+
+    @property
+    def square(self) -> bool:
+        return self.k == self.nd
+
+    @property
+    def not_square(self) -> str | None:
+        """Why the square-only conditions do not apply, or None."""
+        if self.square:
+            return None
+        return f"needs k = N*d, got k={self.k}, N*d={self.nd}"
+
+
+def check_kernel_dissipativity(alg: _BoundaryAlgebra) -> ConditionResult:
+    """T1.5: u^*Qu - y^*Qy <= 0 on ker WB_hat, plus Re P0 <= 0.
+
+    This is the universal dissipativity test; it applies to any shape of
+    WB_hat.  A trivial kernel passes vacuously.
+    """
+    return ConditionResult(
+        "T1.5", True, alg.kernel.is_nsd and alg.re_p0.is_nsd,
+        {
+            "kernel_dim": float(alg.kernel_dim),
+            "max_eig_kernel_form": alg.kernel.max_eig,
+            "min_eig_kernel_form": alg.kernel.min_eig,
+            "re_p0_max_eig": alg.re_p0.max_eig,
+        },
+    )
+
+
+def check_injective_psd(alg: _BoundaryAlgebra) -> ConditionResult:
+    """T1.3: W1+W2 injective, W_B Sigma W_B^* >= 0 and Re P0 <= 0.
+
+    Only applicable in the square case (k = N*d), where W1+W2 is
+    injective exactly when extract_v finds V."""
+    if not alg.square:
+        return ConditionResult("T1.3", False, None, reason=alg.not_square)
+    return ConditionResult(
+        "T1.3", True,
+        alg.ext.V is not None and alg.sigma.is_psd and alg.re_p0.is_nsd,
+        {
+            "smin_w1_plus_w2": alg.ext.smin,
+            "min_eig_sigma_form": alg.sigma.min_eig,
+            "max_eig_sigma_form": alg.sigma.max_eig,
+            "re_p0_max_eig": alg.re_p0.max_eig,
+        },
+    )
+
+
+def check_v_contraction(alg: _BoundaryAlgebra) -> ConditionResult:
+    """T1.4: the factor V exists with ||V|| <= 1, and Re P0 <= 0.
+
+    ||V|| is compared with absolute slack (Tolerances.v_norm_slack) so
+    that shift-type factors sitting exactly at norm 1 pass.  Not
+    applicable when no V exists (the injectivity failure is then carried
+    by T1.3)."""
+    ext = alg.ext
+    if ext.V is None:
+        return ConditionResult("T1.4", False, None,
+                               {"smin_w1_plus_w2": ext.smin}, reason=ext.reason)
+    return ConditionResult(
+        "T1.4", True, alg.v_contractive and alg.re_p0.is_nsd,
+        {"v_norm": alg.v_norm, "re_p0_max_eig": alg.re_p0.max_eig},
+    )
+
+
+def check_surjective_psd(alg: _BoundaryAlgebra) -> ConditionResult:
+    """C2.6: WB_hat full row rank, W_B Sigma W_B^* >= 0 and Re P0 <= 0."""
+    if not alg.square:
+        return ConditionResult("C2.6", False, None, reason=alg.not_square)
+    return ConditionResult(
+        "C2.6", True, alg.surjective and alg.sigma.is_psd and alg.re_p0.is_nsd,
+        {
+            "smin_wb_hat": alg.smin_wb_hat,
+            "min_eig_sigma_form": alg.sigma.min_eig,
+            "re_p0_max_eig": alg.re_p0.max_eig,
+        },
+    )
+
+
+def check_surjective_v(alg: _BoundaryAlgebra) -> ConditionResult:
+    """C2.7: WB_hat full row rank, V exists with ||V|| <= 1, Re P0 <= 0.
+
+    When W1+W2 is singular no factorization with surjective W_B can
+    exist, so the condition is reported as failing."""
+    if not alg.square:
+        return ConditionResult("C2.7", False, None, reason=alg.not_square)
+    ext = alg.ext
+    diags = {"smin_wb_hat": alg.smin_wb_hat, "re_p0_max_eig": alg.re_p0.max_eig}
+    if ext.V is None:
+        diags["smin_w1_plus_w2"] = ext.smin
+        return ConditionResult("C2.7", True, False, diags, reason=ext.reason)
+    diags["v_norm"] = alg.v_norm
+    return ConditionResult(
+        "C2.7", True, alg.surjective and alg.v_contractive and alg.re_p0.is_nsd, diags)
+
+
+def check_unitary_conditions(alg: _BoundaryAlgebra):
     """Unitary-group family: T3.5, T3.3, T3.4, C3.6, C3.7 (in that order).
 
     T3.5 tests the kernel energy form for exact vanishing and applies to
@@ -313,95 +307,69 @@ def check_unitary_conditions(WB_hat, Q, W1, W2, P0=None, tol: float = None,
     amounts to, and it is the only reading under which the family stays
     equivalent on truncated shift operators.
     """
-    if tol is None:
-        tol = numlin.DEFAULT_TOL
-    WB_hat = np.asarray(WB_hat, dtype=complex)
-    W1 = np.asarray(W1, dtype=complex)
-    W2 = np.asarray(W2, dtype=complex)
-    re_P0 = numlin.hermitian_part(_zero_if_none(P0))
-    ext = extract_v(W1, W2, tol) if V_or_ext is None else _as_extraction(V_or_ext, tol)
-    k = WB_hat.shape[0]
-    nd = WB_hat.shape[1] // 2
-    square = k == nd
-    not_square = None if square else f"needs k = N*d, got k={k}, N*d={nd}"
-    p0_zero, p0_norm = _re_p0_zero(re_P0, tol)
-    results = []
-
-    G, kdim = kernel_energy_form(WB_hat, Q, tol)
-    grep = numlin.definiteness(G, tol)
-    results.append(ConditionResult(
-        "T3.5", True, bool(grep.is_zero and p0_zero),
+    square, not_square, ext = alg.square, alg.not_square, alg.ext
+    p0_zero = alg.re_p0.is_zero
+    p0_norm = _abs_max(alg.re_p0)
+    snorm = _abs_max(alg.sigma)
+    results = [ConditionResult(
+        "T3.5", True, alg.kernel.is_zero and p0_zero,
         {
-            "kernel_dim": float(kdim),
-            "norm_kernel_form": max(abs(grep.min_eig), abs(grep.max_eig)),
+            "kernel_dim": float(alg.kernel_dim),
+            "norm_kernel_form": _abs_max(alg.kernel),
             "re_p0_norm": p0_norm,
         },
-    ))
+    )]
 
-    inj_p, smin_p, _ = _injective(W1 + W2, tol)
-    inj_m, smin_m, _ = _injective(W2 - W1, tol)
-    srep = numlin.definiteness(sigma_form(W1, W2), tol)
-    snorm = max(abs(srep.min_eig), abs(srep.max_eig))
     results.append(ConditionResult(
         "T3.3", square,
-        bool(inj_p and inj_m and srep.is_zero and p0_zero) if square else None,
+        (ext.V is not None and alg.inj_w2_minus_w1 and alg.sigma.is_zero
+         and p0_zero) if square else None,
         {
-            "smin_w1_plus_w2": smin_p,
-            "smin_w2_minus_w1": smin_m,
+            "smin_w1_plus_w2": ext.smin,
+            "smin_w2_minus_w1": alg.smin_w2_minus_w1,
             "norm_sigma_form": snorm,
             "re_p0_norm": p0_norm,
         },
         reason=not_square,
     ))
 
-    surj, smin_wb = _surjective(WB_hat, tol)
-
+    # V exists only in the square case
     if ext.V is None:
         results.append(ConditionResult(
             "T3.4", False, None, {"smin_w1_plus_w2": ext.smin},
             reason=ext.reason if square else not_square))
     else:
-        vnorm = numlin.operator_norm(ext.V)
-        defect = isometry_defect(ext.V)
-        thr = max(slack, tol * max(1.0, vnorm * vnorm))
         results.append(ConditionResult(
-            "T3.4", square,
-            bool(inj_p and inj_m and defect <= thr and p0_zero) if square else None,
+            "T3.4", True, alg.inj_w2_minus_w1 and alg.v_unitary and p0_zero,
             {
-                "v_norm": vnorm,
-                "isometry_defect": defect,
-                "smin_w2_minus_w1": smin_m,
+                "v_norm": alg.v_norm,
+                "isometry_defect": alg.isometry_defect,
+                "smin_w2_minus_w1": alg.smin_w2_minus_w1,
                 "re_p0_norm": p0_norm,
             },
-            reason=not_square,
         ))
 
     results.append(ConditionResult(
         "C3.6", square,
-        bool(surj and srep.is_zero and p0_zero) if square else None,
-        {"smin_wb_hat": smin_wb, "norm_sigma_form": snorm, "re_p0_norm": p0_norm},
+        (alg.surjective and alg.sigma.is_zero and p0_zero) if square else None,
+        {"smin_wb_hat": alg.smin_wb_hat, "norm_sigma_form": snorm, "re_p0_norm": p0_norm},
         reason=not_square,
     ))
 
     if ext.V is None:
         results.append(ConditionResult(
             "C3.7", square, False if square else None,
-            {"smin_wb_hat": smin_wb, "smin_w1_plus_w2": ext.smin},
+            {"smin_wb_hat": alg.smin_wb_hat, "smin_w1_plus_w2": ext.smin},
             reason=ext.reason if square else not_square))
     else:
-        vnorm = numlin.operator_norm(ext.V)
-        defect = isometry_defect(ext.V)
-        thr = max(slack, tol * max(1.0, vnorm * vnorm))
         results.append(ConditionResult(
-            "C3.7", square,
-            bool(surj and defect <= thr and p0_zero) if square else None,
+            "C3.7", True, alg.surjective and alg.v_unitary and p0_zero,
             {
-                "smin_wb_hat": smin_wb,
-                "v_norm": vnorm,
-                "isometry_defect": defect,
+                "smin_wb_hat": alg.smin_wb_hat,
+                "v_norm": alg.v_norm,
+                "isometry_defect": alg.isometry_defect,
                 "re_p0_norm": p0_norm,
             },
-            reason=not_square,
         ))
     return results
 
@@ -422,30 +390,26 @@ def analyze_interval(sys: PortHamiltonianSystem) -> Verdict:
     """
     if sys.interval != UNIT_INTERVAL:
         raise ShapeError("analyze_interval needs a unit_interval system")
-    tol = sys.tol.check
-    slack = sys.tol.v_norm_slack
     bop = derive_boundary_operator(sys)
-    Q = bop.Q
-    re_P0 = sys.re_P0()
-    ext = extract_v(bop.W1, bop.W2, sys.tol.tau_rank)
+    alg = _BoundaryAlgebra.of(bop, sys.re_P0(), sys.tol)
 
     warnings = []
-    k = sys.n_conditions
-    if k and numlin.numerical_rank(sys.WB_hat, tol) < k:
+    if not alg.surjective:
         warnings.append("WB_hat has linearly dependent rows; kernel tests are "
                         "unaffected but rank-based conditions will fail")
 
-    conditions = [range_containment(bop.W1, bop.W2, tol)]
-    conditions.append(check_injective_psd(bop.W1, bop.W2, re_P0, tol))
-    conditions.append(check_v_contraction(ext, re_P0, tol, slack))
-    conditions.append(check_kernel_dissipativity(sys.WB_hat, Q, re_P0, tol))
-    conditions.append(check_surjective_psd(sys.WB_hat, bop.W1, bop.W2, re_P0, tol))
-    conditions.append(check_surjective_v(sys.WB_hat, ext, re_P0, tol, slack))
-    conditions.extend(check_unitary_conditions(sys.WB_hat, Q, bop.W1, bop.W2,
-                                               sys.P0, tol, slack, V_or_ext=ext))
+    conditions = [
+        range_containment(bop.W1, bop.W2, sys.tol.check),
+        check_injective_psd(alg),
+        check_v_contraction(alg),
+        check_kernel_dissipativity(alg),
+        check_surjective_psd(alg),
+        check_surjective_v(alg),
+        *check_unitary_conditions(alg),
+    ]
 
     by_id = {c.condition_id: c for c in conditions}
-    square = k == sys.nd
+    square = alg.square
 
     contraction_value, disc_c = family_outcome([by_id[i] for i in CONTRACTION_FAMILY])
     unitary_value, disc_u = family_outcome([by_id[i] for i in UNITARY_FAMILY])

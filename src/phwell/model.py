@@ -45,7 +45,13 @@ def default_tolerance() -> float:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Relative thresholds for structure, rank and definiteness decisions."""
+    """Relative thresholds for structure, rank and definiteness decisions.
+
+    tau_struct, tau_rank and tau_pd govern validation: the symmetry of the
+    P_k and of H, the invertibility of P_N and Q, the inertia of P_1 and
+    the positivity of H.  check is the one threshold of every condition
+    decision; v_norm_slack is the absolute slack of ||V|| <= 1.
+    """
 
     tau_struct: float = dc_field(default_factory=default_tolerance)
     tau_rank: float = dc_field(default_factory=default_tolerance)
@@ -108,11 +114,6 @@ class HamiltonianDensity:
     @property
     def dim(self) -> int:
         return self.matrices.shape[1]
-
-    @property
-    def is_identity(self) -> bool:
-        d = self.dim
-        return all(np.allclose(m, np.eye(d)) for m in self.matrices)
 
     def samples(self) -> np.ndarray:
         """All stored samples, shape (m, d, d)."""
@@ -226,18 +227,15 @@ class PortVariables:
 
 @dataclass(frozen=True)
 class BoundaryOperator:
-    """WB_hat together with Q, the split (W1, W2) and, when it exists, V.
+    """WB_hat together with Q and the split (W1, W2).
 
-    V = (W1+W2)^{-1} (W1-W2) exists iff W1+W2 is invertible; V is None
-    otherwise and `v_reason` says why.
+    The contraction factor V, when it exists, comes from interval.extract_v.
     """
 
     WB_hat: np.ndarray
     Q: np.ndarray
     W1: np.ndarray
     W2: np.ndarray
-    V: np.ndarray | None
-    v_reason: str | None = None
 
 
 def validate_system(raw: dict) -> PortHamiltonianSystem:
@@ -246,7 +244,7 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
     raw keys: field, interval, N, d, P (list of N+1 matrices), H
     (HamiltonianDensity or matrix), WB_hat, optional tolerances
     (Tolerances or dict).  Raises ShapeError / StructureError /
-    SingularPN / SingularP1 / HNotCoercive.
+    SingularPN / SingularP1 / SingularQ / HNotCoercive.
     """
     field = raw.get("field", "complex")
     if field not in ("real", "complex"):
@@ -337,6 +335,8 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
                 f"P[1] has {n_zero} eigenvalue(s) at zero; half-line theory needs none",
                 path="P[1]",
             )
+    else:
+        _check_q(build_q(P[1:]), tol.tau_rank)
 
     return PortHamiltonianSystem(
         field=field,
@@ -350,6 +350,12 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
         h_min_eig=m_eig,
         h_max_eig=M_eig,
     )
+
+
+def _check_q(Q, tau_rank: float) -> None:
+    s = np.linalg.svd(Q, compute_uv=False)
+    if s[0] == 0.0 or s[-1] < tau_rank * s[0]:
+        raise SingularQ(f"Q is numerically singular (s_min={s[-1]:.3e})", path="P")
 
 
 def build_q(P1N) -> np.ndarray:
@@ -399,7 +405,8 @@ def split_boundary_operator(WB_hat, Q, tol: float | None = None):
     Using the closed-form inverse 0.5 [Q^{-1} I; -Q^{-1} I] this is
     W1 = 0.5 (Wh1 - Wh2) Q^{-1} and W2 = 0.5 (Wh1 + Wh2) for
     WB_hat = [Wh1 Wh2].  Reconstruction [W1 W2][Q -Q; I I] = WB_hat holds
-    by construction.
+    by construction.  Raises SingularQ for a numerically singular Q, which
+    validate_system already rules out for validated systems.
     """
     WB_hat = np.asarray(WB_hat, dtype=complex)
     Q = np.asarray(Q, dtype=complex)
@@ -410,9 +417,7 @@ def split_boundary_operator(WB_hat, Q, tol: float | None = None):
         )
     if tol is None:
         tol = default_tolerance()
-    s = np.linalg.svd(Q, compute_uv=False)
-    if s[0] == 0.0 or s[-1] < tol * s[0]:
-        raise SingularQ("Q is numerically singular")  # defensive, cannot occur
+    _check_q(Q, tol)
     Wh1, Wh2 = WB_hat[:, :n], WB_hat[:, n:]
     Qi = np.linalg.inv(Q)
     W1 = 0.5 * (Wh1 - Wh2) @ Qi
@@ -421,23 +426,11 @@ def split_boundary_operator(WB_hat, Q, tol: float | None = None):
 
 
 def derive_boundary_operator(sys: PortHamiltonianSystem) -> BoundaryOperator:
-    """Q, (W1, W2) and the contraction factor V for a unit-interval system."""
+    """Q and (W1, W2) for a unit-interval system."""
     Q = build_q_for_system(sys)
     W1, W2 = split_boundary_operator(sys.WB_hat, Q, sys.tol.tau_rank)
-    V = None
-    reason = None
-    T = W1 + W2
-    if T.shape[0] != T.shape[1]:
-        reason = f"W1+W2 is {T.shape[0]}x{T.shape[1]}, not square"
-    else:
-        s = np.linalg.svd(T, compute_uv=False) if T.size else np.array([0.0])
-        if s[0] == 0.0 or s[-1] < sys.tol.tau_rank * max(1.0, s[0]):
-            reason = f"W1+W2 numerically singular (s_min={s[-1]:.3e})"
-        else:
-            V = np.linalg.solve(T, W1 - W2)
     return BoundaryOperator(WB_hat=sys.WB_hat, Q=_freeze(Q), W1=_freeze(W1),
-                            W2=_freeze(W2), V=None if V is None else _freeze(V),
-                            v_reason=reason)
+                            W2=_freeze(W2))
 
 
 def boundary_trace(x, N: int, d: int) -> BoundaryTrace:

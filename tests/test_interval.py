@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from phwell import HamiltonianDensity, validate_system
+from phwell import HamiltonianDensity, Tolerances, numlin, validate_system
 from phwell.corpus import build_path_graph, build_transport, shift_matrix
 from phwell.interval import (
+    _BoundaryAlgebra,
     analyze_interval,
     check_injective_psd,
     check_kernel_dissipativity,
@@ -14,7 +15,32 @@ from phwell.interval import (
     kernel_energy_form,
     sigma_form,
 )
-from phwell.model import build_q_for_system, split_boundary_operator
+from phwell.model import BoundaryOperator, build_q_for_system, split_boundary_operator
+
+NO_P0 = np.zeros((1, 1))
+TOL = Tolerances(check=numlin.DEFAULT_TOL)
+
+
+def algebra_from_split(W1, W2, re_P0=NO_P0):
+    """Condition inputs for a given split, realised with Q = I."""
+    W1 = np.asarray(W1, dtype=complex)
+    W2 = np.asarray(W2, dtype=complex)
+    bop = BoundaryOperator(np.hstack([W1 + W2, W2 - W1]), np.eye(W1.shape[1]), W1, W2)
+    return _BoundaryAlgebra.of(bop, re_P0, TOL)
+
+
+def algebra(WB_hat, Q, re_P0=NO_P0):
+    """Condition inputs for a raw boundary operator and Q."""
+    W1, W2 = split_boundary_operator(WB_hat, Q)
+    bop = BoundaryOperator(np.asarray(WB_hat, dtype=complex), np.asarray(Q, dtype=complex),
+                           W1, W2)
+    return _BoundaryAlgebra.of(bop, re_P0, TOL)
+
+
+def algebra_from_v(V):
+    """Condition inputs whose contraction factor is V (W1+W2 = I)."""
+    eye = np.eye(np.asarray(V).shape[0])
+    return algebra_from_split(0.5 * (eye + V), 0.5 * (eye - V))
 
 
 def wave_system(k=0.7):
@@ -32,7 +58,7 @@ def wave_system(k=0.7):
 def test_kernel_dissipativity_damped_wave():
     sys = wave_system(0.7)
     Q = build_q_for_system(sys)
-    res = check_kernel_dissipativity(sys.WB_hat, Q, sys.re_P0())
+    res = check_kernel_dissipativity(algebra(sys.WB_hat, Q, sys.re_P0()))
     assert res.holds
     # hand kernel (1, -k, 0, 0), (0, 0, 0, 1): form value -2k|a|^2 on the first
     G, r = kernel_energy_form(sys.WB_hat, Q, 1e-10)
@@ -47,20 +73,20 @@ def test_kernel_dissipativity_damped_wave():
 
 def test_kernel_dissipativity_sign_flip():
     res = check_kernel_dissipativity(
-        wave_system(-0.7).WB_hat, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        algebra(wave_system(-0.7).WB_hat, np.array([[0.0, 1.0], [1.0, 0.0]])))
     assert not res.holds
 
 
 def test_kernel_dissipativity_trivial_kernel():
     Q = np.array([[0.0, 1.0], [1.0, 0.0]])
-    res = check_kernel_dissipativity(np.eye(4), Q)
+    res = check_kernel_dissipativity(algebra(np.eye(4), Q))
     assert res.holds
     assert res.diagnostics["kernel_dim"] == 0.0
 
 
 def test_kernel_dissipativity_transport_wrong_end():
     # x(0) = 0 for left-moving transport: u^*Qu = |a|^2 > 0 on the kernel
-    res = check_kernel_dissipativity(np.array([[0.0, 1.0]]), np.eye(1))
+    res = check_kernel_dissipativity(algebra(np.array([[0.0, 1.0]]), np.eye(1)))
     assert not res.holds
     assert res.diagnostics["max_eig_kernel_form"] == pytest.approx(1.0)
 
@@ -73,7 +99,7 @@ def path_w1w2(d):
 def test_injective_psd_path_graph():
     d = 8
     W1, W2 = path_w1w2(d)
-    res = check_injective_psd(W1, W2)
+    res = check_injective_psd(algebra_from_split(W1, W2))
     assert res.holds
     sf = sigma_form(W1, W2)
     expected = np.zeros((d, d))
@@ -82,7 +108,7 @@ def test_injective_psd_path_graph():
 
 
 def test_injective_psd_trivial():
-    res = check_injective_psd(np.eye(3), np.zeros((3, 3)))
+    res = check_injective_psd(algebra_from_split(np.eye(3), np.zeros((3, 3))))
     assert res.holds
 
 
@@ -91,7 +117,7 @@ def test_injective_psd_shift_counterexample():
     d = 8
     L = shift_matrix(d)
     W1, W2 = 0.5 * (np.eye(d) - L), -0.5 * (np.eye(d) + L)
-    res = check_injective_psd(W1, W2)
+    res = check_injective_psd(algebra_from_split(W1, W2))
     assert not res.holds
     assert res.diagnostics["smin_w1_plus_w2"] <= 1e-12
 
@@ -113,23 +139,22 @@ def test_extract_v_singular_sum():
 
 
 def test_v_contraction_norms():
-    assert check_v_contraction(shift_matrix(6)).holds  # ||L|| = 1 exactly
-    assert not check_v_contraction(2.0 * np.eye(3)).holds
-    assert check_v_contraction(np.zeros((3, 3))).holds
+    assert check_v_contraction(algebra_from_v(shift_matrix(6))).holds  # ||L|| = 1 exactly
+    assert not check_v_contraction(algebra_from_v(2.0 * np.eye(3))).holds
+    assert check_v_contraction(algebra_from_v(np.zeros((3, 3)))).holds
 
 
 def test_surjective_psd_cases():
     d = 6
     L = shift_matrix(d)
     sys = build_path_graph(d)
-    W1, W2 = path_w1w2(d)
-    assert check_surjective_psd(sys.WB_hat, W1, W2).holds
+    assert check_surjective_psd(algebra(sys.WB_hat, np.eye(d))).holds
     # counterexample truncation: surjectivity holds but PSD fails
     WBc = np.hstack([-L, -np.eye(d)])
     W1c, W2c = split_boundary_operator(WBc, np.eye(d))
     np.testing.assert_allclose(W1c, 0.5 * (np.eye(d) - L), atol=1e-14)
     np.testing.assert_allclose(W2c, -0.5 * (np.eye(d) + L), atol=1e-14)
-    res = check_surjective_psd(WBc, W1c, W2c)
+    res = check_surjective_psd(algebra(WBc, np.eye(d)))
     assert not res.holds
     assert res.diagnostics["min_eig_sigma_form"] < -0.4
 
@@ -137,10 +162,9 @@ def test_surjective_psd_cases():
 def test_unitary_conditions_path_graph_fails():
     d = 8
     sys = build_path_graph(d)
-    W1, W2 = path_w1w2(d)
     Q = np.eye(d)
     results = {r.condition_id: r for r in
-               check_unitary_conditions(sys.WB_hat, Q, W1, W2, sys.P0)}
+               check_unitary_conditions(algebra(sys.WB_hat, Q, sys.re_P0()))}
     assert not results["T3.3"].holds  # -W1+W2 = -L singular
     assert results["T3.3"].diagnostics["smin_w2_minus_w1"] <= 1e-12
     assert not results["T3.5"].holds
@@ -241,4 +265,41 @@ def test_rank_deficient_rows_warn_and_fail_consistently():
     v = analyze_interval(sys)
     assert v.warnings
     assert v.consensus == "not_contraction"
+    assert not v.discrepancy
+
+
+def test_one_threshold_keeps_discrepancy_a_bug_signal():
+    # A row scaling of a plain contraction: s_min / s_max of W1+W2 is 1e-8,
+    # between tau_rank and check.  Deciding the existence of V with tau_rank
+    # while T1.3 decides injectivity with check made the equivalent
+    # conditions disagree.
+    raw = {
+        "field": "real", "interval": "unit_interval", "N": 1, "d": 2,
+        "P": [np.zeros((2, 2)), np.eye(2)],
+        "H": HamiltonianDensity.constant(np.eye(2)),
+        "WB_hat": np.diag([1.0, 1e-8]) @ np.hstack([np.eye(2), 0.5 * np.eye(2)]),
+    }
+    split = analyze_interval(validate_system(
+        dict(raw, tolerances=Tolerances(tau_rank=1e-6, check=1e-12))))
+    assert split.consensus == "contraction"
+    assert not split.discrepancy
+    assert split["T1.4"].holds and split["C2.7"].holds
+    default = analyze_interval(validate_system(raw))
+    assert default.consensus == "contraction"
+    assert default.unitary is False
+    assert not default.discrepancy
+
+
+def test_analyze_without_boundary_conditions():
+    # k = 0: the kernel is every trace, and u^*Qu - y^*Qy is indefinite
+    sys = validate_system({
+        "field": "real", "interval": "unit_interval", "N": 1, "d": 1,
+        "P": [np.zeros((1, 1)), np.eye(1)],
+        "H": HamiltonianDensity.constant(np.eye(1)),
+        "WB_hat": np.zeros((0, 2)),
+    })
+    v = analyze_interval(sys)
+    assert v.consensus == "not_contraction"
+    assert v["T1.5"].diagnostics["kernel_dim"] == 2.0
+    assert not v.warnings
     assert not v.discrepancy

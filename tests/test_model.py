@@ -5,6 +5,7 @@ from phwell import (
     HamiltonianDensity,
     boundary_trace,
     build_q,
+    extract_v,
     port_variables,
     split_boundary_operator,
     validate_system,
@@ -15,7 +16,9 @@ from phwell.errors import (
     ShapeError,
     SingularP1,
     SingularPN,
+    SingularQ,
     StructureError,
+    ValidationError,
 )
 from phwell.model import BoundaryTrace, derive_boundary_operator, r_ext, r_ext_inv
 from phwell.simulator import boundary_interpolant, from_polynomial
@@ -58,6 +61,17 @@ def test_validate_rejects_singular_pn():
                    WB_hat=np.zeros((1, 2)))
     with pytest.raises(SingularPN):
         validate_system(raw)
+
+
+def test_validate_rejects_singular_q():
+    # P_2 alone is well conditioned, but Q = [[P1, P2], [-P2, 0]] has
+    # s_min / s_max = |P2|^2 / |P1|^2 = 1e-12
+    raw = wave_raw(N=2, d=1, P=[np.zeros((1, 1)), np.eye(1), 1e-6j * np.eye(1)],
+                   field="complex", H=HamiltonianDensity.constant(np.eye(1)),
+                   WB_hat=np.eye(2, 4))
+    with pytest.raises(SingularQ) as exc:
+        validate_system(raw)
+    assert isinstance(exc.value, ValidationError)
 
 
 def test_validate_rejects_indefinite_h():
@@ -241,9 +255,10 @@ def test_derive_boundary_operator_reconstruction():
     bop = derive_boundary_operator(sys)
     recon = np.hstack([bop.W1 @ bop.Q + bop.W2, -bop.W1 @ bop.Q + bop.W2])
     np.testing.assert_allclose(recon, sys.WB_hat, atol=1e-12)
-    assert bop.V is not None
+    V = extract_v(bop.W1, bop.W2).V
+    assert V is not None
     # factorization identity 0.5 (W1+W2) [I+V, I-V] = [W1, W2]
     T = bop.W1 + bop.W2
     eye = np.eye(2)
-    np.testing.assert_allclose(0.5 * T @ (eye + bop.V), bop.W1, atol=1e-12)
-    np.testing.assert_allclose(0.5 * T @ (eye - bop.V), bop.W2, atol=1e-12)
+    np.testing.assert_allclose(0.5 * T @ (eye + V), bop.W1, atol=1e-12)
+    np.testing.assert_allclose(0.5 * T @ (eye - V), bop.W2, atol=1e-12)

@@ -10,12 +10,13 @@ from phwell.cli import analyze
 from phwell.corpus import CORPUS, random_system
 from phwell.halfline import analyze_halfline
 from phwell.interval import (
+    _BoundaryAlgebra,
     analyze_interval,
     check_kernel_dissipativity,
     extract_v,
     sigma_form,
 )
-from phwell.model import build_q_for_system
+from phwell.model import derive_boundary_operator
 
 
 def random_v(rng, n, norm=None):
@@ -87,9 +88,10 @@ def test_zeroth_order_term_splits_off():
     rng = np.random.default_rng(8)
     for _ in range(40):
         sys = random_system(int(rng.integers(0, 2**31 - 1)), klass="interval_square")
-        Q = build_q_for_system(sys)
-        full = check_kernel_dissipativity(sys.WB_hat, Q, sys.re_P0(), sys.tol.check)
-        boundary_only = check_kernel_dissipativity(sys.WB_hat, Q, None, sys.tol.check)
+        bop = derive_boundary_operator(sys)
+        full = check_kernel_dissipativity(_BoundaryAlgebra.of(bop, sys.re_P0(), sys.tol))
+        boundary_only = check_kernel_dissipativity(
+            _BoundaryAlgebra.of(bop, np.zeros((1, 1)), sys.tol))
         p0_ok = numlin.definiteness(sys.re_P0(), sys.tol.check).is_nsd
         assert full.holds == (boundary_only.holds and p0_ok)
 

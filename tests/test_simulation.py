@@ -125,8 +125,18 @@ def test_initial_state_array_forms():
     sys = build_transport()
     base = simulate(sys, smooth_bump(0.3, 0.2, 1), 0.1, nx=32, cfl=0.5)
     arr = np.array([smooth_bump(0.3, 0.2, 1)(z) for z in base.cell_centers])
-    tr2 = simulate(sys, arr, 0.1, nx=32, cfl=0.5)
+    tr2 = simulate(sys, arr.T, 0.1, nx=32, cfl=0.5)
     np.testing.assert_allclose(tr2.energy, base.energy, rtol=1e-12)
+    with pytest.raises(ShapeError):
+        simulate(sys, arr, 0.1, nx=32, cfl=0.5)
+
+
+def test_restart_from_final_state():
+    # nx == d makes a (d, nx) state square, so no layout can be guessed
+    sys = build_path_graph(16)
+    tr = simulate(sys, smooth_bump(0.4, 0.25, 16), 0.05, nx=16, cfl=0.45)
+    again = simulate(sys, tr.final_state, 0.05, nx=16, cfl=0.45)
+    assert again.energy[0] == tr.energy[-1]
 
 
 # Values recorded with the stage-by-stage right-hand side that preceded the
