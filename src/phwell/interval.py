@@ -159,6 +159,7 @@ class _BoundaryAlgebra:
     kernel: numlin.DefinitenessReport
     kernel_dim: int
     ext: VExtraction  # the single decision on W1+W2
+    smin_w1_plus_w2: float
     inj_w2_minus_w1: bool
     smin_w2_minus_w1: float
     surjective: bool  # WB_hat has full row rank
@@ -174,6 +175,9 @@ class _BoundaryAlgebra:
         k, nd = bop.W1.shape
         G, kernel_dim = kernel_energy_form(bop.WB_hat, bop.Q, check)
         ext = extract_v(bop.W1, bop.W2, check)
+        # extract_v decides nothing on a non-square W1+W2; T3.3 still
+        # reports its smallest singular value there
+        smin_t = ext.smin if k == nd else _injective(bop.W1 + bop.W2, check)[1]
         inj_m, smin_m = _injective(bop.W2 - bop.W1, check)
         # with no rows WB_hat is trivially onto the zero space
         s = np.linalg.svd(bop.WB_hat, compute_uv=False) if k else np.zeros(1)
@@ -191,6 +195,7 @@ class _BoundaryAlgebra:
             kernel=numlin.definiteness(G, check),
             kernel_dim=kernel_dim,
             ext=ext,
+            smin_w1_plus_w2=smin_t,
             inj_w2_minus_w1=inj_m,
             smin_w2_minus_w1=smin_m,
             surjective=int(np.sum(s > check * s[0])) == k,
@@ -325,7 +330,7 @@ def check_unitary_conditions(alg: _BoundaryAlgebra):
         (ext.V is not None and alg.inj_w2_minus_w1 and alg.sigma.is_zero
          and p0_zero) if square else None,
         {
-            "smin_w1_plus_w2": ext.smin,
+            "smin_w1_plus_w2": alg.smin_w1_plus_w2,
             "smin_w2_minus_w1": alg.smin_w2_minus_w1,
             "norm_sigma_form": snorm,
             "re_p0_norm": p0_norm,

@@ -692,8 +692,7 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
         notes.append(
             f"half-line run truncated to [0, {float(L):g}]; the absorbing "
             "closure adds artificial dissipation")
-    # with P0 = 0, as in most runs, the interior power is exactly zero
-    P0T = sys.P[0].T if np.any(sys.P[0]) else None
+    P0T = sys.P[0].T
     Q = build_q_for_system(sys)
 
     lam_max = float(np.max(np.abs(closure.delta))) * sys.h_max_eig
@@ -711,9 +710,8 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
         energies[i] = h * np.vdot(x, w).real
         w_left, w_right = closure.traces(w)
         bpow[i] = port_variables(BoundaryTrace(phi1=w_right, phi0=w_left), Q).pairing()
-        if P0T is not None:
-            W = w.reshape(nx, d)
-            ipow[i] = 2.0 * h * np.vdot(W, W @ P0T).real
+        W = w.reshape(nx, d)
+        ipow[i] = 2.0 * h * np.vdot(W, W @ P0T).real
 
     def as_cells(x):
         return x.reshape(nx, d).T.copy()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phwell import simulate, smooth_bump
+from phwell import HamiltonianDensity, simulate, smooth_bump, validate_system
 from phwell.corpus import (
     CORPUS,
     build_path_graph,
@@ -67,6 +67,30 @@ def test_energy_rate_identity_refines():
         errs.append(np.max(np.abs(dE - power)))
     assert errs[1] <= errs[0] / 1.5
     assert errs[2] <= errs[1] / 1.5
+
+
+def test_interior_power_with_nonsymmetric_p0():
+    # complex, non-symmetric P0 and non-identity H: a transposed or
+    # conjugated P0, or x in place of w = Hx, changes the sums below
+    P0 = np.array([[-1.0 + 0.5j, 2.0 - 1.0j], [-0.3j, -2.0 + 0.2j]])
+    H = np.array([[2.0, 0.5], [0.5, 1.0]])
+    sys = validate_system({
+        "field": "complex", "interval": UNIT_INTERVAL, "N": 1, "d": 2,
+        "P": [P0, np.array([[0.0, 1.0], [1.0, 0.0]])],
+        "H": HamiltonianDensity.constant(H),
+        "WB_hat": np.array([[0.7, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]),
+    })
+    tr = simulate(sys, smooth_bump(0.5, 0.25, 2), 0.2, nx=64, cfl=0.45,
+                  snapshot_times=[0.1])
+    h = 1.0 / 64
+    t_mid, x_mid = tr.snapshots[0]
+    for i, x in ((int(np.argmin(np.abs(tr.times - t_mid))), x_mid),
+                 (len(tr.times) - 1, tr.final_state)):
+        w = H @ x  # (d, nx): column c is w_c
+        expected = 2.0 * h * sum(np.vdot(w[:, c], P0 @ w[:, c]).real
+                                 for c in range(64))
+        assert expected != 0.0
+        assert tr.interior_power[i] == pytest.approx(expected, rel=1e-12)
 
 
 def test_path_graph_simulation_contracts():
