@@ -2,8 +2,9 @@
 
 Subcommands: analyze, simulate, oracle, corpus, sweep.  Exit codes:
 0 success, 1 usage error, 2 validation/parse error, 3 discrepancy
-detected (two provably equivalent conditions disagreed numerically,
-or a corpus entry missed its recorded verdict -- both bug signals).
+detected (two provably equivalent conditions disagreed numerically, a
+corpus entry missed its recorded verdict, or the oracle contradicted
+T1.5 or its own boundary-form cross-check -- all bug signals).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_DISCREPANCY = 3
+ORACLE_CROSS_CHECK_LIMIT = 1e-8  # quadrature vs boundary form; beyond it, a bug
 
 
 def analyze(sys: PortHamiltonianSystem):
@@ -94,6 +96,9 @@ def _cmd_oracle(args) -> int:
         "cross_check_max_diff": report.cross_check_max_diff,
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
+    contradicts = report.holds != analyze_interval(system)["T1.5"].holds
+    if contradicts or report.cross_check_max_diff > ORACLE_CROSS_CHECK_LIMIT:
+        return EXIT_DISCREPANCY
     return EXIT_OK
 
 

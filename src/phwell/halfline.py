@@ -64,7 +64,7 @@ class BoundaryFactorization:
 class FactorizationFailure:
     """Why WB_hat admits no factorization B [U I] S."""
 
-    reason: str  # 'wrong_row_count' | 'singular_trailing_block' | 'rank_deficient'
+    reason: str  # 'wrong_row_count' | 'singular_trailing_block'
     detail: str
     diagnostics: dict = field(default_factory=dict)
 
@@ -100,9 +100,11 @@ def unit_decomposition(n1: int, n2: int) -> HalfLineDecomposition:
 def factorize_boundary(WB_hat, decomp: HalfLineDecomposition, tol: float = None):
     """Factor WB_hat as B [U I] S, or explain why that is impossible.
 
-    Needs full row rank, k = n2 and an invertible trailing block of
-    WB_hat S^*.  A singular trailing block always certifies failure of the
-    kernel test as well: some (0, u) lies in the kernel and u^* Theta u < 0.
+    Needs k = n2 and an invertible trailing block of WB_hat S^*, which
+    also makes WB_hat full row rank (analyze_halfline reduces the rows
+    first; a raw rank-deficient WB_hat fails on one of the two).  A
+    singular trailing block always certifies failure of the kernel test
+    as well: some (0, u) lies in the kernel and u^* Theta u < 0.
     """
     if tol is None:
         tol = numlin.DEFAULT_TOL
@@ -110,11 +112,6 @@ def factorize_boundary(WB_hat, decomp: HalfLineDecomposition, tol: float = None)
     k, d = WB_hat.shape
     if d != decomp.n1 + decomp.n2:
         raise ShapeError(f"WB_hat width {d} does not match P_1 size")
-    rank = numlin.numerical_rank(WB_hat, tol)
-    if rank < k:
-        return FactorizationFailure(
-            "rank_deficient", f"WB_hat has rank {rank} < {k} rows",
-            {"rank": float(rank)})
     if k != decomp.n2:
         return FactorizationFailure(
             "wrong_row_count",

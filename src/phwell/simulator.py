@@ -5,7 +5,8 @@ from the matrix checkers:
 
 * boundary_interpolant / quadrature_rayleigh / dissipativity_oracle sample
   smooth states with prescribed boundary traces drawn from ker WB_hat and
-  integrate Re <A0 x, x> by composite Gauss-Legendre quadrature;
+  integrate Re <A0 x, x> by composite Gauss-Legendre quadrature, once per
+  family of states as a Gram matrix of its scalar basis (_rayleigh_split);
 * simulate evolves first-order (N = 1) systems with an upwind
   finite-volume method in characteristic variables and records the
   discrete energy <x, H x> together with boundary / interior power.  The
@@ -27,7 +28,7 @@ from math import comb
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import block_diag, lu_factor, lu_solve
 
 from . import numlin
 from .errors import (
@@ -167,10 +168,6 @@ class SmoothFunction:
     terms: tuple
     dim: int
 
-    @property
-    def max_order(self):
-        return None  # unlimited
-
     def junctions(self):
         """Points where some cutoff stops being analytic (panel breaks)."""
         pts = set()
@@ -263,14 +260,7 @@ def interior_probe(z, a: float = 0.35, b: float = 0.65) -> SmoothFunction:
     return SmoothFunction(terms=((("bump", a, b), z, 0.0),), dim=z.shape[1])
 
 
-_LEGGAUSS16 = None
-
-
-def _leggauss16():
-    global _LEGGAUSS16
-    if _LEGGAUSS16 is None:
-        _LEGGAUSS16 = np.polynomial.legendre.leggauss(16)
-    return _LEGGAUSS16
+_LEGGAUSS16 = np.polynomial.legendre.leggauss(16)
 
 
 def _gauss_panels(junctions, n_quad: int):
@@ -280,7 +270,7 @@ def _gauss_panels(junctions, n_quad: int):
     plateau joints is limited by analyticity breakdown, not interval
     length, so narrow transition regions need panels as much as long ones.
     """
-    nodes16, weights16 = _leggauss16()
+    nodes16, weights16 = _LEGGAUSS16
     edges = np.concatenate([[0.0], np.asarray(junctions, dtype=float), [1.0]])
     nsub = max(1, edges.size - 1)
     per = max(3, int(np.ceil(n_quad / (16.0 * nsub))))
@@ -310,52 +300,51 @@ def quadrature_rayleigh(sys: PortHamiltonianSystem, x: SmoothFunction,
     """
     if sys.interval != UNIT_INTERVAL:
         raise ShapeError("quadrature_rayleigh needs a unit_interval system")
-    return _rayleigh_split(sys, x, n_quad)[0]
+    S = _rayleigh_split(sys, x, n_quad)
+    return float(np.real(np.sum(np.asarray(sys.P) * S)))
 
 
-def _rayleigh_split(sys, x: SmoothFunction, n_quad: int = 256):
-    """(Re <A0 x, x>, Re <P0 x, x>) from one derivative pass."""
+def _rayleigh_split(sys, basis: SmoothFunction, n_quad: int = 256) -> np.ndarray:
+    """Gram stack S[k, a, b] = integral of conj(phi_a) phi_b^{(k)}, k = 0..N.
+
+    The phi_a are the components of basis.  This is the one quadrature of
+    the module: a state x = sum_a phi_a c_a with c_a in C^d has
+    Re <A0 x, x> = Re c^* (sum_k S_k kron P_k) c for c = [c_0; c_1; ...],
+    and for basis = x itself Re <A0 x, x> = Re sum_k <P_k, S_k>.
+    """
     N = sys.order_N
     n_quad = max(n_quad, 4 * max(1, 2 * (N - 1)))
-    nodes, weights = _gauss_panels(x.junctions(), n_quad)
-    derivs = x.derivatives(nodes, N)  # (N+1, npts, d)
-    x0 = derivs[0]
-    integrand = np.zeros(nodes.size, dtype=complex)
-    p0_part = np.einsum("pi,pi->p", x0.conj(), x0 @ sys.P[0].T)
-    integrand += p0_part
-    for k in range(1, N + 1):
-        integrand += np.einsum("pi,pi->p", x0.conj(), derivs[k] @ sys.P[k].T)
-    return (float(np.real(np.sum(weights * integrand))),
-            float(np.real(np.sum(weights * p0_part))))
+    nodes, weights = _gauss_panels(basis.junctions(), n_quad)
+    derivs = basis.derivatives(nodes, N)  # (N+1, npts, dim)
+    return (weights[:, None] * derivs[0].conj()).T @ derivs
 
 
-def _p0_quadrature(sys, x: SmoothFunction, n_quad: int = 256) -> float:
-    """Re <P0 x, x> by the same quadrature (no derivatives involved)."""
-    nodes, weights = _gauss_panels(x.junctions(), n_quad)
-    x0 = x.derivatives(nodes, 0)[0]
-    vals = np.einsum("pi,pi->p", x0.conj(), x0 @ sys.P[0].T)
-    return float(np.real(np.sum(weights * vals)))
+def _boundary_form(sys) -> np.ndarray:
+    """B with z^* B z = 0.5 (u^* Q u - v^* Q v) for traces z = [u; v]."""
+    Q = build_q_for_system(sys)
+    return 0.5 * block_diag(Q, -Q)
+
+
+def _forms(M, Z) -> np.ndarray:
+    """Re z^* M z for every column z of Z."""
+    return np.real(np.sum(Z.conj() * (M @ Z), axis=0))
 
 
 def boundary_form_value(sys: PortHamiltonianSystem, u, v,
-                        x: SmoothFunction = None, n_quad: int = 256,
-                        p0_term: float = None) -> float:
+                        x: SmoothFunction = None, n_quad: int = 256) -> float:
     """0.5 (u^* Q u - v^* Q v) + Re <P0 x, x> for trace targets (u, v).
 
     This is the integrated-by-parts value of Re <A0 x, x>; the zeroth
-    order term needs the state itself, interpolated when not supplied
-    (or passed precomputed as p0_term).
+    order term needs the state itself, interpolated when not supplied.
     """
-    Q = build_q_for_system(sys)
-    u = np.asarray(u, dtype=complex).reshape(-1)
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    bval = 0.5 * float(np.real(u.conj() @ Q @ u - v.conj() @ Q @ v))
-    if p0_term is not None:
-        return bval + p0_term
+    z = np.concatenate([np.asarray(u, dtype=complex).reshape(-1),
+                        np.asarray(v, dtype=complex).reshape(-1)])
+    bval = float(_forms(_boundary_form(sys), z[:, None])[0])
     if np.any(np.abs(sys.P[0]) > 0):
         if x is None:
-            x = boundary_interpolant(u, v, d=sys.dim_d)
-        bval += _p0_quadrature(sys, x, n_quad)
+            x = boundary_interpolant(z[:sys.nd], z[sys.nd:], d=sys.dim_d)
+        S0 = _rayleigh_split(sys, x, n_quad)[0]
+        bval += float(np.real(np.sum(sys.P[0] * S0)))
     return bval
 
 
@@ -393,86 +382,90 @@ def dissipativity_oracle(sys: PortHamiltonianSystem, n_samples: int = 64,
         (importance direction; the value is still computed by quadrature);
       * compactly supported bumps along eigen-directions of Re P0, which
         have zero traces and witness interior growth.
-    Every interpolant value is cross-checked against the integrated-by-
-    parts boundary form; a mismatch there means a quadrature/interpolant
-    bug, not a property of the system.  Values are normalized per sample
-    by max(1, ||traces||^2) resp. max(1, ||z||^2).
+    Every state is linear in its trace (resp. bump direction) z, so one
+    quadrature of the scalar basis per layer width (resp. one for the
+    bumps) gives the Gram matrix M = sum_k S_k kron P_k, and each value is
+    Re z^* M z.  Every interpolant value is cross-checked against the
+    integrated-by-parts boundary form; a mismatch there means a
+    quadrature/interpolant bug, not a property of the system.  Values are
+    normalized per sample by max(1, ||traces||^2); the bump directions
+    have unit norm.
     """
     if sys.interval != UNIT_INTERVAL:
         raise ShapeError("dissipativity_oracle needs a unit_interval system")
     K = numlin.kernel_basis(sys.WB_hat, sys.tol.check)
     r = K.shape[1]
-    nd = sys.nd
-    d = sys.dim_d
+    N, nd, d = sys.order_N, sys.nd, sys.dim_d
+    P = np.asarray(sys.P)
     rng = np.random.default_rng(seed)
-    p0_nonzero = bool(np.any(np.abs(sys.P[0]) > 0))
+    p0_nonzero = bool(np.any(np.abs(P[0]) > 0))
     widths = ORACLE_LAYER_WIDTHS if p0_nonzero else ORACLE_LAYER_WIDTHS[:1]
-
-    vals = []
-    cross = 0.0
-    witness = None
-    witness_val = tol
 
     def rung_nodes(eps):
         # Narrow layers raise cutoff-derivative magnitudes like eps^{1-N};
         # panel counts must grow with both to keep the absolute error tiny.
-        factor = 2 ** (sys.order_N - 1)
+        factor = 2 ** (N - 1)
         if eps <= 0.05:
             factor *= 2
         if eps <= 0.01:
             factor *= 2
         return n_quad * factor
 
-    def probe_traces(z):
-        nonlocal cross, witness, witness_val
-        u, v = z[:nd], z[nd:]
-        scale = max(1.0, float(np.vdot(z, z).real))
-        for eps in widths:
-            x = boundary_interpolant(u, v, eps=eps, d=d)
-            val, p0_term = _rayleigh_split(sys, x, rung_nodes(eps))
-            bform = boundary_form_value(sys, u, v, p0_term=p0_term)
-            cross = max(cross, abs(val - bform) / scale)
-            vals.append(val / scale)
-            if vals[-1] > witness_val:
-                witness_val = vals[-1]
-                witness = x
+    def family(basis, n, Z, bform, scale):
+        """Values of the probe columns Z and their cross-check gaps."""
+        S = _rayleigh_split(sys, basis, n)
+        val = _forms(sum(np.kron(S[k], P[k]) for k in range(N + 1)), Z)
+        gap = np.abs(val - bform - _forms(np.kron(S[0], P[0]), Z))
+        return val / scale, gap / scale
 
+    vals, diffs = [], []  # per family, in report order
+    Z = np.zeros((2 * nd, 0))
     if r:
+        draws = []
         for _ in range(n_samples):
             c = rng.normal(size=r)
             if sys.field == "complex":
                 c = c + 1j * rng.normal(size=r)
-            probe_traces(K @ c)
+            draws.append(c)
         # importance direction: trace vector maximizing the boundary form
         G, _ = kernel_energy_form(sys.WB_hat, build_q_for_system(sys),
                                   sys.tol.check)
-        w, vecs = np.linalg.eigh(numlin.hermitian_part(G))
-        probe_traces(K @ vecs[:, -1])
+        draws.append(np.linalg.eigh(numlin.hermitian_part(G))[1][:, -1])
+        Z = K @ np.array(draws).T  # one trace vector per column
+        scale = np.maximum(1.0, np.sum(np.abs(Z) ** 2, axis=0))
+        bform = _forms(_boundary_form(sys), Z)
+        eye = np.eye(2 * N)
+        layers = [family(boundary_interpolant(eye[:N].ravel(), eye[N:].ravel(),
+                                              eps=eps, d=2 * N),
+                         rung_nodes(eps), Z, bform, scale) for eps in widths]
+        v, g = zip(*layers)
+        vals.append(np.column_stack(v).ravel())  # sample-major, width-minor
+        diffs.append(np.column_stack(g).ravel())
 
     if p0_nonzero:
         _, evecs = np.linalg.eigh(sys.re_P0())
-        for i in range(d):
-            z = evecs[:, i]
-            x = interior_probe(z)
-            val, p0_term = _rayleigh_split(sys, x, n_quad)
-            bform = boundary_form_value(sys, np.zeros(nd), np.zeros(nd),
-                                        p0_term=p0_term)
-            cross = max(cross, abs(val - bform))
-            vals.append(val)
-            if vals[-1] > witness_val:
-                witness_val = vals[-1]
-                witness = x
+        v, g = family(interior_probe([1.0]), n_quad, evecs, 0.0, 1.0)
+        vals.append(v)
+        diffs.append(g)
 
     if not vals:
         return OracleReport(True, 0, r, 0.0, np.zeros(0), 0.0, None, tol)
-    arr = np.asarray(vals)
+    arr = np.concatenate(vals)
+    best = int(np.argmax(arr))  # the first probe reaching the maximum
+    witness = None
+    if arr[best] > tol:
+        if best < Z.shape[1] * len(widths):
+            i, j = divmod(best, len(widths))
+            witness = boundary_interpolant(Z[:nd, i], Z[nd:, i], eps=widths[j], d=d)
+        else:
+            witness = interior_probe(evecs[:, best - Z.shape[1] * len(widths)])
     return OracleReport(
-        holds=bool(np.max(arr) <= tol),
+        holds=bool(arr[best] <= tol),
         n_samples=n_samples,
         kernel_dim=r,
-        max_value=float(np.max(arr)),
+        max_value=float(arr[best]),
         values=arr,
-        cross_check_max_diff=float(cross),
+        cross_check_max_diff=float(np.max(np.concatenate(diffs))),
         witness=witness,
         tolerance=tol,
     )

@@ -78,6 +78,21 @@ def test_oracle_command(tmp_path, capsys):
     assert doc["n_samples"] == 8
 
 
+@pytest.mark.parametrize("change", [{"holds": False}, {"cross_check_max_diff": 1e-6}])
+def test_oracle_contradiction_exit_code(tmp_path, monkeypatch, capsys, change):
+    import dataclasses
+
+    import phwell.cli as cli_mod
+
+    cfg = tmp_path / "wave.json"
+    write_config(build_wave("unit_interval", 0.7), cfg)
+    real = cli_mod.dissipativity_oracle
+    monkeypatch.setattr(cli_mod, "dissipativity_oracle",
+                        lambda *a, **kw: dataclasses.replace(real(*a, **kw), **change))
+    assert main(["oracle", str(cfg), "--samples", "8"]) == 3
+    assert json.loads(capsys.readouterr().out)["n_samples"] == 8
+
+
 def test_corpus_list(capsys):
     assert main(["corpus"]) == 0
     out = capsys.readouterr().out

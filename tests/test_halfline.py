@@ -101,6 +101,17 @@ def test_factorize_singular_trailing_block():
     assert fact.reason == "singular_trailing_block"
 
 
+def test_factorize_raw_rank_deficient_rows():
+    # k = n2 = 2 but rank 1: the trailing block is singular
+    dec = decompose_P1(np.diag([1.0, -1.0, -2.0]))
+    fact = factorize_boundary(np.array([[1.0, 1.0, 2.0], [2.0, 2.0, 4.0]]), dec)
+    assert isinstance(fact, FactorizationFailure)
+    assert fact.reason == "singular_trailing_block"
+    # k != n2: the row count decides first
+    fact = factorize_boundary(np.array([[0.0, 1.0, 0.0]] * 3), dec)
+    assert fact.reason == "wrong_row_count"
+
+
 @pytest.mark.parametrize("u,contraction,unitary", [
     (0.0, True, False),
     (0.5, True, False),

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from phwell import HamiltonianDensity, validate_system
-from phwell.corpus import build_transport, build_wave, random_system
+from phwell.corpus import CORPUS, build_transport, build_wave, random_system
 from phwell.interval import analyze_interval
+from phwell.model import boundary_trace
 from phwell.simulator import (
     boundary_form_value,
     boundary_interpolant,
@@ -121,6 +122,22 @@ def test_oracle_finds_positive_witness():
     assert not rep.holds
     assert rep.max_value > 0.1
     assert rep.witness is not None
+
+
+@pytest.mark.parametrize("sys", [
+    CORPUS["wave_interval_antidamped"].system(),
+    build_transport(inflow_zero=False),
+    random_system(0, N=3, klass="interval_square"),  # d = 4, T1.5 fails
+], ids=["antidamped_wave", "clamped_outflow", "random_N3"])
+def test_oracle_witness_reproduces_max_value(sys):
+    # the Gram-matrix value of the witness, recomputed by direct quadrature
+    # of the state itself at the finest layer width's node count
+    rep = dissipativity_oracle(sys, n_samples=16, seed=1)
+    assert not rep.holds
+    N = sys.order_N
+    z = boundary_trace(rep.witness, N, sys.dim_d).stacked()
+    q = quadrature_rayleigh(sys, rep.witness, 1024 * 2 ** (N - 1))
+    assert abs(q / max(1.0, np.vdot(z, z).real) - rep.max_value) <= 1e-8
 
 
 def test_oracle_vacuous_for_trivial_kernel():
