@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from . import numlin
 from .errors import GridTooCoarse, ShapeError, SingularP1
@@ -316,17 +317,29 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y,
     y: either an array (n1+n2, n+1) of samples on the uniform grid over
     [0, L], or a callable t -> vector, sampled on the default grid
     (L = 30 * max Lambda, step L / n_cells).  The data should be
-    negligible near L (the half-line tail is truncated).  The positive
-    block evaluates the decaying-kernel integral by a composite trapezoid
-    rule written as an exact backward recurrence; the negative block
-    integrates the stable ODE v' = Theta^{-1}(v - y) forward with
-    classical fourth-order steps (cubic-spline samples at half steps).
-    Returns (v, residual) with the residual measured as the max over
-    interior nodes of |v - Delta v' - y| using fourth-order central
-    differences; raises GridTooCoarse above residual_threshold.
+    negligible near L (the half-line tail is truncated).  U must be
+    (n2, n1) when n2 > 0 (ShapeError otherwise).
+
+    Each block is one bidiagonal banded solve over all its components.
+    The positive block evaluates the decaying-kernel integral by a
+    composite trapezoid rule, the exact backward recurrence
+    x_j = a x_{j+1} + f_j with a = exp(-h / lambda) and x_n = 0: an
+    upper-bidiagonal system.  The negative block integrates the stable
+    ODE v' = Theta^{-1}(v - y) forward with classical fourth-order steps;
+    Theta is diagonal, so each step is affine, w_{j+1} = R(h / theta) w_j
+    + g_j, with R the RK4 stability polynomial and g_j one step from
+    w = 0 (cubic-spline samples at half steps): a lower-bidiagonal system
+    started from v2(0) = -U v1(0).  Returns (v, residual) with the
+    residual measured as the max over interior nodes of |v - Delta v' - y|
+    using fourth-order central differences; raises GridTooCoarse above
+    residual_threshold.
     """
     n1, n2 = decomp.n1, decomp.n2
     d = n1 + n2
+    if n2:
+        U = np.asarray(U, dtype=complex)
+        if U.shape != (n2, n1):
+            raise ShapeError(f"U must be ({n2}, {n1}), got {U.shape}")
     if L is None:
         lam_max = float(np.max(np.diag(decomp.Lambda))) if n1 else 1.0
         L = 30.0 * lam_max
@@ -344,41 +357,42 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y,
     t = np.linspace(0.0, L, npts)
     v = np.zeros((d, npts), dtype=complex)
 
-    lam = np.diag(decomp.Lambda).real if n1 else np.zeros(0)
-    for i in range(n1):
-        li = lam[i]
-        decay = np.exp(-h / li)
-        yi = y[i] / li
-        xi = np.zeros(npts, dtype=complex)
-        for j in range(npts - 2, -1, -1):
-            xi[j] = decay * xi[j + 1] + 0.5 * h * (yi[j] + decay * yi[j + 1])
-        v[i] = xi
+    lam = np.diag(decomp.Lambda).real
+    if n1:
+        # rows j < n-1: x_j - a x_{j+1} = f_j; row n-1: x_{n-1} = 0
+        decay = np.exp(-h / lam)[:, None]
+        yl = y[:n1] / lam[:, None]
+        rhs = np.zeros((n1, npts), dtype=complex)
+        rhs[:, :-1] = 0.5 * h * (yl[:, :-1] + decay * yl[:, 1:])
+        ab = np.ones((2, n1, npts))
+        ab[0, :, 0] = 0.0  # no coupling into a component's first row
+        ab[0, :, 1:] = -decay
+        v[:n1] = solve_banded((0, 1), ab.reshape(2, -1), rhs.reshape(-1),
+                              check_finite=False).reshape(n1, npts)
 
+    theta = np.diag(decomp.Theta).real
     if n2:
-        U = np.asarray(U, dtype=complex).reshape(n2, n1)
-        v2_0 = -U @ v[:n1, 0] if n1 else np.zeros(n2, dtype=complex)
-        theta = np.diag(decomp.Theta).real
-        splines_re = [CubicSpline(t, y[n1 + i].real) for i in range(n2)]
-        splines_im = [CubicSpline(t, y[n1 + i].imag) for i in range(n2)]
-
-        def rhs(tau, w):
-            ys = np.array([sr(tau) + 1j * si(tau)
-                           for sr, si in zip(splines_re, splines_im)])
-            return (w - ys) / theta
-
-        w = v2_0.copy()
-        v[n1:, 0] = w
-        for j in range(npts - 1):
-            tj = t[j]
-            k1 = rhs(tj, w)
-            k2 = rhs(tj + 0.5 * h, w + 0.5 * h * k1)
-            k3 = rhs(tj + 0.5 * h, w + 0.5 * h * k2)
-            k4 = rhs(tj + h, w + h * k3)
-            w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            v[n1:, j + 1] = w
+        v[n1:, 0] = -U @ v[:n1, 0]
+        th = theta[:, None]
+        z = h / theta
+        R = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+        y0, y1 = y[n1:, :-1], y[n1:, 1:]
+        ym = CubicSpline(t, y[n1:], axis=1)(t[:-1] + 0.5 * h)
+        k1 = -y0 / th
+        k2 = (0.5 * h * k1 - ym) / th
+        k3 = (0.5 * h * k2 - ym) / th
+        k4 = (h * k3 - y1) / th
+        g = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        # rows j = 1..n-1: w_j - R w_{j-1} = g_{j-1}, with R w_0 moved right
+        g[:, 0] += R * v[n1:, 0]
+        ab = np.ones((2, n2, npts - 1))
+        ab[1, :, :-1] = -R[:, None]
+        ab[1, :, -1] = 0.0  # no coupling out of a component's last row
+        v[n1:, 1:] = solve_banded((1, 0), ab.reshape(2, -1), g.reshape(-1),
+                                  check_finite=False).reshape(n2, npts - 1)
 
     # residual with 4th-order central differences on interior nodes
-    delta = np.concatenate([lam, np.diag(decomp.Theta).real if n2 else np.zeros(0)])
+    delta = np.concatenate([lam, theta])
     dv = (v[:, :-4] - 8 * v[:, 1:-3] + 8 * v[:, 3:-1] - v[:, 4:]) / (12.0 * h)
     mid = v[:, 2:-2]
     res = mid - delta[:, None] * dv - y[:, 2:-2]

@@ -418,6 +418,12 @@ def split_boundary_operator(WB_hat, Q, tol: float | None = None):
     if tol is None:
         tol = default_tolerance()
     _check_q(Q, tol)
+    return _split(WB_hat, Q)
+
+
+def _split(WB_hat, Q):
+    """(W1, W2) of split_boundary_operator for a Q already known invertible."""
+    n = Q.shape[0]
     Wh1, Wh2 = WB_hat[:, :n], WB_hat[:, n:]
     Qi = np.linalg.inv(Q)
     W1 = 0.5 * (Wh1 - Wh2) @ Qi
@@ -426,9 +432,13 @@ def split_boundary_operator(WB_hat, Q, tol: float | None = None):
 
 
 def derive_boundary_operator(sys: PortHamiltonianSystem) -> BoundaryOperator:
-    """Q and (W1, W2) for a unit-interval system."""
+    """Q and (W1, W2) for a unit-interval system.
+
+    validate_system already decided that Q is invertible, with the same
+    tau_rank, so Q is not checked again here.
+    """
     Q = build_q_for_system(sys)
-    W1, W2 = split_boundary_operator(sys.WB_hat, Q, sys.tol.tau_rank)
+    W1, W2 = _split(sys.WB_hat, Q)
     return BoundaryOperator(WB_hat=sys.WB_hat, Q=_freeze(Q), W1=_freeze(W1),
                             W2=_freeze(W2))
 

@@ -3,7 +3,9 @@ import pytest
 
 from phwell import HamiltonianDensity, validate_system
 from phwell.corpus import build_wave
-from phwell.errors import GridTooCoarse, SingularP1
+from scipy.interpolate import CubicSpline
+
+from phwell.errors import GridTooCoarse, ShapeError, SingularP1
 from phwell.halfline import (
     BoundaryFactorization,
     FactorizationFailure,
@@ -243,6 +245,68 @@ def test_resolvent_coupling_and_refinement():
         resids.append(res)
     for a, b in zip(resids, resids[1:]):
         assert b < a / 1.8  # at least first order (measured ~ second)
+
+
+def test_resolvent_rejects_transposed_coupling():
+    decomp = unit_decomp(2, 1)
+    t = np.linspace(0.0, 30.0, 301)
+    y = np.vstack([np.exp(-t)] * 3)
+    with pytest.raises(ShapeError):
+        solve_resolvent_halfline(decomp, np.array([[0.5], [0.2]]), y, L=30.0)
+    x, _ = solve_resolvent_halfline(decomp, np.array([[0.5, 0.2]]), y, L=30.0)
+    assert abs(x[2, 0] + 0.5 * x[0, 0] + 0.2 * x[1, 0]) < 1e-13
+
+
+def _resolvent_by_loops(decomp, U, y, L):
+    """Grid-point-by-grid-point form of solve_resolvent_halfline's two blocks."""
+    n1, n2 = decomp.n1, decomp.n2
+    npts = y.shape[1]
+    h = L / (npts - 1)
+    t = np.linspace(0.0, L, npts)
+    v = np.zeros(y.shape, dtype=complex)
+    lam = np.diag(decomp.Lambda).real
+    for i in range(n1):
+        decay = np.exp(-h / lam[i])
+        yi = y[i] / lam[i]
+        for j in range(npts - 2, -1, -1):
+            v[i, j] = decay * v[i, j + 1] + 0.5 * h * (yi[j] + decay * yi[j + 1])
+    theta = np.diag(decomp.Theta).real
+    splines_re = [CubicSpline(t, y[n1 + i].real) for i in range(n2)]
+    splines_im = [CubicSpline(t, y[n1 + i].imag) for i in range(n2)]
+
+    def rhs(tau, w):
+        ys = np.array([sr(tau) + 1j * si(tau) for sr, si in zip(splines_re, splines_im)])
+        return (w - ys) / theta
+
+    w = -U @ v[:n1, 0]
+    v[n1:, 0] = w
+    for j in range(npts - 1):
+        k1 = rhs(t[j], w)
+        k2 = rhs(t[j] + 0.5 * h, w + 0.5 * h * k1)
+        k3 = rhs(t[j] + 0.5 * h, w + 0.5 * h * k2)
+        k4 = rhs(t[j] + h, w + h * k3)
+        w = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        v[n1:, j + 1] = w
+    return v
+
+
+def test_resolvent_general_blocks_match_loops():
+    # Lambda = 0.02 makes the decay per step exp(-2.5), so its n-th power
+    # underflows; complex U and y, two components in each block.
+    decomp = HalfLineDecomposition(S=np.eye(4, dtype=complex),
+                                   Lambda=np.diag([1.0, 0.02]),
+                                   Theta=np.diag([-0.5, -3.0]), n1=2, n2=2)
+    U = np.array([[0.3 + 0.4j, -0.2], [0.1j, 0.7 - 0.1j]])
+    L = 30.0
+    t = np.linspace(0.0, L, 601)
+    y = np.vstack([(1.0 + 0.3j * t) * np.exp(-t),
+                   np.sin(t) * np.exp(-0.5 * t),
+                   (0.5j - t) * np.exp(-t),
+                   np.exp(-(t - 2.0) ** 2 + 1j * t)])
+    v, _ = solve_resolvent_halfline(decomp, U, y, L=L)
+    ref = _resolvent_by_loops(decomp, U, y, L)
+    assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(U @ v[:2, 0] + v[2:, 0])) <= 1e-13
 
 
 def test_resolvent_grid_too_coarse():

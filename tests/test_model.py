@@ -250,6 +250,23 @@ def test_port_variables_opposite_traces():
     np.testing.assert_allclose(pv.e_boundary, 0.0, atol=1e-15)
 
 
+def test_q_is_decided_once(monkeypatch):
+    import phwell.model as model_mod
+    from phwell.corpus import CORPUS
+
+    sys = CORPUS["path_graph_d8"].system()
+    calls = []
+    real = model_mod._check_q
+    monkeypatch.setattr(model_mod, "_check_q",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    derive_boundary_operator(sys)
+    assert calls == []  # validate_system already decided Q
+    # a raw Q is still checked
+    with pytest.raises(SingularQ):
+        split_boundary_operator(np.eye(2, 4), np.diag([1.0, 1e-14]))
+    assert len(calls) == 1
+
+
 def test_derive_boundary_operator_reconstruction():
     sys = validate_system(wave_raw())
     bop = derive_boundary_operator(sys)

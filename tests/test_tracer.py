@@ -5,9 +5,14 @@ rename inside phwell breaks `perfbench/run.py --trace 1`; this catches it
 in the test suite.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
+
 from phwell.corpus import random_system
+from phwell.halfline import solve_resolvent_halfline, unit_decomposition
 from phwell.simulator import dissipativity_oracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -28,3 +33,30 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert tracer_mod.leftover_wrappers() == []
     # one quadrature per layer width (3 at most) plus one for the bumps
     assert 1 <= tracer.aggregate()["simulator._rayleigh_split"].calls <= 4
+
+
+def test_resolvent_builds_one_spline(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer as tracer_mod
+
+    t = np.linspace(0.0, 30.0, 1501)
+    y = np.vstack([(1.0 + t) * np.exp(-t), np.exp(-t)])
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.install(tracer)
+        solve_resolvent_halfline(unit_decomposition(1, 1), np.array([[0.6]]), y,
+                                 L=30.0)
+    finally:
+        tracer.uninstall()
+    assert tracer.aggregate()["halfline.CubicSpline.build"].calls == 1
+    assert tracer.counters["halfline.spline_evals"] <= 3
+
+
+def test_import_leaves_out_scipy_signal():
+    # scipy.signal costs about 0.45 s to import, more than the whole set-up
+    # of a benchmark workload
+    code = "import sys, phwell; print('scipy.signal' in sys.modules)"
+    src = PERFBENCH.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=src)
+    assert out.stdout.strip() == "False"
