@@ -14,12 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin
+from .halfline import HalfLineAlgebra, decompose_P1
+from .interval import BoundaryAlgebra
 from .model import (
     HALF_LINE,
     UNIT_INTERVAL,
     HamiltonianDensity,
     PortHamiltonianSystem,
     build_q,
+    derive_boundary_operator,
     validate_system,
 )
 
@@ -309,60 +312,36 @@ def _random_p0(rng, d, real=False):
     return G - (shift + 0.1 + rng.random()) * np.eye(d)
 
 
-def _interval_margins(sys) -> float:
-    """Smallest distance of any decisive scalar from its decision threshold."""
-    from .interval import extract_v, kernel_energy_form, sigma_form
-    from .model import build_q_for_system, split_boundary_operator
-
-    Q = build_q_for_system(sys)
-    W1, W2 = split_boundary_operator(sys.WB_hat, Q)
-    margins = []
-    T = W1 + W2
-    s = np.linalg.svd(T, compute_uv=False)
-    margins.append(s[-1] / max(1.0, s[0]))
-    sf = sigma_form(W1, W2)
-    w = np.linalg.eigvalsh(numlin.hermitian_part(sf))
-    margins.append(abs(w[0]) / max(1.0, abs(w).max()))
-    G, r = kernel_energy_form(sys.WB_hat, Q, sys.tol.check)
-    if r:
-        wg = np.linalg.eigvalsh(numlin.hermitian_part(G))
-        margins.append(abs(wg[-1]) / max(1.0, abs(wg).max()))
-    ext = extract_v(W1, W2)
-    if ext.V is not None:
-        margins.append(abs(numlin.operator_norm(ext.V) - 1.0))
-    swb = np.linalg.svd(sys.WB_hat, compute_uv=False)
-    margins.append(swb[-1] / max(1.0, swb[0]))
-    rp = sys.re_P0()
-    we = np.linalg.eigvalsh(numlin.hermitian_part(rp))
-    if np.max(np.abs(we)) > 0:
-        margins.append(abs(we[-1]))
-    return float(min(margins))
+def _relative(x: float, scale: float) -> float:
+    return abs(x) / max(1.0, scale)
 
 
-def _halfline_margins(sys) -> float:
-    from .halfline import BoundaryFactorization, decompose_P1, factorize_boundary
+def _margin(sys) -> float:
+    """Smallest distance of any decisive scalar from its decision threshold.
 
-    decomp = decompose_P1(sys.P[1])
-    margins = [float(np.min(np.abs(np.concatenate([
-        np.diag(decomp.Lambda) if decomp.n1 else np.zeros(0),
-        np.diag(decomp.Theta) if decomp.n2 else np.zeros(0)]))))]
-    K = numlin.kernel_basis(sys.WB_hat, sys.tol.check)
-    if K.shape[1]:
-        G = K.conj().T @ sys.P[1] @ K
-        wg = np.linalg.eigvalsh(numlin.hermitian_part(G))
-        margins.append(abs(wg[0]) / max(1.0, abs(wg).max()))
-    fact = factorize_boundary(sys.WB_hat, decomp)
-    if isinstance(fact, BoundaryFactorization) and fact.U.size:
-        M = decomp.Lambda + fact.U.conj().T @ decomp.Theta @ fact.U
-        wm = np.linalg.eigvalsh(numlin.hermitian_part(M))
-        margins.append(abs(wm[0]) / max(1.0, abs(wm).max()))
-    rp = sys.re_P0()
-    we = np.linalg.eigvalsh(numlin.hermitian_part(rp))
-    if np.max(np.abs(we)) > 0:
-        margins.append(abs(we[-1]))
-    swb = np.linalg.svd(sys.WB_hat, compute_uv=False)
-    if swb.size:
-        margins.append(swb[-1] / max(1.0, swb[0]))
+    The scalars are read off the checkers' own bundles, so the filter
+    judges exactly the numbers analyze decides on.
+    """
+    if sys.interval == HALF_LINE:
+        alg = HalfLineAlgebra.of(sys)
+        margins = [float(np.min(np.abs(np.diag(alg.decomp.delta))))]
+        if alg.kernel_dim:
+            margins.append(_relative(alg.kernel.min_eig, alg.kernel.norm))
+        if alg.lambda_utu is not None and alg.fact.U.size:
+            margins.append(_relative(alg.lambda_utu.min_eig, alg.lambda_utu.norm))
+        if alg.smin_wb_hat is not None:
+            margins.append(_relative(alg.smin_wb_hat, alg.smax_wb_hat))
+    else:
+        alg = BoundaryAlgebra.of(derive_boundary_operator(sys), sys.re_P0(), sys.tol)
+        margins = [_relative(alg.ext.smin, alg.ext.smax),
+                   _relative(alg.sigma.min_eig, alg.sigma.norm),
+                   _relative(alg.smin_wb_hat, alg.smax_wb_hat)]
+        if alg.kernel_dim:
+            margins.append(_relative(alg.kernel.max_eig, alg.kernel.norm))
+        if alg.v_norm is not None:
+            margins.append(abs(alg.v_norm - 1.0))
+    if alg.re_p0.norm > 0:
+        margins.append(abs(alg.re_p0.max_eig))
     return float(min(margins))
 
 
@@ -372,21 +351,19 @@ def random_system(seed: int, N: int = None, d: int = None,
 
     Draws alternate between dense boundary operators (usually not
     contractive) and factor-built ones with a controlled contraction
-    factor, so sweeps exercise both verdict signs.  Instances whose
-    decisive eigenvalues or singular values sit within 1e-6 of a decision
-    threshold are rejected and redrawn.
+    factor, so sweeps exercise both verdict signs.  interval_square and
+    halfline draws whose decisive scalars -- read off the checkers' own
+    BoundaryAlgebra / HalfLineAlgebra bundles -- sit within 1e-6 (relative
+    where the scalar has a scale) of a decision threshold are rejected and
+    redrawn; interval_rect draws are not filtered.
     """
     rng = np.random.default_rng(seed)
     for _ in range(200):
         if klass == HALFLINE:
             sys = _draw_halfline(rng, d)
-            if sys is not None and _halfline_margins(sys) > MARGIN:
-                return sys
-            continue
-        sys = _draw_interval(rng, N, d, square=klass == INTERVAL_SQUARE)
-        if sys is None:
-            continue
-        if klass == INTERVAL_RECT or _interval_margins(sys) > MARGIN:
+        else:
+            sys = _draw_interval(rng, N, d, square=klass == INTERVAL_SQUARE)
+        if sys is not None and (klass == INTERVAL_RECT or _margin(sys) > MARGIN):
             return sys
     raise RuntimeError("margin filter rejected 200 consecutive draws")
 
@@ -449,8 +426,6 @@ def _draw_halfline(rng, d):
         WB = rng.normal(size=(n2, d)) + 1j * rng.normal(size=(n2, d))
     else:
         # factor-built with ||U|| controlled around the contraction boundary
-        from .halfline import decompose_P1
-
         decomp = decompose_P1(P1)
         U = rng.normal(size=(n2, n1)) + 1j * rng.normal(size=(n2, n1))
         if U.size:

@@ -4,8 +4,12 @@ P_1 is Hermitian and invertible, so P_1 = S^* diag(Lambda, Theta) S with S
 unitary, Lambda > 0 (n1 x n1) and Theta < 0 (n2 x n2).  A boundary matrix
 WB_hat (k x d, full row rank) admits a contraction verdict iff k = n2,
 WB_hat = B [U I] S with B invertible, and Lambda + U^* Theta U >= 0; the
-independent route tests y^* P_1 y >= 0 on ker WB_hat.  Condition ids:
-TA.3 / TA.4 (contraction) and TA2.3 / TA2.4 (unitary group).
+independent route tests y^* P_1 y >= 0 on ker WB_hat.  A unitary group
+needs k = n1 = n2, both blocks of WB_hat S^* = [U1 U2] invertible and
+Lambda + U^* Theta U = 0, read from the same factorization and decided
+with the same threshold as TA.4.  Condition ids: TA.3 / TA.4
+(contraction) and TA2.3 / TA2.4 (unitary group); HalfLineAlgebra
+computes their shared inputs once, and verdict.decide combines them.
 
 The Hamiltonian density never enters the verdicts (the weighted and
 unweighted generators are similar); it is checked at validation only.
@@ -22,15 +26,7 @@ from scipy.linalg import solve_banded
 from . import numlin
 from .errors import GridTooCoarse, ShapeError, SingularP1
 from .model import HALF_LINE, PortHamiltonianSystem
-from .verdict import (
-    CONTRACTION,
-    DISSIPATIVE_ONLY,
-    NOT_CONTRACTION,
-    UNDETERMINED,
-    ConditionResult,
-    Verdict,
-    family_outcome,
-)
+from .verdict import ConditionResult, Verdict, decide
 
 
 @dataclass(frozen=True)
@@ -54,20 +50,31 @@ class HalfLineDecomposition:
 
 @dataclass(frozen=True)
 class BoundaryFactorization:
-    """WB_hat = B [U I] S with B (k x k) invertible and U (n2 x n1)."""
+    """WB_hat = B [U I] S with B (k x k) invertible and U (n2 x n1).
+
+    B and U1 are the trailing and leading blocks of WB_hat S^* (so
+    U1 = B U up to rounding); smin_u2 is the smallest singular value of B.
+    """
 
     B: np.ndarray
     U: np.ndarray
     residual: float
+    U1: np.ndarray
+    smin_u2: float
 
 
 @dataclass(frozen=True)
 class FactorizationFailure:
-    """Why WB_hat admits no factorization B [U I] S."""
+    """Why WB_hat admits no factorization B [U I] S.
+
+    U1 is the leading block of WB_hat S^* when the split was made (a
+    singular trailing block), None otherwise.
+    """
 
     reason: str  # 'wrong_row_count' | 'singular_trailing_block'
     detail: str
     diagnostics: dict = field(default_factory=dict)
+    U1: np.ndarray | None = None
 
 
 def decompose_P1(P1, tol: float = None) -> HalfLineDecomposition:
@@ -120,130 +127,156 @@ def factorize_boundary(WB_hat, decomp: HalfLineDecomposition, tol: float = None)
             {"k": float(k), "n2": float(decomp.n2)})
     split = WB_hat @ decomp.S.conj().T
     U1, U2 = split[:, : decomp.n1], split[:, decomp.n1 :]
+    smin_u2 = 0.0
     if k:
         s = np.linalg.svd(U2, compute_uv=False)
+        smin_u2 = float(s[-1])
         if s[0] == 0.0 or s[-1] <= tol * s[0]:
             return FactorizationFailure(
                 "singular_trailing_block",
                 "the negative-block columns of WB_hat S^* are singular",
-                {"smin_u2": float(s[-1]) if s.size else 0.0})
-    B = U2
+                {"smin_u2": smin_u2}, U1)
     U = np.linalg.solve(U2, U1) if k else np.zeros((0, decomp.n1), dtype=complex)
     eye = np.eye(decomp.n2, dtype=complex)
-    recon = B @ np.hstack([U, eye]) @ decomp.S if k else WB_hat
+    recon = U2 @ np.hstack([U, eye]) @ decomp.S if k else WB_hat
     residual = float(np.linalg.norm(recon - WB_hat, 2)) if WB_hat.size else 0.0
-    return BoundaryFactorization(B=B, U=U, residual=residual)
+    return BoundaryFactorization(B=U2, U=U, residual=residual, U1=U1, smin_u2=smin_u2)
 
 
-def _reduce_rows(WB_hat, tol):
-    """Full-row-rank representative with the same kernel (orthonormal rows)."""
-    WB_hat = np.asarray(WB_hat, dtype=complex)
-    basis = numlin.orthonormal_columns(WB_hat.conj().T, tol)
-    return basis.conj().T
+@dataclass(frozen=True)
+class HalfLineAlgebra:
+    """Every input the half-line conditions share, each computed once.
+
+    One SVD of WB_hat gives its rank, its kernel basis and its extreme
+    singular values; dependent rows are replaced by the orthonormal rows
+    of the same SVD that span the row space (same kernel).  One split
+    WB_eff S^* = [U1 U2] feeds the factorization and both block tests, and
+    M = Lambda + U^* Theta U is classified once.  The equivalent criteria
+    stay separate entries -- the kernel form (TA.3, TA2.3) against the
+    factorization (TA.4, TA2.4) -- so their agreement still detects a bug.
+    Every decision uses the one threshold Tolerances.check.
+    """
+
+    decomp: HalfLineDecomposition
+    k: int  # rank of WB_hat, the row count of WB_eff
+    re_p0: numlin.DefinitenessReport
+    kernel: numlin.DefinitenessReport  # y^* P_1 y on ker WB_hat
+    kernel_dim: int
+    smin_wb_hat: float | None  # None when WB_hat has no rows
+    smax_wb_hat: float | None
+    fact: BoundaryFactorization | FactorizationFailure | None  # None when k > n2
+    lambda_utu: numlin.DefinitenessReport | None  # when the factorization exists
+    smin_u1: float | None  # this and the next two only when k = n1 = n2
+    smin_u2: float | None
+    blocks_invertible: bool | None  # both U1 and U2
+
+    @classmethod
+    def of(cls, sys: PortHamiltonianSystem) -> "HalfLineAlgebra":
+        tol = sys.tol.check
+        decomp = decompose_P1(sys.P[1], sys.tol.tau_rank)
+        n1, n2 = decomp.n1, decomp.n2
+        WB = np.asarray(sys.WB_hat, dtype=complex)
+        K, WB_eff, smin, smax = np.eye(WB.shape[1], dtype=complex), WB, None, None
+        if WB.shape[0]:
+            _, s, vh = np.linalg.svd(WB)
+            smin, smax = float(s[-1]), float(s[0])
+            rank = int(np.sum(s > tol * s[0]))
+            K = vh[rank:].conj().T
+            if rank < WB.shape[0]:
+                WB_eff = vh[:rank]  # orthonormal rows with the same kernel
+        k = WB_eff.shape[0]
+        fact = lam = smin_u1 = smin_u2 = invertible = None
+        if k <= n2:
+            fact = factorize_boundary(WB_eff, decomp, tol)
+            factored = isinstance(fact, BoundaryFactorization)
+            if factored:
+                lam = numlin.definiteness(
+                    decomp.Lambda + fact.U.conj().T @ decomp.Theta @ fact.U, tol)
+            if k == n1 == n2:
+                s1 = np.linalg.svd(fact.U1, compute_uv=False)
+                smin_u1 = float(s1[-1])
+                smin_u2 = fact.smin_u2 if factored else fact.diagnostics["smin_u2"]
+                invertible = factored and bool(s1[0] > 0.0 and s1[-1] > tol * s1[0])
+        return cls(
+            decomp=decomp,
+            k=k,
+            re_p0=numlin.definiteness(sys.re_P0(), tol),
+            kernel=numlin.definiteness(
+                K.conj().T @ np.asarray(sys.P[1], dtype=complex) @ K, tol),
+            kernel_dim=K.shape[1],
+            smin_wb_hat=smin,
+            smax_wb_hat=smax,
+            fact=fact,
+            lambda_utu=lam,
+            smin_u1=smin_u1,
+            smin_u2=smin_u2,
+            blocks_invertible=invertible,
+        )
 
 
-def _kernel_quadratic(WB_hat, P1, tol):
-    K = numlin.kernel_basis(WB_hat, tol)
-    return K.conj().T @ np.asarray(P1, dtype=complex) @ K, K.shape[1]
-
-
-def _contraction_conditions(decomp, WB_eff, p0, kernel, kdim, tol):
-    """TA.3 from the kernel form report, TA.4 from the factorization."""
-    k_eff = WB_eff.shape[0]
+def _contraction_conditions(alg: HalfLineAlgebra):
+    """TA.3 from the kernel form, TA.4 from the factorization."""
+    p0, fact, n2 = alg.re_p0, alg.fact, alg.decomp.n2
     ta3 = ConditionResult(
-        "TA.3", True, kernel.is_psd and p0.is_nsd,
+        "TA.3", True, alg.kernel.is_psd and p0.is_nsd,
         {
-            "kernel_dim": float(kdim),
-            "min_eig_kernel_form": kernel.min_eig,
+            "kernel_dim": float(alg.kernel_dim),
+            "min_eig_kernel_form": alg.kernel.min_eig,
             "re_p0_max_eig": p0.max_eig,
         },
     )
-
-    if k_eff > decomp.n2:
+    counts = {"k": float(alg.k), "n2": float(n2)}
+    if fact is None:
+        ta4 = ConditionResult("TA.4", False, None, counts,
+                              reason=f"needs k <= n2 = {n2}, got k = {alg.k}")
+    elif isinstance(fact, FactorizationFailure):
+        ta4 = ConditionResult("TA.4", True, False, {**counts, **fact.diagnostics},
+                              reason=fact.detail)
+    else:
         ta4 = ConditionResult(
-            "TA.4", False, None,
-            {"k": float(k_eff), "n2": float(decomp.n2)},
-            reason=f"needs k <= n2 = {decomp.n2}, got k = {k_eff}")
-        return ta3, ta4
-
-    fact = factorize_boundary(WB_eff, decomp, tol)
-    if isinstance(fact, FactorizationFailure):
-        diags = {"k": float(k_eff), "n2": float(decomp.n2)}
-        diags.update(fact.diagnostics)
-        ta4 = ConditionResult("TA.4", True, False, diags, reason=fact.detail)
-        return ta3, ta4
-
-    M = decomp.Lambda + fact.U.conj().T @ decomp.Theta @ fact.U
-    mrep = numlin.definiteness(M, tol)
-    ta4 = ConditionResult(
-        "TA.4", True, mrep.is_psd and p0.is_nsd,
-        {
-            "min_eig_lambda_utu": mrep.min_eig,
-            "factorization_residual": fact.residual,
-            "re_p0_max_eig": p0.max_eig,
-        },
-    )
+            "TA.4", True, alg.lambda_utu.is_psd and p0.is_nsd,
+            {
+                "min_eig_lambda_utu": alg.lambda_utu.min_eig,
+                "factorization_residual": fact.residual,
+                "re_p0_max_eig": p0.max_eig,
+            },
+        )
     return ta3, ta4
 
 
-def _unitary_conditions(decomp, WB_eff, p0, kernel, kdim, tol):
-    """TA2.3 from the kernel form report, TA2.4 from the split blocks."""
-    k_eff = WB_eff.shape[0]
-    p0_zero = p0.is_zero
-    p0_norm = max(abs(p0.min_eig), abs(p0.max_eig))
+def _unitary_conditions(alg: HalfLineAlgebra):
+    """TA2.3 from the kernel form, TA2.4 from TA.4's factorization."""
+    p0, k, n1, n2 = alg.re_p0, alg.k, alg.decomp.n1, alg.decomp.n2
     ta23 = ConditionResult(
-        "TA2.3", True, kernel.is_zero and p0_zero,
+        "TA2.3", True, alg.kernel.is_zero and p0.is_zero,
         {
-            "kernel_dim": float(kdim),
-            "norm_kernel_form": max(abs(kernel.min_eig), abs(kernel.max_eig)),
-            "re_p0_norm": p0_norm,
+            "kernel_dim": float(alg.kernel_dim),
+            "norm_kernel_form": alg.kernel.norm,
+            "re_p0_norm": p0.norm,
         },
     )
-
-    n1, n2 = decomp.n1, decomp.n2
-    if k_eff > min(n1, n2):
+    counts = {"k": float(k), "n1": float(n1), "n2": float(n2)}
+    if k > min(n1, n2):
         ta24 = ConditionResult(
-            "TA2.4", False, None,
-            {"k": float(k_eff), "n1": float(n1), "n2": float(n2)},
-            reason=f"needs k <= min(n1, n2) = {min(n1, n2)}, got k = {k_eff}")
-        return ta23, ta24
-
-    if not (k_eff == n1 == n2):
+            "TA2.4", False, None, counts,
+            reason=f"needs k <= min(n1, n2) = {min(n1, n2)}, got k = {k}")
+    elif not k == n1 == n2:
+        ta24 = ConditionResult("TA2.4", True, False, counts,
+                               reason="unitary generation needs k = n1 = n2")
+    elif not alg.blocks_invertible:
         ta24 = ConditionResult(
-            "TA2.4", True, False,
-            {"k": float(k_eff), "n1": float(n1), "n2": float(n2)},
-            reason="unitary generation needs k = n1 = n2")
-        return ta23, ta24
-
-    split = WB_eff @ decomp.S.conj().T
-    U1, U2 = split[:, :n1], split[:, n1:]
-    inv_ok = True
-    smin1 = smin2 = 0.0
-    if k_eff:
-        s1 = np.linalg.svd(U1, compute_uv=False)
-        s2 = np.linalg.svd(U2, compute_uv=False)
-        smin1, smin2 = float(s1[-1]), float(s2[-1])
-        inv_ok = (s1[0] > 0 and s1[-1] > tol * s1[0]
-                  and s2[0] > 0 and s2[-1] > tol * s2[0])
-    if not inv_ok:
-        ta24 = ConditionResult(
-            "TA2.4", True, False,
-            {"smin_u1": smin1, "smin_u2": smin2},
+            "TA2.4", True, False, {"smin_u1": alg.smin_u1, "smin_u2": alg.smin_u2},
             reason="both blocks of WB_hat S^* must be invertible")
-        return ta23, ta24
-    U2i = np.linalg.inv(U2) if k_eff else U2
-    M = decomp.Lambda + U1.conj().T @ U2i.conj().T @ decomp.Theta @ U2i @ U1
-    znorm = float(np.linalg.norm(M, 2)) if M.size else 0.0
-    scale = max(1.0, float(np.linalg.norm(decomp.Lambda, 2)) if decomp.Lambda.size else 1.0)
-    ta24 = ConditionResult(
-        "TA2.4", True, bool(znorm <= tol * scale * 10.0 and p0_zero),
-        {
-            "norm_lambda_utu": znorm,
-            "smin_u1": smin1,
-            "smin_u2": smin2,
-            "re_p0_norm": p0_norm,
-        },
-    )
+    else:
+        ta24 = ConditionResult(
+            "TA2.4", True, alg.lambda_utu.is_zero and p0.is_zero,
+            {
+                "norm_lambda_utu": alg.lambda_utu.norm,
+                "smin_u1": alg.smin_u1,
+                "smin_u2": alg.smin_u2,
+                "re_p0_norm": p0.norm,
+            },
+        )
     return ta23, ta24
 
 
@@ -255,58 +288,18 @@ def analyze_halfline(sys: PortHamiltonianSystem) -> Verdict:
     """
     if sys.interval != HALF_LINE:
         raise ShapeError("analyze_halfline needs a half_line system")
-    tol = sys.tol.check
-    decomp = decompose_P1(sys.P[1], sys.tol.tau_rank)
-
+    alg = HalfLineAlgebra.of(sys)
     warnings = []
-    WB_eff = sys.WB_hat
-    k = sys.n_conditions
-    if k and numlin.numerical_rank(WB_eff, tol) < k:
-        WB_eff = _reduce_rows(WB_eff, tol)
+    if alg.k < sys.n_conditions:
         warnings.append(
-            f"WB_hat rows are linearly dependent; reduced {k} rows to "
-            f"{WB_eff.shape[0]} with the same kernel")
-
-    p0 = numlin.definiteness(sys.re_P0(), tol)
-    Gp, kdim = _kernel_quadratic(WB_eff, sys.P[1], tol)
-    kernel = numlin.definiteness(Gp, tol)
-    ta3, ta4 = _contraction_conditions(decomp, WB_eff, p0, kernel, kdim, tol)
-    ta23, ta24 = _unitary_conditions(decomp, WB_eff, p0, kernel, kdim, tol)
-    conditions = (ta3, ta4, ta23, ta24)
-
-    contraction_value, disc_c = family_outcome([ta3, ta4])
-    unitary_value, disc_u = family_outcome([ta23, ta24])
-    discrepancy = disc_c or disc_u
-
-    if ta4.applicable:
-        if contraction_value is True:
-            consensus = CONTRACTION
-        elif contraction_value is False:
-            consensus = NOT_CONTRACTION
-        else:
-            consensus = UNDETERMINED
-    else:
-        # k > n2: dissipativity can hold but generation is not certified.
-        consensus = DISSIPATIVE_ONLY if ta3.holds else NOT_CONTRACTION
-
-    if ta24.applicable:
-        unitary = unitary_value if not disc_u else None
-    else:
-        unitary = None if ta23.holds else False
-
-    if unitary is True and consensus != CONTRACTION:
-        discrepancy = True
-        unitary = None
-    if consensus == NOT_CONTRACTION and unitary is None and ta24.applicable:
-        unitary = False
-
-    return Verdict(
-        conditions=conditions,
-        consensus=consensus,
-        unitary=unitary,
-        discrepancy=discrepancy,
-        warnings=tuple(warnings),
-    )
+            f"WB_hat rows are linearly dependent; reduced {sys.n_conditions} rows "
+            f"to {alg.k} with the same kernel")
+    ta3, ta4 = _contraction_conditions(alg)
+    ta23, ta24 = _unitary_conditions(alg)
+    consensus, unitary, discrepancy = decide(
+        [ta3, ta4], [ta23, ta24], ta3, ta23, ta4.applicable, ta24.applicable)
+    return Verdict((ta3, ta4, ta23, ta24), consensus, unitary, discrepancy,
+                   tuple(warnings))
 
 
 def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y,

@@ -33,15 +33,7 @@ from .model import (
     Tolerances,
     derive_boundary_operator,
 )
-from .verdict import (
-    CONTRACTION,
-    DISSIPATIVE_ONLY,
-    NOT_CONTRACTION,
-    UNDETERMINED,
-    ConditionResult,
-    Verdict,
-    family_outcome,
-)
+from .verdict import ConditionResult, Verdict, decide
 
 
 @dataclass(frozen=True)
@@ -137,12 +129,8 @@ def _injective(M, tol: float):
     return bool(s[0] > 0.0 and smin > tol * s[0]), smin
 
 
-def _abs_max(rep: numlin.DefinitenessReport) -> float:
-    return max(abs(rep.min_eig), abs(rep.max_eig))
-
-
 @dataclass(frozen=True)
-class _BoundaryAlgebra:
+class BoundaryAlgebra:
     """Every input the interval conditions share, each computed once.
 
     Only computations that would otherwise be repeated bit for bit are
@@ -164,13 +152,14 @@ class _BoundaryAlgebra:
     smin_w2_minus_w1: float
     surjective: bool  # WB_hat has full row rank
     smin_wb_hat: float
+    smax_wb_hat: float
     v_norm: float | None  # None when ext.V is None, like the two below
     isometry_defect: float | None
     v_contractive: bool | None  # ||V|| <= 1 + v_norm_slack
     v_unitary: bool | None  # isometry defect within its threshold
 
     @classmethod
-    def of(cls, bop: BoundaryOperator, re_P0, tol: Tolerances) -> "_BoundaryAlgebra":
+    def of(cls, bop: BoundaryOperator, re_P0, tol: Tolerances) -> "BoundaryAlgebra":
         check = tol.check
         k, nd = bop.W1.shape
         G, kernel_dim = kernel_energy_form(bop.WB_hat, bop.Q, check)
@@ -200,6 +189,7 @@ class _BoundaryAlgebra:
             smin_w2_minus_w1=smin_m,
             surjective=int(np.sum(s > check * s[0])) == k,
             smin_wb_hat=float(s[-1]),
+            smax_wb_hat=float(s[0]),
             v_norm=v_norm,
             isometry_defect=defect,
             v_contractive=v_contractive,
@@ -218,7 +208,7 @@ class _BoundaryAlgebra:
         return f"needs k = N*d, got k={self.k}, N*d={self.nd}"
 
 
-def check_kernel_dissipativity(alg: _BoundaryAlgebra) -> ConditionResult:
+def check_kernel_dissipativity(alg: BoundaryAlgebra) -> ConditionResult:
     """T1.5: u^*Qu - y^*Qy <= 0 on ker WB_hat, plus Re P0 <= 0.
 
     This is the universal dissipativity test; it applies to any shape of
@@ -235,7 +225,7 @@ def check_kernel_dissipativity(alg: _BoundaryAlgebra) -> ConditionResult:
     )
 
 
-def check_injective_psd(alg: _BoundaryAlgebra) -> ConditionResult:
+def check_injective_psd(alg: BoundaryAlgebra) -> ConditionResult:
     """T1.3: W1+W2 injective, W_B Sigma W_B^* >= 0 and Re P0 <= 0.
 
     Only applicable in the square case (k = N*d), where W1+W2 is
@@ -254,7 +244,7 @@ def check_injective_psd(alg: _BoundaryAlgebra) -> ConditionResult:
     )
 
 
-def check_v_contraction(alg: _BoundaryAlgebra) -> ConditionResult:
+def check_v_contraction(alg: BoundaryAlgebra) -> ConditionResult:
     """T1.4: the factor V exists with ||V|| <= 1, and Re P0 <= 0.
 
     ||V|| is compared with absolute slack (Tolerances.v_norm_slack) so
@@ -271,7 +261,7 @@ def check_v_contraction(alg: _BoundaryAlgebra) -> ConditionResult:
     )
 
 
-def check_surjective_psd(alg: _BoundaryAlgebra) -> ConditionResult:
+def check_surjective_psd(alg: BoundaryAlgebra) -> ConditionResult:
     """C2.6: WB_hat full row rank, W_B Sigma W_B^* >= 0 and Re P0 <= 0."""
     if not alg.square:
         return ConditionResult("C2.6", False, None, reason=alg.not_square)
@@ -285,7 +275,7 @@ def check_surjective_psd(alg: _BoundaryAlgebra) -> ConditionResult:
     )
 
 
-def check_surjective_v(alg: _BoundaryAlgebra) -> ConditionResult:
+def check_surjective_v(alg: BoundaryAlgebra) -> ConditionResult:
     """C2.7: WB_hat full row rank, V exists with ||V|| <= 1, Re P0 <= 0.
 
     When W1+W2 is singular no factorization with surjective W_B can
@@ -302,7 +292,7 @@ def check_surjective_v(alg: _BoundaryAlgebra) -> ConditionResult:
         "C2.7", True, alg.surjective and alg.v_contractive and alg.re_p0.is_nsd, diags)
 
 
-def check_unitary_conditions(alg: _BoundaryAlgebra):
+def check_unitary_conditions(alg: BoundaryAlgebra):
     """Unitary-group family: T3.5, T3.3, T3.4, C3.6, C3.7 (in that order).
 
     T3.5 tests the kernel energy form for exact vanishing and applies to
@@ -314,13 +304,13 @@ def check_unitary_conditions(alg: _BoundaryAlgebra):
     """
     square, not_square, ext = alg.square, alg.not_square, alg.ext
     p0_zero = alg.re_p0.is_zero
-    p0_norm = _abs_max(alg.re_p0)
-    snorm = _abs_max(alg.sigma)
+    p0_norm = alg.re_p0.norm
+    snorm = alg.sigma.norm
     results = [ConditionResult(
         "T3.5", True, alg.kernel.is_zero and p0_zero,
         {
             "kernel_dim": float(alg.kernel_dim),
-            "norm_kernel_form": _abs_max(alg.kernel),
+            "norm_kernel_form": alg.kernel.norm,
             "re_p0_norm": p0_norm,
         },
     )]
@@ -396,7 +386,7 @@ def analyze_interval(sys: PortHamiltonianSystem) -> Verdict:
     if sys.interval != UNIT_INTERVAL:
         raise ShapeError("analyze_interval needs a unit_interval system")
     bop = derive_boundary_operator(sys)
-    alg = _BoundaryAlgebra.of(bop, sys.re_P0(), sys.tol)
+    alg = BoundaryAlgebra.of(bop, sys.re_P0(), sys.tol)
 
     warnings = []
     if not alg.surjective:
@@ -414,36 +404,7 @@ def analyze_interval(sys: PortHamiltonianSystem) -> Verdict:
     ]
 
     by_id = {c.condition_id: c for c in conditions}
-    square = alg.square
-
-    contraction_value, disc_c = family_outcome([by_id[i] for i in CONTRACTION_FAMILY])
-    unitary_value, disc_u = family_outcome([by_id[i] for i in UNITARY_FAMILY])
-    discrepancy = disc_c or disc_u
-
-    if square:
-        if contraction_value is True:
-            consensus = CONTRACTION
-        elif contraction_value is False:
-            consensus = NOT_CONTRACTION
-        else:
-            consensus = UNDETERMINED
-        unitary = unitary_value if not disc_u else None
-    else:
-        t15 = by_id["T1.5"]
-        consensus = DISSIPATIVE_ONLY if t15.holds else NOT_CONTRACTION
-        unitary = None if by_id["T3.5"].holds else False
-
-    # Unitary certification implies contraction; disagreement is a bug signal.
-    if unitary is True and consensus != CONTRACTION:
-        discrepancy = True
-        unitary = None
-    if square and consensus == NOT_CONTRACTION and unitary is None:
-        unitary = False
-
-    return Verdict(
-        conditions=tuple(conditions),
-        consensus=consensus,
-        unitary=unitary,
-        discrepancy=discrepancy,
-        warnings=tuple(warnings),
-    )
+    consensus, unitary, discrepancy = decide(
+        [by_id[i] for i in CONTRACTION_FAMILY], [by_id[i] for i in UNITARY_FAMILY],
+        by_id["T1.5"], by_id["T3.5"], alg.square, alg.square)
+    return Verdict(tuple(conditions), consensus, unitary, discrepancy, tuple(warnings))

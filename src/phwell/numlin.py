@@ -41,6 +41,11 @@ class DefinitenessReport:
     def is_zero(self) -> bool:
         return self.verdict == "zero"
 
+    @property
+    def norm(self) -> float:
+        """Largest eigenvalue magnitude: the 2-norm of the Hermitian part."""
+        return max(abs(self.min_eig), abs(self.max_eig))
+
 
 def _as2d(M) -> np.ndarray:
     M = np.asarray(M, dtype=complex)

@@ -37,14 +37,7 @@ from .errors import (
     ShapeError,
 )
 from .interval import kernel_energy_form
-from .model import (
-    HALF_LINE,
-    UNIT_INTERVAL,
-    BoundaryTrace,
-    PortHamiltonianSystem,
-    build_q_for_system,
-    port_variables,
-)
+from .model import HALF_LINE, UNIT_INTERVAL, PortHamiltonianSystem, build_q_for_system
 
 _SIGMA_FLOOR = 1.0 / 500.0  # below this, exp(-1/t) * poly(1/t) is flat zero
 _SIGMA_POLYS = [np.polynomial.Polynomial([1.0])]
@@ -175,6 +168,11 @@ class SmoothFunction:
             pts.update(_cutoff_junctions(kind))
         return tuple(sorted(p for p in pts if 0.0 < p < 1.0))
 
+    def narrowest_transition(self) -> float:
+        """Width of the steepest cutoff transition; 1.0 when there is none."""
+        widths = [np.diff(_cutoff_junctions(kind)) for kind, _, _ in self.terms]
+        return float(min((w.min() for w in widths if w.size), default=1.0))
+
     def derivatives(self, zeta, max_order: int) -> np.ndarray:
         """Array (max_order+1, len(zeta), d) of x^{(n)} at the given points."""
         zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
@@ -289,8 +287,7 @@ def _gauss_panels(junctions, n_quad: int):
     return nodes, weights
 
 
-def quadrature_rayleigh(sys: PortHamiltonianSystem, x: SmoothFunction,
-                        n_quad: int = 256) -> float:
+def quadrature_rayleigh(sys: PortHamiltonianSystem, x: SmoothFunction) -> float:
     """Re <A0 x, x> = Re integral of x^* sum_k P_k x^{(k)} over [0, 1].
 
     Derivatives of x are analytic; the quadrature is composite
@@ -300,20 +297,25 @@ def quadrature_rayleigh(sys: PortHamiltonianSystem, x: SmoothFunction,
     """
     if sys.interval != UNIT_INTERVAL:
         raise ShapeError("quadrature_rayleigh needs a unit_interval system")
-    S = _rayleigh_split(sys, x, n_quad)
+    S = _rayleigh_split(sys, x)
     return float(np.real(np.sum(np.asarray(sys.P) * S)))
 
 
-def _rayleigh_split(sys, basis: SmoothFunction, n_quad: int = 256) -> np.ndarray:
+def _rayleigh_split(sys, basis: SmoothFunction) -> np.ndarray:
     """Gram stack S[k, a, b] = integral of conj(phi_a) phi_b^{(k)}, k = 0..N.
 
     The phi_a are the components of basis.  This is the one quadrature of
     the module: a state x = sum_a phi_a c_a with c_a in C^d has
     Re <A0 x, x> = Re c^* (sum_k S_k kron P_k) c for c = [c_0; c_1; ...],
     and for basis = x itself Re <A0 x, x> = Re sum_k <P_k, S_k>.
+
+    The one node rule: 256 nodes, doubled per derivative order above the
+    first and again for transitions of width <= 0.05 and <= 0.01, because
+    narrow layers raise cutoff-derivative magnitudes like width^{1-N}.
     """
     N = sys.order_N
-    n_quad = max(n_quad, 4 * max(1, 2 * (N - 1)))
+    width = basis.narrowest_transition()
+    n_quad = 256 * 2 ** (N - 1 + (width <= 0.05) + (width <= 0.01))
     nodes, weights = _gauss_panels(basis.junctions(), n_quad)
     derivs = basis.derivatives(nodes, N)  # (N+1, npts, dim)
     return (weights[:, None] * derivs[0].conj()).T @ derivs
@@ -331,7 +333,7 @@ def _forms(M, Z) -> np.ndarray:
 
 
 def boundary_form_value(sys: PortHamiltonianSystem, u, v,
-                        x: SmoothFunction = None, n_quad: int = 256) -> float:
+                        x: SmoothFunction = None) -> float:
     """0.5 (u^* Q u - v^* Q v) + Re <P0 x, x> for trace targets (u, v).
 
     This is the integrated-by-parts value of Re <A0 x, x>; the zeroth
@@ -343,7 +345,7 @@ def boundary_form_value(sys: PortHamiltonianSystem, u, v,
     if np.any(np.abs(sys.P[0]) > 0):
         if x is None:
             x = boundary_interpolant(z[:sys.nd], z[sys.nd:], d=sys.dim_d)
-        S0 = _rayleigh_split(sys, x, n_quad)[0]
+        S0 = _rayleigh_split(sys, x)[0]
         bval += float(np.real(np.sum(sys.P[0] * S0)))
     return bval
 
@@ -370,8 +372,7 @@ ORACLE_LAYER_WIDTHS = (0.25, 0.05, 0.01)
 
 
 def dissipativity_oracle(sys: PortHamiltonianSystem, n_samples: int = 64,
-                         seed: int = 0, n_quad: int = 256,
-                         tol: float = 1e-8) -> OracleReport:
+                         seed: int = 0, tol: float = 1e-8) -> OracleReport:
     """Sample smooth domain states and test Re <A0 x, x> <= 0 by quadrature.
 
     Three families of states are probed:
@@ -401,19 +402,9 @@ def dissipativity_oracle(sys: PortHamiltonianSystem, n_samples: int = 64,
     p0_nonzero = bool(np.any(np.abs(P[0]) > 0))
     widths = ORACLE_LAYER_WIDTHS if p0_nonzero else ORACLE_LAYER_WIDTHS[:1]
 
-    def rung_nodes(eps):
-        # Narrow layers raise cutoff-derivative magnitudes like eps^{1-N};
-        # panel counts must grow with both to keep the absolute error tiny.
-        factor = 2 ** (N - 1)
-        if eps <= 0.05:
-            factor *= 2
-        if eps <= 0.01:
-            factor *= 2
-        return n_quad * factor
-
-    def family(basis, n, Z, bform, scale):
+    def family(basis, Z, bform, scale):
         """Values of the probe columns Z and their cross-check gaps."""
-        S = _rayleigh_split(sys, basis, n)
+        S = _rayleigh_split(sys, basis)
         val = _forms(sum(np.kron(S[k], P[k]) for k in range(N + 1)), Z)
         gap = np.abs(val - bform - _forms(np.kron(S[0], P[0]), Z))
         return val / scale, gap / scale
@@ -437,14 +428,14 @@ def dissipativity_oracle(sys: PortHamiltonianSystem, n_samples: int = 64,
         eye = np.eye(2 * N)
         layers = [family(boundary_interpolant(eye[:N].ravel(), eye[N:].ravel(),
                                               eps=eps, d=2 * N),
-                         rung_nodes(eps), Z, bform, scale) for eps in widths]
+                         Z, bform, scale) for eps in widths]
         v, g = zip(*layers)
         vals.append(np.column_stack(v).ravel())  # sample-major, width-minor
         diffs.append(np.column_stack(g).ravel())
 
     if p0_nonzero:
         _, evecs = np.linalg.eigh(sys.re_P0())
-        v, g = family(interior_probe([1.0]), n_quad, evecs, 0.0, 1.0)
+        v, g = family(interior_probe([1.0]), evecs, 0.0, 1.0)
         vals.append(v)
         diffs.append(g)
 
@@ -584,11 +575,14 @@ class _BoundaryClosure:
             far = np.hstack([np.zeros((d, d)), Sn.conj().T @ Sn])
             self.G = np.vstack([Z, far])
 
-    def traces(self, w):
-        """(w_hat_left, w_hat_right) ghost traces of the cell-major w = Hx."""
-        d = self.d
-        g = self.G @ np.concatenate([w[:d], w[-d:]])
-        return g[:d], g[d:]
+    def traces(self, ends):
+        """(w_hat_left, w_hat_right) ghost traces from [w_first; w_last].
+
+        ends stacks the first and last cells' values of w = Hx, (2d,) for
+        one state or (2d, n) for n states, one product for all of them.
+        """
+        g = self.G @ ends
+        return g[:self.d], g[self.d:]
 
 
 def _semidiscrete_operator(sys: PortHamiltonianSystem, nx: int, L: float = 10.0):
@@ -685,8 +679,7 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
         notes.append(
             f"half-line run truncated to [0, {float(L):g}]; the absorbing "
             "closure adds artificial dissipation")
-    P0T = sys.P[0].T
-    Q = build_q_for_system(sys)
+    P0b = sparse.kron(sparse.eye_array(nx), sparse.csr_array(sys.P[0]), format="csr")
 
     lam_max = float(np.max(np.abs(closure.delta))) * sys.h_max_eig
     dt = cfl * h / lam_max
@@ -695,16 +688,14 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
 
     times = np.zeros(n_steps + 1)
     energies = np.zeros(n_steps + 1)
-    bpow = np.zeros(n_steps + 1)
     ipow = np.zeros(n_steps + 1)
+    ends = np.zeros((2 * d, n_steps + 1), dtype=complex)  # first, last cell of w
 
     def record(i, x):
         w = Hb @ x
         energies[i] = h * np.vdot(x, w).real
-        w_left, w_right = closure.traces(w)
-        bpow[i] = port_variables(BoundaryTrace(phi1=w_right, phi0=w_left), Q).pairing()
-        W = w.reshape(nx, d)
-        ipow[i] = 2.0 * h * np.vdot(W, W @ P0T).real
+        ipow[i] = 2.0 * h * np.vdot(w, P0b @ w).real
+        ends[:d, i], ends[d:, i] = w[:d], w[-d:]
 
     def as_cells(x):
         return x.reshape(nx, d).T.copy()
@@ -729,6 +720,10 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
             snap_list.append((t, as_cells(x)))
             snap_idx += 1
 
+    # port power 2 Re <f, e> with f = Q (w_r - w_l) / sqrt2, e = (w_r + w_l) / sqrt2
+    w_left, w_right = closure.traces(ends)
+    f = build_q_for_system(sys) @ (w_right - w_left)
+    bpow = np.real(np.sum(f.conj() * (w_right + w_left), axis=0))
     violation = float(max(0.0, np.max(np.diff(energies)))) if n_steps else 0.0
     return EnergyTrace(
         times=times,

@@ -1,13 +1,16 @@
+import hashlib
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
+from phwell import model
 from phwell.cli import analyze
 from phwell.config import system_to_dict, verdict_to_json
 from phwell.corpus import (
     CORPUS,
+    HALFLINE,
     INTERVAL_RECT,
     INTERVAL_SQUARE,
     build_binary_tree,
@@ -134,3 +137,28 @@ def test_draws_with_singular_q_are_redrawn(seed, klass):
     s = np.linalg.svd(build_q_for_system(sys), compute_uv=False)
     assert s[-1] >= sys.tol.tau_rank * s[0]
     assert not analyze(sys).discrepancy
+
+
+# sha256 of the draws below; the margin filter decides which draws
+# random_system accepts, so a filter change that moves any draw shows here
+FROZEN_DRAWS = "09c5f7a29d03bffea66aeaca57b954dee90ebbec03df5bb789ea4cd04c2d1ed5"
+
+
+def test_drawn_systems_are_frozen():
+    h = hashlib.sha256()
+    for klass in (INTERVAL_SQUARE, INTERVAL_RECT, HALFLINE):
+        for seed in [*range(60), 2026557278, 76037203, 52691923]:
+            doc = system_to_dict(random_system(seed, klass=klass))
+            h.update(json.dumps(doc, sort_keys=True).encode())
+    assert h.hexdigest() == FROZEN_DRAWS
+
+
+def test_interval_draws_decide_q_once(monkeypatch):
+    # validate_system decides Q; the margin filter must not decide it again
+    calls = []
+    check_q = model._check_q
+    monkeypatch.setattr(model, "_check_q",
+                        lambda *a: (calls.append(1), check_q(*a))[1])
+    for seed in range(20):  # 20 draws, none rejected by the filter
+        random_system(seed, klass=INTERVAL_SQUARE)
+    assert len(calls) == 20

@@ -114,6 +114,27 @@ def test_factorize_raw_rank_deficient_rows():
     assert fact.reason == "wrong_row_count"
 
 
+def test_halfline_analysis_takes_three_svds(monkeypatch):
+    # one of WB_hat, one per block of the single split WB_hat S^*
+    sys = build_wave("half_line", 0.5)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: (calls.append(a[0].shape), svd(*a, **k))[1])
+    analyze_halfline(sys)
+    assert len(calls) <= 3
+
+
+@pytest.mark.parametrize("du", [1e-10, 2e-10, 3e-10])
+def test_ta24_uses_the_check_threshold(du):
+    # just past |u| = 1, M = Lambda + U* Theta U is about -2 du: TA2.4 must
+    # read it with the same threshold as TA.4, else it disagrees with TA2.3
+    v = analyze_halfline(build_wave("half_line", 1.0 + du))
+    assert not v.discrepancy
+    assert v["TA2.4"].holds is v["TA2.3"].holds is False
+    assert (v.consensus, v.unitary) == ("not_contraction", False)
+
+
 @pytest.mark.parametrize("u,contraction,unitary", [
     (0.0, True, False),
     (0.5, True, False),

@@ -4,7 +4,7 @@ import pytest
 from phwell import HamiltonianDensity, Tolerances, numlin, validate_system
 from phwell.corpus import build_path_graph, build_transport, shift_matrix
 from phwell.interval import (
-    _BoundaryAlgebra,
+    BoundaryAlgebra,
     analyze_interval,
     check_injective_psd,
     check_kernel_dissipativity,
@@ -26,7 +26,7 @@ def algebra_from_split(W1, W2, re_P0=NO_P0):
     W1 = np.asarray(W1, dtype=complex)
     W2 = np.asarray(W2, dtype=complex)
     bop = BoundaryOperator(np.hstack([W1 + W2, W2 - W1]), np.eye(W1.shape[1]), W1, W2)
-    return _BoundaryAlgebra.of(bop, re_P0, TOL)
+    return BoundaryAlgebra.of(bop, re_P0, TOL)
 
 
 def algebra(WB_hat, Q, re_P0=NO_P0):
@@ -34,7 +34,7 @@ def algebra(WB_hat, Q, re_P0=NO_P0):
     W1, W2 = split_boundary_operator(WB_hat, Q)
     bop = BoundaryOperator(np.asarray(WB_hat, dtype=complex), np.asarray(Q, dtype=complex),
                            W1, W2)
-    return _BoundaryAlgebra.of(bop, re_P0, TOL)
+    return BoundaryAlgebra.of(bop, re_P0, TOL)
 
 
 def algebra_from_v(V):

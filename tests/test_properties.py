@@ -10,7 +10,7 @@ from phwell.cli import analyze
 from phwell.corpus import CORPUS, random_system
 from phwell.halfline import analyze_halfline
 from phwell.interval import (
-    _BoundaryAlgebra,
+    BoundaryAlgebra,
     analyze_interval,
     check_kernel_dissipativity,
     extract_v,
@@ -89,9 +89,9 @@ def test_zeroth_order_term_splits_off():
     for _ in range(40):
         sys = random_system(int(rng.integers(0, 2**31 - 1)), klass="interval_square")
         bop = derive_boundary_operator(sys)
-        full = check_kernel_dissipativity(_BoundaryAlgebra.of(bop, sys.re_P0(), sys.tol))
+        full = check_kernel_dissipativity(BoundaryAlgebra.of(bop, sys.re_P0(), sys.tol))
         boundary_only = check_kernel_dissipativity(
-            _BoundaryAlgebra.of(bop, np.zeros((1, 1)), sys.tol))
+            BoundaryAlgebra.of(bop, np.zeros((1, 1)), sys.tol))
         p0_ok = numlin.definiteness(sys.re_P0(), sys.tol.check).is_nsd
         assert full.holds == (boundary_only.holds and p0_ok)
 

@@ -60,8 +60,10 @@ def test_interpolant_eps_validation():
 def test_quadrature_wave_hand_value():
     # traces Phi1=(1,1), Phi0=(0,1): value = (x(1)*P1x(1) - x(0)*P1x(0))/2 = 1
     sys = make_system(1, 2, [np.array([[0.0, 1.0], [1.0, 0.0]])], np.zeros((2, 4)))
-    x = boundary_interpolant([1.0, 1.0], [0.0, 1.0], d=2)
-    assert quadrature_rayleigh(sys, x, 512) == pytest.approx(1.0, abs=1e-11)
+    # a 0.05 layer gets 512 nodes from the node rule (256 at the default
+    # width 0.25, accurate to about 5e-10 here)
+    x = boundary_interpolant([1.0, 1.0], [0.0, 1.0], eps=0.05, d=2)
+    assert quadrature_rayleigh(sys, x) == pytest.approx(1.0, abs=1e-11)
 
 
 def test_quadrature_equal_traces_conserves():
@@ -90,9 +92,8 @@ def test_quadrature_matches_boundary_form_randomly():
         nd = sys.nd
         z = rng.normal(size=2 * nd) + 1j * rng.normal(size=2 * nd)
         x = boundary_interpolant(z[:nd], z[nd:], d=sys.dim_d)
-        n_quad = 256 * 2 ** (sys.order_N - 1)
-        q = quadrature_rayleigh(sys, x, n_quad)
-        b = boundary_form_value(sys, z[:nd], z[nd:], x, n_quad)
+        q = quadrature_rayleigh(sys, x)
+        b = boundary_form_value(sys, z[:nd], z[nd:], x)
         worst = max(worst, abs(q - b) / max(1.0, np.vdot(z, z).real))
     assert worst <= 1e-8
 
@@ -131,12 +132,11 @@ def test_oracle_finds_positive_witness():
 ], ids=["antidamped_wave", "clamped_outflow", "random_N3"])
 def test_oracle_witness_reproduces_max_value(sys):
     # the Gram-matrix value of the witness, recomputed by direct quadrature
-    # of the state itself at the finest layer width's node count
+    # of the state itself; the node rule follows from the state alone
     rep = dissipativity_oracle(sys, n_samples=16, seed=1)
     assert not rep.holds
-    N = sys.order_N
-    z = boundary_trace(rep.witness, N, sys.dim_d).stacked()
-    q = quadrature_rayleigh(sys, rep.witness, 1024 * 2 ** (N - 1))
+    z = boundary_trace(rep.witness, sys.order_N, sys.dim_d).stacked()
+    q = quadrature_rayleigh(sys, rep.witness)
     assert abs(q / max(1.0, np.vdot(z, z).real) - rep.max_value) <= 1e-8
 
 

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from phwell.corpus import random_system
+from phwell import cli
+from phwell.corpus import CORPUS, random_system
 from phwell.halfline import solve_resolvent_halfline, unit_decomposition
 from phwell.simulator import dissipativity_oracle
 
@@ -33,6 +34,29 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     assert tracer_mod.leftover_wrappers() == []
     # one quadrature per layer width (3 at most) plus one for the bumps
     assert 1 <= tracer.aggregate()["simulator._rayleigh_split"].calls <= 4
+
+
+def test_every_checker_layer_is_called(monkeypatch):
+    # a layer metric whose span no analysis reaches reads 0, so a
+    # restructure of a checker could zero it silently
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracer as tracer_mod
+
+    spans = ([f"interval.{f}" for f in tracer_mod.INTERVAL_FUNCTIONS]
+             + [f"halfline.{f}" for f in tracer_mod.HALFLINE_FUNCTIONS])
+    metrics = [m[0] for m in layers.LAYER_METRICS]
+    assert all(any(m.startswith(s + ".") for m in metrics) for s in spans)
+    systems = [CORPUS[n].system() for n in ("wave_halfline_u05", "path_graph_d8")]
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.install(tracer)
+        for system in systems:
+            cli.analyze(system)
+    finally:
+        tracer.uninstall()
+    seen = tracer.aggregate()
+    assert [s for s in spans if s not in seen] == []
 
 
 def test_resolvent_builds_one_spline(monkeypatch):

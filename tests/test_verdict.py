@@ -1,0 +1,47 @@
+"""The one verdict rule both checkers share, on hand-built condition results."""
+
+import pytest
+
+from phwell.verdict import (
+    CONTRACTION,
+    DISSIPATIVE_ONLY,
+    NOT_CONTRACTION,
+    UNDETERMINED,
+    ConditionResult,
+    decide,
+)
+
+
+def r(cid, holds):
+    """An applicable result, or a skipped one for holds=None."""
+    return ConditionResult(cid, holds is not None, holds)
+
+
+@pytest.mark.parametrize("contraction, unitary, certified, expected", [
+    # both families agree with themselves
+    ((True, True), (False, False), (True, True), (CONTRACTION, False, False)),
+    ((True, True), (True, True), (True, True), (CONTRACTION, True, False)),
+    # skipped members do not vote
+    ((True, None), (True, None), (True, True), (CONTRACTION, True, False)),
+    # a family disagrees: its value is undetermined and the flag is set
+    ((True, False), (False, False), (True, True), (UNDETERMINED, False, True)),
+    ((True, True), (True, False), (True, True), (CONTRACTION, None, True)),
+    # unitary without contraction is a bug signal; unitary becomes None
+    ((True,), (True, True), (False, True), (DISSIPATIVE_ONLY, None, True)),
+    ((True, False), (True, True), (True, True), (UNDETERMINED, None, True)),
+    # ... and once contraction is refuted a certifying family answers False
+    ((False, False), (True, True), (True, True), (NOT_CONTRACTION, False, True)),
+    # a family that does not certify leaves the decision to its kernel test
+    ((True,), (True,), (False, False), (DISSIPATIVE_ONLY, None, False)),
+    ((False,), (True,), (False, False), (NOT_CONTRACTION, None, False)),
+    ((True,), (False,), (False, False), (DISSIPATIVE_ONLY, False, False)),
+    ((True, True), (True,), (True, False), (CONTRACTION, None, False)),
+    # not_contraction with unitary None: a certifying unitary family says False
+    ((False, False), (None, None), (True, True), (NOT_CONTRACTION, False, False)),
+    ((False, False), (True,), (True, False), (NOT_CONTRACTION, None, False)),
+])
+def test_decide_table(contraction, unitary, certified, expected):
+    cfam = [r(f"c{i}", h) for i, h in enumerate(contraction)]
+    ufam = [r(f"u{i}", h) for i, h in enumerate(unitary)]
+    # the kernel tests are the first member of each family, as in the checkers
+    assert decide(cfam, ufam, cfam[0], ufam[0], *certified) == expected
