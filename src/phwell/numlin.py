@@ -106,6 +106,21 @@ def hermitian_part(M) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
+def _require_hermitian(M, tol: float) -> None:
+    """Raise NotHermitian when ||M - M*|| exceeds 10 tol max(1, ||M||).
+
+    M - M* is skew-Hermitian, so its 2-norm is the largest eigenvalue
+    magnitude of the Hermitian i (M - M*).  ||M|| (an SVD) is needed only
+    when that deviation exceeds 10 tol, below which the test passes
+    whatever ||M|| is.
+    """
+    if M.size == 0:
+        return
+    dev = float(np.max(np.abs(np.linalg.eigvalsh(1j * (M - M.conj().T)))))
+    if dev > tol * 10.0 and dev > tol * max(1.0, operator_norm(M)) * 10.0:
+        raise NotHermitian(f"matrix deviates from Hermitian by {dev:.3e}")
+
+
 def definiteness(M, tol: float = DEFAULT_TOL) -> DefinitenessReport:
     """Classify a (numerically) Hermitian matrix by its eigenvalue extremes.
 
@@ -119,10 +134,7 @@ def definiteness(M, tol: float = DEFAULT_TOL) -> DefinitenessReport:
     if M.shape[0] == 0:
         # Vacuous form: semidefinite in both directions.
         return DefinitenessReport(0.0, 0.0, "zero", tol)
-    dev = np.linalg.norm(M - M.conj().T, 2)
-    scale0 = max(1.0, float(np.linalg.norm(M, 2)))
-    if dev > tol * scale0 * 10.0:
-        raise NotHermitian(f"matrix deviates from Hermitian by {dev:.3e}")
+    _require_hermitian(M, tol)
     w = np.linalg.eigvalsh(hermitian_part(M))
     lo, hi = float(w[0]), float(w[-1])
     scale = max(1.0, abs(lo), abs(hi))
@@ -146,9 +158,7 @@ def hermitian_eigendecomposition(P, tol: float = DEFAULT_TOL):
     negative block.  Returns (S, delta) with delta a 1-d real array.
     """
     P = _as2d(P)
-    dev = np.linalg.norm(P - P.conj().T, 2)
-    if P.size and dev > tol * max(1.0, np.linalg.norm(P, 2)) * 10.0:
-        raise NotHermitian(f"matrix deviates from Hermitian by {dev:.3e}")
+    _require_hermitian(P, tol)
     w, u = np.linalg.eigh(hermitian_part(P))
     order = np.argsort(-w)
     w = w[order]

@@ -11,14 +11,16 @@ from the matrix checkers:
   finite-volume method in characteristic variables and records the
   discrete energy <x, H x> together with boundary / interior power.  The
   scheme and its ghost-trace boundary closure are linear in the state, so
-  _semidiscrete_operator assembles them once as a sparse matrix A_h and
-  every Runge-Kutta stage is one product with it.
+  _semidiscrete_operator assembles them once as a sparse matrix A_h, and
+  a classical Runge-Kutta step with it is one fixed sparse matrix R
+  (_rk4_matrix), so each step is one product R x.
 
 The upwind scheme only ever adds numerical dissipation, so it can confirm
 an energy inequality but never fake energy growth.  For the assembled
 operator this is checked, not assumed: tests/test_simulation.py asserts
 lambda_max(Herm(h Hb A_h)) <= 0 on dissipative systems and > 0 on the
-antidamped control.
+antidamped control, and the same of R* W R - W with W = h Hb for the
+fully discrete step, which RK4 does not guarantee.
 """
 
 from __future__ import annotations
@@ -641,6 +643,22 @@ def _semidiscrete_operator(sys: PortHamiltonianSystem, nx: int, L: float = 10.0)
     return A_h, Hb, h, closure
 
 
+def _rk4_matrix(A, dt: float):
+    """One classical RK4 step of dx/dt = A x as a sparse matrix.
+
+    R = I + Z + Z^2/2 + Z^3/6 + Z^4/24 with Z = dt A, built in Horner form
+    I + Z (I + Z/2 (I + Z/3 (I + Z/4))): each level is one sparse product
+    with A, its entries scaled in place and 1 added on the diagonal, so no
+    identity or scaled copy is kept beside it.
+    """
+    R = sparse.eye_array(A.shape[0], format="csr")
+    for j in (4, 3, 2, 1):
+        R = A @ R
+        R.data *= dt / j
+        R.setdiag(R.diagonal() + 1.0)
+    return R
+
+
 def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
              cfl: float = 0.8, L: float = 10.0,
              snapshot_times=()) -> EnergyTrace:
@@ -655,11 +673,14 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     dt = cfl * h / lambda_max.  The boundary ghost traces solve
     {WB_hat traces = 0} + {outgoing characteristic extrapolation}; they are
     linear in the end cells, so the whole scheme is assembled once as the
-    sparse matrix A_h of _semidiscrete_operator and each stage is one
-    product A_h x (tests/test_simulation.py checks that Herm(h Hb A_h) is
-    negative semidefinite for dissipative systems).  Half-line systems are
-    truncated to [0, L] with an absorbing characteristic closure at the far
-    end (adds artificial dissipation, noted on the trace).
+    sparse matrix A_h of _semidiscrete_operator.  An RK4 step of a linear
+    system is one fixed matrix, so R = _rk4_matrix(A_h, dt) is assembled
+    once per run and each step is one product R x.  tests/test_simulation.py
+    checks that Herm(h Hb A_h) is negative semidefinite and that R does not
+    increase the discrete energy norm for dissipative systems.  Half-line
+    systems are truncated to [0, L] with an absorbing characteristic
+    closure at the far end (adds artificial dissipation, noted on the
+    trace).
 
     Records the discrete energy sum_c h x_c^* H_c x_c per step along with
     the boundary port power 2 Re <f, e> and interior power 2 Re <P0 w, w>.
@@ -707,12 +728,9 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     snap_times = sorted(float(t) for t in snapshot_times)
     snap_idx = 0
 
+    R = _rk4_matrix(A, dt)
     for step in range(n_steps):
-        k1 = A @ x
-        k2 = A @ (x + 0.5 * dt * k1)
-        k3 = A @ (x + 0.5 * dt * k2)
-        k4 = A @ (x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        x = R @ x
         t = (step + 1) * dt
         times[step + 1] = t
         record(step + 1, x)

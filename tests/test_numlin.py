@@ -59,6 +59,65 @@ def test_definiteness_rejects_non_hermitian():
         numlin.definiteness(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _count_svds(monkeypatch):
+    # np.linalg.norm(M, 2) reaches svd through numpy's private module
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    private = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # numpy 1.x
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(private, "svd", counting)
+    return calls
+
+
+def test_definiteness_runs_no_svd_on_hermitian_input(monkeypatch):
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    skew = 1e-8 * (A - A.conj().T)
+    calls = _count_svds(monkeypatch)
+    numlin.definiteness(A + A.conj().T)
+    numlin.hermitian_eigendecomposition(A + A.conj().T)
+    assert calls == []
+    # a deviation above 10 tol needs ||M|| (one SVD), which here forgives it
+    numlin.definiteness(1e3 * (A + A.conj().T) + skew)
+    assert len(calls) == 1
+
+
+def _old_hermitian_check(M, tol):
+    """The two-SVD test the eigenvalue form replaced: True iff it raised."""
+    dev = np.linalg.norm(M - M.conj().T, 2)
+    return dev > tol * max(1.0, np.linalg.norm(M, 2)) * 10.0
+
+
+def test_hermitian_check_raises_on_the_same_inputs_as_two_svds():
+    rng = np.random.default_rng(4)
+    tol = numlin.DEFAULT_TOL
+    seen = set()
+    for _ in range(300):
+        d = int(rng.integers(1, 9))
+        A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        B = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        M = 10.0 ** rng.uniform(-3, 4) * (A + A.conj().T) \
+            + 10.0 ** rng.uniform(-12, -5) * B
+        dev = np.linalg.norm(M - M.conj().T, 2)
+        limit = 10.0 * tol * max(1.0, np.linalg.norm(M, 2))
+        if abs(dev - limit) <= 1e-6 * limit:
+            continue  # rounding decides at the threshold itself
+        expected = _old_hermitian_check(M, tol)
+        seen.add(expected)
+        for check in (numlin.definiteness, numlin.hermitian_eigendecomposition):
+            if expected:
+                with pytest.raises(NotHermitian):
+                    check(M, tol)
+            else:
+                check(M, tol)
+    assert seen == {True, False}
+
+
 def test_operator_norm_values():
     assert numlin.operator_norm(np.eye(3)) == pytest.approx(1.0)
     assert numlin.operator_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) == pytest.approx(2.0)

@@ -11,7 +11,7 @@ from phwell.corpus import (
 )
 from phwell.errors import BoundaryClosureSingular, CFLViolation, ShapeError
 from phwell.model import UNIT_INTERVAL
-from phwell.simulator import _semidiscrete_operator
+from phwell.simulator import _rk4_matrix, _semidiscrete_operator
 
 
 def test_transport_exact_solution():
@@ -212,9 +212,11 @@ def _energy_certificate(name):
     return lam, np.linalg.norm(M, 2)
 
 
-@pytest.mark.parametrize("name", ["wave_interval_damped", "transport_periodic",
-                                  "transport_inflow", "path_graph_d8",
-                                  "wave_halfline_u05"])
+DISSIPATIVE = ["wave_interval_damped", "transport_periodic", "transport_inflow",
+               "path_graph_d8", "wave_halfline_u05"]
+
+
+@pytest.mark.parametrize("name", DISSIPATIVE)
 def test_semidiscrete_operator_is_dissipative(name):
     lam, norm = _energy_certificate(name)
     assert lam <= 1e-12 * norm
@@ -223,3 +225,61 @@ def test_semidiscrete_operator_is_dissipative(name):
 def test_semidiscrete_operator_certificate_flags_growth():
     lam, _ = _energy_certificate("wave_interval_antidamped")
     assert lam > 0.0
+
+
+def _step_certificate(name, cfl):
+    """lambda_max(Herm(R* W R - W)) and ||W|| for the RK4 step R, W = h Hb.
+
+    <= 0 means one step never raises the discrete energy x* W x; RK4 is
+    not strongly stable in one step for every semi-negative operator, so
+    this is checked, not implied by the semi-discrete certificate.
+    """
+    sys = CORPUS[name].system()
+    A, Hb, h, closure = _semidiscrete_operator(sys, nx=100)
+    dt = cfl * h / (np.max(np.abs(closure.delta)) * sys.h_max_eig)
+    R = _rk4_matrix(A, dt).toarray()
+    W = h * Hb.toarray()
+    C = R.conj().T @ W @ R - W
+    lam = np.linalg.eigvalsh(0.5 * (C + C.conj().T))[-1]
+    return lam, np.linalg.norm(W, 2)
+
+
+@pytest.mark.parametrize("cfl", [0.45, 0.8, 0.9])
+@pytest.mark.parametrize("name", DISSIPATIVE)
+def test_rk4_step_is_a_contraction(name, cfl):
+    lam, norm = _step_certificate(name, cfl)
+    assert lam <= 1e-12 * norm
+
+
+@pytest.mark.parametrize("cfl", [0.45, 0.8, 0.9])
+def test_rk4_step_certificate_flags_growth(cfl):
+    lam, _ = _step_certificate("wave_interval_antidamped", cfl)
+    assert lam > 0.0
+
+
+@pytest.mark.parametrize("name, nx, t_final, center", [
+    ("wave_interval_damped", 200, 0.5, 0.5),
+    ("path_graph_d8", 100, 0.25, 0.4),
+    ("wave_halfline_u05", 200, 0.5, 3.0),
+])
+def test_one_matrix_step_matches_four_stage_rk4(name, nx, t_final, center):
+    sys = CORPUS[name].system()
+    x0 = smooth_bump(center, 0.25, sys.dim_d)
+    tr = simulate(sys, x0, t_final=t_final, nx=nx, cfl=0.45)
+    # reference: the four-stage loop on A_h, with the run's own step size
+    A, Hb, h, _ = _semidiscrete_operator(sys, nx)
+    dt = tr.times[1]
+    x = np.stack([x0(z) for z in tr.cell_centers]).astype(complex).ravel()
+    energies = [h * np.vdot(x, Hb @ x).real]
+    for _ in range(tr.times.size - 1):
+        k1 = A @ x
+        k2 = A @ (x + 0.5 * dt * k1)
+        k3 = A @ (x + 0.5 * dt * k2)
+        k4 = A @ (x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        energies.append(h * np.vdot(x, Hb @ x).real)
+    final = x.reshape(nx, sys.dim_d).T
+    assert (np.linalg.norm(tr.final_state - final)
+            <= 1e-12 * np.linalg.norm(final))
+    np.testing.assert_allclose(tr.energy, energies, rtol=1e-12,
+                               atol=1e-12 * energies[0])

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from phwell import cli
+from phwell import cli, simulator
 from phwell.corpus import CORPUS, random_system
 from phwell.halfline import solve_resolvent_halfline, unit_decomposition
 from phwell.simulator import dissipativity_oracle
@@ -57,6 +57,44 @@ def test_every_checker_layer_is_called(monkeypatch):
         tracer.uninstall()
     seen = tracer.aggregate()
     assert [s for s in spans if s not in seen] == []
+
+
+def test_every_simulate_layer_is_called(monkeypatch):
+    # a span simulate no longer reaches zeroes its layer metric; the spans
+    # are read off the simulate-workload metrics themselves, so a metric
+    # added there is covered too
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracer as tracer_mod
+
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.install(tracer)
+        for name, center in (("wave_interval_damped", 0.5),
+                             ("wave_halfline_u05", 3.0)):
+            system = CORPUS[name].system()
+            simulator.simulate(system,
+                               simulator.smooth_bump(center, 0.25, system.dim_d),
+                               t_final=0.05, nx=32, cfl=0.45)
+    finally:
+        tracer.uninstall()
+
+    read = set()
+
+    class Reads(layers.Ctx):
+        def a(self, name):
+            read.add(name)
+            return super().a(name)
+
+    ctx = Reads(tracer, {"calls": 2, "steps": 1}, tracer_mod.Tracer(), 0.0, 1.0)
+    for _name, _unit, _better, fn, _moves, where in layers.LAYER_METRICS:
+        if where == "simulate":
+            fn(ctx)
+    spans = {s for s in read if s.startswith("simulator.")}
+    assert spans >= {"simulator.simulate", "simulator._BoundaryClosure.traces",
+                     "simulator._BoundaryClosure.init"}
+    seen = tracer.aggregate()
+    assert sorted(s for s in spans if s not in seen) == []
 
 
 def test_resolvent_builds_one_spline(monkeypatch):
