@@ -68,13 +68,15 @@ def _parse_H(raw, path: str, allow_complex: bool) -> HamiltonianDensity:
     key = "matrix" if kind == "constant" else "matrices"
     if kind in ("constant", "piecewise_constant", "grid") and key not in raw:
         raise ParseError(f"{path}: kind {kind!r} needs key {key!r}", path=path)
+    if kind in ("piecewise_constant", "grid") and not isinstance(raw[key], list):
+        raise ParseError(f"{path}.matrices: expected an array of matrices", path=path)
     if kind == "constant":
         return HamiltonianDensity.constant(
             _matrix(raw["matrix"], f"{path}.matrix", allow_complex))
     if kind == "piecewise_constant":
         bps = raw.get("breakpoints", [])
         if not isinstance(bps, list) or not all(
-                isinstance(b, (int, float)) for b in bps):
+                isinstance(b, (int, float)) and not isinstance(b, bool) for b in bps):
             raise ParseError(f"{path}.breakpoints: expected numbers", path=path)
         mats = [
             _matrix(m, f"{path}.matrices[{i}]", allow_complex)
@@ -101,7 +103,8 @@ def system_from_dict(doc: dict) -> PortHamiltonianSystem:
     allow_complex = field != "real"
     N = doc["N"]
     d = doc["d"]
-    if not isinstance(N, int) or not isinstance(d, int) or N < 1 or d < 1:
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
+               for v in (N, d)):
         raise ParseError("N and d must be positive integers", path="N")
     P_raw = doc["P"]
     if not isinstance(P_raw, list) or len(P_raw) != N + 1:
@@ -124,7 +127,7 @@ def system_from_dict(doc: dict) -> PortHamiltonianSystem:
         bad = set(tols) - known
         if bad:
             raise ParseError(f"unknown tolerance keys {sorted(bad)}", path="tolerances")
-        tolerances = Tolerances(**{k: float(v) for k, v in tols.items()})
+        tolerances = Tolerances(**tols)
     raw = {
         "field": field,
         "interval": doc.get("interval", "unit_interval"),

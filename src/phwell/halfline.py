@@ -131,7 +131,7 @@ def factorize_boundary(WB_hat, decomp: HalfLineDecomposition, tol: float = None)
     if k:
         s = np.linalg.svd(U2, compute_uv=False)
         smin_u2 = float(s[-1])
-        if s[0] == 0.0 or s[-1] <= tol * s[0]:
+        if numlin.rank_from_singular_values(s, tol) < k:
             return FactorizationFailure(
                 "singular_trailing_block",
                 "the negative-block columns of WB_hat S^* are singular",
@@ -180,7 +180,7 @@ class HalfLineAlgebra:
         if WB.shape[0]:
             _, s, vh = np.linalg.svd(WB)
             smin, smax = float(s[-1]), float(s[0])
-            rank = int(np.sum(s > tol * s[0]))
+            rank = numlin.rank_from_singular_values(s, tol)
             K = vh[rank:].conj().T
             if rank < WB.shape[0]:
                 WB_eff = vh[:rank]  # orthonormal rows with the same kernel
@@ -196,7 +196,7 @@ class HalfLineAlgebra:
                 s1 = np.linalg.svd(fact.U1, compute_uv=False)
                 smin_u1 = float(s1[-1])
                 smin_u2 = fact.smin_u2 if factored else fact.diagnostics["smin_u2"]
-                invertible = factored and bool(s1[0] > 0.0 and s1[-1] > tol * s1[0])
+                invertible = factored and numlin.rank_from_singular_values(s1, tol) == k
         return cls(
             decomp=decomp,
             k=k,

@@ -53,22 +53,20 @@ def sigma_form(W1, W2) -> np.ndarray:
     return W1 @ W2.conj().T + W2 @ W1.conj().T
 
 
-def kernel_energy_form(WB_hat, Q, tol: float = numlin.DEFAULT_TOL):
-    """(G, kernel_dim): G = K^* blockdiag(Q, -Q) K on ker WB_hat.
+def kernel_energy_form(K, Q) -> np.ndarray:
+    """G = K^* blockdiag(Q, -Q) K for a basis K (columns) of ker WB_hat.
 
     The Phi_1 block comes first, matching the trace stacking order.
     """
-    WB_hat = np.asarray(WB_hat, dtype=complex)
+    K = np.asarray(K, dtype=complex)
     Q = np.asarray(Q, dtype=complex)
     n = Q.shape[0]
-    if WB_hat.shape[1] != 2 * n:
-        raise ShapeError("WB_hat width does not match blockdiag(Q, -Q)")
-    K = numlin.kernel_basis(WB_hat, tol)
+    if K.shape[0] != 2 * n:
+        raise ShapeError("kernel basis height does not match blockdiag(Q, -Q)")
     B = np.zeros((2 * n, 2 * n), dtype=complex)
     B[:n, :n] = Q
     B[n:, n:] = -Q
-    G = K.conj().T @ B @ K
-    return G, K.shape[1]
+    return K.conj().T @ B @ K
 
 
 def extract_v(W1, W2, tol: float = numlin.DEFAULT_TOL) -> VExtraction:
@@ -88,7 +86,7 @@ def extract_v(W1, W2, tol: float = numlin.DEFAULT_TOL) -> VExtraction:
         return VExtraction(np.zeros((0, 0), dtype=complex), 0.0, 0.0, None)
     s = np.linalg.svd(T, compute_uv=False)
     smin, smax = float(s[-1]), float(s[0])
-    if smax == 0.0 or smin <= tol * smax:
+    if numlin.rank_from_singular_values(s, tol) < T.shape[0]:
         return VExtraction(None, smin, smax,
                            f"W1+W2 numerically singular (s_min={smin:.3e})")
     V = np.linalg.solve(T, W1 - W2)
@@ -125,8 +123,7 @@ def _injective(M, tol: float):
     if M.shape[0] < M.shape[1]:
         return False, 0.0  # wide matrices always have a kernel
     s = np.linalg.svd(M, compute_uv=False)
-    smin = float(s[-1])
-    return bool(s[0] > 0.0 and smin > tol * s[0]), smin
+    return numlin.rank_from_singular_values(s, tol) == M.shape[1], float(s[-1])
 
 
 @dataclass(frozen=True)
@@ -134,10 +131,11 @@ class BoundaryAlgebra:
     """Every input the interval conditions share, each computed once.
 
     Only computations that would otherwise be repeated bit for bit are
-    shared.  The equivalent criteria -- the sigma form, V, the kernel form,
-    injectivity of W1+W2 against surjectivity of WB_hat -- stay separate
-    entries, so their agreement still detects a bug.  Every decision uses
-    the one threshold Tolerances.check.
+    shared.  One SVD of WB_hat gives its rank, its kernel basis and its
+    extreme singular values.  The equivalent criteria -- the sigma form, V,
+    the kernel form, injectivity of W1+W2 against surjectivity of WB_hat --
+    stay separate entries, so their agreement still detects a bug.  Every
+    decision uses the one threshold Tolerances.check.
     """
 
     k: int
@@ -162,14 +160,17 @@ class BoundaryAlgebra:
     def of(cls, bop: BoundaryOperator, re_P0, tol: Tolerances) -> "BoundaryAlgebra":
         check = tol.check
         k, nd = bop.W1.shape
-        G, kernel_dim = kernel_energy_form(bop.WB_hat, bop.Q, check)
+        # with no rows WB_hat is trivially onto the zero space; its kernel is all
+        s, rank, K = np.zeros(1), 0, np.eye(2 * nd, dtype=complex)
+        if k:
+            _, s, vh = np.linalg.svd(bop.WB_hat)
+            rank = numlin.rank_from_singular_values(s, check)
+            K = vh[rank:].conj().T
         ext = extract_v(bop.W1, bop.W2, check)
         # extract_v decides nothing on a non-square W1+W2; T3.3 still
         # reports its smallest singular value there
         smin_t = ext.smin if k == nd else _injective(bop.W1 + bop.W2, check)[1]
         inj_m, smin_m = _injective(bop.W2 - bop.W1, check)
-        # with no rows WB_hat is trivially onto the zero space
-        s = np.linalg.svd(bop.WB_hat, compute_uv=False) if k else np.zeros(1)
         v_norm = defect = v_contractive = v_unitary = None
         if ext.V is not None:
             v_norm = numlin.operator_norm(ext.V)
@@ -181,13 +182,13 @@ class BoundaryAlgebra:
             nd=nd,
             re_p0=numlin.definiteness(re_P0, check),
             sigma=numlin.definiteness(sigma_form(bop.W1, bop.W2), check),
-            kernel=numlin.definiteness(G, check),
-            kernel_dim=kernel_dim,
+            kernel=numlin.definiteness(kernel_energy_form(K, bop.Q), check),
+            kernel_dim=K.shape[1],
             ext=ext,
             smin_w1_plus_w2=smin_t,
             inj_w2_minus_w1=inj_m,
             smin_w2_minus_w1=smin_m,
-            surjective=int(np.sum(s > check * s[0])) == k,
+            surjective=rank == k,
             smin_wb_hat=float(s[-1]),
             smax_wb_hat=float(s[0]),
             v_norm=v_norm,

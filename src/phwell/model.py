@@ -13,20 +13,23 @@ Boundary traces are stacked z=1 block first: Phi = [Phi_1; Phi_0].
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
 from . import numlin
 from .errors import (
     HNotCoercive,
+    NotHermitian,
     OrderError,
     ShapeError,
     SingularP1,
     SingularPN,
     SingularQ,
     StructureError,
+    ValidationError,
 )
 
 UNIT_INTERVAL = "unit_interval"
@@ -35,12 +38,24 @@ HALF_LINE = "half_line"
 V_NORM_SLACK = 1e-8  # absolute slack for ||V|| <= 1 tests; shifts sit exactly at 1
 
 
+def _tolerance_value(value, name: str) -> float:
+    """value as a float; ValidationError naming name unless finite and >= 0."""
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}",
+                              path=name)
+    return x
+
+
 def default_tolerance() -> float:
     """Base relative tolerance; the PHWELL_TOL env var overrides the default."""
     raw = os.environ.get("PHWELL_TOL")
     if raw is None:
         return 1e-10
-    return float(raw)
+    return _tolerance_value(raw, "PHWELL_TOL")
 
 
 @dataclass(frozen=True)
@@ -50,7 +65,8 @@ class Tolerances:
     tau_struct, tau_rank and tau_pd govern validation: the symmetry of the
     P_k and of H, the invertibility of P_N and Q, the inertia of P_1 and
     the positivity of H.  check is the one threshold of every condition
-    decision; v_norm_slack is the absolute slack of ||V|| <= 1.
+    decision; v_norm_slack is the absolute slack of ||V|| <= 1.  Every
+    value must be a finite number >= 0 (zero included).
     """
 
     tau_struct: float = dc_field(default_factory=default_tolerance)
@@ -58,6 +74,11 @@ class Tolerances:
     tau_pd: float = dc_field(default_factory=default_tolerance)
     check: float = dc_field(default_factory=default_tolerance)
     v_norm_slack: float = V_NORM_SLACK
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = _tolerance_value(getattr(self, f.name), f"tolerances.{f.name}")
+            object.__setattr__(self, f.name, value)
 
     def to_dict(self):
         return {
@@ -114,10 +135,6 @@ class HamiltonianDensity:
     @property
     def dim(self) -> int:
         return self.matrices.shape[1]
-
-    def samples(self) -> np.ndarray:
-        """All stored samples, shape (m, d, d)."""
-        return self.matrices
 
     def at(self, zeta: float) -> np.ndarray:
         """Evaluate H at a point (grid kind interpolates piecewise linearly)."""
@@ -260,7 +277,7 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
 
     tol = raw.get("tolerances") or Tolerances()
     if isinstance(tol, dict):
-        tol = Tolerances(**{k: float(v) for k, v in tol.items()})
+        tol = Tolerances(**tol)
 
     P_raw = raw["P"]
     if len(P_raw) != N + 1:
@@ -277,21 +294,17 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
             if np.any(np.abs(Pk.imag) > 0):
                 raise StructureError(f"real-field system has complex P[{k}]", path=f"P[{k}]")
 
-    # P_k^* = (-1)^{k+1} P_k, k = 1..N
+    # P_k^* = (-1)^{k+1} P_k, k = 1..N; i P_k is Hermitian iff P_k is skew
     for k in range(1, N + 1):
-        Pk = P[k]
-        scale = max(1.0, numlin.operator_norm(Pk))
-        dev = np.linalg.norm(Pk.conj().T - ((-1.0) ** (k + 1)) * Pk, 2)
-        if dev > tol.tau_struct * scale:
-            kind = "Hermitian" if k % 2 == 1 else "skew-Hermitian"
-            raise StructureError(
-                f"P[{k}] must be {kind}: deviation {dev:.3e}", path=f"P[{k}]"
-            )
+        kind = "Hermitian" if k % 2 == 1 else "skew-Hermitian"
+        try:
+            numlin.require_hermitian(P[k] if k % 2 == 1 else 1j * P[k], tol.tau_struct)
+        except NotHermitian as exc:
+            raise StructureError(f"P[{k}] must be {kind}: {exc}", path=f"P[{k}]") from None
 
     # P_N invertible
-    PN = P[N]
-    s = np.linalg.svd(PN, compute_uv=False)
-    if s[0] == 0.0 or s[-1] < tol.tau_rank * s[0]:
+    s = np.linalg.svd(P[N], compute_uv=False)
+    if numlin.rank_from_singular_values(s, tol.tau_rank) < d:
         raise SingularPN(f"P[{N}] is numerically singular (s_min={s[-1]:.3e})", path=f"P[{N}]")
 
     # H Hermitian positive definite at every sample
@@ -301,10 +314,11 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
     if H.dim != d:
         raise ShapeError(f"H samples must be {d}x{d}, got {H.dim}x{H.dim}", path="H")
     m_eig, M_eig = np.inf, -np.inf
-    for i, Hs in enumerate(H.samples()):
-        dev = np.linalg.norm(Hs - Hs.conj().T, 2)
-        if dev > tol.tau_struct * max(1.0, np.linalg.norm(Hs, 2)):
-            raise StructureError(f"H sample {i} is not Hermitian", path="H")
+    for i, Hs in enumerate(H.matrices):
+        try:
+            numlin.require_hermitian(Hs, tol.tau_struct)
+        except NotHermitian:
+            raise StructureError(f"H sample {i} is not Hermitian", path="H") from None
         w = np.linalg.eigvalsh(numlin.hermitian_part(Hs))
         if w[0] <= tol.tau_pd * max(1.0, w[-1]):
             raise HNotCoercive(
@@ -354,7 +368,7 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
 
 def _check_q(Q, tau_rank: float) -> None:
     s = np.linalg.svd(Q, compute_uv=False)
-    if s[0] == 0.0 or s[-1] < tau_rank * s[0]:
+    if numlin.rank_from_singular_values(s, tau_rank) < Q.shape[0]:
         raise SingularQ(f"Q is numerically singular (s_min={s[-1]:.3e})", path="P")
 
 
@@ -380,23 +394,6 @@ def build_q(P1N) -> np.ndarray:
 def build_q_for_system(sys: PortHamiltonianSystem) -> np.ndarray:
     """Q of a validated system (uses P_1..P_N)."""
     return build_q(list(sys.P[1:]))
-
-
-def r_ext(Q) -> np.ndarray:
-    """The invertible port-variable map (1/sqrt2) [Q -Q; I I]."""
-    Q = np.asarray(Q, dtype=complex)
-    n = Q.shape[0]
-    eye = np.eye(n)
-    return np.block([[Q, -Q], [eye, eye]]) / np.sqrt(2.0)
-
-
-def r_ext_inv(Q) -> np.ndarray:
-    """Closed-form inverse of r_ext: (1/sqrt2) [Q^{-1} I; -Q^{-1} I]."""
-    Q = np.asarray(Q, dtype=complex)
-    n = Q.shape[0]
-    Qi = np.linalg.inv(Q)
-    eye = np.eye(n)
-    return np.block([[Qi, eye], [-Qi, eye]]) / np.sqrt(2.0)
 
 
 def split_boundary_operator(WB_hat, Q, tol: float | None = None):

@@ -1,8 +1,11 @@
 """Tolerance-aware numerical linear algebra primitives shared by all checkers.
 
-Rank and kernel decisions are made through singular values with a relative
-threshold; definiteness decisions through eigenvalue extremes of the
-symmetrized matrix.  Nothing here depends on the problem structure.
+Every rank decision -- rank, kernel, injectivity, surjectivity,
+invertibility -- goes through rank_from_singular_values, the one rank
+rule; callers never compare singular values themselves.  Every symmetry
+decision goes through require_hermitian, the one Hermitian rule.
+Definiteness is decided by eigenvalue extremes of the symmetrized matrix.
+Nothing here depends on the problem structure.
 """
 
 from __future__ import annotations
@@ -54,6 +57,16 @@ def _as2d(M) -> np.ndarray:
     return M
 
 
+def rank_from_singular_values(s, tol: float = DEFAULT_TOL) -> int:
+    """The one rank rule: how many singular values s exceed tol times the largest.
+
+    s is in the descending order np.linalg.svd returns.  An empty or zero
+    matrix has rank 0.  A square matrix is invertible, and a matrix
+    injective or surjective, exactly when this count reaches its size.
+    """
+    return int(np.sum(s > tol * s[0])) if s.size else 0
+
+
 def kernel_basis(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the numerical kernel of M (columns, q x r).
 
@@ -62,15 +75,10 @@ def kernel_basis(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     has the full identity as kernel basis.
     """
     M = _as2d(M)
-    p, q = M.shape
-    if p == 0 or q == 0:
-        return np.eye(q, dtype=complex)
+    if M.size == 0:
+        return np.eye(M.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(M)
-    smax = s[0] if s.size else 0.0
-    if smax == 0.0:
-        return np.eye(q, dtype=complex)
-    rank = int(np.sum(s > tol * smax))
-    return vh[rank:].conj().T
+    return vh[rank_from_singular_values(s, tol):].conj().T
 
 
 def numerical_rank(M, tol: float = DEFAULT_TOL) -> int:
@@ -78,10 +86,7 @@ def numerical_rank(M, tol: float = DEFAULT_TOL) -> int:
     M = _as2d(M)
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return rank_from_singular_values(np.linalg.svd(M, compute_uv=False), tol)
 
 
 def smallest_singular_value(M) -> float:
@@ -106,26 +111,28 @@ def hermitian_part(M) -> np.ndarray:
     return 0.5 * (M + M.conj().T)
 
 
-def _require_hermitian(M, tol: float) -> None:
-    """Raise NotHermitian when ||M - M*|| exceeds 10 tol max(1, ||M||).
+def require_hermitian(M, threshold: float) -> None:
+    """The one Hermitian rule: NotHermitian if ||M - M*|| > threshold max(1, ||M||).
 
-    M - M* is skew-Hermitian, so its 2-norm is the largest eigenvalue
-    magnitude of the Hermitian i (M - M*).  ||M|| (an SVD) is needed only
-    when that deviation exceeds 10 tol, below which the test passes
-    whatever ||M|| is.
+    The threshold is the caller's: definiteness passes 10 tol, validation
+    its tau_struct.  M - M* is skew-Hermitian, so its 2-norm is the largest
+    eigenvalue magnitude of the Hermitian i (M - M*).  ||M|| (an SVD) is
+    needed only when that deviation exceeds the threshold, below which the
+    test passes whatever ||M|| is.
     """
+    M = _as2d(M)
     if M.size == 0:
         return
     dev = float(np.max(np.abs(np.linalg.eigvalsh(1j * (M - M.conj().T)))))
-    if dev > tol * 10.0 and dev > tol * max(1.0, operator_norm(M)) * 10.0:
-        raise NotHermitian(f"matrix deviates from Hermitian by {dev:.3e}")
+    if dev > threshold and dev > threshold * max(1.0, operator_norm(M)):
+        raise NotHermitian(f"deviation {dev:.3e}")
 
 
 def definiteness(M, tol: float = DEFAULT_TOL) -> DefinitenessReport:
     """Classify a (numerically) Hermitian matrix by its eigenvalue extremes.
 
     The matrix is symmetrized before the eigensolve; a deviation
-    ||M - M*|| beyond tol * max(1, ||M||) raises NotHermitian.  Thresholds
+    ||M - M*|| beyond 10 tol * max(1, ||M||) raises NotHermitian.  Thresholds
     are relative: PSD iff min_eig >= -tol * max(1, ||M||).
     """
     M = _as2d(M)
@@ -134,7 +141,7 @@ def definiteness(M, tol: float = DEFAULT_TOL) -> DefinitenessReport:
     if M.shape[0] == 0:
         # Vacuous form: semidefinite in both directions.
         return DefinitenessReport(0.0, 0.0, "zero", tol)
-    _require_hermitian(M, tol)
+    require_hermitian(M, 10.0 * tol)
     w = np.linalg.eigvalsh(hermitian_part(M))
     lo, hi = float(w[0]), float(w[-1])
     scale = max(1.0, abs(lo), abs(hi))
@@ -158,7 +165,7 @@ def hermitian_eigendecomposition(P, tol: float = DEFAULT_TOL):
     negative block.  Returns (S, delta) with delta a 1-d real array.
     """
     P = _as2d(P)
-    _require_hermitian(P, tol)
+    require_hermitian(P, 10.0 * tol)
     w, u = np.linalg.eigh(hermitian_part(P))
     order = np.argsort(-w)
     w = w[order]
@@ -210,7 +217,4 @@ def orthonormal_columns(A, tol: float = DEFAULT_TOL) -> np.ndarray:
     if A.size == 0:
         return np.zeros((A.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((A.shape[0], 0), dtype=complex)
-    rank = int(np.sum(s > tol * s[0]))
-    return u[:, :rank]
+    return u[:, :rank_from_singular_values(s, tol)]

@@ -421,8 +421,7 @@ def dissipativity_oracle(sys: PortHamiltonianSystem, n_samples: int = 64,
                 c = c + 1j * rng.normal(size=r)
             draws.append(c)
         # importance direction: trace vector maximizing the boundary form
-        G, _ = kernel_energy_form(sys.WB_hat, build_q_for_system(sys),
-                                  sys.tol.check)
+        G = kernel_energy_form(K, build_q_for_system(sys))
         draws.append(np.linalg.eigh(numlin.hermitian_part(G))[1][:, -1])
         Z = K @ np.array(draws).T  # one trace vector per column
         scale = np.maximum(1.0, np.sum(np.abs(Z) ** 2, axis=0))
@@ -517,12 +516,12 @@ def _initial_state(x0, centers, d) -> np.ndarray:
 class _BoundaryClosure:
     """Ghost traces as one linear map of the first and last cells.
 
-    Unit interval: unknown z = [w_hat(1); w_hat(0)] with rows WB_hat plus
-    one characteristic extrapolation row per outgoing component at each
-    end.  Half line: unknown w_hat(0) only; the truncation end is closed
-    by outgoing extrapolation with zero incoming characteristics.  Either
-    way [w_left; w_right] = G [w_first; w_last], solved once for all
-    columns.
+    Unknown z = [w_hat(1); w_hat(0)] with the boundary rows plus one
+    characteristic extrapolation row per outgoing component at each end,
+    so [w_left; w_right] = G [w_first; w_last], solved once for all
+    columns.  Unit interval: the boundary rows are WB_hat.  Half line: the
+    truncation end takes the z = 1 slot with rows [[S[pos], 0], [0, WB_hat]],
+    which set its incoming characteristics to zero (absorbing).
     """
 
     def __init__(self, sys, S, delta):
@@ -533,35 +532,29 @@ class _BoundaryClosure:
         self.d = d
         WB = np.asarray(sys.WB_hat, dtype=complex)
         k = WB.shape[0]
-        n_out = self.neg.size + self.pos.size
-        if sys.interval == UNIT_INTERVAL:
-            if k + n_out != 2 * d:
-                raise BoundaryClosureSingular(
-                    f"boundary closure needs k = d = {d} conditions for the "
-                    f"upwind scheme, got k = {k}")
-            # columns of R act on [w_first; w_last]
-            M = np.zeros((2 * d, 2 * d), dtype=complex)
-            R = np.zeros((2 * d, 2 * d), dtype=complex)
-            M[:k, :] = WB
-            rows = k + np.arange(n_out)
-            out_right, out_left = rows[:self.neg.size], rows[self.neg.size:]
-            M[out_right, :d] = S[self.neg]  # outgoing at the right end
-            R[out_right, d:] = S[self.neg]
-            M[out_left, d:] = S[self.pos]  # outgoing at the left end
-            R[out_left, :d] = S[self.pos]
-        else:
-            if k + self.pos.size != d:
-                raise BoundaryClosureSingular(
-                    f"half-line closure needs k = n2 = {self.neg.size} "
-                    f"conditions, got k = {k}")
-            M = np.zeros((d, d), dtype=complex)
-            R = np.zeros((d, 2 * d), dtype=complex)
-            M[:k, :] = WB
-            M[k:, :] = S[self.pos]
-            R[k:, :d] = S[self.pos]
+        need = d
+        if sys.interval != UNIT_INTERVAL:
+            need = self.neg.size
+            WB = np.block([[S[self.pos], np.zeros((self.pos.size, d))],
+                           [np.zeros((k, d)), WB]])
+        if k != need:
+            raise BoundaryClosureSingular(
+                f"boundary closure needs k = {need} conditions for the "
+                f"upwind scheme, got k = {k}")
+        # columns of R act on [w_first; w_last]; every component is outgoing
+        # at one end, so the d boundary rows and d outgoing rows fill M
+        M = np.zeros((2 * d, 2 * d), dtype=complex)
+        R = np.zeros((2 * d, 2 * d), dtype=complex)
+        M[:d, :] = WB
+        out_right = d + np.arange(self.neg.size)
+        out_left = d + self.neg.size + np.arange(self.pos.size)
+        M[out_right, :d] = S[self.neg]  # outgoing at the right end
+        R[out_right, d:] = S[self.neg]
+        M[out_left, d:] = S[self.pos]  # outgoing at the left end
+        R[out_left, :d] = S[self.pos]
         try:
             cond_s = np.linalg.svd(M, compute_uv=False)
-            if cond_s[0] == 0.0 or cond_s[-1] < 1e-12 * cond_s[0]:
+            if numlin.rank_from_singular_values(cond_s, 1e-12) < 2 * d:
                 raise BoundaryClosureSingular(
                     "ghost-state system is singular: the boundary conditions "
                     "constrain outgoing characteristics inconsistently",
@@ -569,13 +562,7 @@ class _BoundaryClosure:
             Z = lu_solve(lu_factor(M), R)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
             raise BoundaryClosureSingular(str(exc), matrix=M)
-        if sys.interval == UNIT_INTERVAL:
-            self.G = np.vstack([Z[d:], Z[:d]])  # z lists w_hat(1) first
-        else:
-            # outgoing leaves freely, incoming set to zero (absorbing)
-            Sn = S[self.neg]
-            far = np.hstack([np.zeros((d, d)), Sn.conj().T @ Sn])
-            self.G = np.vstack([Z, far])
+        self.G = np.vstack([Z[d:], Z[:d]])  # z lists w_hat(1) first
 
     def traces(self, ends):
         """(w_hat_left, w_hat_right) ghost traces from [w_first; w_last].

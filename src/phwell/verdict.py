@@ -63,13 +63,6 @@ class Verdict:
                 return c
         raise KeyError(condition_id)
 
-    def ids(self):
-        return [c.condition_id for c in self.conditions]
-
-    @property
-    def is_contraction(self) -> bool:
-        return self.consensus == CONTRACTION
-
     def to_json(self):
         return {
             "conditions": {c.condition_id: c.to_json() for c in self.conditions},

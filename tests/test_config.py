@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phwell import parse_config, system_from_dict, system_to_dict
-from phwell.cli import analyze
+from phwell.cli import analyze, main
 from phwell.config import verdict_to_json, write_config
 from phwell.corpus import CORPUS, random_system
 from phwell.errors import ParseError, ShapeError
@@ -111,6 +111,53 @@ def test_env_var_overrides_default_tolerance(monkeypatch):
     assert sys.tol.check == 1e-7
     monkeypatch.delenv("PHWELL_TOL")
     assert default_tolerance() == 1e-10
+
+
+@pytest.mark.parametrize("value", ["nan", "abc", "-1", "inf"])
+def test_bad_env_tolerance_exits_2(value, monkeypatch, tmp_path, capsys):
+    doc = system_to_dict(CORPUS["transport_periodic"].system())
+    del doc["tolerances"]  # so that the default, PHWELL_TOL, applies
+    path = tmp_path / "transport.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setenv("PHWELL_TOL", value)
+    assert main(["analyze", str(path)]) == 2
+    assert "PHWELL_TOL" in capsys.readouterr().err
+    assert main(["corpus", "--run", "transport_periodic"]) == 2
+
+
+@pytest.mark.parametrize("value", ["abc", None, -1.0, True])
+def test_bad_config_tolerance_exits_2(value, tmp_path, capsys):
+    doc = wave_doc()
+    doc["tolerances"] = {"check": value}
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+    assert "tolerances.check" in capsys.readouterr().err
+
+
+def test_zero_tolerance_is_valid(monkeypatch):
+    doc = wave_doc()
+    doc["tolerances"] = {"check": 0}
+    assert system_from_dict(doc).tol.check == 0.0
+    monkeypatch.setenv("PHWELL_TOL", "0")
+    assert system_from_dict(wave_doc()).tol.tau_rank == 0.0
+
+
+@pytest.mark.parametrize("change", [
+    {"N": True},
+    {"d": True},
+    {"H": {"kind": "piecewise_constant", "breakpoints": [0.5], "matrices": 5}},
+    {"H": {"kind": "grid", "matrices": 5}},
+    {"H": {"kind": "piecewise_constant", "breakpoints": [True],
+           "matrices": [[[1.0, 0.0], [0.0, 1.0]]] * 2}},
+])
+def test_malformed_config_is_parse_error(change, tmp_path, capsys):
+    doc = dict(wave_doc(), **change)
+    with pytest.raises(ParseError):
+        system_from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
 
 
 def test_piecewise_h_parsing():

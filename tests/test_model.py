@@ -3,6 +3,7 @@ import pytest
 
 from phwell import (
     HamiltonianDensity,
+    Tolerances,
     boundary_trace,
     build_q,
     extract_v,
@@ -20,7 +21,7 @@ from phwell.errors import (
     StructureError,
     ValidationError,
 )
-from phwell.model import BoundaryTrace, derive_boundary_operator, r_ext, r_ext_inv
+from phwell.model import BoundaryTrace, derive_boundary_operator
 from phwell.simulator import boundary_interpolant, from_polynomial
 
 
@@ -72,6 +73,25 @@ def test_validate_rejects_singular_q():
     with pytest.raises(SingularQ) as exc:
         validate_system(raw)
     assert isinstance(exc.value, ValidationError)
+
+
+def test_rank_boundary_is_singular_in_validation_and_checkers():
+    # s_min = tau * s_max exactly: not above the threshold, so singular
+    # for validate_system and for extract_v alike
+    P1 = np.diag([1.0, 1e-10])
+    raw = wave_raw(P=[np.zeros((2, 2)), P1],
+                   tolerances=Tolerances(tau_rank=1e-10, check=1e-10))
+    with pytest.raises(SingularPN):
+        validate_system(raw)
+    assert extract_v(P1, np.zeros((2, 2)), 1e-10).V is None
+
+
+def test_validate_rejects_non_hermitian_p1_and_h():
+    with pytest.raises(StructureError, match=r"P\[1\] must be Hermitian"):
+        validate_system(wave_raw(P=[np.zeros((2, 2)), np.array([[0.0, 1.0], [0.9, 0.0]])]))
+    H = HamiltonianDensity.constant(np.array([[1.0, 0.1], [0.0, 1.0]]))
+    with pytest.raises(StructureError, match="H sample 0 is not Hermitian"):
+        validate_system(wave_raw(H=H))
 
 
 def test_validate_rejects_indefinite_h():
@@ -179,16 +199,6 @@ def test_split_reconstruction_random():
         W1, W2 = split_boundary_operator(WB, Q)
         recon = np.hstack([W1 @ Q + W2, -W1 @ Q + W2])
         assert np.linalg.norm(recon - WB, 2) <= 1e-10 * np.linalg.norm(WB, 2)
-
-
-def test_r_ext_inverse_closed_form():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        n = int(rng.integers(1, 5))
-        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        Q = A + A.conj().T + 4.0 * np.eye(n)
-        prod = r_ext(Q) @ r_ext_inv(Q)
-        np.testing.assert_allclose(prod, np.eye(2 * n), atol=1e-12)
 
 
 def test_boundary_trace_linear_polynomial():

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from phwell import numlin
+import json
+
+from phwell import cli, config, numlin
+from phwell.corpus import CORPUS
 from phwell.errors import NotHermitian
+from phwell.simulator import dissipativity_oracle
 
 
 def test_kernel_basis_row_vector():
@@ -59,32 +63,16 @@ def test_definiteness_rejects_non_hermitian():
         numlin.definiteness(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def _count_svds(monkeypatch):
-    # np.linalg.norm(M, 2) reaches svd through numpy's private module
-    calls = []
-    svd = np.linalg.svd
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    private = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # numpy 1.x
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    monkeypatch.setattr(private, "svd", counting)
-    return calls
-
-
-def test_definiteness_runs_no_svd_on_hermitian_input(monkeypatch):
+def test_definiteness_runs_no_svd_on_hermitian_input(count_svds):
     rng = np.random.default_rng(3)
     A = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
     skew = 1e-8 * (A - A.conj().T)
-    calls = _count_svds(monkeypatch)
     numlin.definiteness(A + A.conj().T)
     numlin.hermitian_eigendecomposition(A + A.conj().T)
-    assert calls == []
+    assert count_svds == []
     # a deviation above 10 tol needs ||M|| (one SVD), which here forgives it
     numlin.definiteness(1e3 * (A + A.conj().T) + skew)
-    assert len(calls) == 1
+    assert len(count_svds) == 1
 
 
 def _old_hermitian_check(M, tol):
@@ -167,3 +155,28 @@ def test_inertia_sums_to_dimension():
         P = A + A.T
         n1, n0, n2 = numlin.inertia(P)
         assert n1 + n0 + n2 == d
+
+
+def test_rank_rule_examples():
+    rank = numlin.rank_from_singular_values
+    assert rank(np.zeros(0)) == 0
+    assert rank(np.zeros(3)) == 0
+    assert rank(np.array([2.0, 1.0, 0.0])) == 2
+    # a singular value exactly at tol * s_max does not count
+    assert rank(np.array([1.0, 1e-10]), 1e-10) == 1
+    assert rank(np.array([1.0, 1e-10]), 0.0) == 2
+
+
+@pytest.mark.parametrize("name,budget", [("path_graph_d32", 9), ("wave_halfline_u05", 5)])
+def test_parse_and_analyze_svd_budget(name, budget, count_svds):
+    text = json.dumps(config.system_to_dict(CORPUS[name].system()))
+    count_svds.clear()
+    cli.analyze(config.system_from_dict(json.loads(text)))
+    assert len(count_svds) <= budget
+
+
+def test_oracle_runs_one_svd(count_svds):
+    system = CORPUS["wave_interval_damped"].system()
+    count_svds.clear()
+    dissipativity_oracle(system)
+    assert len(count_svds) <= 1
