@@ -9,6 +9,7 @@ are written as [re, im] pairs; plain numbers are accepted as real entries.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -23,10 +24,24 @@ from .model import (
 )
 
 
+def _finite(value) -> bool:
+    """True for a number with a finite float value.
+
+    Python's json reads NaN, Infinity and integers beyond the float range.
+    """
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _entry(value, path: str, allow_complex: bool) -> complex:
+    """One matrix entry; an int beyond the float range raises OverflowError."""
     if isinstance(value, bool):
         raise ParseError(f"{path}: booleans are not numbers", path=path)
     if isinstance(value, (int, float)):
+        if not math.isfinite(value):
+            raise ParseError(f"{path}: entries must be finite numbers", path=path)
         return complex(value)
     if isinstance(value, list):
         if len(value) != 2:
@@ -37,6 +52,9 @@ def _entry(value, path: str, allow_complex: bool) -> complex:
         if not all(isinstance(p, (int, float)) and not isinstance(p, bool)
                    for p in (re, im)):
             raise ParseError(f"{path}: [re, im] parts must be numbers", path=path)
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ParseError(f"{path}: [re, im] parts must be finite numbers",
+                             path=path)
         if im != 0 and not allow_complex:
             raise ParseError(f"{path}: complex entry in a real-field system",
                              path=path)
@@ -53,8 +71,12 @@ def _matrix(raw, path: str, allow_complex: bool) -> np.ndarray:
         if len(row) != ncols:
             raise ParseError(f"{path}: row {i} has length {len(row)}, expected {ncols}",
                              path=path)
-        rows.append([_entry(v, f"{path}[{i}][{j}]", allow_complex)
-                     for j, v in enumerate(row)])
+        try:
+            rows.append([_entry(v, f"{path}[{i}][{j}]", allow_complex)
+                         for j, v in enumerate(row)])
+        except OverflowError:
+            raise ParseError(f"{path}[{i}]: entries must be finite numbers",
+                             path=path) from None
     return np.array(rows, dtype=complex)
 
 
@@ -76,8 +98,9 @@ def _parse_H(raw, path: str, allow_complex: bool) -> HamiltonianDensity:
     if kind == "piecewise_constant":
         bps = raw.get("breakpoints", [])
         if not isinstance(bps, list) or not all(
-                isinstance(b, (int, float)) and not isinstance(b, bool) for b in bps):
-            raise ParseError(f"{path}.breakpoints: expected numbers", path=path)
+                isinstance(b, (int, float)) and not isinstance(b, bool) and _finite(b)
+                for b in bps):
+            raise ParseError(f"{path}.breakpoints: expected finite numbers", path=path)
         mats = [
             _matrix(m, f"{path}.matrices[{i}]", allow_complex)
             for i, m in enumerate(raw["matrices"])

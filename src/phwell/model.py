@@ -349,7 +349,7 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
                 f"P[1] has {n_zero} eigenvalue(s) at zero; half-line theory needs none",
                 path="P[1]",
             )
-    else:
+    elif N > 1:  # for N = 1, Q = P_1 = P_N, decided above
         _check_q(build_q(P[1:]), tol.tau_rank)
 
     return PortHamiltonianSystem(

@@ -13,7 +13,9 @@ from the matrix checkers:
   scheme and its ghost-trace boundary closure are linear in the state, so
   _semidiscrete_operator assembles them once as a sparse matrix A_h, and
   a classical Runge-Kutta step with it is one fixed sparse matrix R
-  (_rk4_matrix), so each step is one product R x.
+  (_rk4_matrix).  Stacked under the record rows [Hb; P0b Hb], R makes
+  each step one product that also records the state it starts from, in
+  real arithmetic when the system and the start state are real.
 
 The upwind scheme only ever adds numerical dissipation, so it can confirm
 an energy inequality but never fake energy growth.  For the assembled
@@ -36,6 +38,7 @@ from . import numlin
 from .errors import (
     BoundaryClosureSingular,
     CFLViolation,
+    PhwellError,
     ShapeError,
 )
 from .interval import kernel_energy_form
@@ -653,7 +656,7 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
 
     x0 is a callable z -> d-vector or a (d, nx) array of cell values, the
     layout of final_state and the snapshots, so a run can restart from
-    another's final_state.
+    another's final_state.  t_final must be a finite number > 0.
 
     First order in space (characteristic upwinding of w = Hx with H frozen
     per cell), classical four-stage explicit stepping in time with
@@ -661,16 +664,22 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     {WB_hat traces = 0} + {outgoing characteristic extrapolation}; they are
     linear in the end cells, so the whole scheme is assembled once as the
     sparse matrix A_h of _semidiscrete_operator.  An RK4 step of a linear
-    system is one fixed matrix, so R = _rk4_matrix(A_h, dt) is assembled
-    once per run and each step is one product R x.  tests/test_simulation.py
-    checks that Herm(h Hb A_h) is negative semidefinite and that R does not
-    increase the discrete energy norm for dissipative systems.  Half-line
-    systems are truncated to [0, L] with an absorbing characteristic
-    closure at the far end (adds artificial dissipation, noted on the
-    trace).
+    system is one fixed matrix, R = _rk4_matrix(A_h, dt), assembled once
+    per run.  tests/test_simulation.py checks that Herm(h Hb A_h) is
+    negative semidefinite and that R does not increase the discrete energy
+    norm for dissipative systems.  Half-line systems are truncated to
+    [0, L] with an absorbing characteristic closure at the far end (adds
+    artificial dissipation, noted on the trace).
 
     Records the discrete energy sum_c h x_c^* H_c x_c per step along with
     the boundary port power 2 Re <f, e> and interior power 2 Re <P0 w, w>.
+    Each step is one sparse product with the stacked M = [Hb; P0b Hb; R]:
+    y = M x_n holds w_n = Hb x_n, P0 w_n and the next state R x_n, so a
+    step and the record of the state it starts from cost one product.
+    When M and x0 are real (every imaginary part exactly zero), the run
+    steps in float64; a complex product of such factors equals the real
+    one bit for bit, so only the energies' dot products round differently.
+    final_state and the snapshots are complex either way.
     """
     if sys.order_N != 1:
         raise ShapeError("simulate supports first-order (N = 1) systems only")
@@ -678,8 +687,11 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
         raise ShapeError("nx must be at least 16")
     if not 0.0 < cfl <= 0.9:
         raise CFLViolation(f"cfl must lie in (0, 0.9], got {cfl}")
+    if not 0.0 < t_final < np.inf:
+        raise PhwellError(f"t_final must be a finite number > 0, got {t_final}")
 
     d = sys.dim_d
+    dn = d * nx
     A, Hb, h, closure = _semidiscrete_operator(sys, nx, L)
     centers = (np.arange(nx) + 0.5) * h
     notes = []
@@ -687,43 +699,57 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
         notes.append(
             f"half-line run truncated to [0, {float(L):g}]; the absorbing "
             "closure adds artificial dissipation")
-    P0b = sparse.kron(sparse.eye_array(nx), sparse.csr_array(sys.P[0]), format="csr")
 
     lam_max = float(np.max(np.abs(closure.delta))) * sys.h_max_eig
     dt = cfl * h / lam_max
     n_steps = max(1, int(np.ceil(t_final / dt - 1e-12)))
     dt = t_final / n_steps
 
+    P0b = sparse.kron(sparse.eye_array(nx), sparse.csr_array(sys.P[0]), format="csr")
+    blocks = [Hb, P0b @ Hb, _rk4_matrix(A, dt)]
+    x = _initial_state(x0, centers, d).T.ravel()  # cell-major
+    if not (x.imag.any() or any(b.data.imag.any() for b in blocks)):
+        # contiguous real copies: a strided .real view is copied per product
+        blocks = [sparse.csr_array((b.data.real.copy(), b.indices, b.indptr),
+                                   shape=b.shape) for b in blocks]
+        x = x.real.copy()
+    M = sparse.vstack(blocks, format="csr")
+    M.eliminate_zeros()
+    del A, Hb, P0b, blocks  # freed before the loop: only M is needed
+    # the record rows [Hb; P0b Hb] of M as a view, for the last state
+    k = M.indptr[2 * dn]
+    M_record = sparse.csr_array((M.data[:k], M.indices[:k], M.indptr[:2 * dn + 1]),
+                                shape=(2 * dn, dn))
+
     times = np.zeros(n_steps + 1)
     energies = np.zeros(n_steps + 1)
     ipow = np.zeros(n_steps + 1)
     ends = np.zeros((2 * d, n_steps + 1), dtype=complex)  # first, last cell of w
 
-    def record(i, x):
-        w = Hb @ x
+    def record(i, x, y):
+        """Step i's energy, interior power and end cells from y = M x."""
+        w = y[:dn]
         energies[i] = h * np.vdot(x, w).real
-        ipow[i] = 2.0 * h * np.vdot(w, P0b @ w).real
+        ipow[i] = 2.0 * h * np.vdot(w, y[dn:2 * dn]).real
         ends[:d, i], ends[d:, i] = w[:d], w[-d:]
 
     def as_cells(x):
-        return x.reshape(nx, d).T.copy()
-
-    x = _initial_state(x0, centers, d).T.ravel()  # cell-major
-    record(0, x)
+        return x.reshape(nx, d).T.astype(complex)
 
     snap_list = []
     snap_times = sorted(float(t) for t in snapshot_times)
     snap_idx = 0
 
-    R = _rk4_matrix(A, dt)
     for step in range(n_steps):
-        x = R @ x
+        y = M @ x
+        record(step, x, y)
+        x = y[2 * dn:]
         t = (step + 1) * dt
         times[step + 1] = t
-        record(step + 1, x)
         while snap_idx < len(snap_times) and snap_times[snap_idx] <= t + 1e-12:
             snap_list.append((t, as_cells(x)))
             snap_idx += 1
+    record(n_steps, x, M_record @ x)
 
     # port power 2 Re <f, e> with f = Q (w_r - w_l) / sqrt2, e = (w_r + w_l) / sqrt2
     w_left, w_right = closure.traces(ends)

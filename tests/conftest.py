@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import _sparsetools
 
 
 @pytest.fixture
@@ -16,4 +17,19 @@ def count_svds(monkeypatch):
     private = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # numpy 1.x
     monkeypatch.setattr(np.linalg, "svd", counting)
     monkeypatch.setattr(private, "svd", counting)
+    return calls
+
+
+@pytest.fixture
+def count_matvecs(monkeypatch):
+    """A list that gains one entry per scipy CSR matrix-vector product."""
+    # CSR @ vector looks the kernel up on _sparsetools at every call
+    calls = []
+    matvec = _sparsetools.csr_matvec
+
+    def counting(*args):
+        calls.append(1)
+        return matvec(*args)
+
+    monkeypatch.setattr(_sparsetools, "csr_matvec", counting)
     return calls

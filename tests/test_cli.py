@@ -69,6 +69,17 @@ def test_simulate_snapshots(tmp_path):
         p.name.startswith("tr_t0.1") for p in tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("t_final", ["-1", "0", "nan", "inf"])
+def test_simulate_rejects_bad_tfinal(t_final, tmp_path, capsys):
+    cfg = tmp_path / "wave.json"
+    write_config(build_wave("unit_interval", 0.7), cfg)
+    code = main(["simulate", str(cfg), "--tfinal", t_final, "--cells", "32",
+                 "--out", str(tmp_path / "trace.csv")])
+    assert code == 2
+    assert "t_final" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_oracle_command(tmp_path, capsys):
     cfg = tmp_path / "wave.json"
     write_config(build_wave("unit_interval", 0.7), cfg)

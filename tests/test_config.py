@@ -160,6 +160,41 @@ def test_malformed_config_is_parse_error(change, tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
 
 
+def _non_finite_doc(case):
+    """wave_doc with one number that Python's json reads but is no finite float."""
+    doc = wave_doc()
+    if case == "WB_hat NaN":
+        doc["WB_hat"][0][0] = float("nan")
+    elif case == "P[1] Infinity":
+        doc["P"][1][0][1] = float("inf")
+    elif case == "P[1] beyond the float range":
+        doc["P"][1][0][1] = 10**400
+    elif case == "re part NaN":
+        doc["field"] = "complex"
+        doc["P"][1][0][1] = [float("nan"), 0.0]
+    elif case == "im part -Infinity":
+        doc["field"] = "complex"
+        doc["WB_hat"][1][2] = [1.0, float("-inf")]
+    elif case == "breakpoint NaN":
+        doc["H"] = {"kind": "piecewise_constant", "breakpoints": [float("nan")],
+                    "matrices": [[[1.0, 0.0], [0.0, 1.0]]] * 2}
+    return doc
+
+
+@pytest.mark.parametrize("case", ["WB_hat NaN", "P[1] Infinity",
+                                  "P[1] beyond the float range", "re part NaN",
+                                  "im part -Infinity", "breakpoint NaN"])
+def test_non_finite_numbers_are_parse_errors(case, tmp_path, capsys):
+    doc = _non_finite_doc(case)
+    with pytest.raises(ParseError, match="finite"):
+        system_from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in ("analyze", "oracle"):
+        assert main([command, str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+
 def test_piecewise_h_parsing():
     doc = wave_doc()
     doc["H"] = {

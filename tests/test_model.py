@@ -75,6 +75,12 @@ def test_validate_rejects_singular_q():
     assert isinstance(exc.value, ValidationError)
 
 
+def test_first_order_validation_runs_one_svd(count_svds):
+    # Q = P_1 = P_N for N = 1, so the P_N decision is the Q decision
+    validate_system(wave_raw())
+    assert len(count_svds) == 1
+
+
 def test_rank_boundary_is_singular_in_validation_and_checkers():
     # s_min = tau * s_max exactly: not above the threshold, so singular
     # for validate_system and for extract_v alike

@@ -283,3 +283,33 @@ def test_one_matrix_step_matches_four_stage_rk4(name, nx, t_final, center):
             <= 1e-12 * np.linalg.norm(final))
     np.testing.assert_allclose(tr.energy, energies, rtol=1e-12,
                                atol=1e-12 * energies[0])
+
+
+def test_complex_start_state_splits_into_two_real_runs():
+    # a real system and real start states step in float64; a complex start
+    # state keeps complex arithmetic, and by linearity its run is the two
+    # real runs of its parts
+    sys = CORPUS["wave_interval_damped"].system()
+    nx = 100
+    z = (np.arange(nx) + 0.5) / nx
+    a = np.stack([np.exp(-80 * (z - 0.4) ** 2), np.sin(np.pi * z)])
+    b = np.stack([np.cos(3 * z), np.exp(-60 * (z - 0.6) ** 2)])
+    runs = [simulate(sys, x0, t_final=0.3, nx=nx, cfl=0.45, snapshot_times=[0.1])
+            for x0 in (a, b, a + 1j * b)]
+    for tr in runs:
+        assert tr.final_state.dtype == np.complex128
+        assert tr.snapshots[0][1].dtype == np.complex128
+    ra, rb, rc = runs
+    expected = ra.final_state + 1j * rb.final_state
+    assert (np.linalg.norm(rc.final_state - expected)
+            <= 1e-14 * np.linalg.norm(expected))
+    np.testing.assert_allclose(rc.energy, ra.energy + rb.energy, rtol=1e-12)
+
+
+def test_one_sparse_product_per_step(count_matvecs):
+    sys = CORPUS["wave_interval_damped"].system()
+    count_matvecs.clear()
+    tr = simulate(sys, smooth_bump(0.5, 0.25, 2), t_final=0.25, nx=200, cfl=0.45)
+    n_steps = tr.times.size - 1
+    assert n_steps > 100
+    assert len(count_matvecs) <= n_steps + 1
