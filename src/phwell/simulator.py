@@ -6,7 +6,10 @@ from the matrix checkers:
 * boundary_interpolant / quadrature_rayleigh / dissipativity_oracle sample
   smooth states with prescribed boundary traces drawn from ker WB_hat and
   integrate Re <A0 x, x> by composite Gauss-Legendre quadrature, once per
-  family of states as a Gram matrix of its scalar basis (_rayleigh_split);
+  family of states as a Gram matrix of its scalar basis (_rayleigh_split).
+  That basis depends only on the order N and the layer width, so its Gram
+  stack is integrated once per (order, width) per process and shared by
+  every system (_oracle_gram);
 * simulate evolves first-order (N = 1) systems with an upwind
   finite-volume method in characteristic variables and records the
   discrete energy <x, H x> together with boundary / interior power.  The
@@ -28,11 +31,12 @@ fully discrete step, which RK4 does not guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import block_diag, lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
 from . import numlin
 from .errors import (
@@ -277,19 +281,16 @@ def _gauss_panels(junctions, n_quad: int):
     edges = np.concatenate([[0.0], np.asarray(junctions, dtype=float), [1.0]])
     nsub = max(1, edges.size - 1)
     per = max(3, int(np.ceil(n_quad / (16.0 * nsub))))
-    pieces = []
-    for i in range(edges.size - 1):
-        a, b = edges[i], edges[i + 1]
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
         if b - a <= 0:
             continue
         sub = np.linspace(a, b, per + 1)
-        for j in range(per):
-            lo, hi = sub[j], sub[j + 1]
-            half = 0.5 * (hi - lo)
-            pieces.append((0.5 * (lo + hi) + half * nodes16, half * weights16))
-    nodes = np.concatenate([p[0] for p in pieces])
-    weights = np.concatenate([p[1] for p in pieces])
-    return nodes, weights
+        lo, hi = sub[:-1, None], sub[1:, None]  # one row per panel
+        half = 0.5 * (hi - lo)
+        nodes.append((0.5 * (lo + hi) + half * nodes16).ravel())
+        weights.append((half * weights16).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def quadrature_rayleigh(sys: PortHamiltonianSystem, x: SmoothFunction) -> float:
@@ -302,11 +303,11 @@ def quadrature_rayleigh(sys: PortHamiltonianSystem, x: SmoothFunction) -> float:
     """
     if sys.interval != UNIT_INTERVAL:
         raise ShapeError("quadrature_rayleigh needs a unit_interval system")
-    S = _rayleigh_split(sys, x)
+    S = _rayleigh_split(sys.order_N, x)
     return float(np.real(np.sum(np.asarray(sys.P) * S)))
 
 
-def _rayleigh_split(sys, basis: SmoothFunction) -> np.ndarray:
+def _rayleigh_split(N: int, basis: SmoothFunction) -> np.ndarray:
     """Gram stack S[k, a, b] = integral of conj(phi_a) phi_b^{(k)}, k = 0..N.
 
     The phi_a are the components of basis.  This is the one quadrature of
@@ -318,7 +319,6 @@ def _rayleigh_split(sys, basis: SmoothFunction) -> np.ndarray:
     first and again for transitions of width <= 0.05 and <= 0.01, because
     narrow layers raise cutoff-derivative magnitudes like width^{1-N}.
     """
-    N = sys.order_N
     width = basis.narrowest_transition()
     n_quad = 256 * 2 ** (N - 1 + (width <= 0.05) + (width <= 0.01))
     nodes, weights = _gauss_panels(basis.junctions(), n_quad)
@@ -326,10 +326,32 @@ def _rayleigh_split(sys, basis: SmoothFunction) -> np.ndarray:
     return (weights[:, None] * derivs[0].conj()).T @ derivs
 
 
-def _boundary_form(sys) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _oracle_gram(N: int, eps: float | None) -> np.ndarray:
+    """Read-only Gram stack of one oracle family's scalar basis, per process.
+
+    eps selects the boundary interpolants of the 2N unit traces at that
+    layer width; None selects the scalar interior bump.  Neither depends on
+    the system, so every system of order N shares these stacks.
+    """
+    if eps is None:
+        basis = interior_probe([1.0])
+    else:
+        eye = np.eye(2 * N)
+        basis = boundary_interpolant(eye[:N].ravel(), eye[N:].ravel(), eps=eps,
+                                     d=2 * N)
+    S = _rayleigh_split(N, basis)
+    S.flags.writeable = False
+    return S
+
+
+def _boundary_form(Q) -> np.ndarray:
     """B with z^* B z = 0.5 (u^* Q u - v^* Q v) for traces z = [u; v]."""
-    Q = build_q_for_system(sys)
-    return 0.5 * block_diag(Q, -Q)
+    n = Q.shape[0]
+    B = np.zeros((2 * n, 2 * n), dtype=Q.dtype)
+    B[:n, :n] = Q
+    B[n:, n:] = -Q
+    return 0.5 * B
 
 
 def _forms(M, Z) -> np.ndarray:
@@ -346,11 +368,11 @@ def boundary_form_value(sys: PortHamiltonianSystem, u, v,
     """
     z = np.concatenate([np.asarray(u, dtype=complex).reshape(-1),
                         np.asarray(v, dtype=complex).reshape(-1)])
-    bval = float(_forms(_boundary_form(sys), z[:, None])[0])
+    bval = float(_forms(_boundary_form(build_q_for_system(sys)), z[:, None])[0])
     if np.any(np.abs(sys.P[0]) > 0):
         if x is None:
             x = boundary_interpolant(z[:sys.nd], z[sys.nd:], d=sys.dim_d)
-        S0 = _rayleigh_split(sys, x)[0]
+        S0 = _rayleigh_split(sys.order_N, x)[0]
         bval += float(np.real(np.sum(sys.P[0] * S0)))
     return bval
 
@@ -388,17 +410,21 @@ def dissipativity_oracle(sys: PortHamiltonianSystem, n_samples: int = 64,
         (importance direction; the value is still computed by quadrature);
       * compactly supported bumps along eigen-directions of Re P0, which
         have zero traces and witness interior growth.
-    Every state is linear in its trace (resp. bump direction) z, so one
-    quadrature of the scalar basis per layer width (resp. one for the
-    bumps) gives the Gram matrix M = sum_k S_k kron P_k, and each value is
-    Re z^* M z.  Every interpolant value is cross-checked against the
-    integrated-by-parts boundary form; a mismatch there means a
-    quadrature/interpolant bug, not a property of the system.  Values are
-    normalized per sample by max(1, ||traces||^2); the bump directions
-    have unit norm.
+    Every state is linear in its trace (resp. bump direction) z, so the
+    Gram stack S of the scalar basis at each layer width (resp. of the
+    bump) gives the Gram matrix M = sum_k S_k kron P_k, and each value is
+    Re z^* M z.  S depends on the order and the width alone: it is
+    integrated once per (order, width) per process and shared by every
+    system (_oracle_gram).  Every interpolant value is cross-checked
+    against the integrated-by-parts boundary form; a mismatch there means
+    a quadrature/interpolant bug, not a property of the system.  Values
+    are normalized per sample by max(1, ||traces||^2); the bump directions
+    have unit norm.  n_samples must be >= 0.
     """
     if sys.interval != UNIT_INTERVAL:
         raise ShapeError("dissipativity_oracle needs a unit_interval system")
+    if n_samples < 0:
+        raise PhwellError(f"n_samples must be >= 0, got {n_samples}")
     K = numlin.kernel_basis(sys.WB_hat, sys.tol.check)
     r = K.shape[1]
     N, nd, d = sys.order_N, sys.nd, sys.dim_d
@@ -407,39 +433,38 @@ def dissipativity_oracle(sys: PortHamiltonianSystem, n_samples: int = 64,
     p0_nonzero = bool(np.any(np.abs(P[0]) > 0))
     widths = ORACLE_LAYER_WIDTHS if p0_nonzero else ORACLE_LAYER_WIDTHS[:1]
 
-    def family(basis, Z, bform, scale):
+    def family(eps, Z, bform, scale):
         """Values of the probe columns Z and their cross-check gaps."""
-        S = _rayleigh_split(sys, basis)
-        val = _forms(sum(np.kron(S[k], P[k]) for k in range(N + 1)), Z)
-        gap = np.abs(val - bform - _forms(np.kron(S[0], P[0]), Z))
+        S = _oracle_gram(N, eps)
+        terms = [np.kron(S[k], P[k]) for k in range(N + 1)]
+        val = _forms(sum(terms), Z)
+        gap = np.abs(val - bform - _forms(terms[0], Z))
         return val / scale, gap / scale
 
     vals, diffs = [], []  # per family, in report order
     Z = np.zeros((2 * nd, 0))
     if r:
-        draws = []
-        for _ in range(n_samples):
-            c = rng.normal(size=r)
-            if sys.field == "complex":
-                c = c + 1j * rng.normal(size=r)
-            draws.append(c)
+        # sample by sample, the same stream as one draw (or a real and an
+        # imaginary draw) per sample
+        if sys.field == "complex":
+            D = rng.normal(size=(n_samples, 2, r))
+            draws = D[:, 0] + 1j * D[:, 1]
+        else:
+            draws = rng.normal(size=(n_samples, r))
         # importance direction: trace vector maximizing the boundary form
-        G = kernel_energy_form(K, build_q_for_system(sys))
-        draws.append(np.linalg.eigh(numlin.hermitian_part(G))[1][:, -1])
-        Z = K @ np.array(draws).T  # one trace vector per column
+        Q = build_q_for_system(sys)
+        G = kernel_energy_form(K, Q)
+        top = np.linalg.eigh(numlin.hermitian_part(G))[1][:, -1]
+        Z = K @ np.vstack([draws, top]).T  # one trace vector per column
         scale = np.maximum(1.0, np.sum(np.abs(Z) ** 2, axis=0))
-        bform = _forms(_boundary_form(sys), Z)
-        eye = np.eye(2 * N)
-        layers = [family(boundary_interpolant(eye[:N].ravel(), eye[N:].ravel(),
-                                              eps=eps, d=2 * N),
-                         Z, bform, scale) for eps in widths]
-        v, g = zip(*layers)
+        bform = _forms(_boundary_form(Q), Z)
+        v, g = zip(*(family(eps, Z, bform, scale) for eps in widths))
         vals.append(np.column_stack(v).ravel())  # sample-major, width-minor
         diffs.append(np.column_stack(g).ravel())
 
     if p0_nonzero:
         _, evecs = np.linalg.eigh(sys.re_P0())
-        v, g = family(interior_probe([1.0]), evecs, 0.0, 1.0)
+        v, g = family(None, evecs, 0.0, 1.0)
         vals.append(v)
         diffs.append(g)
 

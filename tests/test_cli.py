@@ -89,6 +89,15 @@ def test_oracle_command(tmp_path, capsys):
     assert doc["n_samples"] == 8
 
 
+def test_oracle_rejects_negative_samples(tmp_path, capsys):
+    cfg = tmp_path / "wave.json"
+    write_config(build_wave("unit_interval", 0.7), cfg)
+    assert main(["oracle", str(cfg), "--samples", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_samples" in captured.err
+
+
 @pytest.mark.parametrize("change", [{"holds": False}, {"cross_check_max_diff": 1e-6}])
 def test_oracle_contradiction_exit_code(tmp_path, monkeypatch, capsys, change):
     import dataclasses

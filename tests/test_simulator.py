@@ -3,9 +3,13 @@ import pytest
 
 from phwell import HamiltonianDensity, validate_system
 from phwell.corpus import CORPUS, build_transport, build_wave, random_system
+from phwell.errors import PhwellError
 from phwell.interval import analyze_interval
 from phwell.model import boundary_trace
 from phwell.simulator import (
+    ORACLE_LAYER_WIDTHS,
+    _oracle_gram,
+    _rayleigh_split,
     boundary_form_value,
     boundary_interpolant,
     dissipativity_oracle,
@@ -138,6 +142,27 @@ def test_oracle_witness_reproduces_max_value(sys):
     z = boundary_trace(rep.witness, sys.order_N, sys.dim_d).stacked()
     q = quadrature_rayleigh(sys, rep.witness)
     assert abs(q / max(1.0, np.vdot(z, z).real) - rep.max_value) <= 1e-8
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("eps", ORACLE_LAYER_WIDTHS + (None,))
+def test_oracle_gram_cache_matches_fresh_quadrature(N, eps):
+    S = _oracle_gram(N, eps)
+    if eps is None:
+        basis = interior_probe([1.0])
+    else:
+        eye = np.eye(2 * N)
+        basis = boundary_interpolant(eye[:N].ravel(), eye[N:].ravel(), eps=eps,
+                                     d=2 * N)
+    assert np.array_equal(S, _rayleigh_split(N, basis))
+    assert _oracle_gram(N, eps) is S
+    with pytest.raises(ValueError):
+        S[0, 0, 0] = 1.0
+
+
+def test_oracle_rejects_negative_samples():
+    with pytest.raises(PhwellError, match="n_samples"):
+        dissipativity_oracle(build_wave("unit_interval", 0.7), n_samples=-5)
 
 
 def test_oracle_vacuous_for_trivial_kernel():

@@ -23,17 +23,23 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracer as tracer_mod
 
+    simulator._oracle_gram.cache_clear()  # earlier tests may have filled it
     tracer = tracer_mod.Tracer()
     try:
         tracer_mod.install(tracer)
         assert tracer.patched()
         dissipativity_oracle(random_system(0, N=3, klass="interval_square"),
                              n_samples=4, seed=0)
+        # one quadrature per layer width (3 at most) plus one for the bumps
+        misses = tracer.aggregate()["simulator._rayleigh_split"].calls
+        assert 1 <= misses <= 4
+        # another system of the same order reuses every Gram stack
+        dissipativity_oracle(random_system(1, N=3, klass="interval_square"),
+                             n_samples=4, seed=0)
     finally:
         tracer.uninstall()
     assert tracer_mod.leftover_wrappers() == []
-    # one quadrature per layer width (3 at most) plus one for the bumps
-    assert 1 <= tracer.aggregate()["simulator._rayleigh_split"].calls <= 4
+    assert tracer.aggregate()["simulator._rayleigh_split"].calls == misses
 
 
 def test_every_checker_layer_is_called(monkeypatch):
