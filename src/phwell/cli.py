@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys as _sys
 
 import numpy as np
@@ -68,14 +69,18 @@ def _cmd_simulate(args) -> int:
     system = parse_config(args.config)
     x0 = smooth_bump(args.bump_center, args.bump_width, system.dim_d,
                      component=args.component)
-    snaps = [float(t) for t in args.snap.split(",")] if args.snap else []
+    try:
+        snaps = [float(t) for t in args.snap.split(",")] if args.snap else []
+    except ValueError:
+        raise PhwellError(
+            f"--snap takes comma-separated times, got {args.snap!r}") from None
     trace = simulate(system, x0, t_final=args.tfinal, nx=args.cells,
                      cfl=args.cfl, L=args.length, snapshot_times=snaps)
     trace.to_csv(args.out)
     for note in trace.notes:
         print(f"note: {note}")
     for t, state in trace.snapshots:
-        path = f"{args.out.rsplit('.', 1)[0]}_t{t:g}.csv"
+        path = f"{os.path.splitext(args.out)[0]}_t{t:g}.csv"
         np.savetxt(path, np.real(state.T), delimiter=",")
         print(f"snapshot t={t:g} -> {path}")
     print(f"E(0) = {trace.energy[0]:.6e}   E(T) = {trace.energy[-1]:.6e}   "

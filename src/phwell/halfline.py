@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from . import numlin
@@ -302,6 +301,59 @@ def analyze_halfline(sys: PortHamiltonianSystem) -> Verdict:
                    tuple(warnings))
 
 
+class CubicSpline:
+    """Not-a-knot cubic spline through samples on a uniform grid.
+
+    The call shape of scipy.interpolate.CubicSpline(x, y, axis) with its
+    default end condition, for uniform x only (importing scipy.interpolate
+    for this one use would double the import time of phwell).  The knot
+    slopes s solve scipy's uniform-grid rows in one tridiagonal solve,
+    s[i-1] + 4 s[i] + s[i+1] = 3 (m[i-1] + m[i]) inside with m the secant
+    slopes, s[0] + 2 s[1] = (5 m[0] + m[1]) / 2 first and the mirror row
+    last.  Each cell is the cubic Hermite form of its end values and
+    slopes; points beyond the grid continue the end cells.
+    """
+
+    def __init__(self, x, y, axis: int = 0):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y)
+        n = x.size
+        if x.ndim != 1 or n < 4 or y.ndim == 0 or y.shape[axis] != n:
+            raise ShapeError(f"spline needs at least 4 points, the same in x and "
+                             f"along axis {axis} of y; got {x.shape} and {y.shape}")
+        self.axis = axis % y.ndim
+        y = np.moveaxis(y, axis, 0)
+        h = (x[-1] - x[0]) / (n - 1)
+        if not (np.isfinite(h) and h > 0 and
+                np.max(np.abs(np.diff(x) - h)) <= 1e-9 * h):
+            raise ShapeError("spline grid must be uniform and increasing")
+        self.x, self.h, self.trailing = x, h, y.shape[1:]
+        self.y = y.reshape(n, -1)
+        m = np.diff(self.y, axis=0) / h
+        rhs = np.empty((n, m.shape[1]), dtype=m.dtype)
+        rhs[1:-1] = 3.0 * (m[:-1] + m[1:])
+        rhs[0] = 0.5 * (5.0 * m[0] + m[1])
+        rhs[-1] = 0.5 * (m[-2] + 5.0 * m[-1])
+        ab = np.ones((3, n))
+        ab[1, 1:-1] = 4.0
+        ab[0, 1] = ab[2, -2] = 2.0
+        self.s = solve_banded((1, 1), ab, rhs, check_finite=False)
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        xq = x.ravel()
+        i = np.clip(np.floor((xq - self.x[0]) / self.h).astype(int),
+                    0, self.x.size - 2)
+        u = ((xq - self.x[i]) / self.h)[:, None]
+        y0, dy = self.y[i], self.y[i + 1] - self.y[i]
+        s0, s1 = self.h * self.s[i], self.h * self.s[i + 1]
+        out = y0 + u * (s0 + u * (3.0 * dy - 2.0 * s0 - s1
+                                  + u * (s0 + s1 - 2.0 * dy)))
+        out = out.reshape(x.shape + self.trailing)
+        return np.moveaxis(out, range(x.ndim),
+                           range(self.axis, self.axis + x.ndim))
+
+
 def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y,
                              L: float = None, n_cells: int = 3000,
                              residual_threshold: float = None):
@@ -321,11 +373,12 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y,
     ODE v' = Theta^{-1}(v - y) forward with classical fourth-order steps;
     Theta is diagonal, so each step is affine, w_{j+1} = R(h / theta) w_j
     + g_j, with R the RK4 stability polynomial and g_j one step from
-    w = 0 (cubic-spline samples at half steps): a lower-bidiagonal system
-    started from v2(0) = -U v1(0).  Returns (v, residual) with the
-    residual measured as the max over interior nodes of |v - Delta v' - y|
-    using fourth-order central differences; raises GridTooCoarse above
-    residual_threshold.
+    w = 0: a lower-bidiagonal system started from v2(0) = -U v1(0).  The
+    half-step samples of y come from this module's not-a-knot CubicSpline,
+    built once per call with one tridiagonal solve.  Returns (v, residual)
+    with the residual measured as the max over interior nodes of
+    |v - Delta v' - y| using fourth-order central differences; raises
+    GridTooCoarse above residual_threshold.
     """
     n1, n2 = decomp.n1, decomp.n2
     d = n1 + n2

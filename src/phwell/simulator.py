@@ -518,7 +518,16 @@ class EnergyTrace:
 
 def smooth_bump(center: float, width: float, d: int, component: int = 0,
                 amplitude: float = 1.0):
-    """Compactly supported C-infinity bump in one state component."""
+    """Compactly supported C-infinity bump in one state component.
+
+    center must be finite, width a finite number > 0 and component an
+    index below d.
+    """
+    if not (np.isfinite(center) and 0.0 < width < np.inf):
+        raise PhwellError(f"bump center must be finite and width a finite "
+                          f"number > 0, got center {center} and width {width}")
+    if not 0 <= component < d:
+        raise PhwellError(f"bump component must lie in [0, {d}), got {component}")
 
     def x0(zeta):
         r = (zeta - center) / width
@@ -681,7 +690,9 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
 
     x0 is a callable z -> d-vector or a (d, nx) array of cell values, the
     layout of final_state and the snapshots, so a run can restart from
-    another's final_state.  t_final must be a finite number > 0.
+    another's final_state.  t_final and L must be finite numbers > 0, and
+    each snapshot time a finite number in [0, t_final]; a snapshot is the
+    state after the first step that reaches its time.
 
     First order in space (characteristic upwinding of w = Hx with H frozen
     per cell), classical four-stage explicit stepping in time with
@@ -714,6 +725,13 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
         raise CFLViolation(f"cfl must lie in (0, 0.9], got {cfl}")
     if not 0.0 < t_final < np.inf:
         raise PhwellError(f"t_final must be a finite number > 0, got {t_final}")
+    if not 0.0 < L < np.inf:
+        raise PhwellError(f"L must be a finite number > 0, got {L}")
+    snap_times = sorted(float(t) for t in snapshot_times)
+    bad = [t for t in snap_times if not 0.0 <= t <= t_final]
+    if bad:
+        raise PhwellError(f"snapshot times must lie in [0, t_final = {t_final:g}], "
+                          f"got {bad}")
 
     d = sys.dim_d
     dn = d * nx
@@ -762,7 +780,6 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
         return x.reshape(nx, d).T.astype(complex)
 
     snap_list = []
-    snap_times = sorted(float(t) for t in snapshot_times)
     snap_idx = 0
 
     for step in range(n_steps):

@@ -80,6 +80,39 @@ def test_simulate_rejects_bad_tfinal(t_final, tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("extra, word", [
+    (["--length", "0"], "L must"),
+    (["--length", "-1"], "L must"),
+    (["--snap", "-1"], "snapshot"),
+    (["--snap", "5"], "snapshot"),
+    (["--snap", "0.05,"], "--snap"),
+    (["--bump-width", "0"], "width"),
+    (["--bump-width", "-0.1"], "width"),
+    (["--component", "7"], "component"),
+])
+def test_simulate_rejects_bad_inputs(extra, word, tmp_path, capsys):
+    cfg = tmp_path / "wave.json"
+    write_config(build_wave("half_line", 0.5), cfg)
+    code = main(["simulate", str(cfg), "--tfinal", "0.1", "--cells", "32",
+                 "--out", str(tmp_path / "trace.csv")] + extra)
+    assert code == 2
+    assert word in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["wave.json"]
+
+
+def test_simulate_snapshot_lands_beside_its_trace(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_config(build_transport(), tmp_path / "transport.json")
+    (tmp_path / "runs.d").mkdir()
+    code = main(["simulate", "transport.json", "--tfinal", "0.2", "--cells", "32",
+                 "--out", "runs.d/trace", "--snap", "0.1"])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.d", "transport.json"]
+    trace, snap = sorted(p.name for p in (tmp_path / "runs.d").iterdir())
+    assert trace == "trace"
+    assert snap.startswith("trace_t0.1") and snap.endswith(".csv")
+
+
 def test_oracle_command(tmp_path, capsys):
     cfg = tmp_path / "wave.json"
     write_config(build_wave("unit_interval", 0.7), cfg)

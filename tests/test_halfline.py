@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phwell import HamiltonianDensity, validate_system
+from phwell import HamiltonianDensity, halfline, validate_system
 from phwell.corpus import build_wave
 from scipy.interpolate import CubicSpline
 
@@ -346,3 +346,45 @@ def test_resolvent_callable_rhs_default_grid():
     assert x.shape == (1, 3001)  # default step L / 3000
     assert res <= 5e-5  # trapezoid at the default step
     assert abs(x[0, 0] - 0.5) <= 5e-5
+
+
+@pytest.mark.parametrize("n", [6, 7, 10, 101, 3001])
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("field", [float, complex])
+def test_spline_matches_scipy(n, rows, field):
+    rng = np.random.default_rng(10 * n + rows)
+    L = rng.uniform(1.0, 40.0)
+    t = np.linspace(0.0, L, n)
+    y = rng.normal(size=(rows, n))
+    if field is complex:
+        y = y + 1j * rng.normal(size=(rows, n))
+    ours, ref = halfline.CubicSpline(t, y, axis=1), CubicSpline(t, y, axis=1)
+    for x in (t[:-1] + 0.5 * (t[1] - t[0]), rng.uniform(0.0, L, 200)):
+        got, want = ours(x), ref(x)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_spline_axis_and_point_shapes():
+    rng = np.random.default_rng(3)
+    t = np.linspace(-1.0, 2.0, 12)
+    y = rng.normal(size=(12, 2, 3))
+    ours, ref = halfline.CubicSpline(t, y), CubicSpline(t, y)
+    for x in (0.37, rng.uniform(-1.0, 2.0, (4, 5))):
+        assert ours(x).shape == ref(x).shape
+        np.testing.assert_allclose(ours(x), ref(x), rtol=0, atol=1e-13)
+    ours = halfline.CubicSpline(t, np.moveaxis(y, 0, -1), axis=-1)
+    x = rng.uniform(-1.0, 2.0, 7)
+    np.testing.assert_allclose(np.moveaxis(ours(x), -1, 0), ref(x), rtol=0, atol=1e-13)
+
+
+def test_spline_rejects_short_and_uneven_grids():
+    with pytest.raises(ShapeError):
+        halfline.CubicSpline(np.linspace(0.0, 1.0, 3), np.ones(3))
+    with pytest.raises(ShapeError):
+        halfline.CubicSpline(np.linspace(0.0, 1.0, 6), np.ones((2, 5)), axis=1)
+    uneven = np.linspace(0.0, 1.0, 10)
+    uneven[4] += 1e-3
+    for x in (uneven, np.linspace(1.0, 0.0, 10), np.full(10, 0.5)):
+        with pytest.raises(ShapeError):
+            halfline.CubicSpline(x, np.ones(10))

@@ -9,8 +9,8 @@ from phwell.corpus import (
     build_transport,
     build_wave,
 )
-from phwell.errors import BoundaryClosureSingular, CFLViolation, ShapeError
-from phwell.model import UNIT_INTERVAL
+from phwell.errors import BoundaryClosureSingular, CFLViolation, PhwellError, ShapeError
+from phwell.model import HALF_LINE, UNIT_INTERVAL
 from phwell.simulator import _rk4_matrix, _semidiscrete_operator
 
 
@@ -137,6 +137,39 @@ def test_cfl_and_nx_validation():
         simulate(sys, smooth_bump(0.3, 0.2, 1), 0.1, nx=32, cfl=1.2)
     with pytest.raises(ShapeError):
         simulate(sys, smooth_bump(0.3, 0.2, 1), 0.1, nx=8)
+
+
+@pytest.mark.parametrize("L", [0.0, -1.0, np.inf, np.nan])
+def test_simulate_rejects_bad_length(L):
+    with pytest.raises(PhwellError, match="L must"):
+        simulate(build_wave(HALF_LINE, 0.5), smooth_bump(0.3, 0.2, 2), 0.1,
+                 nx=32, L=L)
+
+
+@pytest.mark.parametrize("snap", [-1.0, 5.0, np.nan, np.inf])
+def test_simulate_rejects_snapshots_outside_the_run(snap):
+    with pytest.raises(PhwellError, match="snapshot"):
+        simulate(build_transport(), smooth_bump(0.3, 0.2, 1), 0.1, nx=32,
+                 snapshot_times=[0.05, snap])
+
+
+def test_snapshots_at_both_ends_of_the_run():
+    tr = simulate(build_transport(), smooth_bump(0.3, 0.2, 1), 0.1, nx=32,
+                  snapshot_times=[0.1, 0.0])
+    assert [t for t, _ in tr.snapshots] == [tr.times[1], tr.times[-1]]
+    np.testing.assert_array_equal(tr.snapshots[-1][1], tr.final_state)
+
+
+@pytest.mark.parametrize("width", [0.0, -0.1, np.inf, np.nan])
+def test_smooth_bump_rejects_bad_width(width):
+    with pytest.raises(PhwellError, match="width"):
+        smooth_bump(0.3, width, 2)
+
+
+@pytest.mark.parametrize("component", [-1, 2, 7])
+def test_smooth_bump_rejects_bad_component(component):
+    with pytest.raises(PhwellError, match="component"):
+        smooth_bump(0.3, 0.2, 2, component=component)
 
 
 def test_singular_closure_detected():

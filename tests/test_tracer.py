@@ -120,6 +120,17 @@ def test_resolvent_builds_one_spline(monkeypatch):
     assert tracer.counters["halfline.spline_evals"] <= 3
 
 
+def test_import_leaves_out_scipy_interpolate():
+    # scipy.interpolate pulls in scipy.optimize and scipy.special, about
+    # half of the import time of phwell
+    code = ("import sys, phwell; print([m for m in ('scipy.interpolate', "
+            "'scipy.optimize', 'scipy.special') if m in sys.modules])")
+    src = PERFBENCH.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, cwd=src)
+    assert out.stdout.strip() == "[]"
+
+
 def test_import_leaves_out_scipy_signal():
     # scipy.signal costs about 0.45 s to import, more than the whole set-up
     # of a benchmark workload
