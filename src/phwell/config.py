@@ -4,6 +4,10 @@ Top-level keys: field ("real"|"complex"), interval ("unit_interval"|
 "half_line"), N, d, P (array of N+1 row-major matrices), H (object with
 kind and data), WB_hat, tolerances (optional overrides).  Complex entries
 are written as [re, im] pairs; plain numbers are accepted as real entries.
+
+A matrix is read in one pass over its rows into one array; only a matrix
+that pass rejects is read again entry by entry, and _entry words the
+error for its first bad entry in row-major order.
 """
 
 from __future__ import annotations
@@ -62,9 +66,43 @@ def _entry(value, path: str, allow_complex: bool) -> complex:
     raise ParseError(f"{path}: expected a number or [re, im] pair", path=path)
 
 
+_NUMBER = (float, int)  # exact types: bool, an int subclass, is not a number
+
+
 def _matrix(raw, path: str, allow_complex: bool) -> np.ndarray:
+    """A matrix from its rows, in one pass and one array conversion.
+
+    Entries go into one flat list of (re, im) parts, viewed as complex
+    without arithmetic, so signed zeros survive.  Anything the pass does
+    not take goes to _matrix_by_entry, which words the error of the first
+    bad entry in row-major order.
+    """
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise ParseError(f"{path}: expected an array of rows", path=path)
+    ncols = len(raw[0])
+    parts = []
+    for row in raw:
+        if len(row) != ncols:
+            return _matrix_by_entry(raw, path, allow_complex)
+        for v in row:
+            if type(v) in _NUMBER:
+                parts.append(v)
+                parts.append(0.0)
+            elif (type(v) is list and len(v) == 2
+                  and type(v[0]) in _NUMBER and type(v[1]) in _NUMBER):
+                parts += v
+            else:
+                return _matrix_by_entry(raw, path, allow_complex)
+    try:
+        flat = np.array(parts, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return _matrix_by_entry(raw, path, allow_complex)
+    if not np.isfinite(flat).all() or (not allow_complex and flat[1::2].any()):
+        return _matrix_by_entry(raw, path, allow_complex)
+    return flat.view(complex).reshape(len(raw), ncols)
+
+
+def _matrix_by_entry(raw, path: str, allow_complex: bool) -> np.ndarray:
     ncols = len(raw[0])
     rows = []
     for i, row in enumerate(raw):

@@ -38,11 +38,15 @@ from .verdict import ConditionResult, Verdict, decide
 
 @dataclass(frozen=True)
 class VExtraction:
-    """Result of solving (W1+W2) V = W1-W2; V is None when W1+W2 is singular."""
+    """Result of solving (W1+W2) V = W1-W2; V is None when W1+W2 is singular.
+
+    rank is the numerical rank of W1+W2, None when W1+W2 is not square.
+    """
 
     V: np.ndarray | None
     smin: float
     smax: float
+    rank: int | None
     reason: str | None = None
 
 
@@ -80,28 +84,30 @@ def extract_v(W1, W2, tol: float = numlin.DEFAULT_TOL) -> VExtraction:
     W2 = np.asarray(W2, dtype=complex)
     T = W1 + W2
     if T.shape[0] != T.shape[1]:
-        return VExtraction(None, 0.0, 0.0,
+        return VExtraction(None, 0.0, 0.0, None,
                            f"W1+W2 is {T.shape[0]}x{T.shape[1]}, not square")
     if T.shape[0] == 0:
-        return VExtraction(np.zeros((0, 0), dtype=complex), 0.0, 0.0, None)
+        return VExtraction(np.zeros((0, 0), dtype=complex), 0.0, 0.0, 0)
     s = np.linalg.svd(T, compute_uv=False)
     smin, smax = float(s[-1]), float(s[0])
-    if numlin.rank_from_singular_values(s, tol) < T.shape[0]:
-        return VExtraction(None, smin, smax,
+    rank = numlin.rank_from_singular_values(s, tol)
+    if rank < T.shape[0]:
+        return VExtraction(None, smin, smax, rank,
                            f"W1+W2 numerically singular (s_min={smin:.3e})")
     V = np.linalg.solve(T, W1 - W2)
-    return VExtraction(V, smin, smax, None)
+    return VExtraction(V, smin, smax, rank)
 
 
-def range_containment(W1, W2, tol: float = numlin.DEFAULT_TOL) -> ConditionResult:
-    """RANBED: rank [W1+W2 | W1-W2] equals rank (W1+W2).
+def range_containment(W1, W2, r_t: int,
+                      tol: float = numlin.DEFAULT_TOL) -> ConditionResult:
+    """RANBED: rank [W1+W2 | W1-W2] equals r_t = rank (W1+W2).
 
-    Informational: with W1+W2 injective (square case) the containment is
-    automatic, so it never gates the equivalence family.
+    r_t comes from BoundaryAlgebra, which reads it off an SVD of W1+W2
+    it takes anyway.  Informational: with W1+W2 injective (square case)
+    the containment is automatic, so it never gates the equivalence family.
     """
     T = np.asarray(W1) + np.asarray(W2)
     D = np.asarray(W1) - np.asarray(W2)
-    r_t = numlin.numerical_rank(T, tol)
     r_td = numlin.numerical_rank(np.hstack([T, D]), tol)
     return ConditionResult(
         "RANBED", True, r_td == r_t,
@@ -118,12 +124,18 @@ def isometry_defect(V) -> float:
     return float(np.linalg.norm(np.eye(n) - V @ V.conj().T, 2))
 
 
+def _rank_smin(M, tol: float):
+    """(rank, smin) of a nonempty M from one SVD, by the one rank rule."""
+    s = np.linalg.svd(M, compute_uv=False)
+    return numlin.rank_from_singular_values(s, tol), float(s[-1])
+
+
 def _injective(M, tol: float):
     """(is_injective, smin) of M by relative singular-value threshold."""
     if M.shape[0] < M.shape[1]:
         return False, 0.0  # wide matrices always have a kernel
-    s = np.linalg.svd(M, compute_uv=False)
-    return numlin.rank_from_singular_values(s, tol) == M.shape[1], float(s[-1])
+    rank, smin = _rank_smin(M, tol)
+    return rank == M.shape[1], smin
 
 
 @dataclass(frozen=True)
@@ -145,6 +157,7 @@ class BoundaryAlgebra:
     kernel: numlin.DefinitenessReport
     kernel_dim: int
     ext: VExtraction  # the single decision on W1+W2
+    rank_w1_plus_w2: int  # read by RANBED alone
     smin_w1_plus_w2: float
     inj_w2_minus_w1: bool
     smin_w2_minus_w1: float
@@ -167,9 +180,15 @@ class BoundaryAlgebra:
             rank = numlin.rank_from_singular_values(s, check)
             K = vh[rank:].conj().T
         ext = extract_v(bop.W1, bop.W2, check)
-        # extract_v decides nothing on a non-square W1+W2; T3.3 still
-        # reports its smallest singular value there
-        smin_t = ext.smin if k == nd else _injective(bop.W1 + bop.W2, check)[1]
+        # extract_v decides nothing on a non-square W1+W2, where T3.3 still
+        # reports its smallest singular value (0 when wide, with a kernel);
+        # only a wide W1+W2 needs an SVD of its own, for RANBED's rank
+        if k == nd:
+            rank_t, smin_t = ext.rank, ext.smin
+        elif k > nd:
+            rank_t, smin_t = _rank_smin(bop.W1 + bop.W2, check)
+        else:
+            rank_t, smin_t = numlin.numerical_rank(bop.W1 + bop.W2, check), 0.0
         inj_m, smin_m = _injective(bop.W2 - bop.W1, check)
         v_norm = defect = v_contractive = v_unitary = None
         if ext.V is not None:
@@ -185,6 +204,7 @@ class BoundaryAlgebra:
             kernel=numlin.definiteness(kernel_energy_form(K, bop.Q), check),
             kernel_dim=K.shape[1],
             ext=ext,
+            rank_w1_plus_w2=rank_t,
             smin_w1_plus_w2=smin_t,
             inj_w2_minus_w1=inj_m,
             smin_w2_minus_w1=smin_m,
@@ -395,7 +415,7 @@ def analyze_interval(sys: PortHamiltonianSystem) -> Verdict:
                         "unaffected but rank-based conditions will fail")
 
     conditions = [
-        range_containment(bop.W1, bop.W2, sys.tol.check),
+        range_containment(bop.W1, bop.W2, alg.rank_w1_plus_w2, sys.tol.check),
         check_injective_psd(alg),
         check_v_contraction(alg),
         check_kernel_dissipativity(alg),

@@ -118,12 +118,16 @@ def require_hermitian(M, threshold: float) -> None:
     its tau_struct.  M - M* is skew-Hermitian, so its 2-norm is the largest
     eigenvalue magnitude of the Hermitian i (M - M*).  ||M|| (an SVD) is
     needed only when that deviation exceeds the threshold, below which the
-    test passes whatever ||M|| is.
+    test passes whatever ||M|| is.  The Frobenius norm bounds the 2-norm,
+    so a Frobenius norm within the threshold passes without the eigensolve.
     """
     M = _as2d(M)
     if M.size == 0:
         return
-    dev = float(np.max(np.abs(np.linalg.eigvalsh(1j * (M - M.conj().T)))))
+    D = M - M.conj().T
+    if np.linalg.norm(D) <= threshold:
+        return
+    dev = float(np.max(np.abs(np.linalg.eigvalsh(1j * D))))
     if dev > threshold and dev > threshold * max(1.0, operator_norm(M)):
         raise NotHermitian(f"deviation {dev:.3e}")
 

@@ -691,8 +691,9 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     x0 is a callable z -> d-vector or a (d, nx) array of cell values, the
     layout of final_state and the snapshots, so a run can restart from
     another's final_state.  t_final and L must be finite numbers > 0, and
-    each snapshot time a finite number in [0, t_final]; a snapshot is the
-    state after the first step that reaches its time.
+    each snapshot time a finite number in [0, t_final]; a snapshot is x0
+    for a time within 1e-12 of 0, otherwise the state after the first step
+    that reaches its time.
 
     First order in space (characteristic upwinding of w = Hx with H frozen
     per cell), classical four-stage explicit stepping in time with
@@ -781,6 +782,9 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
 
     snap_list = []
     snap_idx = 0
+    while snap_idx < len(snap_times) and snap_times[snap_idx] <= 1e-12:
+        snap_list.append((0.0, as_cells(x)))
+        snap_idx += 1
 
     for step in range(n_steps):
         y = M @ x

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from phwell import smooth_bump
 from phwell.cli import main
 from phwell.config import write_config
 from phwell.corpus import build_transport, build_wave, get_entry
@@ -111,6 +112,31 @@ def test_simulate_snapshot_lands_beside_its_trace(tmp_path, monkeypatch):
     trace, snap = sorted(p.name for p in (tmp_path / "runs.d").iterdir())
     assert trace == "trace"
     assert snap.startswith("trace_t0.1") and snap.endswith(".csv")
+
+
+def test_simulate_rejects_missing_out_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_config(build_transport(), tmp_path / "transport.json")
+    code = main(["simulate", "transport.json", "--tfinal", "0.1", "--cells", "32",
+                 "--out", "nodir/trace.csv"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "nodir" in captured.err and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["transport.json"]
+
+
+def test_simulate_snapshot_at_zero_is_the_initial_state(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_config(build_transport(), tmp_path / "transport.json")
+    code = main(["simulate", "transport.json", "--tfinal", "0.1", "--cells", "32",
+                 "--snap", "0"])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "trace.csv", "trace_t0.csv", "transport.json"]
+    x0 = smooth_bump(0.3, 0.15, 1)  # the CLI's default bump
+    centers = (np.arange(32) + 0.5) / 32
+    np.testing.assert_array_equal(np.loadtxt("trace_t0.csv", delimiter=","),
+                                  [x0(z)[0].real for z in centers])
 
 
 def test_oracle_command(tmp_path, capsys):

@@ -1,9 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phwell import parse_config, system_from_dict, system_to_dict
+from phwell import config, parse_config, system_from_dict, system_to_dict
 from phwell.cli import analyze, main
 from phwell.config import verdict_to_json, write_config
 from phwell.corpus import CORPUS, random_system
@@ -248,3 +251,76 @@ def test_empty_boundary_rows_on_the_interval_have_width_2nd():
     doc = wave_doc()
     doc["WB_hat"] = []
     assert system_from_dict(doc).WB_hat.shape == (0, 4)
+
+
+def _by_entry(raw, path, allow_complex):
+    """A matrix parsed one _entry at a time, or the ParseError it raises."""
+    try:
+        return np.array([[config._entry(v, f"{path}[{i}][{j}]", allow_complex)
+                          for j, v in enumerate(row)] for i, row in enumerate(raw)],
+                        dtype=complex)
+    except ParseError as exc:
+        return str(exc)
+
+
+_parts = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from([0.0, -0.0, 0, 2**53 + 1, 2**63, 2**64 + 1, -2**70])
+          | st.integers(-10**6, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.booleans(),
+       st.data())
+def test_matrix_is_bit_identical_to_entry_by_entry(nrows, ncols, allow_complex, data):
+    entry = _parts | st.lists(_parts, min_size=2, max_size=2)
+    raw = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+    expected = _by_entry(raw, "P[0]", allow_complex)
+    if isinstance(expected, str):  # a real-field system given a complex entry
+        with pytest.raises(ParseError, match=re.escape(expected)):
+            config._matrix(raw, "P[0]", allow_complex)
+        return
+    got = config._matrix(raw, "P[0]", allow_complex)
+    assert got.dtype == complex and got.shape == (nrows, ncols)
+    np.testing.assert_array_equal(got, expected)
+    for part in ("real", "imag"):
+        np.testing.assert_array_equal(np.signbit(getattr(got, part)),
+                                      np.signbit(getattr(expected, part)))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("raw,allow_complex,message,path", [
+    ([[True, 0.0], [0.0, NAN]], True,
+     "P[1][0][0]: booleans are not numbers", "P[1][0][0]"),
+    ([[0.0, 0.0], [False, 1.0]], True,
+     "P[1][1][0]: booleans are not numbers", "P[1][1][0]"),
+    ([[0.0, [0.0, False]], [0.0, 0.0]], True,
+     "P[1][0][1]: [re, im] parts must be numbers", "P[1][0][1]"),
+    ([[NAN, "x"], [0.0, 0.0]], True,
+     "P[1][0][0]: entries must be finite numbers", "P[1][0][0]"),
+    ([[0.0, "x"], [0.0]], True,
+     "P[1][0][1]: expected a number or [re, im] pair", "P[1][0][1]"),
+    ([[[1, True], 0.0], [0.0, 0.0]], True,
+     "P[1][0][0]: [re, im] parts must be numbers", "P[1][0][0]"),
+    ([[0.0, 0.0], [[1], 0.0]], True,
+     "P[1][1][0]: complex entries are [re, im] pairs, got length 1", "P[1][1][0]"),
+    ([[0.0, 0.0], [0.0, 10**400]], True,
+     "P[1][1]: entries must be finite numbers", "P[1]"),
+    ([[0.0, [10**400, 0]], [0.0, 0.0]], True,
+     "P[1][0]: entries must be finite numbers", "P[1]"),
+    ([[0.0, [0.0, float("inf")]], [0.0, 0.0]], True,
+     "P[1][0][1]: [re, im] parts must be finite numbers", "P[1][0][1]"),
+    ([[0.0, [0.0, 1.0]], [0.0, 0.0]], False,
+     "P[1][0][1]: complex entry in a real-field system", "P[1][0][1]"),
+    ([[0.0, None], [0.0, 0.0]], True,
+     "P[1][0][1]: expected a number or [re, im] pair", "P[1][0][1]"),
+    ([[0.0, 1.0], [2.0, 3.0, 4.0]], True,
+     "P[1]: row 1 has length 3, expected 2", "P[1]"),
+])
+def test_malformed_matrix_names_its_first_bad_entry(raw, allow_complex, message, path):
+    with pytest.raises(ParseError) as err:
+        config._matrix(raw, "P[1]", allow_complex)
+    assert str(err.value) == message
+    assert err.value.path == path

@@ -13,6 +13,7 @@ from phwell.interval import (
     check_v_contraction,
     extract_v,
     kernel_energy_form,
+    range_containment,
     sigma_form,
 )
 from phwell.model import BoundaryOperator, build_q_for_system, split_boundary_operator
@@ -303,3 +304,31 @@ def test_analyze_without_boundary_conditions():
     assert v["T1.5"].diagnostics["kernel_dim"] == 2.0
     assert not v.warnings
     assert not v.discrepancy
+
+
+@pytest.mark.parametrize("W1,W2", [
+    (np.diag([1.0, 2.0, 0.0]), np.diag([0.5, 0.0, 0.0])),  # square, singular
+    (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]]),
+     np.array([[0.0, 1.0], [0.0, 0.0], [2.0, 0.0], [1.0, 0.0]])),  # tall
+    (np.array([[1.0, 0.0, 2.0]]), np.array([[0.0, 3.0, 0.0]])),  # wide
+])
+def test_ranbed_ranks_w1_plus_w2_with_one_svd(W1, W2, monkeypatch):
+    T = W1 + W2
+    inputs = []
+    svd = np.linalg.svd
+
+    def recording(M, *args, **kwargs):
+        inputs.append(np.array(M))
+        return svd(M, *args, **kwargs)
+
+    private = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # numpy 1.x
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(private, "svd", recording)
+    alg = algebra_from_split(W1, W2)
+    res = range_containment(W1, W2, alg.rank_w1_plus_w2, TOL.check)
+    monkeypatch.undo()
+    assert sum(m.shape == T.shape and np.array_equal(m, T) for m in inputs) == 1
+    r_t = numlin.numerical_rank(T, TOL.check)
+    r_td = numlin.numerical_rank(np.hstack([T, W1 - W2]), TOL.check)
+    assert res.diagnostics == {"rank_w1_plus_w2": float(r_t), "rank_augmented": float(r_td)}
+    assert res.holds == (r_td == r_t)

@@ -75,6 +75,52 @@ def test_definiteness_runs_no_svd_on_hermitian_input(count_svds):
     assert len(count_svds) == 1
 
 
+def _unitary(n, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+def test_hermitian_screen_keeps_the_spectral_rule():
+    # M - M* = 2i e U diag(1 x 8, 0, ...) U*: ||.||_2 = 2e below the
+    # threshold, ||.||_F = 2e sqrt(8) above it, so the eigensolve decides
+    n, thr = 16, 1e-9
+    U = _unitary(n, 5)
+    herm = 0.5 * U @ np.diag(np.linspace(-1.0, 1.0, n)) @ U.conj().T
+    spread = U @ np.diag([1.0] * 8 + [0.0] * (n - 8)) @ U.conj().T
+    e = 0.4 * thr
+    M = herm + 1j * e * spread
+    assert np.linalg.norm(M - M.conj().T) > thr > np.linalg.norm(M - M.conj().T, 2)
+    assert numlin.operator_norm(M) <= 1.0
+    numlin.require_hermitian(M, thr)
+    # a rank-1 deviation just above the threshold still raises
+    u = U[:, :1]
+    M1 = herm + 1j * (0.505 * thr) * (u @ u.conj().T)
+    with pytest.raises(NotHermitian):
+        numlin.require_hermitian(M1, thr)
+
+
+def test_definiteness_of_hermitian_input_runs_one_eigensolve(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    rng = np.random.default_rng(6)
+    A = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    numlin.definiteness(A + A.conj().T)
+    assert len(calls) == 1
+    # Hermitian up to rounding only
+    U = _unitary(32, 7)
+    M = U @ np.diag(rng.normal(size=32)) @ U.conj().T
+    assert np.any(M != M.conj().T)
+    numlin.definiteness(M)
+    assert len(calls) == 2
+
+
 def _old_hermitian_check(M, tol):
     """The two-SVD test the eigenvalue form replaced: True iff it raised."""
     dev = np.linalg.norm(M - M.conj().T, 2)
@@ -173,6 +219,15 @@ def test_parse_and_analyze_svd_budget(name, budget, count_svds):
     count_svds.clear()
     cli.analyze(config.system_from_dict(json.loads(text)))
     assert len(count_svds) <= budget
+
+
+def test_ranbed_shares_the_w1_plus_w2_svd(count_svds):
+    # 8 while RANBED took its own SVD of the square W1+W2 that extract_v
+    # already decomposes
+    text = json.dumps(config.system_to_dict(CORPUS["path_graph_d32"].system()))
+    count_svds.clear()
+    cli.analyze(config.system_from_dict(json.loads(text)))
+    assert len(count_svds) == 7
 
 
 def test_oracle_runs_one_svd(count_svds):

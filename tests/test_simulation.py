@@ -154,9 +154,11 @@ def test_simulate_rejects_snapshots_outside_the_run(snap):
 
 
 def test_snapshots_at_both_ends_of_the_run():
-    tr = simulate(build_transport(), smooth_bump(0.3, 0.2, 1), 0.1, nx=32,
-                  snapshot_times=[0.1, 0.0])
-    assert [t for t, _ in tr.snapshots] == [tr.times[1], tr.times[-1]]
+    x0 = smooth_bump(0.3, 0.2, 1)
+    tr = simulate(build_transport(), x0, 0.1, nx=32, snapshot_times=[0.1, 0.0])
+    assert [t for t, _ in tr.snapshots] == [0.0, tr.times[-1]]
+    cells = np.array([[x0(z)[0] for z in tr.cell_centers]], dtype=complex)
+    np.testing.assert_array_equal(tr.snapshots[0][1], cells)
     np.testing.assert_array_equal(tr.snapshots[-1][1], tr.final_state)
 
 
