@@ -3,8 +3,10 @@
 Subcommands: analyze, simulate, oracle, corpus, sweep.  Exit codes:
 0 success, 1 usage error, 2 validation/parse error, 3 discrepancy
 detected (two provably equivalent conditions disagreed numerically, a
-corpus entry missed its recorded verdict, or the oracle contradicted
-T1.5 or its own boundary-form cross-check -- all bug signals).
+corpus entry missed its recorded verdict, the oracle contradicted T1.5
+or its own boundary-form cross-check, or a simulation of a system that
+analyze calls a contraction gained energy beyond its allowance -- all
+bug signals).
 """
 
 from __future__ import annotations
@@ -23,12 +25,16 @@ from .halfline import analyze_halfline
 from .interval import analyze_interval
 from .model import HALF_LINE, PortHamiltonianSystem
 from .simulator import dissipativity_oracle, simulate, smooth_bump
+from .verdict import CONTRACTION
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_DISCREPANCY = 3
 ORACLE_CROSS_CHECK_LIMIT = 1e-8  # quadrature vs boundary form; beyond it, a bug
+# largest one-step energy rise, relative to E(0), that a simulated
+# contraction may show (criterion 9's allowance); beyond it, a bug
+SIMULATE_RISE_ALLOWANCE = 1e-3
 
 
 def analyze(sys: PortHamiltonianSystem):
@@ -89,6 +95,12 @@ def _cmd_simulate(args) -> int:
     print(f"E(0) = {trace.energy[0]:.6e}   E(T) = {trace.energy[-1]:.6e}   "
           f"max step increase = {trace.max_violation:.3e}")
     print(f"trace -> {args.out}")
+    allowed = SIMULATE_RISE_ALLOWANCE * trace.energy[0]
+    if analyze(system).consensus == CONTRACTION and trace.max_violation > allowed:
+        print(f"CONTRADICTION: analyze says {CONTRACTION}, but the energy rose by "
+              f"{trace.max_violation:.3e} in one step, above "
+              f"{SIMULATE_RISE_ALLOWANCE:g} E(0) = {allowed:.3e}")
+        return EXIT_DISCREPANCY
     return EXIT_OK
 
 
@@ -136,6 +148,8 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.count < 0:
+        raise PhwellError(f"--count must be >= 0, got {args.count}")
     rng_seeds = np.random.default_rng(args.seed).integers(0, 2**31 - 1,
                                                           size=2 * args.count)
     bad = 0

@@ -239,6 +239,6 @@ def write_config(sys: PortHamiltonianSystem, path) -> None:
         fh.write("\n")
 
 
-def verdict_to_json(verdict, indent=2) -> str:
-    """Deterministic JSON text for a Verdict (sorted keys)."""
-    return json.dumps(verdict.to_json(), indent=indent, sort_keys=True)
+def verdict_to_json(verdict) -> str:
+    """Deterministic JSON text for a Verdict (sorted keys, indent 2)."""
+    return json.dumps(verdict.to_json(), indent=2, sort_keys=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin
+from .errors import ValidationError
 from .halfline import HalfLineAlgebra, decompose_P1
 from .interval import BoundaryAlgebra
 from .model import (
@@ -405,7 +406,7 @@ def _draw_interval(rng, N, d, square=True):
             "H": HamiltonianDensity.constant(np.eye(d)),
             "WB_hat": WB,
         })
-    except Exception:
+    except ValidationError:
         return None
 
 
@@ -448,5 +449,5 @@ def _draw_halfline(rng, d):
             "H": HamiltonianDensity.constant(np.eye(d)),
             "WB_hat": WB,
         })
-    except Exception:
+    except ValidationError:
         return None

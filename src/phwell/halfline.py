@@ -76,17 +76,15 @@ class FactorizationFailure:
     U1: np.ndarray | None = None
 
 
-def decompose_P1(P1, tol: float = None) -> HalfLineDecomposition:
+def decompose_P1(P1, tol: float = numlin.DEFAULT_TOL) -> HalfLineDecomposition:
     """Unitary diagonalization of Hermitian P_1 with the positive block first.
 
-    Raises SingularP1 when an eigenvalue sits numerically at zero.
+    Raises SingularP1 when an eigenvalue sits numerically at zero, by the
+    one rank rule on the |eigenvalues| (P_1's singular values).
     """
-    if tol is None:
-        tol = numlin.DEFAULT_TOL
     P1 = np.asarray(P1, dtype=complex)
     S, w = numlin.hermitian_eigendecomposition(P1, tol)
-    scale = max(1.0, float(np.max(np.abs(w)))) if w.size else 1.0
-    if np.any(np.abs(w) <= tol * scale):
+    if numlin.rank_from_singular_values(np.sort(np.abs(w))[::-1], tol) < w.size:
         raise SingularP1("P_1 has an eigenvalue numerically at zero")
     n1 = int(np.sum(w > 0))
     n2 = w.size - n1

@@ -98,17 +98,14 @@ def extract_v(W1, W2, tol: float = numlin.DEFAULT_TOL) -> VExtraction:
     return VExtraction(V, smin, smax, rank)
 
 
-def range_containment(W1, W2, r_t: int,
-                      tol: float = numlin.DEFAULT_TOL) -> ConditionResult:
-    """RANBED: rank [W1+W2 | W1-W2] equals r_t = rank (W1+W2).
+def range_containment(r_t: int, r_td: int) -> ConditionResult:
+    """RANBED: r_td = rank [W1+W2 | W1-W2] equals r_t = rank (W1+W2).
 
-    r_t comes from BoundaryAlgebra, which reads it off an SVD of W1+W2
-    it takes anyway.  Informational: with W1+W2 injective (square case)
-    the containment is automatic, so it never gates the equivalence family.
+    [W1+W2 | W1-W2] = WB_hat [Q -Q; I I]^{-1} [[I, I], [I, -I]], so r_td is
+    rank WB_hat; BoundaryAlgebra reads both ranks off SVDs it takes anyway.
+    Informational: with W1+W2 injective (square case) the containment is
+    automatic, so it never gates the equivalence family.
     """
-    T = np.asarray(W1) + np.asarray(W2)
-    D = np.asarray(W1) - np.asarray(W2)
-    r_td = numlin.numerical_rank(np.hstack([T, D]), tol)
     return ConditionResult(
         "RANBED", True, r_td == r_t,
         {"rank_w1_plus_w2": float(r_t), "rank_augmented": float(r_td)},
@@ -158,6 +155,7 @@ class BoundaryAlgebra:
     kernel_dim: int
     ext: VExtraction  # the single decision on W1+W2
     rank_w1_plus_w2: int  # read by RANBED alone
+    rank_wb_hat: int  # rank [W1+W2 | W1-W2] for RANBED; rank == k is surjectivity
     smin_w1_plus_w2: float
     inj_w2_minus_w1: bool
     smin_w2_minus_w1: float
@@ -205,6 +203,7 @@ class BoundaryAlgebra:
             kernel_dim=K.shape[1],
             ext=ext,
             rank_w1_plus_w2=rank_t,
+            rank_wb_hat=rank,
             smin_w1_plus_w2=smin_t,
             inj_w2_minus_w1=inj_m,
             smin_w2_minus_w1=smin_m,
@@ -415,7 +414,7 @@ def analyze_interval(sys: PortHamiltonianSystem) -> Verdict:
                         "unaffected but rank-based conditions will fail")
 
     conditions = [
-        range_containment(bop.W1, bop.W2, alg.rank_w1_plus_w2, sys.tol.check),
+        range_containment(alg.rank_w1_plus_w2, alg.rank_wb_hat),
         check_injective_psd(alg),
         check_v_contraction(alg),
         check_kernel_dissipativity(alg),

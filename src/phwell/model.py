@@ -63,10 +63,10 @@ class Tolerances:
     """Relative thresholds for structure, rank and definiteness decisions.
 
     tau_struct, tau_rank and tau_pd govern validation: the symmetry of the
-    P_k and of H, the invertibility of P_N and Q, the inertia of P_1 and
-    the positivity of H.  check is the one threshold of every condition
-    decision; v_norm_slack is the absolute slack of ||V|| <= 1.  Every
-    value must be a finite number >= 0 (zero included).
+    P_k and of H, the invertibility of P_N (no zero eigenvalue of P_1 on
+    the half line) and Q, and the positivity of H.  check is the one
+    threshold of every condition decision; v_norm_slack is the absolute
+    slack of ||V|| <= 1.  Every value must be a finite number >= 0.
     """
 
     tau_struct: float = dc_field(default_factory=default_tolerance)
@@ -177,7 +177,11 @@ def _num_to_json(x):
 
 @dataclass(frozen=True)
 class PortHamiltonianSystem:
-    """A validated system; construct through validate_system()."""
+    """A validated system; construct through validate_system().
+
+    P_k (k >= 1) is kept exactly (skew-)Hermitian, 0.5 (P_k + (-1)^{k+1} P_k^*),
+    so no later symmetry check fails; exact input is kept bit for bit.
+    """
 
     field: str  # 'real' | 'complex'
     interval: str  # UNIT_INTERVAL | HALF_LINE
@@ -294,17 +298,25 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
             if np.any(np.abs(Pk.imag) > 0):
                 raise StructureError(f"real-field system has complex P[{k}]", path=f"P[{k}]")
 
-    # P_k^* = (-1)^{k+1} P_k, k = 1..N; i P_k is Hermitian iff P_k is skew
+    # P_k^* = (-1)^{k+1} P_k, k = 1..N; i P_k is Hermitian iff P_k is skew.
+    # The accepted P_k is kept as its exact (skew-)Hermitian part.
     for k in range(1, N + 1):
         kind = "Hermitian" if k % 2 == 1 else "skew-Hermitian"
         try:
             numlin.require_hermitian(P[k] if k % 2 == 1 else 1j * P[k], tol.tau_struct)
         except NotHermitian as exc:
             raise StructureError(f"P[{k}] must be {kind}: {exc}", path=f"P[{k}]") from None
+        P[k] = 0.5 * (P[k] + (-1) ** (k + 1) * P[k].conj().T)
 
-    # P_N invertible
+    if interval == HALF_LINE and N != 1:
+        raise StructureError("half_line systems must have N = 1", path="N")
+
+    # P_N invertible; a Hermitian P_1's singular values are its |eigenvalues|
     s = np.linalg.svd(P[N], compute_uv=False)
     if numlin.rank_from_singular_values(s, tol.tau_rank) < d:
+        if interval == HALF_LINE:
+            raise SingularP1(f"P[1] has an eigenvalue numerically at zero "
+                             f"(s_min={s[-1]:.3e})", path="P[1]")
         raise SingularPN(f"P[{N}] is numerically singular (s_min={s[-1]:.3e})", path=f"P[{N}]")
 
     # H Hermitian positive definite at every sample
@@ -340,16 +352,7 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
     if field == "real" and np.any(np.abs(WB.imag) > 0):
         raise StructureError("real-field system has complex WB_hat", path="WB_hat")
 
-    if interval == HALF_LINE:
-        if N != 1:
-            raise StructureError("half_line systems must have N = 1", path="N")
-        n_pos, n_zero, n_neg = numlin.inertia(P[1], tol.tau_rank)
-        if n_zero > 0:
-            raise SingularP1(
-                f"P[1] has {n_zero} eigenvalue(s) at zero; half-line theory needs none",
-                path="P[1]",
-            )
-    elif N > 1:  # for N = 1, Q = P_1 = P_N, decided above
+    if N > 1:  # unit interval; for N = 1, Q = P_1 = P_N, decided above
         _check_q(build_q(P[1:]), tol.tau_rank)
 
     return PortHamiltonianSystem(

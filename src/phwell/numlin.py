@@ -1,9 +1,9 @@
 """Tolerance-aware numerical linear algebra primitives shared by all checkers.
 
 Every rank decision -- rank, kernel, injectivity, surjectivity,
-invertibility -- goes through rank_from_singular_values, the one rank
-rule; callers never compare singular values themselves.  Every symmetry
-decision goes through require_hermitian, the one Hermitian rule.
+invertibility, inertia's zero count -- goes through rank_from_singular_values,
+the one rank rule; callers never compare singular values themselves.  Every
+symmetry decision goes through require_hermitian, the one Hermitian rule.
 Definiteness is decided by eigenvalue extremes of the symmetrized matrix.
 Nothing here depends on the problem structure.
 """
@@ -181,18 +181,14 @@ def hermitian_eigendecomposition(P, tol: float = DEFAULT_TOL):
 def inertia(P, tol: float = DEFAULT_TOL):
     """Counts (n_pos, n_zero, n_neg) of eigenvalues of Hermitian P.
 
-    Eigenvalues within tol * max(1, |lambda|_max) of zero count as zero.
+    |eigenvalues| of Hermitian P are its singular values: n_zero = d - rank.
     """
     P = _as2d(P)
-    if P.shape[0] == 0:
-        return 0, 0, 0
     w = np.linalg.eigvalsh(hermitian_part(P))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    thr = tol * scale
-    n_pos = int(np.sum(w > thr))
-    n_neg = int(np.sum(w < -thr))
-    n_zero = P.shape[0] - n_pos - n_neg
-    return n_pos, n_zero, n_neg
+    order = np.argsort(-np.abs(w), kind="stable")
+    rank = rank_from_singular_values(np.abs(w[order]), tol)
+    n_pos = int(np.sum(w[order[:rank]] > 0))
+    return n_pos, w.size - rank, rank - n_pos
 
 
 def principal_angles(A, B) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from phwell import smooth_bump
 from phwell.cli import main
-from phwell.config import write_config
+from phwell.config import system_to_dict, write_config
 from phwell.corpus import build_transport, build_wave, get_entry
 
 
@@ -217,3 +217,70 @@ def test_corpus_run_mismatch_exit_code(monkeypatch, capsys):
     monkeypatch.setitem(corpus_mod.CORPUS, "path_graph_d8", wrong)
     assert main(["corpus", "--run", "path_graph_d8"]) == 3
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_sweep_rejects_negative_count(capsys):
+    assert main(["sweep", "--count", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "--count" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("name,code", [("wave_interval_antidamped", 3),
+                                       ("wave_interval_damped", 0)])
+def test_simulate_contradiction_exit_code(name, code, tmp_path, monkeypatch, capsys):
+    # the antidamped wave gains about 6 % of E(0) in one step at these
+    # settings; a contraction verdict beside that is a bug signal
+    import dataclasses
+
+    import phwell.cli as cli_mod
+
+    real = cli_mod.analyze
+    monkeypatch.setattr(cli_mod, "analyze", lambda system: dataclasses.replace(
+        real(system), consensus="contraction"))
+    cfg = tmp_path / "cfg.json"
+    write_config(get_entry(name).system(), cfg)
+    assert main(["simulate", str(cfg), "--tfinal", "0.5", "--cells", "32",
+                 "--out", str(tmp_path / "trace.csv")]) == code
+    out = capsys.readouterr().out
+    assert ("CONTRADICTION: analyze says contraction" in out) == (code == 3)
+    assert (tmp_path / "trace.csv").exists()
+
+
+def test_simulate_zero_initial_energy_is_no_contradiction(wave_cfg, tmp_path, capsys):
+    # a narrow bump between cell centres samples to zero: E(0) = 0 and the
+    # energy never rises, so the contraction verdict stands (no division)
+    assert main(["simulate", wave_cfg, "--tfinal", "0.5", "--cells", "32",
+                 "--bump-width", "0.01", "--out", str(tmp_path / "trace.csv")]) == 0
+    assert "E(0) = 0.000000e+00" in capsys.readouterr().out
+
+
+def _verdict_fields(doc):
+    return (doc["consensus"], doc["unitary"], doc["discrepancy"],
+            {cid: (c["applicable"], c["holds"]) for cid, c in doc["conditions"].items()})
+
+
+@pytest.mark.parametrize("via", ["tolerances", "PHWELL_TOL"])
+@pytest.mark.parametrize("interval", ["half_line", "unit_interval"])
+def test_validated_near_symmetric_p1_runs_every_command(interval, via, tmp_path,
+                                                        monkeypatch, capsys):
+    exact = tmp_path / "exact.json"
+    write_config(build_wave(interval, 0.5), exact)
+    assert main(["analyze", str(exact), "--json"]) == 0
+    want = _verdict_fields(json.loads(capsys.readouterr().out))
+    # P[1] is Hermitian within 1e-7: accepted at tau_struct = 1e-6
+    doc = system_to_dict(build_wave(interval, 0.5))
+    doc["P"][1] = [[0.0, 1.0000001], [1.0, 0.0]]
+    del doc["tolerances"]
+    if via == "tolerances":
+        doc["tolerances"] = {"tau_struct": 1e-6}
+    else:
+        monkeypatch.setenv("PHWELL_TOL", "1e-6")
+    cfg = str(tmp_path / "near.json")
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["analyze", cfg, "--json"]) == 0
+    assert _verdict_fields(json.loads(capsys.readouterr().out)) == want
+    assert main(["simulate", cfg, "--tfinal", "0.3", "--cells", "32",
+                 "--out", str(tmp_path / "trace.csv")]) == 0
+    if interval == "unit_interval":  # the oracle covers the unit interval only
+        assert main(["oracle", cfg, "--samples", "8"]) == 0

@@ -163,3 +163,16 @@ def test_interval_draws_decide_q_once(monkeypatch):
     # decided by the P_N check alone
     draws = [random_system(seed, klass=INTERVAL_SQUARE) for seed in range(20)]
     assert len(calls) == sum(s.order_N > 1 for s in draws)
+
+
+@pytest.mark.parametrize("klass", [INTERVAL_SQUARE, HALFLINE, INTERVAL_RECT])
+def test_random_draws_let_program_errors_through(klass, monkeypatch):
+    # only a ValidationError rejects a draw; anything else is a bug to show
+    from phwell import corpus
+
+    def broken(raw):
+        raise TypeError("bug in validate_system")
+
+    monkeypatch.setattr(corpus, "validate_system", broken)
+    with pytest.raises(TypeError, match="bug in validate_system"):
+        random_system(5, klass=klass)

@@ -325,7 +325,7 @@ def test_ranbed_ranks_w1_plus_w2_with_one_svd(W1, W2, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording)
     monkeypatch.setattr(private, "svd", recording)
     alg = algebra_from_split(W1, W2)
-    res = range_containment(W1, W2, alg.rank_w1_plus_w2, TOL.check)
+    res = range_containment(alg.rank_w1_plus_w2, alg.rank_wb_hat)
     monkeypatch.undo()
     assert sum(m.shape == T.shape and np.array_equal(m, T) for m in inputs) == 1
     r_t = numlin.numerical_rank(T, TOL.check)

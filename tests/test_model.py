@@ -7,6 +7,7 @@ from phwell import (
     boundary_trace,
     build_q,
     extract_v,
+    numlin,
     port_variables,
     split_boundary_operator,
     validate_system,
@@ -21,6 +22,7 @@ from phwell.errors import (
     StructureError,
     ValidationError,
 )
+from phwell.halfline import decompose_P1
 from phwell.model import BoundaryTrace, derive_boundary_operator
 from phwell.simulator import boundary_interpolant, from_polynomial
 
@@ -295,3 +297,64 @@ def test_derive_boundary_operator_reconstruction():
     eye = np.eye(2)
     np.testing.assert_allclose(0.5 * T @ (eye + V), bop.W1, atol=1e-12)
     np.testing.assert_allclose(0.5 * T @ (eye - V), bop.W2, atol=1e-12)
+
+
+@pytest.mark.parametrize("interval", ["unit_interval", "half_line"])
+def test_validated_p1_is_exactly_hermitian(interval):
+    # accepted within tau_struct and stored as its Hermitian part, so a
+    # later symmetry check passes at any threshold, zero included
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        E = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        P1 = A + A.conj().T + 1e-7 * E
+        raw = wave_raw(interval=interval, field="complex", P=[np.zeros((2, 2)), P1],
+                       tolerances=Tolerances(tau_struct=1e-5))
+        if interval == "half_line":
+            raw["WB_hat"] = np.array([[1.0, 1.0]])
+        P = validate_system(raw).P[1]
+        assert np.array_equal(P, P.conj().T)
+        np.testing.assert_allclose(P, P1, atol=1e-6)
+        numlin.hermitian_eigendecomposition(P, 0.0)
+        numlin.definiteness(P, 0.0)
+
+
+def test_validated_p2_is_exactly_skew_hermitian():
+    rng = np.random.default_rng(33)
+    A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    raw = wave_raw(N=2, field="complex", WB_hat=np.eye(4, 8),
+                   P=[np.zeros((2, 2)), np.diag([1.0, -1.0]), A - A.conj().T + 1e-9 * A],
+                   tolerances=Tolerances(tau_struct=1e-6))
+    P2 = validate_system(raw).P[2]
+    assert np.array_equal(P2, -P2.conj().T)
+    numlin.require_hermitian(1j * P2, 0.0)
+
+
+def test_exactly_hermitian_p_is_stored_bit_for_bit():
+    rng = np.random.default_rng(32)
+    A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    P1, P2 = 0.5 * (A + A.conj().T), 0.5 * (A - A.conj().T)
+    sys = validate_system(wave_raw(N=2, d=3, field="complex", WB_hat=np.eye(6, 12),
+                                   P=[np.zeros((3, 3)), P1, P2],
+                                   H=HamiltonianDensity.constant(np.eye(3))))
+    assert np.array_equal(sys.P[1], P1) and np.array_equal(sys.P[2], P2)
+
+
+@pytest.mark.parametrize("interval,error", [("unit_interval", SingularPN),
+                                            ("half_line", SingularP1)])
+def test_p1_rank_threshold_is_one_rule(interval, error):
+    # |w|min / |w|max = 5e-10 is above tau_rank = 1e-10: invertible on both
+    # intervals, though |w|min is below tau_rank itself; 5e-11 is below it
+    tol = Tolerances(tau_rank=1e-10, check=1e-10)
+    raw = wave_raw(interval=interval, P=[np.zeros((2, 2)), np.diag([0.1, -5e-11])],
+                   tolerances=tol)
+    if interval == "half_line":
+        raw["WB_hat"] = np.array([[0.0, 1.0]])
+    validate_system(raw)
+    assert decompose_P1(raw["P"][1], tol.tau_rank).n2 == 1
+    raw["P"] = [np.zeros((2, 2)), np.diag([0.1, -5e-12])]
+    with pytest.raises(error) as exc:
+        validate_system(raw)
+    assert exc.value.path == "P[1]"
+    with pytest.raises(SingularP1):
+        decompose_P1(raw["P"][1], tol.tau_rank)

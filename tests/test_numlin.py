@@ -213,7 +213,7 @@ def test_rank_rule_examples():
     assert rank(np.array([1.0, 1e-10]), 0.0) == 2
 
 
-@pytest.mark.parametrize("name,budget", [("path_graph_d32", 9), ("wave_halfline_u05", 5)])
+@pytest.mark.parametrize("name,budget", [("path_graph_d32", 6), ("wave_halfline_u05", 5)])
 def test_parse_and_analyze_svd_budget(name, budget, count_svds):
     text = json.dumps(config.system_to_dict(CORPUS[name].system()))
     count_svds.clear()
@@ -223,11 +223,28 @@ def test_parse_and_analyze_svd_budget(name, budget, count_svds):
 
 def test_ranbed_shares_the_w1_plus_w2_svd(count_svds):
     # 8 while RANBED took its own SVD of the square W1+W2 that extract_v
-    # already decomposes
+    # already decomposes, 7 while it took one of [W1+W2 | W1-W2], whose
+    # rank is the rank of WB_hat
     text = json.dumps(config.system_to_dict(CORPUS["path_graph_d32"].system()))
     count_svds.clear()
     cli.analyze(config.system_from_dict(json.loads(text)))
-    assert len(count_svds) == 7
+    assert len(count_svds) == 6
+
+
+def test_halfline_parse_and_analyze_eigensolves(monkeypatch):
+    # 6 while validation counted P_1's zero eigenvalues with an eigensolve
+    # of its own beside the P_N SVD
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        def counting(*args, _f=getattr(np.linalg, name), **kwargs):
+            calls.append(1)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    text = json.dumps(config.system_to_dict(CORPUS["wave_halfline_u05"].system()))
+    calls.clear()
+    cli.analyze(config.system_from_dict(json.loads(text)))
+    assert len(calls) == 5
 
 
 def test_oracle_runs_one_svd(count_svds):

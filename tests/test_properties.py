@@ -151,3 +151,17 @@ def test_extract_v_unique_factorization():
         W2 = 0.5 * S @ (eye - V)
         ext = extract_v(W1, W2)
         np.testing.assert_allclose(ext.V, V, atol=1e-8 * max(1, numlin.operator_norm(V)))
+
+
+def test_ranbed_augmented_rank_is_the_rank_of_wb_hat():
+    # [W1+W2 | W1-W2] = WB_hat [Q -Q; I I]^{-1} [[I, I], [I, -I]]: both
+    # factors are invertible, so RANBED reads rank WB_hat off the bundle
+    rng = np.random.default_rng(2024)  # criterion 1's pool
+    systems = [random_system(int(rng.integers(0, 2**31 - 1)), klass="interval_square")
+               for _ in range(200)]
+    systems += [e.system() for e in CORPUS.values() if e.system().interval == "unit_interval"]
+    for sys in systems:
+        bop = derive_boundary_operator(sys)
+        alg = BoundaryAlgebra.of(bop, sys.re_P0(), sys.tol)
+        augmented = np.hstack([bop.W1 + bop.W2, bop.W1 - bop.W2])
+        assert alg.rank_wb_hat == numlin.numerical_rank(augmented, sys.tol.check)
