@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -239,6 +240,67 @@ def write_config(sys: PortHamiltonianSystem, path) -> None:
         fh.write("\n")
 
 
+def _literal(value) -> str:
+    """true, false or null, chosen by identity: np.bool_ is not a JSON value."""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"expected True, False or None, got {value!r}")
+
+
+def _diagnostic(value) -> str:
+    """A diagnostic as json prints it: numbers (bools too) as floats."""
+    if isinstance(value, (int, float)):
+        x = float(value)
+        if math.isfinite(x):
+            return float.__repr__(x)
+        return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"a diagnostic is a number, a string or None, got {value!r}")
+
+
+def _block(items, opening: str, closing: str, indent: str) -> str:
+    """One JSON object or array body from its item lines, {} or [] if empty."""
+    if not items:
+        return opening + closing
+    return opening + "\n" + ",\n".join(items) + "\n" + indent + closing
+
+
 def verdict_to_json(verdict) -> str:
-    """Deterministic JSON text for a Verdict (sorted keys, indent 2)."""
-    return json.dumps(verdict.to_json(), indent=2, sort_keys=True)
+    """The JSON report of a Verdict; the one definition of its layout.
+
+    The text json.dumps(..., indent=2, sort_keys=True) gives: keys sorted
+    as str, ASCII with \\uXXXX escapes, every numeric diagnostic as a
+    float in repr form (NaN, Infinity, -Infinity when not finite), and no
+    trailing newline.
+    """
+    by_id = {c.condition_id: c for c in verdict.conditions}
+    conditions = []
+    for cid in sorted(by_id):
+        c = by_id[cid]
+        diags = c.diagnostics
+        diagnostics = _block([f"        {_string(k)}: {_diagnostic(diags[k])}"
+                              for k in sorted(diags)], "{", "}", "      ")
+        reason = "null" if c.reason is None else _string(c.reason)
+        conditions.append(
+            f"    {_string(cid)}: {{\n"
+            f"      \"applicable\": {_literal(c.applicable)},\n"
+            f"      \"diagnostics\": {diagnostics},\n"
+            f"      \"holds\": {_literal(c.holds)},\n"
+            f"      \"reason\": {reason}\n"
+            "    }")
+    warnings = [f"    {_string(w)}" for w in verdict.warnings]
+    return (
+        "{\n"
+        f"  \"conditions\": {_block(conditions, '{', '}', '  ')},\n"
+        f"  \"consensus\": {_string(verdict.consensus)},\n"
+        f"  \"discrepancy\": {_literal(verdict.discrepancy)},\n"
+        f"  \"unitary\": {_literal(verdict.unitary)},\n"
+        f"  \"warnings\": {_block(warnings, '[', ']', '  ')}\n"
+        "}")

@@ -115,10 +115,7 @@ def range_containment(r_t: int, r_td: int) -> ConditionResult:
 def isometry_defect(V) -> float:
     """|| I - V V^* ||: zero iff V is a co-isometry (unitary when square)."""
     V = np.asarray(V, dtype=complex)
-    n = V.shape[0]
-    if n == 0:
-        return 0.0
-    return float(np.linalg.norm(np.eye(n) - V @ V.conj().T, 2))
+    return numlin.operator_norm(np.eye(V.shape[0]) - V @ V.conj().T)
 
 
 def _rank_smin(M, tol: float):

@@ -99,11 +99,14 @@ def smallest_singular_value(M) -> float:
 
 
 def operator_norm(M) -> float:
-    """Largest singular value of M; 0.0 for an empty matrix."""
+    """Largest singular value of M; 0.0 for an empty matrix.
+
+    The one gesdd call np.linalg.norm(M, 2) makes, without its wrapping.
+    """
     M = _as2d(M)
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 def hermitian_part(M) -> np.ndarray:

@@ -48,6 +48,10 @@ from .errors import (
 from .interval import kernel_energy_form
 from .model import HALF_LINE, UNIT_INTERVAL, PortHamiltonianSystem, build_q_for_system
 
+# simulate's step limit.  Its per-step records take 24 + 32 d bytes a step
+# (56 MB at d = 1); every run of the tests and the benchmark takes fewer
+# than 1,000 steps.
+MAX_STEPS = 1_000_000
 _SIGMA_FLOOR = 1.0 / 500.0  # below this, exp(-1/t) * poly(1/t) is flat zero
 _SIGMA_POLYS = [np.polynomial.Polynomial([1.0])]
 
@@ -691,9 +695,10 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     x0 is a callable z -> d-vector or a (d, nx) array of cell values, the
     layout of final_state and the snapshots, so a run can restart from
     another's final_state.  t_final and L must be finite numbers > 0, and
-    each snapshot time a finite number in [0, t_final]; a snapshot is x0
-    for a time within 1e-12 of 0, otherwise the state after the first step
-    that reaches its time.
+    each snapshot time a finite number in [0, t_final]; a run needing more
+    than MAX_STEPS steps is refused before anything is allocated.  A
+    snapshot is x0 for a time within 1e-12 of 0, otherwise the state after
+    the first step that reaches its time.
 
     First order in space (characteristic upwinding of w = Hx with H frozen
     per cell), classical four-stage explicit stepping in time with
@@ -747,6 +752,9 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     lam_max = float(np.max(np.abs(closure.delta))) * sys.h_max_eig
     dt = cfl * h / lam_max
     n_steps = max(1, int(np.ceil(t_final / dt - 1e-12)))
+    if n_steps > MAX_STEPS:
+        raise PhwellError(f"t_final = {t_final:g} at nx = {nx} needs {n_steps} steps, "
+                          f"more than the limit of {MAX_STEPS}")
     dt = t_final / n_steps
 
     P0b = sparse.kron(sparse.eye_array(nx), sparse.csr_array(sys.P[0]), format="csr")

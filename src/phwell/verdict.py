@@ -2,7 +2,8 @@
 
 The JSON schema is fixed: one object per condition id carrying
 {applicable, holds, diagnostics, reason}, plus consensus, unitary,
-discrepancy and warnings at the top level.
+discrepancy and warnings at the top level.  The report layout lives in
+config.verdict_to_json, which writes it from these fields.
 """
 
 from __future__ import annotations
@@ -29,17 +30,6 @@ class ConditionResult:
     diagnostics: dict = field(default_factory=dict)
     reason: str | None = None
 
-    def to_json(self):
-        diags = {}
-        for k, v in sorted(self.diagnostics.items()):
-            diags[k] = float(v) if isinstance(v, (int, float)) else v
-        return {
-            "applicable": self.applicable,
-            "holds": self.holds,
-            "diagnostics": diags,
-            "reason": self.reason,
-        }
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -62,15 +52,6 @@ class Verdict:
             if c.condition_id == condition_id:
                 return c
         raise KeyError(condition_id)
-
-    def to_json(self):
-        return {
-            "conditions": {c.condition_id: c.to_json() for c in self.conditions},
-            "consensus": self.consensus,
-            "unitary": self.unitary,
-            "discrepancy": self.discrepancy,
-            "warnings": list(self.warnings),
-        }
 
 
 def family_outcome(results):

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from phwell import smooth_bump
 from phwell.cli import main
 from phwell.config import system_to_dict, write_config
-from phwell.corpus import build_transport, build_wave, get_entry
+from phwell.corpus import CORPUS, build_transport, build_wave, get_entry
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -32,6 +35,14 @@ def test_analyze_json_schema(wave_cfg, capsys):
     assert set(doc["conditions"]) == {"TA.3", "TA.4", "TA2.3", "TA2.4"}
     for body in doc["conditions"].values():
         assert set(body) == {"applicable", "holds", "diagnostics", "reason"}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_analyze_json_prints_the_golden_report(name, tmp_path, capsys):
+    cfg = tmp_path / f"{name}.json"
+    write_config(CORPUS[name].system(), cfg)
+    assert main(["analyze", str(cfg), "--json"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_analyze_validation_exit_code(tmp_path, capsys):
@@ -78,6 +89,18 @@ def test_simulate_rejects_bad_tfinal(t_final, tmp_path, capsys):
                  "--out", str(tmp_path / "trace.csv")])
     assert code == 2
     assert "t_final" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_simulate_refuses_a_run_beyond_the_step_limit(tmp_path, capsys):
+    cfg = tmp_path / "wave.json"
+    write_config(build_wave("unit_interval", 0.7), cfg)
+    code = main(["simulate", str(cfg), "--tfinal", "1e9", "--cells", "16",
+                 "--out", str(tmp_path / "trace.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "t_final = 1e+09 at nx = 16 needs" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "trace.csv").exists()
 
 

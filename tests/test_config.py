@@ -11,6 +11,7 @@ from phwell.cli import analyze, main
 from phwell.config import verdict_to_json, write_config
 from phwell.corpus import CORPUS, random_system
 from phwell.errors import ParseError, ShapeError
+from phwell.verdict import ConditionResult, Verdict
 
 
 def wave_doc():
@@ -324,3 +325,137 @@ def test_malformed_matrix_names_its_first_bad_entry(raw, allow_complex, message,
         config._matrix(raw, "P[1]", allow_complex)
     assert str(err.value) == message
     assert err.value.path == path
+
+
+# ---------------------------------------------------------------------------
+# The JSON report: verdict_to_json against the json.dumps document it replaced
+
+
+def _reference_condition(c):
+    diags = {}
+    for k, v in sorted(c.diagnostics.items()):
+        diags[k] = float(v) if isinstance(v, (int, float)) else v
+    return {"applicable": c.applicable, "holds": c.holds,
+            "diagnostics": diags, "reason": c.reason}
+
+
+def reference_report(verdict):
+    """The report as json.dumps wrote it from the old to_json documents."""
+    doc = {"conditions": {c.condition_id: _reference_condition(c)
+                          for c in verdict.conditions},
+           "consensus": verdict.consensus, "unitary": verdict.unitary,
+           "discrepancy": verdict.discrepancy, "warnings": list(verdict.warnings)}
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_report_matches_the_reference_encoder_on_the_corpus(name):
+    verdict = analyze(CORPUS[name].system())
+    assert verdict_to_json(verdict) == reference_report(verdict)
+
+
+def test_report_matches_the_reference_encoder_on_the_check_pool():
+    # the `check` benchmark's fixed pool: seed 1709, 200 draws per class
+    pool = np.random.default_rng(1709)
+    count = 0
+    for _ in range(200):
+        for klass in ("interval_square", "halfline", "interval_rect"):
+            verdict = analyze(random_system(int(pool.integers(0, 2**31 - 1)),
+                                            klass=klass))
+            assert verdict_to_json(verdict) == reference_report(verdict)
+            count += 1
+    assert count == 600
+
+
+def _verdict(*conditions, unitary=True, warnings=()):
+    return Verdict(tuple(conditions), "contraction", unitary, False, tuple(warnings))
+
+
+@pytest.mark.parametrize("value", [
+    NAN, float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1,
+    1.7976931348623157e308, 3, -2, 10**20, True, False, np.float64(2.5),
+    np.float64(NAN), None, "text",
+])
+def test_report_prints_each_diagnostic_as_json_does(value):
+    verdict = _verdict(ConditionResult("C2.6", True, True, {"x": value, "a": 1.5}))
+    assert verdict_to_json(verdict) == reference_report(verdict)
+
+
+def test_report_escapes_text_as_json_does():
+    reason = 'a "quote", a back\\slash,\na newline, \t, \x01, é and ≤ \U0001d11e'
+    verdict = Verdict(
+        (ConditionResult("T1.3", False, None, {}, reason),
+         ConditionResult("C2.6", True, False, {"é": 1.0, "\"k\"": 2.0}),
+         ConditionResult("RANBED", True, True, {})),
+        "not_contraction", None, True, ("first ≤ warning", 'second "warning"'))
+    text = verdict_to_json(verdict)
+    assert text == reference_report(verdict)
+    assert text.isascii()
+    assert "\\u00e9 and \\u2264" in text
+
+
+@pytest.mark.parametrize("unitary", [True, False, None])
+def test_report_without_conditions(unitary):
+    verdict = Verdict((), "undetermined", unitary, False, ("one", "two"))
+    text = verdict_to_json(verdict)
+    assert text == reference_report(verdict)
+    assert '"conditions": {}' in text and not text.endswith("\n")
+
+
+def test_report_of_a_duplicate_condition_id_keeps_the_last():
+    verdict = _verdict(ConditionResult("C2.6", True, True, {"x": 1.0}),
+                       ConditionResult("C2.6", True, False, {}))
+    assert verdict_to_json(verdict) == reference_report(verdict)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(
+           st.text(max_size=6),
+           st.dictionaries(st.text(max_size=6),
+                           st.one_of(st.floats(), st.integers(-10**6, 10**6),
+                                     st.booleans(), st.none(), st.text(max_size=6)),
+                           max_size=4),
+           max_size=4),
+       st.sampled_from([True, False, None]),
+       st.lists(st.text(max_size=8), max_size=3),
+       st.one_of(st.none(), st.text(max_size=8)))
+def test_report_matches_the_reference_encoder_on_any_verdict(
+        conditions, holds, warnings, reason):
+    verdict = Verdict(
+        tuple(ConditionResult(cid, holds is not None, holds, diags, reason)
+              for cid, diags in conditions.items()),
+        "contraction", holds, False, tuple(warnings))
+    assert verdict_to_json(verdict) == reference_report(verdict)
+
+
+@pytest.mark.parametrize("verdict", [
+    _verdict(ConditionResult("C2.6", True, np.True_)),
+    _verdict(ConditionResult("C2.6", np.bool_(True), True)),
+    _verdict(ConditionResult("C2.6", True, True, {"x": np.float32(1.0)})),
+    _verdict(ConditionResult("C2.6", True, True, {"x": np.array([1.0])})),
+    _verdict(unitary=np.True_),
+    Verdict((), "contraction", True, np.False_),
+])
+def test_report_rejects_what_json_rejects(verdict):
+    with pytest.raises(TypeError):
+        reference_report(verdict)
+    with pytest.raises(TypeError):
+        verdict_to_json(verdict)
+
+
+def test_report_rejects_a_list_valued_diagnostic():
+    # diagnostics are named scalars; json.dumps printed a list as an array
+    verdict = _verdict(ConditionResult("C2.6", True, True, {"x": [1.0, 2.0]}))
+    with pytest.raises(TypeError):
+        verdict_to_json(verdict)
+
+
+def test_analyze_json_prints_warnings_as_the_reference_encoder(tmp_path, capsys):
+    doc = wave_doc()
+    doc["WB_hat"] = [[0.7, 1.0, 0.0, 0.0], [1.4, 2.0, 0.0, 0.0]]  # dependent rows
+    path = tmp_path / "dependent.json"
+    path.write_text(json.dumps(doc))
+    verdict = analyze(parse_config(path))
+    assert verdict.warnings
+    assert main(["analyze", str(path), "--json"]) == 0
+    assert capsys.readouterr().out == reference_report(verdict) + "\n"

@@ -252,3 +252,16 @@ def test_oracle_runs_one_svd(count_svds):
     count_svds.clear()
     dissipativity_oracle(system)
     assert len(count_svds) <= 1
+
+
+def test_operator_norm_equals_numpy_two_norm():
+    rng = np.random.default_rng(2024)
+    for _ in range(500):
+        m, n = rng.integers(1, 9, size=2)
+        M = rng.standard_normal((m, n))
+        if rng.random() < 0.5:
+            M = M + 1j * rng.standard_normal((m, n))
+        # operator_norm works in complex arithmetic, as it always has
+        assert numlin.operator_norm(M) == np.linalg.norm(M.astype(complex), 2)
+    for shape in [(0, 0), (0, 3), (3, 0)]:
+        assert numlin.operator_norm(np.zeros(shape)) == 0.0

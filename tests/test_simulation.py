@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phwell import HamiltonianDensity, simulate, smooth_bump, validate_system
+from phwell import HamiltonianDensity, simulate, simulator, smooth_bump, validate_system
 from phwell.corpus import (
     CORPUS,
     build_path_graph,
@@ -144,6 +144,19 @@ def test_simulate_rejects_bad_length(L):
     with pytest.raises(PhwellError, match="L must"):
         simulate(build_wave(HALF_LINE, 0.5), smooth_bump(0.3, 0.2, 2), 0.1,
                  nx=32, L=L)
+
+
+def test_simulate_refuses_a_run_beyond_the_step_limit(monkeypatch):
+    sys = build_wave(UNIT_INTERVAL, 0.7)
+    x0 = smooth_bump(0.3, 0.2, 2)
+    with pytest.raises(PhwellError, match=r"t_final = 1e\+09 at nx = 16 needs \d+ steps"):
+        simulate(sys, x0, 1e9, nx=16)
+    steps = len(simulate(sys, x0, 0.2, nx=16).times) - 1
+    monkeypatch.setattr(simulator, "MAX_STEPS", steps)
+    assert len(simulate(sys, x0, 0.2, nx=16).times) == steps + 1
+    monkeypatch.setattr(simulator, "MAX_STEPS", steps - 1)
+    with pytest.raises(PhwellError, match=f"needs {steps} steps, more than the limit"):
+        simulate(sys, x0, 0.2, nx=16)
 
 
 @pytest.mark.parametrize("snap", [-1.0, 5.0, np.nan, np.inf])
