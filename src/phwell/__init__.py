@@ -16,7 +16,6 @@ from .errors import (
     GridTooCoarse,
     HNotCoercive,
     NotHermitian,
-    OrderError,
     ParseError,
     PhwellError,
     ShapeError,
@@ -37,14 +36,10 @@ from .model import (
     HALF_LINE,
     UNIT_INTERVAL,
     BoundaryOperator,
-    BoundaryTrace,
     HamiltonianDensity,
     PortHamiltonianSystem,
-    PortVariables,
     Tolerances,
-    boundary_trace,
     build_q,
-    port_variables,
     split_boundary_operator,
     validate_system,
 )
@@ -66,14 +61,12 @@ __all__ = [
     "analyze_halfline",
     "analyze_interval",
     "boundary_interpolant",
-    "boundary_trace",
     "build_q",
     "decompose_P1",
     "dissipativity_oracle",
     "extract_v",
     "factorize_boundary",
     "parse_config",
-    "port_variables",
     "quadrature_rayleigh",
     "simulate",
     "smooth_bump",
@@ -83,12 +76,10 @@ __all__ = [
     "system_to_dict",
     "validate_system",
     "BoundaryOperator",
-    "BoundaryTrace",
     "ConditionResult",
     "EnergyTrace",
     "HamiltonianDensity",
     "PortHamiltonianSystem",
-    "PortVariables",
     "SmoothFunction",
     "Tolerances",
     "Verdict",

@@ -12,6 +12,7 @@ error for its first bad entry in row-major order.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from json.encoder import encode_basestring_ascii as _string
@@ -24,7 +25,6 @@ from .model import (
     HamiltonianDensity,
     PortHamiltonianSystem,
     Tolerances,
-    _num_to_json,
     validate_system,
 )
 
@@ -185,7 +185,7 @@ def system_from_dict(doc: dict) -> PortHamiltonianSystem:
     if tols is not None:
         if not isinstance(tols, dict):
             raise ParseError("tolerances must be an object", path="tolerances")
-        known = {"tau_struct", "tau_rank", "tau_pd", "check", "v_norm_slack"}
+        known = {f.name for f in dataclasses.fields(Tolerances)}
         bad = set(tols) - known
         if bad:
             raise ParseError(f"unknown tolerance keys {sorted(bad)}", path="tolerances")
@@ -216,8 +216,28 @@ def parse_config(path) -> PortHamiltonianSystem:
     return system_from_dict(doc)
 
 
+def _number(x):
+    """A real entry as a number, a complex one as an [re, im] pair."""
+    x = complex(x)
+    if x.imag == 0.0:
+        return float(x.real)
+    return [float(x.real), float(x.imag)]
+
+
 def _mat(M) -> list:
-    return [[_num_to_json(v) for v in row] for row in np.asarray(M)]
+    return [[_number(v) for v in row] for row in np.asarray(M)]
+
+
+def _hamiltonian(H: HamiltonianDensity) -> dict:
+    if H.kind == "constant":
+        return {"kind": "constant", "matrix": _mat(H.matrices[0])}
+    if H.kind == "piecewise_constant":
+        return {
+            "kind": "piecewise_constant",
+            "breakpoints": [float(b) for b in H.breakpoints],
+            "matrices": [_mat(m) for m in H.matrices],
+        }
+    return {"kind": "grid", "matrices": [_mat(m) for m in H.matrices]}
 
 
 def system_to_dict(sys: PortHamiltonianSystem) -> dict:
@@ -228,9 +248,9 @@ def system_to_dict(sys: PortHamiltonianSystem) -> dict:
         "N": sys.order_N,
         "d": sys.dim_d,
         "P": [_mat(Pk) for Pk in sys.P],
-        "H": sys.H.to_json(),
+        "H": _hamiltonian(sys.H),
         "WB_hat": _mat(sys.WB_hat),
-        "tolerances": sys.tol.to_dict(),
+        "tolerances": dataclasses.asdict(sys.tol),
     }
 
 

@@ -51,6 +51,20 @@ def tree_coupling(d: int) -> np.ndarray:
     return T
 
 
+def _first_order(P1, WB, H=None, interval=UNIT_INTERVAL, field="real"):
+    """A validated N = 1 system with P0 = 0 and, unless given, H = I."""
+    d = P1.shape[0]
+    return validate_system({
+        "field": field,
+        "interval": interval,
+        "N": 1,
+        "d": d,
+        "P": [np.zeros((d, d)), P1],
+        "H": np.eye(d) if H is None else H,
+        "WB_hat": WB,
+    })
+
+
 def build_path_graph(d_edges: int) -> PortHamiltonianSystem:
     """Transport network on a chain of edges: x_i(1) = x_{i+1}(0).
 
@@ -60,16 +74,7 @@ def build_path_graph(d_edges: int) -> PortHamiltonianSystem:
     if d_edges < 2:
         raise ValueError("need at least 2 edges")
     d = d_edges
-    L = shift_matrix(d)
-    return validate_system({
-        "field": "real",
-        "interval": UNIT_INTERVAL,
-        "N": 1,
-        "d": d,
-        "P": [np.zeros((d, d)), np.eye(d)],
-        "H": HamiltonianDensity.constant(np.eye(d)),
-        "WB_hat": np.hstack([np.eye(d), -L]),
-    })
+    return _first_order(np.eye(d), np.hstack([np.eye(d), -shift_matrix(d)]))
 
 
 def build_binary_tree(levels: int) -> PortHamiltonianSystem:
@@ -82,16 +87,7 @@ def build_binary_tree(levels: int) -> PortHamiltonianSystem:
     if levels < 2:
         raise ValueError("need at least 2 levels")
     d = 2 ** (levels + 1) - 2
-    T = tree_coupling(d)
-    return validate_system({
-        "field": "real",
-        "interval": UNIT_INTERVAL,
-        "N": 1,
-        "d": d,
-        "P": [np.zeros((d, d)), np.eye(d)],
-        "H": HamiltonianDensity.constant(np.eye(d)),
-        "WB_hat": np.hstack([np.eye(d), T]),
-    })
+    return _first_order(np.eye(d), np.hstack([np.eye(d), tree_coupling(d)]))
 
 
 def build_wave(interval_kind: str = HALF_LINE, u_param=0.5, rho=1.0, T_mod=1.0,
@@ -142,27 +138,11 @@ def build_wave(interval_kind: str = HALF_LINE, u_param=0.5, rho=1.0, T_mod=1.0,
     P1 = np.array([[0.0, 1.0], [1.0, 0.0]])
     if interval_kind == HALF_LINE:
         WB = 0.5 * np.array([[u - 1.0, u + 1.0]])
-        return validate_system({
-            "field": field,
-            "interval": HALF_LINE,
-            "N": 1,
-            "d": 2,
-            "P": [np.zeros((2, 2)), P1],
-            "H": H,
-            "WB_hat": WB,
-        })
+        return _first_order(P1, WB, H, HALF_LINE, field)
     k = complex(damper) if damper is not None else u
     field = "real" if k.imag == 0.0 else "complex"
     WB = np.array([[k, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-    return validate_system({
-        "field": field,
-        "interval": UNIT_INTERVAL,
-        "N": 1,
-        "d": 2,
-        "P": [np.zeros((2, 2)), P1],
-        "H": H,
-        "WB_hat": WB,
-    })
+    return _first_order(P1, WB, H, UNIT_INTERVAL, field)
 
 
 def build_transport(inflow_zero: bool = True) -> PortHamiltonianSystem:
@@ -172,28 +152,12 @@ def build_transport(inflow_zero: bool = True) -> PortHamiltonianSystem:
     otherwise the ill-posed variant x(1) = 0 that clamps the outflow end.
     """
     WB = np.array([[0.0, 1.0]]) if inflow_zero else np.array([[1.0, 0.0]])
-    return validate_system({
-        "field": "real",
-        "interval": UNIT_INTERVAL,
-        "N": 1,
-        "d": 1,
-        "P": [np.zeros((1, 1)), -np.eye(1)],
-        "H": HamiltonianDensity.constant(np.eye(1)),
-        "WB_hat": WB,
-    })
+    return _first_order(-np.eye(1), WB)
 
 
 def build_periodic_transport() -> PortHamiltonianSystem:
     """Scalar transport with matched endpoint values x(1) = x(0) (conservative)."""
-    return validate_system({
-        "field": "real",
-        "interval": UNIT_INTERVAL,
-        "N": 1,
-        "d": 1,
-        "P": [np.zeros((1, 1)), np.eye(1)],
-        "H": HamiltonianDensity.constant(np.eye(1)),
-        "WB_hat": np.array([[1.0, -1.0]]),
-    })
+    return _first_order(np.eye(1), np.array([[1.0, -1.0]]))
 
 
 @dataclass(frozen=True)

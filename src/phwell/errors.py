@@ -44,10 +44,6 @@ class NotHermitian(PhwellError):
     """A matrix expected to be Hermitian is not, beyond tolerance."""
 
 
-class OrderError(PhwellError):
-    """A function does not carry enough derivative data for the request."""
-
-
 class ParseError(PhwellError):
     """A configuration file is syntactically or structurally malformed."""
 

@@ -136,7 +136,7 @@ def factorize_boundary(WB_hat, decomp: HalfLineDecomposition, tol: float = None)
     U = np.linalg.solve(U2, U1) if k else np.zeros((0, decomp.n1), dtype=complex)
     eye = np.eye(decomp.n2, dtype=complex)
     recon = U2 @ np.hstack([U, eye]) @ decomp.S if k else WB_hat
-    residual = float(np.linalg.norm(recon - WB_hat, 2)) if WB_hat.size else 0.0
+    residual = numlin.operator_norm(recon - WB_hat)
     return BoundaryFactorization(B=U2, U=U, residual=residual, U1=U1, smin_u2=smin_u2)
 
 

@@ -23,7 +23,6 @@ from . import numlin
 from .errors import (
     HNotCoercive,
     NotHermitian,
-    OrderError,
     ShapeError,
     SingularP1,
     SingularPN,
@@ -79,15 +78,6 @@ class Tolerances:
         for f in fields(self):
             value = _tolerance_value(getattr(self, f.name), f"tolerances.{f.name}")
             object.__setattr__(self, f.name, value)
-
-    def to_dict(self):
-        return {
-            "tau_struct": self.tau_struct,
-            "tau_rank": self.tau_rank,
-            "tau_pd": self.tau_pd,
-            "check": self.check,
-            "v_norm_slack": self.v_norm_slack,
-        }
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -153,27 +143,6 @@ class HamiltonianDensity:
         """H evaluated at an array of cell centers, shape (len(centers), d, d)."""
         return np.stack([self.at(float(z)) for z in np.asarray(centers)])
 
-    def to_json(self):
-        def mat(m):
-            return [[_num_to_json(x) for x in row] for row in m]
-
-        if self.kind == "constant":
-            return {"kind": "constant", "matrix": mat(self.matrices[0])}
-        if self.kind == "piecewise_constant":
-            return {
-                "kind": "piecewise_constant",
-                "breakpoints": [float(b) for b in self.breakpoints],
-                "matrices": [mat(m) for m in self.matrices],
-            }
-        return {"kind": "grid", "matrices": [mat(m) for m in self.matrices]}
-
-
-def _num_to_json(x):
-    x = complex(x)
-    if x.imag == 0.0:
-        return float(x.real)
-    return [float(x.real), float(x.imag)]
-
 
 @dataclass(frozen=True)
 class PortHamiltonianSystem:
@@ -209,19 +178,6 @@ class PortHamiltonianSystem:
     def re_P0(self) -> np.ndarray:
         return numlin.hermitian_part(self.P0)
 
-    def with_WB(self, WB_hat) -> "PortHamiltonianSystem":
-        """Same system with a replacement boundary operator (revalidated shape)."""
-        WB_hat = np.asarray(WB_hat, dtype=complex)
-        width = 2 * self.nd if self.interval == UNIT_INTERVAL else self.dim_d
-        if WB_hat.ndim != 2 or WB_hat.shape[1] != width:
-            raise ShapeError(
-                f"WB_hat must have width {width}, got {WB_hat.shape}", path="WB_hat"
-            )
-        return PortHamiltonianSystem(
-            self.field, self.interval, self.order_N, self.dim_d, self.P,
-            self.H, _freeze(WB_hat), self.tol, self.h_min_eig, self.h_max_eig,
-        )
-
 
 @dataclass(frozen=True)
 class BoundaryTrace:
@@ -230,9 +186,6 @@ class BoundaryTrace:
     phi1: np.ndarray  # (N*d,)
     phi0: np.ndarray  # (N*d,)
 
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.phi1, self.phi0])
-
 
 @dataclass(frozen=True)
 class PortVariables:
@@ -240,10 +193,6 @@ class PortVariables:
 
     f_boundary: np.ndarray
     e_boundary: np.ndarray
-
-    def pairing(self) -> float:
-        """2 Re <f, e>, the instantaneous boundary power."""
-        return float(2.0 * np.real(np.vdot(self.f_boundary, self.e_boundary)))
 
 
 @dataclass(frozen=True)
@@ -262,9 +211,10 @@ class BoundaryOperator:
 def validate_system(raw: dict) -> PortHamiltonianSystem:
     """Validate a raw description and return an immutable system.
 
-    raw keys: field, interval, N, d, P (list of N+1 matrices), H
-    (HamiltonianDensity or matrix), WB_hat, optional tolerances
-    (Tolerances or dict).  Raises ShapeError / StructureError /
+    raw keys: field, interval, N, d (positive ints, bool excluded), P
+    (list of N+1 matrices), H (HamiltonianDensity or matrix), WB_hat,
+    optional tolerances (Tolerances or dict).  Every entry of P, H and
+    WB_hat must be finite.  Raises ShapeError / StructureError /
     SingularPN / SingularP1 / SingularQ / HNotCoercive.
     """
     field = raw.get("field", "complex")
@@ -274,10 +224,9 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
     if interval not in (UNIT_INTERVAL, HALF_LINE):
         raise StructureError(f"unknown interval kind {interval!r}", path="interval")
 
-    N = int(raw["N"])
-    d = int(raw["d"])
-    if N < 1 or d < 1:
-        raise ShapeError("N and d must be positive integers")
+    N, d = raw["N"], raw["d"]
+    if not all(type(v) is int and v >= 1 for v in (N, d)):
+        raise ShapeError(f"N and d must be positive integers, got N={N!r}, d={d!r}")
 
     tol = raw.get("tolerances") or Tolerances()
     if isinstance(tol, dict):
@@ -291,6 +240,7 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
         Pk = np.asarray(Pk, dtype=complex)
         if Pk.shape != (d, d):
             raise ShapeError(f"P[{k}] must be {d}x{d}, got {Pk.shape}", path=f"P[{k}]")
+        _require_finite(Pk, f"P[{k}]")
         P.append(Pk)
 
     if field == "real":
@@ -327,6 +277,7 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
         raise ShapeError(f"H samples must be {d}x{d}, got {H.dim}x{H.dim}", path="H")
     m_eig, M_eig = np.inf, -np.inf
     for i, Hs in enumerate(H.matrices):
+        _require_finite(Hs, f"H sample {i}", path="H")
         try:
             numlin.require_hermitian(Hs, tol.tau_struct)
         except NotHermitian:
@@ -349,6 +300,7 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
             f"WB_hat must have width {width} for this system, got {WB.shape[1]}",
             path="WB_hat",
         )
+    _require_finite(WB, "WB_hat")
     if field == "real" and np.any(np.abs(WB.imag) > 0):
         raise StructureError("real-field system has complex WB_hat", path="WB_hat")
 
@@ -367,6 +319,11 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
         h_min_eig=m_eig,
         h_max_eig=M_eig,
     )
+
+
+def _require_finite(M, name: str, path: str = None) -> None:
+    if not np.isfinite(M).all():
+        raise StructureError(f"{name} has a non-finite entry", path=path or name)
 
 
 def _check_q(Q, tau_rank: float) -> None:
@@ -441,30 +398,6 @@ def derive_boundary_operator(sys: PortHamiltonianSystem) -> BoundaryOperator:
     W1, W2 = _split(sys.WB_hat, Q)
     return BoundaryOperator(WB_hat=sys.WB_hat, Q=_freeze(Q), W1=_freeze(W1),
                             W2=_freeze(W2))
-
-
-def boundary_trace(x, N: int, d: int) -> BoundaryTrace:
-    """Stack derivative traces of x at z=1 and z=0 up to order N-1.
-
-    x must expose derivative_at(zeta, order) returning a d-vector;
-    SmoothFunction from the simulator module qualifies.  Raises OrderError
-    when x declares (via max_order) fewer than N-1 derivatives.
-    """
-    max_order = getattr(x, "max_order", None)
-    if max_order is not None and max_order < N - 1:
-        raise OrderError(
-            f"function provides derivatives up to order {max_order}, need {N - 1}"
-        )
-    phi1 = np.zeros(N * d, dtype=complex)
-    phi0 = np.zeros(N * d, dtype=complex)
-    for j in range(N):
-        v1 = np.asarray(x.derivative_at(1.0, j), dtype=complex).reshape(-1)
-        v0 = np.asarray(x.derivative_at(0.0, j), dtype=complex).reshape(-1)
-        if v1.size != d or v0.size != d:
-            raise ShapeError(f"trace values must have dimension {d}")
-        phi1[j * d : (j + 1) * d] = v1
-        phi0[j * d : (j + 1) * d] = v0
-    return BoundaryTrace(phi1=_freeze(phi1), phi0=_freeze(phi0))
 
 
 def port_variables(trace: BoundaryTrace, Q) -> PortVariables:

@@ -214,9 +214,6 @@ class SmoothFunction:
     def value(self, zeta) -> np.ndarray:
         return self.derivatives(zeta, 0)[0]
 
-    def derivative_at(self, zeta: float, order: int) -> np.ndarray:
-        return self.derivatives(np.array([zeta]), order)[order][0]
-
 
 def from_polynomial(coeffs, center: float = 0.0) -> SmoothFunction:
     """Plain vector polynomial sum_i coeffs[i] (z-center)^i as a SmoothFunction."""
@@ -400,10 +397,11 @@ class OracleReport:
 
 
 ORACLE_LAYER_WIDTHS = (0.25, 0.05, 0.01)
+ORACLE_TOL = 1e-8  # a probe value above this is a witness of growth
 
 
 def dissipativity_oracle(sys: PortHamiltonianSystem, n_samples: int = 64,
-                         seed: int = 0, tol: float = 1e-8) -> OracleReport:
+                         seed: int = 0) -> OracleReport:
     """Sample smooth domain states and test Re <A0 x, x> <= 0 by quadrature.
 
     Three families of states are probed:
@@ -423,7 +421,8 @@ def dissipativity_oracle(sys: PortHamiltonianSystem, n_samples: int = 64,
     against the integrated-by-parts boundary form; a mismatch there means
     a quadrature/interpolant bug, not a property of the system.  Values
     are normalized per sample by max(1, ||traces||^2); the bump directions
-    have unit norm.  n_samples must be >= 0.
+    have unit norm.  The report holds when no value exceeds ORACLE_TOL.
+    n_samples must be >= 0.
     """
     if sys.interval != UNIT_INTERVAL:
         raise ShapeError("dissipativity_oracle needs a unit_interval system")
@@ -473,25 +472,25 @@ def dissipativity_oracle(sys: PortHamiltonianSystem, n_samples: int = 64,
         diffs.append(g)
 
     if not vals:
-        return OracleReport(True, 0, r, 0.0, np.zeros(0), 0.0, None, tol)
+        return OracleReport(True, 0, r, 0.0, np.zeros(0), 0.0, None, ORACLE_TOL)
     arr = np.concatenate(vals)
     best = int(np.argmax(arr))  # the first probe reaching the maximum
     witness = None
-    if arr[best] > tol:
+    if arr[best] > ORACLE_TOL:
         if best < Z.shape[1] * len(widths):
             i, j = divmod(best, len(widths))
             witness = boundary_interpolant(Z[:nd, i], Z[nd:, i], eps=widths[j], d=d)
         else:
             witness = interior_probe(evecs[:, best - Z.shape[1] * len(widths)])
     return OracleReport(
-        holds=bool(arr[best] <= tol),
+        holds=bool(arr[best] <= ORACLE_TOL),
         n_samples=n_samples,
         kernel_dim=r,
         max_value=float(arr[best]),
         values=arr,
         cross_check_max_diff=float(np.max(np.concatenate(diffs))),
         witness=witness,
-        tolerance=tol,
+        tolerance=ORACLE_TOL,
     )
 
 

@@ -114,15 +114,13 @@ def test_factorize_raw_rank_deficient_rows():
     assert fact.reason == "wrong_row_count"
 
 
-def test_halfline_analysis_takes_three_svds(monkeypatch):
-    # one of WB_hat, one per block of the single split WB_hat S^*
+def test_halfline_analysis_takes_four_svds(count_svds):
+    # one of WB_hat, one per block of the single split WB_hat S^*, and the
+    # operator norm of the factorization residual
     sys = build_wave("half_line", 0.5)
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda *a, **k: (calls.append(a[0].shape), svd(*a, **k))[1])
+    count_svds.clear()
     analyze_halfline(sys)
-    assert len(calls) <= 3
+    assert len(count_svds) == 4
 
 
 @pytest.mark.parametrize("du", [1e-10, 2e-10, 3e-10])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -249,7 +251,7 @@ def test_scale_invariance_of_verdicts():
         M = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
         while np.linalg.cond(M) > 1e3:
             M = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        v2 = analyze_interval(sys.with_WB(M @ sys.WB_hat))
+        v2 = analyze_interval(dataclasses.replace(sys, WB_hat=M @ sys.WB_hat))
         assert v1.consensus == v2.consensus
         assert v1.unitary == v2.unitary
         assert not v2.discrepancy

@@ -1,20 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 
 from phwell import (
     HamiltonianDensity,
     Tolerances,
-    boundary_trace,
     build_q,
     extract_v,
     numlin,
-    port_variables,
     split_boundary_operator,
     validate_system,
 )
 from phwell.errors import (
     HNotCoercive,
-    OrderError,
     ShapeError,
     SingularP1,
     SingularPN,
@@ -23,8 +22,8 @@ from phwell.errors import (
     ValidationError,
 )
 from phwell.halfline import decompose_P1
-from phwell.model import BoundaryTrace, derive_boundary_operator
-from phwell.simulator import boundary_interpolant, from_polynomial
+from phwell.model import BoundaryTrace, derive_boundary_operator, port_variables
+from phwell.simulator import boundary_interpolant
 
 
 def wave_raw(**over):
@@ -112,6 +111,42 @@ def test_validate_rejects_wrong_width():
     raw = wave_raw(WB_hat=np.zeros((2, 3)))
     with pytest.raises(ShapeError):
         validate_system(raw)
+
+
+@pytest.mark.parametrize("over", [
+    {"N": 1.9},  # was truncated to 1
+    {"N": True},
+    {"d": True, "P": [np.zeros((1, 1)), np.eye(1)], "H": np.eye(1),
+     "WB_hat": np.array([[0.0, 1.0]])},  # was taken as d = 1
+    {"d": 2.0},
+])
+def test_validate_requires_int_n_and_d(over):
+    with pytest.raises(ShapeError, match="N and d must be positive integers"):
+        validate_system(wave_raw(**over))
+
+
+def _with_entry(M, value):
+    M = np.array(M, dtype=complex)
+    M.flat[-1] = value
+    return M
+
+
+@pytest.mark.parametrize("name,over", [
+    ("P[0]", {"P": [_with_entry(np.zeros((2, 2)), np.inf),
+                    np.array([[0.0, 1.0], [1.0, 0.0]])]}),
+    ("P[1]", {"P": [np.zeros((2, 2)), _with_entry([[0.0, 1.0], [1.0, 0.0]], np.nan)]}),
+    ("H sample 1", {"H": HamiltonianDensity.piecewise(
+        [0.5], [np.eye(2), _with_entry(np.eye(2), np.nan)])}),
+    ("WB_hat", {"WB_hat": _with_entry([[0.7, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+                                      np.nan)}),
+    ("WB_hat", {"WB_hat": _with_entry([[0.7, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
+                                      complex(0.0, -np.inf)), "field": "complex"}),
+])
+def test_validate_rejects_non_finite_entries(name, over):
+    # formerly accepted: h_min_eig = nan, an SVD that did not converge in
+    # analyze, or not_contraction with numpy RuntimeWarnings
+    with pytest.raises(StructureError, match=re.escape(f"{name} has a non-finite entry")):
+        validate_system(wave_raw(**over))
 
 
 def test_validate_halfline_needs_invertible_p1():
@@ -209,20 +244,6 @@ def test_split_reconstruction_random():
         assert np.linalg.norm(recon - WB, 2) <= 1e-10 * np.linalg.norm(WB, 2)
 
 
-def test_boundary_trace_linear_polynomial():
-    x = from_polynomial(np.array([[0.0, 1.0], [1.0, -1.0]]))  # (z, 1-z)
-    tr = boundary_trace(x, 1, 2)
-    np.testing.assert_allclose(tr.phi1, [1.0, 0.0], atol=1e-14)
-    np.testing.assert_allclose(tr.phi0, [0.0, 1.0], atol=1e-14)
-
-
-def test_boundary_trace_quadratic():
-    x = from_polynomial(np.array([[0.0], [0.0], [1.0]]))  # z^2
-    tr = boundary_trace(x, 2, 1)
-    np.testing.assert_allclose(tr.phi1, [1.0, 2.0], atol=1e-14)
-    np.testing.assert_allclose(tr.phi0, [0.0, 0.0], atol=1e-14)
-
-
 def test_boundary_trace_of_interpolant_is_exact():
     rng = np.random.default_rng(6)
     for _ in range(100):
@@ -230,20 +251,10 @@ def test_boundary_trace_of_interpolant_is_exact():
         d = int(rng.integers(1, 4))
         u = rng.normal(size=N * d) + 1j * rng.normal(size=N * d)
         v = rng.normal(size=N * d) + 1j * rng.normal(size=N * d)
-        tr = boundary_trace(boundary_interpolant(u, v, d=d), N, d)
-        np.testing.assert_allclose(tr.phi1, u, atol=1e-12)
-        np.testing.assert_allclose(tr.phi0, v, atol=1e-12)
-
-
-def test_boundary_trace_order_error():
-    class FirstOrderOnly:
-        max_order = 0
-
-        def derivative_at(self, zeta, order):
-            return np.zeros(1)
-
-    with pytest.raises(OrderError):
-        boundary_trace(FirstOrderOnly(), 2, 1)
+        # derivatives 0..N-1 at z = 1 and z = 0, order blocks of size d
+        traces = boundary_interpolant(u, v, d=d).derivatives([1.0, 0.0], N - 1)
+        np.testing.assert_allclose(traces[:, 0].ravel(), u, atol=1e-12)
+        np.testing.assert_allclose(traces[:, 1].ravel(), v, atol=1e-12)
 
 
 def test_port_variables_equal_traces():
@@ -358,3 +369,15 @@ def test_p1_rank_threshold_is_one_rule(interval, error):
     assert exc.value.path == "P[1]"
     with pytest.raises(SingularP1):
         decompose_P1(raw["P"][1], tol.tau_rank)
+
+
+def test_package_exports_resolve():
+    import phwell
+
+    assert len(set(phwell.__all__)) == len(phwell.__all__)
+    assert all(hasattr(phwell, name) for name in phwell.__all__)
+    # no longer exported; port_variables and its dataclasses stay in phwell.model
+    for name in ("boundary_trace", "port_variables", "BoundaryTrace",
+                 "PortVariables", "OrderError"):
+        assert name not in phwell.__all__
+        assert not hasattr(phwell, name)

@@ -5,7 +5,6 @@ from phwell import HamiltonianDensity, validate_system
 from phwell.corpus import CORPUS, build_transport, build_wave, random_system
 from phwell.errors import PhwellError
 from phwell.interval import analyze_interval
-from phwell.model import boundary_trace
 from phwell.simulator import (
     ORACLE_LAYER_WIDTHS,
     _oracle_gram,
@@ -45,9 +44,10 @@ def test_interpolant_first_derivative_target():
     u = np.array([1.5, -2.0])
     v = np.array([0.0, 0.0])
     x = boundary_interpolant(u, v, d=1)
-    assert x.derivative_at(1.0, 0)[0] == pytest.approx(1.5)
-    assert x.derivative_at(1.0, 1)[0] == pytest.approx(-2.0)
-    assert x.derivative_at(0.0, 0)[0] == pytest.approx(0.0, abs=1e-14)
+    at1, at0 = x.derivatives([1.0, 0.0], 1)[:, :, 0].T
+    assert at1[0] == pytest.approx(1.5)
+    assert at1[1] == pytest.approx(-2.0)
+    assert at0[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_interpolant_zero_targets_vanish():
@@ -139,7 +139,8 @@ def test_oracle_witness_reproduces_max_value(sys):
     # of the state itself; the node rule follows from the state alone
     rep = dissipativity_oracle(sys, n_samples=16, seed=1)
     assert not rep.holds
-    z = boundary_trace(rep.witness, sys.order_N, sys.dim_d).stacked()
+    # traces of orders 0..N-1, the z = 1 block first
+    z = rep.witness.derivatives([1.0, 0.0], sys.order_N - 1).transpose(1, 0, 2).ravel()
     q = quadrature_rayleigh(sys, rep.witness)
     assert abs(q / max(1.0, np.vdot(z, z).real) - rep.max_value) <= 1e-8
 
