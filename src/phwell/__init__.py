@@ -85,4 +85,17 @@ __all__ = [
     "Verdict",
     "HALF_LINE",
     "UNIT_INTERVAL",
+    "BoundaryClosureSingular",
+    "CFLViolation",
+    "GridTooCoarse",
+    "HNotCoercive",
+    "NotHermitian",
+    "ParseError",
+    "PhwellError",
+    "ShapeError",
+    "SingularP1",
+    "SingularPN",
+    "SingularQ",
+    "StructureError",
+    "ValidationError",
 ]

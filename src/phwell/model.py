@@ -91,8 +91,10 @@ class HamiltonianDensity:
     """Hamiltonian density H(z): constant, piecewise-constant, or grid-sampled.
 
     kind 'constant'            -- one d x d matrix
-    kind 'piecewise_constant'  -- strictly increasing interior breakpoints and
-                                  len(breakpoints)+1 cell matrices
+    kind 'piecewise_constant'  -- strictly increasing finite breakpoints > 0
+                                  and len(breakpoints)+1 cell matrices; on
+                                  the unit interval validate_system also
+                                  requires them < 1, so every cell applies
     kind 'grid'                -- uniform samples on [0, 1] incl. endpoints
     """
 
@@ -111,6 +113,8 @@ class HamiltonianDensity:
         m = np.asarray(matrices, dtype=complex)
         if m.shape[0] != b.size + 1:
             raise ShapeError("piecewise H needs len(breakpoints)+1 matrices", path="H")
+        if not (np.isfinite(b).all() and (b > 0).all()):
+            raise ShapeError("H breakpoints must be finite and > 0", path="H")
         if b.size and not np.all(np.diff(b) > 0):
             raise ShapeError("H breakpoints must be strictly increasing", path="H")
         return HamiltonianDensity("piecewise_constant", _freeze(m), _freeze(b))
@@ -275,6 +279,9 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
         H = HamiltonianDensity.constant(np.asarray(H, dtype=complex))
     if H.dim != d:
         raise ShapeError(f"H samples must be {d}x{d}, got {H.dim}x{H.dim}", path="H")
+    if (H.kind == "piecewise_constant" and interval == UNIT_INTERVAL
+            and H.breakpoints.size and H.breakpoints[-1] >= 1.0):
+        raise ShapeError("H breakpoints on the unit interval must be < 1", path="H")
     m_eig, M_eig = np.inf, -np.inf
     for i, Hs in enumerate(H.matrices):
         _require_finite(Hs, f"H sample {i}", path="H")

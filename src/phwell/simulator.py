@@ -9,7 +9,9 @@ from the matrix checkers:
   family of states as a Gram matrix of its scalar basis (_rayleigh_split).
   That basis depends only on the order N and the layer width, so its Gram
   stack is integrated once per (order, width) per process and shared by
-  every system (_oracle_gram);
+  every system (_oracle_gram); a system's M = sum_k S_k kron P_k is one
+  broadcast product of that stack with P, equal entry for entry to
+  np.kron;
 * simulate evolves first-order (N = 1) systems with an upwind
   finite-volume method in characteristic variables and records the
   discrete energy <x, H x> together with boundary / interior power.  The
@@ -415,14 +417,16 @@ def dissipativity_oracle(sys: PortHamiltonianSystem, n_samples: int = 64,
     Every state is linear in its trace (resp. bump direction) z, so the
     Gram stack S of the scalar basis at each layer width (resp. of the
     bump) gives the Gram matrix M = sum_k S_k kron P_k, and each value is
-    Re z^* M z.  S depends on the order and the width alone: it is
-    integrated once per (order, width) per process and shared by every
-    system (_oracle_gram).  Every interpolant value is cross-checked
-    against the integrated-by-parts boundary form; a mismatch there means
-    a quadrature/interpolant bug, not a property of the system.  Values
-    are normalized per sample by max(1, ||traces||^2); the bump directions
-    have unit norm.  The report holds when no value exceeds ORACLE_TOL.
-    n_samples must be >= 0.
+    Re z^* M z.  Every S_k kron P_k comes from one broadcast product of
+    the stacks S and P, entry for entry the products np.kron forms, and M
+    adds them in order k = 0..N.  S depends on the order and the width
+    alone: it is integrated once per (order, width) per process and
+    shared by every system (_oracle_gram).  Every interpolant value is
+    cross-checked against the integrated-by-parts boundary form; a
+    mismatch there means a quadrature/interpolant bug, not a property of
+    the system.  Values are normalized per sample by max(1, ||traces||^2);
+    the bump directions have unit norm.  The report holds when no value
+    exceeds ORACLE_TOL.  n_samples must be >= 0.
     """
     if sys.interval != UNIT_INTERVAL:
         raise ShapeError("dissipativity_oracle needs a unit_interval system")
@@ -439,9 +443,11 @@ def dissipativity_oracle(sys: PortHamiltonianSystem, n_samples: int = 64,
     def family(eps, Z, bform, scale):
         """Values of the probe columns Z and their cross-check gaps."""
         S = _oracle_gram(N, eps)
-        terms = [np.kron(S[k], P[k]) for k in range(N + 1)]
-        val = _forms(sum(terms), Z)
-        gap = np.abs(val - bform - _forms(terms[0], Z))
+        n = S.shape[1] * d
+        # T[k] = S_k kron P_k for every k in one broadcast product
+        T = (S[:, :, None, :, None] * P[:, None, :, None, :]).reshape(N + 1, n, n)
+        val = _forms(T.sum(axis=0), Z)
+        gap = np.abs(val - bform - _forms(T[0], Z))
         return val / scale, gap / scale
 
     vals, diffs = [], []  # per family, in report order

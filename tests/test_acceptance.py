@@ -7,11 +7,9 @@ tolerance is pinned here; nothing is deferred to later calibration.
 import time
 
 import numpy as np
-import pytest
 
 from phwell import numlin, simulate, smooth_bump
-from phwell.cli import analyze
-from phwell.corpus import CORPUS, build_wave, random_system, shift_matrix
+from phwell.corpus import CORPUS, build_wave, random_system
 from phwell.halfline import analyze_halfline, solve_resolvent_halfline, unit_decomposition
 from phwell.interval import CONTRACTION_FAMILY, analyze_interval, extract_v, sigma_form
 from phwell.model import UNIT_INTERVAL, build_q_for_system, split_boundary_operator

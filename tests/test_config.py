@@ -199,6 +199,19 @@ def test_non_finite_numbers_are_parse_errors(case, tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("b", [0.0, 1.0, 1.5])
+def test_breakpoints_outside_the_unit_interval_are_rejected(b, tmp_path, capsys):
+    doc = wave_doc()
+    doc["H"] = {"kind": "piecewise_constant", "breakpoints": [b],
+                "matrices": [[[1.0, 0.0], [0.0, 1.0]]] * 2}
+    with pytest.raises(ShapeError, match="H breakpoints"):
+        system_from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+    assert "H breakpoints" in capsys.readouterr().err
+
+
 def test_piecewise_h_parsing():
     doc = wave_doc()
     doc["H"] = {

@@ -149,6 +149,25 @@ def test_validate_rejects_non_finite_entries(name, over):
         validate_system(wave_raw(**over))
 
 
+def _two_cell_H(b):
+    return HamiltonianDensity.piecewise([b], [np.eye(2), 4.0 * np.eye(2)])
+
+
+@pytest.mark.parametrize("b", [np.nan, np.inf, 1.5, -0.5, 0.0, 1.0])
+def test_validate_rejects_breakpoints_outside_the_unit_interval(b):
+    # formerly accepted with h_max_eig = 4 from a cell that never applies
+    with pytest.raises(ShapeError, match="H breakpoints"):
+        validate_system(wave_raw(H=_two_cell_H(b)))
+
+
+def test_halfline_breakpoints_may_lie_beyond_one():
+    # simulate reads H on [0, L], so a cell past z = 1 applies there
+    sys = validate_system(wave_raw(interval="half_line", H=_two_cell_H(1.5),
+                                   WB_hat=np.array([[-0.25, 0.75]])))
+    assert sys.h_max_eig == 4.0
+    np.testing.assert_array_equal(sys.H.at(2.0), 4.0 * np.eye(2))
+
+
 def test_validate_halfline_needs_invertible_p1():
     raw = wave_raw(interval="half_line",
                    P=[np.zeros((2, 2)), np.diag([1.0, 0.0])],

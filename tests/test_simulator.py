@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from phwell import HamiltonianDensity, validate_system
+from phwell import HamiltonianDensity, numlin, validate_system
 from phwell.corpus import CORPUS, build_transport, build_wave, random_system
 from phwell.errors import PhwellError
-from phwell.interval import analyze_interval
+from phwell.interval import analyze_interval, kernel_energy_form
+from phwell.model import UNIT_INTERVAL, build_q_for_system
 from phwell.simulator import (
     ORACLE_LAYER_WIDTHS,
+    ORACLE_TOL,
+    _boundary_form,
+    _forms,
     _oracle_gram,
     _rayleigh_split,
     boundary_form_value,
@@ -181,3 +185,92 @@ def test_oracle_matches_kernel_condition_with_p0():
         v = analyze_interval(sys)
         assert rep.holds == v["T1.5"].holds
         assert rep.cross_check_max_diff <= 1e-8
+
+
+def kron_oracle_reference(sys, n_samples, seed):
+    """dissipativity_oracle's numbers with M_eps = sum_k np.kron(S_k, P_k).
+
+    The oracle builds every S_k kron P_k at once as a broadcast product;
+    this is the np.kron assembly it replaced, kept as the reference.
+    Returns (values, max_value, cross_check_max_diff, holds).
+    """
+    K = numlin.kernel_basis(sys.WB_hat, sys.tol.check)
+    r = K.shape[1]
+    N = sys.order_N
+    P = np.asarray(sys.P)
+    rng = np.random.default_rng(seed)
+    p0_nonzero = bool(np.any(np.abs(P[0]) > 0))
+    widths = ORACLE_LAYER_WIDTHS if p0_nonzero else ORACLE_LAYER_WIDTHS[:1]
+
+    def family(eps, Z, bform, scale):
+        S = _oracle_gram(N, eps)
+        terms = [np.kron(S[k], P[k]) for k in range(N + 1)]
+        val = _forms(sum(terms), Z)
+        gap = np.abs(val - bform - _forms(terms[0], Z))
+        return val / scale, gap / scale
+
+    vals, diffs = [], []
+    if r:
+        if sys.field == "complex":
+            D = rng.normal(size=(n_samples, 2, r))
+            draws = D[:, 0] + 1j * D[:, 1]
+        else:
+            draws = rng.normal(size=(n_samples, r))
+        Q = build_q_for_system(sys)
+        G = numlin.hermitian_part(kernel_energy_form(K, Q))
+        Z = K @ np.vstack([draws, np.linalg.eigh(G)[1][:, -1]]).T
+        scale = np.maximum(1.0, np.sum(np.abs(Z) ** 2, axis=0))
+        bform = _forms(_boundary_form(Q), Z)
+        v, g = zip(*(family(eps, Z, bform, scale) for eps in widths))
+        vals.append(np.column_stack(v).ravel())
+        diffs.append(np.column_stack(g).ravel())
+    if p0_nonzero:
+        v, g = family(None, np.linalg.eigh(sys.re_P0())[1], 0.0, 1.0)
+        vals.append(v)
+        diffs.append(g)
+    if not vals:
+        return np.zeros(0), 0.0, 0.0, True
+    values = np.concatenate(vals)
+    top = float(np.max(values))
+    return values, top, float(np.max(np.concatenate(diffs))), top <= ORACLE_TOL
+
+
+def assert_oracle_matches_kron_reference(sys, n_samples=24, seed=3):
+    rep = dissipativity_oracle(sys, n_samples=n_samples, seed=seed)
+    values, max_value, diff, holds = kron_oracle_reference(sys, n_samples, seed)
+    assert np.array_equal(rep.values, values)
+    assert rep.max_value == max_value
+    assert rep.cross_check_max_diff == diff
+    assert rep.holds == holds
+
+
+@pytest.mark.parametrize("name", [n for n, e in CORPUS.items()
+                                  if e.system().interval == UNIT_INTERVAL])
+def test_oracle_matches_kron_reference_on_the_corpus(name):
+    assert_oracle_matches_kron_reference(CORPUS[name].system())
+
+
+def test_oracle_matches_kron_reference_on_the_pinned_defect():
+    # the benchmark's near-threshold draw, whose violation the oracle misses
+    sys = random_system(2026557278, klass="interval_square")
+    assert_oracle_matches_kron_reference(sys, n_samples=64, seed=0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_oracle_matches_kron_reference_on_random_draws(N):
+    p0_kinds = set()
+    for seed in range(6):
+        sys = random_system(seed, N=N, klass="interval_square")
+        p0_kinds.add(bool(np.any(np.abs(sys.P[0]) > 0)))
+        assert_oracle_matches_kron_reference(sys, seed=seed)
+    assert p0_kinds == {False, True}  # with and without the bump family
+
+
+def test_oracle_makes_no_np_kron_call(monkeypatch):
+    def kron(*args, **kwargs):
+        raise AssertionError("np.kron called")
+
+    sys = random_system(0, N=3, klass="interval_square")  # P0 != 0: every family
+    monkeypatch.setattr(np, "kron", kron)
+    rep = dissipativity_oracle(sys, n_samples=8, seed=0)
+    assert rep.values.size == 9 * len(ORACLE_LAYER_WIDTHS) + sys.dim_d
