@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_blas_funcs, solve_banded
 
 from . import numlin
-from .errors import GridTooCoarse, ShapeError, SingularP1
+from .errors import GridTooCoarse, PhwellError, ShapeError, SingularP1
 from .model import HALF_LINE, PortHamiltonianSystem
 from .verdict import ConditionResult, Verdict, decide
 
@@ -361,37 +361,46 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y,
     [0, L], or a callable t -> vector, sampled on the default grid
     (L = 30 * max Lambda, step L / n_cells).  The data should be
     negligible near L (the half-line tail is truncated).  U must be
-    (n2, n1) when n2 > 0 (ShapeError otherwise).
+    (n2, n1) when n2 > 0 (ShapeError otherwise); L must be a finite
+    number > 0 and n_cells an integer > 0 (PhwellError otherwise).
 
-    Each block is one bidiagonal banded solve over all its components.
-    The positive block evaluates the decaying-kernel integral by a
-    composite trapezoid rule, the exact backward recurrence
-    x_j = a x_{j+1} + f_j with a = exp(-h / lambda) and x_n = 0: an
-    upper-bidiagonal system.  The negative block integrates the stable
-    ODE v' = Theta^{-1}(v - y) forward with classical fourth-order steps;
-    Theta is diagonal, so each step is affine, w_{j+1} = R(h / theta) w_j
-    + g_j, with R the RK4 stability polynomial and g_j one step from
-    w = 0: a lower-bidiagonal system started from v2(0) = -U v1(0).  The
-    half-step samples of y come from this module's not-a-knot CubicSpline,
-    built once per call with one tridiagonal solve.  Returns (v, residual)
-    with the residual measured as the max over interior nodes of
-    |v - Delta v' - y| using fourth-order central differences; raises
-    GridTooCoarse above residual_threshold.
+    Each block is one unit-triangular band sweep (BLAS ?tbsv, k = 1)
+    over all its components.  The positive block evaluates the
+    decaying-kernel integral by a composite trapezoid rule, the exact
+    backward recurrence x_j = a x_{j+1} + f_j with a = exp(-h / lambda)
+    and x_n = 0: an upper-bidiagonal system.  The negative block
+    integrates the stable ODE v' = Theta^{-1}(v - y) forward with
+    classical fourth-order steps; Theta is diagonal, so each step is
+    affine, w_{j+1} = R(h / theta) w_j + g_j, with R the RK4 stability
+    polynomial and g_j one step from w = 0: a lower-bidiagonal system
+    started from v2(0) = -U v1(0).  The half-step samples of y come from
+    this module's not-a-knot CubicSpline, built once per call with one
+    tridiagonal solve.  The work is done in float64 unless y or U is
+    complex, then in complex128; v is returned as complex128 either way.
+    Returns (v, residual) with the residual measured as the max over
+    interior nodes of |v - Delta v' - y| using fourth-order central
+    differences; raises GridTooCoarse when it is not <= residual_threshold
+    (a NaN residual included).
     """
     n1, n2 = decomp.n1, decomp.n2
     d = n1 + n2
     if n2:
-        U = np.asarray(U, dtype=complex)
+        U = np.asarray(U)
         if U.shape != (n2, n1):
             raise ShapeError(f"U must be ({n2}, {n1}), got {U.shape}")
     if L is None:
         lam_max = float(np.max(np.diag(decomp.Lambda))) if n1 else 1.0
         L = 30.0 * lam_max
+    if not 0.0 < L < np.inf:
+        raise PhwellError(f"L must be a finite number > 0, got {L}")
     if callable(y):
+        if not isinstance(n_cells, (int, np.integer)) or n_cells <= 0:
+            raise PhwellError(f"n_cells must be an integer > 0, got {n_cells!r}")
         grid = np.linspace(0.0, L, n_cells + 1)
-        y = np.stack([np.asarray(y(float(tt)), dtype=complex).reshape(d)
-                      for tt in grid], axis=1)
-    y = np.asarray(y, dtype=complex)
+        y = np.stack([np.asarray(y(float(tt))).reshape(d) for tt in grid], axis=1)
+    y = np.asarray(y)
+    dtype = complex if np.iscomplexobj(y) or (n2 and np.iscomplexobj(U)) else float
+    y = y.astype(dtype, copy=False)
     if y.ndim != 2 or y.shape[0] != d:
         raise ShapeError(f"y must be ({d}, n+1), got {y.shape}")
     npts = y.shape[1]
@@ -399,20 +408,24 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y,
         raise GridTooCoarse("need at least 6 grid points", residual=np.inf)
     h = L / (npts - 1)
     t = np.linspace(0.0, L, npts)
-    v = np.zeros((d, npts), dtype=complex)
+    v = np.zeros((d, npts), dtype=dtype)
+    # ?tbsv reads a column-major (2, n) band, band.reshape(-1, 2).T here;
+    # with diag=1 it reads only the off-diagonal: band[..., 0] above the
+    # unit diagonal (lower=0), band[..., 1] below it (lower=1)
+    tbsv = get_blas_funcs("tbsv", dtype=dtype)
 
     lam = np.diag(decomp.Lambda).real
     if n1:
         # rows j < n-1: x_j - a x_{j+1} = f_j; row n-1: x_{n-1} = 0
         decay = np.exp(-h / lam)[:, None]
         yl = y[:n1] / lam[:, None]
-        rhs = np.zeros((n1, npts), dtype=complex)
+        rhs = np.zeros((n1, npts), dtype=dtype)
         rhs[:, :-1] = 0.5 * h * (yl[:, :-1] + decay * yl[:, 1:])
-        ab = np.ones((2, n1, npts))
-        ab[0, :, 0] = 0.0  # no coupling into a component's first row
-        ab[0, :, 1:] = -decay
-        v[:n1] = solve_banded((0, 1), ab.reshape(2, -1), rhs.reshape(-1),
-                              check_finite=False).reshape(n1, npts)
+        band = np.empty((n1, npts, 2), dtype=dtype)
+        band[:, 0, 0] = 0.0  # no coupling into a component's first row
+        band[:, 1:, 0] = -decay
+        v[:n1] = tbsv(1, band.reshape(-1, 2).T, rhs.reshape(-1), lower=0,
+                      diag=1, overwrite_x=1).reshape(n1, npts)
 
     theta = np.diag(decomp.Theta).real
     if n2:
@@ -429,11 +442,11 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y,
         g = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         # rows j = 1..n-1: w_j - R w_{j-1} = g_{j-1}, with R w_0 moved right
         g[:, 0] += R * v[n1:, 0]
-        ab = np.ones((2, n2, npts - 1))
-        ab[1, :, :-1] = -R[:, None]
-        ab[1, :, -1] = 0.0  # no coupling out of a component's last row
-        v[n1:, 1:] = solve_banded((1, 0), ab.reshape(2, -1), g.reshape(-1),
-                                  check_finite=False).reshape(n2, npts - 1)
+        band = np.empty((n2, npts - 1, 2), dtype=dtype)
+        band[:, :-1, 1] = -R[:, None]
+        band[:, -1, 1] = 0.0  # no coupling out of a component's last row
+        v[n1:, 1:] = tbsv(1, band.reshape(-1, 2).T, g.reshape(-1), lower=1,
+                          diag=1, overwrite_x=1).reshape(n2, npts - 1)
 
     # residual with 4th-order central differences on interior nodes
     delta = np.concatenate([lam, theta])
@@ -441,8 +454,8 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y,
     mid = v[:, 2:-2]
     res = mid - delta[:, None] * dv - y[:, 2:-2]
     residual = float(np.max(np.abs(res))) if res.size else 0.0
-    if residual_threshold is not None and residual > residual_threshold:
+    if residual_threshold is not None and not residual <= residual_threshold:
         raise GridTooCoarse(
             f"resolvent residual {residual:.3e} above {residual_threshold:.3e}; "
             "refine the grid", residual=residual)
-    return v, residual
+    return v.astype(complex, copy=False), residual

@@ -5,7 +5,7 @@ from phwell import HamiltonianDensity, halfline, validate_system
 from phwell.corpus import build_wave
 from scipy.interpolate import CubicSpline
 
-from phwell.errors import GridTooCoarse, ShapeError, SingularP1
+from phwell.errors import GridTooCoarse, PhwellError, ShapeError, SingularP1
 from phwell.halfline import (
     BoundaryFactorization,
     FactorizationFailure,
@@ -344,6 +344,110 @@ def test_resolvent_callable_rhs_default_grid():
     assert x.shape == (1, 3001)  # default step L / 3000
     assert res <= 5e-5  # trapezoid at the default step
     assert abs(x[0, 0] - 0.5) <= 5e-5
+
+
+def general_decomp():
+    # Lambda = 0.02 makes the decay per step exp(-2.5) on a 601-point grid
+    return HalfLineDecomposition(S=np.eye(4, dtype=complex),
+                                 Lambda=np.diag([1.0, 0.02]),
+                                 Theta=np.diag([-0.5, -3.0]), n1=2, n2=2)
+
+
+def real_data():
+    t = np.linspace(0.0, 30.0, 601)
+    return np.vstack([(1.0 + 0.3 * t) * np.exp(-t),
+                      np.sin(t) * np.exp(-0.5 * t),
+                      (0.5 - t) * np.exp(-t),
+                      np.exp(-(t - 2.0) ** 2) * np.cos(t)])
+
+
+@pytest.mark.parametrize("U", [np.array([[0.3, -0.2], [0.1, 0.7]]),
+                               np.array([[0.3 + 0.4j, -0.2], [0.1j, 0.7 - 0.1j]])])
+def test_resolvent_real_data_match_loops(U):
+    # real y runs in float64 unless U is complex; v2(0) = -U v1(0) keeps Im U
+    decomp = general_decomp()
+    y = real_data()
+    v, _ = solve_resolvent_halfline(decomp, U, y, L=30.0)
+    ref = _resolvent_by_loops(decomp, U, y, 30.0)
+    assert v.dtype == np.complex128
+    assert (np.max(np.abs(v[2:].imag)) > 1e-3) == np.iscomplexobj(U)
+    assert np.max(np.abs(v - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(U @ v[:2, 0] + v[2:, 0])) <= 1e-13
+
+
+def test_resolvent_is_complex_linear_in_the_data():
+    decomp = general_decomp()
+    U = np.array([[0.3, -0.2], [0.1, 0.7]])
+    y_re = real_data()
+    y_im = np.roll(y_re, 1, axis=0) * np.linspace(1.0, 2.0, y_re.shape[1])
+    v, _ = solve_resolvent_halfline(decomp, U, y_re + 1j * y_im, L=30.0)
+    v_re, _ = solve_resolvent_halfline(decomp, U, y_re, L=30.0)
+    v_im, _ = solve_resolvent_halfline(decomp, U, y_im, L=30.0)
+    assert np.max(np.abs(v - (v_re + 1j * v_im))) <= 1e-14 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("field", [float, complex])
+def test_resolvent_callable_rhs_keeps_its_field(monkeypatch, field):
+    dtypes = []
+    get_blas_funcs = halfline.get_blas_funcs
+
+    def recording(name, *args, dtype=None, **kwargs):
+        dtypes.append(np.dtype(dtype))
+        return get_blas_funcs(name, *args, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(halfline, "get_blas_funcs", recording)
+    x, res = solve_resolvent_halfline(unit_decomp(1, 1), np.array([[0.5]]),
+                                      lambda t: field(1.0) * np.exp(-t) * np.ones(2),
+                                      L=30.0)
+    assert dtypes == [np.dtype(field)]
+    assert x.dtype == np.complex128
+    assert res <= 1e-3
+
+
+@pytest.mark.parametrize("n2", [0, 1])
+@pytest.mark.parametrize("L", [-30.0, 0.0, np.nan, np.inf])
+def test_resolvent_rejects_bad_length(n2, L):
+    decomp = unit_decomp(1, n2)
+    y = np.vstack([np.exp(-np.linspace(0.0, 30.0, 301))] * (1 + n2))
+    with pytest.raises(PhwellError, match="L must be a finite number > 0"):
+        solve_resolvent_halfline(decomp, np.zeros((n2, 1)), y, L=L)
+
+
+@pytest.mark.parametrize("n_cells", [-5, 0, 2.5, "3000", None])
+def test_resolvent_rejects_bad_cell_count(n_cells):
+    with pytest.raises(PhwellError, match="n_cells must be an integer > 0"):
+        solve_resolvent_halfline(unit_decomp(1, 0), np.zeros((0, 1)),
+                                 lambda t: np.array([np.exp(-t)]), n_cells=n_cells)
+
+
+def test_resolvent_nan_residual_fails_the_threshold():
+    t = np.linspace(0.0, 30.0, 301)
+    y = np.exp(-t)[None, :]
+    y[0, 150] = np.nan
+    _, res = solve_resolvent_halfline(unit_decomp(1, 0), np.zeros((0, 1)), y, L=30.0)
+    assert np.isnan(res)
+    with pytest.raises(GridTooCoarse) as err:
+        solve_resolvent_halfline(unit_decomp(1, 0), np.zeros((0, 1)), y, L=30.0,
+                                 residual_threshold=1.0)
+    assert np.isnan(err.value.residual)
+
+
+@pytest.mark.parametrize("n1, n2, spline_solves", [(1, 0, 0), (2, 0, 0), (0, 1, 1),
+                                                   (1, 1, 1), (2, 2, 1)])
+def test_resolvent_banded_lu_only_in_the_spline(monkeypatch, n1, n2, spline_solves):
+    # both recurrences are ?tbsv sweeps; solve_banded is the spline's alone
+    calls = []
+    solve_banded = halfline.solve_banded
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_banded(*args, **kwargs)
+
+    monkeypatch.setattr(halfline, "solve_banded", counting)
+    t = np.linspace(0.0, 30.0, 601)
+    y = np.vstack([np.exp(-t)] * (n1 + n2))
+    solve_resolvent_halfline(unit_decomp(n1, n2), np.full((n2, n1), 0.5), y, L=30.0)
+    assert len(calls) == spline_solves
 
 
 @pytest.mark.parametrize("n", [6, 7, 10, 101, 3001])
