@@ -148,8 +148,9 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.count < 0:
-        raise PhwellError(f"--count must be >= 0, got {args.count}")
+    if args.count < 0 or args.seed < 0:
+        raise PhwellError(f"--count and --seed must be >= 0, got {args.count} "
+                          f"and {args.seed}")
     rng_seeds = np.random.default_rng(args.seed).integers(0, 2**31 - 1,
                                                           size=2 * args.count)
     bad = 0

@@ -108,32 +108,17 @@ def build_wave(interval_kind: str = HALF_LINE, u_param=0.5, rho=1.0, T_mod=1.0,
     u = complex(u_param)
     field = "real" if u.imag == 0.0 else "complex"
 
-    def material(val):
-        if np.isscalar(val):
-            return None, [float(val)]
-        bps, vals = val
-        return list(bps), [float(v) for v in vals]
-
-    rho_b, rho_v = material(rho)
-    t_b, t_v = material(T_mod)
-    if rho_b is None and t_b is None:
-        H = HamiltonianDensity.constant(np.diag([1.0 / rho_v[0], t_v[0]]))
+    if np.isscalar(rho) and np.isscalar(T_mod):
+        H = HamiltonianDensity.constant(np.diag([1.0 / float(rho), float(T_mod)]))
     else:
-        bps = sorted(set((rho_b or []) + (t_b or [])))
-
-        def level(b, v, z):
-            if b is None or not b:
-                return v[0]
-            idx = int(np.searchsorted(np.asarray(b), z, side="right"))
-            return v[idx]
-
-        cells = []
+        mats = [([], [val]) if np.isscalar(val) else val for val in (rho, T_mod)]
+        bps = sorted(set().union(*(b for b, _ in mats)))
+        # each material's level on every cell, read at the cell's left edge
         edges = [0.0] + bps
-        for lo in edges:
-            z = lo + 1e-12
-            cells.append(np.diag([1.0 / level(rho_b, rho_v, z),
-                                  level(t_b, t_v, z)]))
-        H = HamiltonianDensity.piecewise(bps, cells)
+        r, t = (np.asarray(v, dtype=float)[np.searchsorted(b, edges, side="right")]
+                for b, v in mats)
+        H = HamiltonianDensity.piecewise(
+            bps, [np.diag([1.0 / ri, ti]) for ri, ti in zip(r, t)])
 
     P1 = np.array([[0.0, 1.0], [1.0, 0.0]])
     if interval_kind == HALF_LINE:

@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 import numpy as np
+from numpy.polynomial import polynomial as poly
 from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
 
 from . import numlin
 from .errors import (
@@ -55,103 +55,79 @@ from .model import HALF_LINE, UNIT_INTERVAL, PortHamiltonianSystem, build_q_for_
 # than 1,000 steps.
 MAX_STEPS = 1_000_000
 _SIGMA_FLOOR = 1.0 / 500.0  # below this, exp(-1/t) * poly(1/t) is flat zero
-_SIGMA_POLYS = [np.polynomial.Polynomial([1.0])]
 
 
-def _sigma_poly(n: int):
-    """Polynomials R_n with d^n/dt^n exp(-1/t) = exp(-1/t) R_n(1/t) (memoized)."""
-    s = np.polynomial.Polynomial([0.0, 0.0, 1.0])  # s^2 in the variable s = 1/t
-    while len(_SIGMA_POLYS) <= n:
-        last = _SIGMA_POLYS[-1]
-        _SIGMA_POLYS.append(s * (last - last.deriv()))
-    return _SIGMA_POLYS[: n + 1]
+def _leibniz(f, g) -> np.ndarray:
+    """Derivative stack 0..n of the product f g from the stacks of f and g."""
+    return np.stack([sum(comb(n, j) * f[j] * g[n - j] for j in range(n + 1))
+                     for n in range(len(f))])
 
 
 def _sigma_derivs(t: np.ndarray, max_order: int) -> np.ndarray:
-    """Derivatives 0..max_order of sigma(t) = exp(-1/t) (t <= 0 gives 0)."""
-    t = np.asarray(t, dtype=float)
+    """Derivatives 0..max_order of sigma(t) = exp(-1/t) (t <= 0 gives 0).
+
+    sigma^{(n)}(t) = exp(-1/t) R_n(1/t) with R_0 = 1 and
+    R_{n+1}(s) = s^2 (R_n(s) - R_n'(s)).
+    """
     out = np.zeros((max_order + 1,) + t.shape)
     mask = t > _SIGMA_FLOOR
-    if np.any(mask):
-        tm = t[mask]
-        base = np.exp(-1.0 / tm)
-        polys = _sigma_poly(max_order)
-        s = 1.0 / tm
-        for n in range(max_order + 1):
-            out[n][mask] = base * polys[n](s)
+    s = 1.0 / t[mask]
+    base = np.exp(-s)
+    R = np.ones(1)
+    for n in range(max_order + 1):
+        out[n][mask] = base * poly.polyval(s, R)
+        R = np.concatenate([[0.0, 0.0], poly.polysub(R, poly.polyder(R))])
     return out
 
 
 def _step_derivs(r: np.ndarray, max_order: int) -> np.ndarray:
     """Derivatives 0..max_order of step(r) = sigma(r) / (sigma(r)+sigma(1-r)).
 
-    step is 0 for r <= 0 and 1 for r >= 1, smooth throughout.  Quotient
-    derivatives via N^{(n)} = sum C(n,k) f^{(k)} D^{(n-k)}.
+    step is 0 for r <= 0 and 1 for r >= 1 (there sigma(1-r) is exactly 0),
+    smooth throughout.  Quotient derivatives via
+    N^{(n)} = sum C(n,k) f^{(k)} D^{(n-k)}; the denominator is at least
+    exp(-2) everywhere, as r or 1-r is at least 1/2.
     """
-    r = np.asarray(r, dtype=float)
     num = _sigma_derivs(r, max_order)
-    mirror = _sigma_derivs(1.0 - r, max_order)
-    den = np.empty_like(num)
+    sign = (-1.0) ** np.arange(max_order + 1)[:, None]
+    den = num + sign * _sigma_derivs(1.0 - r, max_order)
+    out = np.empty_like(num)
     for n in range(max_order + 1):
-        den[n] = num[n] + ((-1.0) ** n) * mirror[n]
-    out = np.zeros_like(num)
-    safe = den[0] > 0.0
-    f0 = np.zeros_like(r)
-    f0[safe] = num[0][safe] / den[0][safe]
-    f0[r >= 1.0] = 1.0
-    out[0] = f0
-    for n in range(1, max_order + 1):
         acc = num[n].copy()
         for k in range(n):
             acc -= comb(n, k) * out[k] * den[n - k]
-        val = np.zeros_like(r)
-        val[safe] = acc[safe] / den[0][safe]
-        out[n] = val
+        out[n] = acc / den[0]
     return out
 
 
-def _scaled_step_derivs(zeta, a: float, b: float, max_order: int, falling=False):
-    """Derivatives of the smooth step rescaled to transition over [a, b]."""
-    width = b - a
-    if falling:
-        r = (b - zeta) / width
-    else:
-        r = (zeta - a) / width
-    base = _step_derivs(r, max_order)
-    scale = (-1.0 / width) if falling else (1.0 / width)
-    for n in range(1, max_order + 1):
-        base[n] *= scale**n
-    return base
-
-
 def _cutoff_derivs(kind: tuple, zeta: np.ndarray, max_order: int):
-    """Derivative stack 0..max_order of one cutoff factor.
+    """Derivative stack 0..max_order of one cutoff factor at the 1-D points zeta.
 
     kinds: ('one',)            constant 1
            ('rise', a, b)      0 left of a, 1 right of b
            ('fall', a, b)      1 left of a, 0 right of b
            ('bump', a, b)      supported on (a, b), peak value 1 at (a+b)/2
+    rise and fall are the smooth step of (zeta-a)/(b-a) and (b-zeta)/(b-a);
+    bump is the product of a rise over [a, mid] and a fall over [mid, b].
     """
     tag = kind[0]
     if tag == "one":
         out = np.zeros((max_order + 1,) + zeta.shape)
         out[0] = 1.0
         return out
-    if tag == "rise":
-        return _scaled_step_derivs(zeta, kind[1], kind[2], max_order)
-    if tag == "fall":
-        return _scaled_step_derivs(zeta, kind[1], kind[2], max_order, falling=True)
+    if tag not in ("rise", "fall", "bump"):
+        raise ValueError(f"unknown cutoff kind {kind!r}")
+    a, b = kind[1], kind[2]
     if tag == "bump":
-        a, b = kind[1], kind[2]
         mid = 0.5 * (a + b)
-        up = _scaled_step_derivs(zeta, a, mid, max_order)
-        down = _scaled_step_derivs(zeta, mid, b, max_order, falling=True)
-        out = np.zeros_like(up)
-        for n in range(max_order + 1):
-            for j in range(n + 1):
-                out[n] += comb(n, j) * up[j] * down[n - j]
-        return out
-    raise ValueError(f"unknown cutoff kind {kind!r}")
+        return _leibniz(_cutoff_derivs(("rise", a, mid), zeta, max_order),
+                        _cutoff_derivs(("fall", mid, b), zeta, max_order))
+    width = b - a
+    if tag == "rise":
+        r, scale = (zeta - a) / width, 1.0 / width
+    else:
+        r, scale = (b - zeta) / width, -1.0 / width
+    return _step_derivs(r, max_order) * scale ** np.arange(max_order + 1)[:, None]
 
 
 def _cutoff_junctions(kind: tuple):
@@ -193,24 +169,10 @@ class SmoothFunction:
         zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
         out = np.zeros((max_order + 1, zeta.size, self.dim), dtype=complex)
         for kind, coeffs, center in self.terms:
-            coeffs = np.asarray(coeffs, dtype=complex)
-            m = coeffs.shape[0]
-            poly = np.zeros((max_order + 1, zeta.size, self.dim), dtype=complex)
-            dz = (zeta - center)[:, None]
-            for n in range(max_order + 1):
-                acc = np.zeros((zeta.size, self.dim), dtype=complex)
-                for i in range(n, m):
-                    fac = 1.0
-                    for j in range(i, i - n, -1):
-                        fac *= j
-                    acc += fac * coeffs[i] * dz ** (i - n)
-                poly[n] = acc
+            dpoly = np.stack([poly.polyval(zeta - center, poly.polyder(coeffs, n)).T
+                              for n in range(max_order + 1)])
             cut = _cutoff_derivs(kind, zeta, max_order)
-            for n in range(max_order + 1):
-                term = np.zeros((zeta.size, self.dim), dtype=complex)
-                for j in range(n + 1):
-                    term += comb(n, j) * cut[j][:, None] * poly[n - j]
-                out[n] += term
+            out += _leibniz(cut[:, :, None], dpoly)
         return out
 
     def value(self, zeta) -> np.ndarray:
@@ -244,17 +206,10 @@ def boundary_interpolant(u, v, eps: float = 0.25, d: int = None) -> SmoothFuncti
     if u.size % d:
         raise ShapeError(f"trace length {u.size} is not a multiple of d={d}")
     N = u.size // d
-    fact = 1.0
-    cu = np.zeros((N, d), dtype=complex)
-    cv = np.zeros((N, d), dtype=complex)
-    for i in range(N):
-        if i:
-            fact *= i
-        cu[i] = u[i * d : (i + 1) * d] / fact
-        cv[i] = v[i * d : (i + 1) * d] / fact
+    fact = np.array([[factorial(i)] for i in range(N)], dtype=float)
     return SmoothFunction(
-        terms=((("rise", 1.0 - 2.0 * eps, 1.0 - eps), cu, 1.0),
-               (("fall", eps, 2.0 * eps), cv, 0.0)),
+        terms=((("rise", 1.0 - 2.0 * eps, 1.0 - eps), u.reshape(N, d) / fact, 1.0),
+               (("fall", eps, 2.0 * eps), v.reshape(N, d) / fact, 0.0)),
         dim=d,
     )
 
@@ -426,12 +381,14 @@ def dissipativity_oracle(sys: PortHamiltonianSystem, n_samples: int = 64,
     mismatch there means a quadrature/interpolant bug, not a property of
     the system.  Values are normalized per sample by max(1, ||traces||^2);
     the bump directions have unit norm.  The report holds when no value
-    exceeds ORACLE_TOL.  n_samples must be >= 0.
+    exceeds ORACLE_TOL.  n_samples and seed must be integers >= 0.
     """
     if sys.interval != UNIT_INTERVAL:
         raise ShapeError("dissipativity_oracle needs a unit_interval system")
-    if n_samples < 0:
-        raise PhwellError(f"n_samples must be >= 0, got {n_samples}")
+    for name, value in (("n_samples", n_samples), ("seed", seed)):
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < 0):
+            raise PhwellError(f"{name} must be an integer >= 0, got {value!r}")
     K = numlin.kernel_basis(sys.WB_hat, sys.tol.check)
     r = K.shape[1]
     N, nd, d = sys.order_N, sys.nd, sys.dim_d
@@ -529,12 +486,13 @@ def smooth_bump(center: float, width: float, d: int, component: int = 0,
                 amplitude: float = 1.0):
     """Compactly supported C-infinity bump in one state component.
 
-    center must be finite, width a finite number > 0 and component an
-    index below d.
+    center and amplitude must be finite, width a finite number > 0 and
+    component an index below d.
     """
-    if not (np.isfinite(center) and 0.0 < width < np.inf):
-        raise PhwellError(f"bump center must be finite and width a finite "
-                          f"number > 0, got center {center} and width {width}")
+    if not (np.isfinite(center) and np.isfinite(amplitude) and 0.0 < width < np.inf):
+        raise PhwellError(f"bump center and amplitude must be finite and width a "
+                          f"finite number > 0, got center {center}, amplitude "
+                          f"{amplitude} and width {width}")
     if not 0 <= component < d:
         raise PhwellError(f"bump component must lie in [0, {d}), got {component}")
 
@@ -551,11 +509,14 @@ def smooth_bump(center: float, width: float, d: int, component: int = 0,
 def _initial_state(x0, centers, d) -> np.ndarray:
     """x0 on the cells as a (d, nx) array, the layout of EnergyTrace states."""
     if callable(x0):
-        cols = [np.asarray(x0(float(z)), dtype=complex).reshape(d) for z in centers]
-        return np.stack(cols, axis=1)
+        x0 = np.stack([np.asarray(x0(float(z)), dtype=complex).reshape(d)
+                       for z in centers], axis=1)
     arr = np.asarray(x0, dtype=complex)
     if arr.shape != (d, centers.size):
         raise ShapeError(f"x0 must be callable or a ({d}, {centers.size}) array")
+    # a NaN energy would pass the step-rise check: max(0.0, nan) is 0.0
+    if not np.isfinite(arr).all():
+        raise PhwellError("x0 must be finite in every cell")
     return arr
 
 
@@ -598,16 +559,13 @@ class _BoundaryClosure:
         R[out_right, d:] = S[self.neg]
         M[out_left, d:] = S[self.pos]  # outgoing at the left end
         R[out_left, :d] = S[self.pos]
-        try:
-            cond_s = np.linalg.svd(M, compute_uv=False)
-            if numlin.rank_from_singular_values(cond_s, 1e-12) < 2 * d:
-                raise BoundaryClosureSingular(
-                    "ghost-state system is singular: the boundary conditions "
-                    "constrain outgoing characteristics inconsistently",
-                    matrix=M)
-            Z = lu_solve(lu_factor(M), R)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise BoundaryClosureSingular(str(exc), matrix=M)
+        cond_s = np.linalg.svd(M, compute_uv=False)
+        if numlin.rank_from_singular_values(cond_s, 1e-12) < 2 * d:
+            raise BoundaryClosureSingular(
+                "ghost-state system is singular: the boundary conditions "
+                "constrain outgoing characteristics inconsistently",
+                matrix=M)
+        Z = np.linalg.solve(M, R)
         self.G = np.vstack([Z[d:], Z[:d]])  # z lists w_hat(1) first
 
     def traces(self, ends):
@@ -730,8 +688,8 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     """
     if sys.order_N != 1:
         raise ShapeError("simulate supports first-order (N = 1) systems only")
-    if nx < 16:
-        raise ShapeError("nx must be at least 16")
+    if isinstance(nx, bool) or not isinstance(nx, (int, np.integer)) or nx < 16:
+        raise ShapeError(f"nx must be an integer >= 16, got {nx!r}")
     if not 0.0 < cfl <= 0.9:
         raise CFLViolation(f"cfl must lie in (0, 0.9], got {cfl}")
     if not 0.0 < t_final < np.inf:

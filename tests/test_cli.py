@@ -180,6 +180,15 @@ def test_oracle_rejects_negative_samples(tmp_path, capsys):
     assert "n_samples" in captured.err
 
 
+def test_oracle_rejects_a_negative_seed(tmp_path, capsys):
+    cfg = tmp_path / "wave.json"
+    write_config(build_wave("unit_interval", 0.7), cfg)
+    assert main(["oracle", str(cfg), "--samples", "8", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: seed must be an integer >= 0")
+
+
 @pytest.mark.parametrize("change", [{"holds": False}, {"cross_check_max_diff": 1e-6}])
 def test_oracle_contradiction_exit_code(tmp_path, monkeypatch, capsys, change):
     import dataclasses
@@ -246,6 +255,13 @@ def test_sweep_rejects_negative_count(capsys):
     assert main(["sweep", "--count", "-1"]) == 2
     captured = capsys.readouterr()
     assert "--count" in captured.err and captured.out == ""
+
+
+def test_sweep_rejects_a_negative_seed(capsys):
+    assert main(["sweep", "--count", "1", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --count and --seed must be >= 0")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("name,code", [("wave_interval_antidamped", 3),

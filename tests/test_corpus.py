@@ -76,6 +76,50 @@ def test_wave_builder_piecewise_material():
     np.testing.assert_allclose(sys.H.at(0.8), np.diag([0.25, 2.0]))
 
 
+def _wave_density_reference(rho, T_mod):
+    """build_wave's H as the per-point material lookup built it (reference)."""
+    def material(val):
+        if np.isscalar(val):
+            return None, [float(val)]
+        bps, vals = val
+        return list(bps), [float(v) for v in vals]
+
+    rho_b, rho_v = material(rho)
+    t_b, t_v = material(T_mod)
+    if rho_b is None and t_b is None:
+        return model.HamiltonianDensity.constant(np.diag([1.0 / rho_v[0], t_v[0]]))
+    bps = sorted(set((rho_b or []) + (t_b or [])))
+
+    def level(b, v, z):
+        if not b:
+            return v[0]
+        return v[int(np.searchsorted(np.asarray(b), z, side="right"))]
+
+    cells = [np.diag([1.0 / level(rho_b, rho_v, lo + 1e-12), level(t_b, t_v, lo + 1e-12)])
+             for lo in [0.0] + bps]
+    return model.HamiltonianDensity.piecewise(bps, cells)
+
+
+@pytest.mark.parametrize("interval, rho, T_mod", [
+    ("unit_interval", 2.0, 3.0),
+    ("unit_interval", ([0.4], [1.0, 4.0]), 2.0),
+    ("unit_interval", 0.5, ([0.3, 0.7], [1.0, 2.0, 5.0])),
+    ("unit_interval", ([0.3, 0.6], [1.0, 4.0, 0.5]), ([0.3, 0.8], [2.0, 3.0, 7.0])),
+    ("half_line", 3.0, 0.25),
+    ("half_line", ([0.5, 2.0], [1.0, 4.0, 9.0]), ([1.0], [2.0, 0.5])),
+    ("half_line", ([1.5], [2.0, 3.0]), 1.5),
+])
+def test_wave_builder_density_matches_the_lookup_reference(interval, rho, T_mod):
+    got = build_wave(interval, 0.7, rho=rho, T_mod=T_mod).H
+    want = _wave_density_reference(rho, T_mod)
+    assert got.kind == want.kind
+    assert np.array_equal(got.matrices, want.matrices)
+    if want.breakpoints is None:
+        assert got.breakpoints is None
+    else:
+        assert np.array_equal(got.breakpoints, want.breakpoints)
+
+
 def test_wave_builder_complex_parameter_switches_field():
     assert build_wave("half_line", 0.9j).field == "complex"
     assert build_wave("half_line", 0.5).field == "real"

@@ -139,6 +139,31 @@ def test_cfl_and_nx_validation():
         simulate(sys, smooth_bump(0.3, 0.2, 1), 0.1, nx=8)
 
 
+@pytest.mark.parametrize("nx", [100.0, 16.5, True, "32"])
+def test_simulate_rejects_a_non_integer_nx(nx):
+    with pytest.raises(ShapeError, match="nx must be an integer >= 16"):
+        simulate(build_transport(), smooth_bump(0.3, 0.2, 1), 0.1, nx=nx)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("form", ["array", "callable"])
+def test_simulate_rejects_a_non_finite_initial_state(bad, form):
+    # a NaN energy would read as no rise at all: max(0.0, nan) is 0.0
+    x0 = np.ones((2, 32), dtype=complex)
+    x0[1, 5] = bad
+    if form == "callable":
+        cells = x0
+        x0 = lambda z: cells[:, min(int(z * 32), 31)]  # noqa: E731
+    with pytest.raises(PhwellError, match="x0 must be finite"):
+        simulate(build_wave(UNIT_INTERVAL, 0.7), x0, 0.1, nx=32)
+
+
+@pytest.mark.parametrize("amplitude", [np.inf, -np.inf, np.nan])
+def test_smooth_bump_rejects_a_non_finite_amplitude(amplitude):
+    with pytest.raises(PhwellError, match="amplitude"):
+        smooth_bump(0.3, 0.2, 2, amplitude=amplitude)
+
+
 @pytest.mark.parametrize("L", [0.0, -1.0, np.inf, np.nan])
 def test_simulate_rejects_bad_length(L):
     with pytest.raises(PhwellError, match="L must"):

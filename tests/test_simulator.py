@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,10 @@ from phwell.model import UNIT_INTERVAL, build_q_for_system
 from phwell.simulator import (
     ORACLE_LAYER_WIDTHS,
     ORACLE_TOL,
+    SmoothFunction,
     _boundary_form,
+    _cutoff_derivs,
+    _cutoff_junctions,
     _forms,
     _oracle_gram,
     _rayleigh_split,
@@ -170,6 +175,14 @@ def test_oracle_rejects_negative_samples():
         dissipativity_oracle(build_wave("unit_interval", 0.7), n_samples=-5)
 
 
+@pytest.mark.parametrize("name, value", [("seed", -1), ("seed", 1.5), ("seed", True),
+                                         ("n_samples", 2.5), ("n_samples", 8.0),
+                                         ("n_samples", False)])
+def test_oracle_rejects_a_bad_seed_or_sample_count(name, value):
+    with pytest.raises(PhwellError, match=f"{name} must be an integer >= 0"):
+        dissipativity_oracle(build_wave("unit_interval", 0.7), **{name: value})
+
+
 def test_oracle_vacuous_for_trivial_kernel():
     sys = make_system(1, 1, [np.eye(1)], np.eye(2))
     rep = dissipativity_oracle(sys, n_samples=8, seed=0)
@@ -274,3 +287,169 @@ def test_oracle_makes_no_np_kron_call(monkeypatch):
     monkeypatch.setattr(np, "kron", kron)
     rep = dissipativity_oracle(sys, n_samples=8, seed=0)
     assert rep.values.size == 9 * len(ORACLE_LAYER_WIDTHS) + sys.dim_d
+
+
+# ---------------------------------------------------------------------------
+# the smooth-state calculus against a reference
+#
+# The module forms state derivatives with one product rule (_leibniz) over
+# cutoff and polynomial stacks, numpy's polyder/polyval for the polynomials
+# and the exp(-1/t) recursion run inline.  What follows is the calculus it
+# replaced, loop for loop, kept as the reference.
+
+
+def _sigma_derivs_reference(t, max_order):
+    s2 = np.polynomial.Polynomial([0.0, 0.0, 1.0])
+    polys = [np.polynomial.Polynomial([1.0])]
+    while len(polys) <= max_order:
+        polys.append(s2 * (polys[-1] - polys[-1].deriv()))
+    out = np.zeros((max_order + 1,) + t.shape)
+    mask = t > 1.0 / 500.0
+    if np.any(mask):
+        tm = t[mask]
+        for n in range(max_order + 1):
+            out[n][mask] = np.exp(-1.0 / tm) * polys[n](1.0 / tm)
+    return out
+
+
+def _step_derivs_reference(r, max_order):
+    num = _sigma_derivs_reference(r, max_order)
+    mirror = _sigma_derivs_reference(1.0 - r, max_order)
+    den = np.empty_like(num)
+    for n in range(max_order + 1):
+        den[n] = num[n] + ((-1.0) ** n) * mirror[n]
+    out = np.zeros_like(num)
+    safe = den[0] > 0.0
+    f0 = np.zeros_like(r)
+    f0[safe] = num[0][safe] / den[0][safe]
+    f0[r >= 1.0] = 1.0
+    out[0] = f0
+    for n in range(1, max_order + 1):
+        acc = num[n].copy()
+        for k in range(n):
+            acc -= comb(n, k) * out[k] * den[n - k]
+        val = np.zeros_like(r)
+        val[safe] = acc[safe] / den[0][safe]
+        out[n] = val
+    return out
+
+
+def _scaled_step_derivs_reference(zeta, a, b, max_order, falling=False):
+    width = b - a
+    r = (b - zeta) / width if falling else (zeta - a) / width
+    base = _step_derivs_reference(r, max_order)
+    scale = (-1.0 / width) if falling else (1.0 / width)
+    for n in range(1, max_order + 1):
+        base[n] *= scale**n
+    return base
+
+
+def _cutoff_derivs_reference(kind, zeta, max_order):
+    tag = kind[0]
+    if tag == "one":
+        out = np.zeros((max_order + 1,) + zeta.shape)
+        out[0] = 1.0
+        return out
+    if tag == "rise":
+        return _scaled_step_derivs_reference(zeta, kind[1], kind[2], max_order)
+    if tag == "fall":
+        return _scaled_step_derivs_reference(zeta, kind[1], kind[2], max_order,
+                                             falling=True)
+    a, b = kind[1], kind[2]
+    mid = 0.5 * (a + b)
+    up = _scaled_step_derivs_reference(zeta, a, mid, max_order)
+    down = _scaled_step_derivs_reference(zeta, mid, b, max_order, falling=True)
+    out = np.zeros_like(up)
+    for n in range(max_order + 1):
+        for j in range(n + 1):
+            out[n] += comb(n, j) * up[j] * down[n - j]
+    return out
+
+
+def _derivatives_reference(self, zeta, max_order):
+    zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
+    out = np.zeros((max_order + 1, zeta.size, self.dim), dtype=complex)
+    for kind, coeffs, center in self.terms:
+        coeffs = np.asarray(coeffs, dtype=complex)
+        m = coeffs.shape[0]
+        poly = np.zeros((max_order + 1, zeta.size, self.dim), dtype=complex)
+        dz = (zeta - center)[:, None]
+        for n in range(max_order + 1):
+            acc = np.zeros((zeta.size, self.dim), dtype=complex)
+            for i in range(n, m):
+                fac = 1.0
+                for j in range(i, i - n, -1):
+                    fac *= j
+                acc += fac * coeffs[i] * dz ** (i - n)
+            poly[n] = acc
+        cut = _cutoff_derivs_reference(kind, zeta, max_order)
+        for n in range(max_order + 1):
+            term = np.zeros((zeta.size, self.dim), dtype=complex)
+            for j in range(n + 1):
+                term += comb(n, j) * cut[j][:, None] * poly[n - j]
+            out[n] += term
+    return out
+
+
+CALCULUS_WIDTHS = (0.25, 0.05, 0.01, 0.002)
+
+
+def _cutoff_kinds(w):
+    return [("one",), ("rise", 1.0 - 2.0 * w, 1.0 - w), ("fall", w, 2.0 * w),
+            ("bump", 0.5 - w, 0.5 + w)]
+
+
+def _probe_points(kinds):
+    """A grid with every junction (plateau ends, bump peaks) and points beside them."""
+    ends = [p for kind in kinds for p in _cutoff_junctions(kind)]
+    near = [p + dp for p in ends for dp in (-1e-9, 1e-9, -1e-4, 1e-4)]
+    return np.unique(np.concatenate([np.linspace(0.0, 1.0, 401), ends, near]))
+
+
+def assert_stacks_close(got, want, rtol=1e-12):
+    """Order by order, within rtol of that order's largest |entry|."""
+    for n, (g, w) in enumerate(zip(got, want)):
+        assert np.abs(g - w).max() <= rtol * np.abs(w).max(), f"order {n}"
+
+
+@pytest.mark.parametrize("width", CALCULUS_WIDTHS)
+def test_cutoff_derivatives_match_the_reference(width):
+    kinds = _cutoff_kinds(width)
+    zeta = _probe_points(kinds)
+    for kind in kinds:
+        got = _cutoff_derivs(kind, zeta, 4)
+        want = _cutoff_derivs_reference(kind, zeta, 4)
+        assert got.shape == want.shape
+        assert_stacks_close(got, want)
+
+
+@pytest.mark.parametrize("width", CALCULUS_WIDTHS)
+def test_state_derivatives_match_the_reference(width):
+    rng = np.random.default_rng(5)
+    kinds = _cutoff_kinds(width)
+    zeta = _probe_points(kinds)
+    terms = tuple((kind, rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2)),
+                   float(rng.uniform()))
+                  for kind, m in zip(kinds, (1, 2, 3, 6)))
+    states = [SmoothFunction(terms=terms, dim=2),
+              interior_probe([1.0, -2.0], 0.5 - width, 0.5 + width)]
+    for N in (1, 2, 3):
+        u, v = rng.normal(size=(2, 2 * N))
+        states.append(boundary_interpolant(u, v, eps=width, d=2))
+    for x in states:
+        assert_stacks_close(x.derivatives(zeta, 4), _derivatives_reference(x, zeta, 4))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("eps", ORACLE_LAYER_WIDTHS + (None,))
+def test_oracle_gram_matches_the_reference_calculus(N, eps, monkeypatch):
+    S = _oracle_gram(N, eps)
+    monkeypatch.setattr(SmoothFunction, "derivatives", _derivatives_reference)
+    if eps is None:
+        basis = interior_probe([1.0])
+    else:
+        eye = np.eye(2 * N)
+        basis = boundary_interpolant(eye[:N].ravel(), eye[N:].ravel(), eps=eps,
+                                     d=2 * N)
+    want = _rayleigh_split(N, basis)
+    assert np.abs(S - want).max() <= 1e-12 * np.abs(want).max()
