@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, solve_banded
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from . import numlin
 from .errors import GridTooCoarse, PhwellError, ShapeError, SingularP1
@@ -299,17 +299,24 @@ def analyze_halfline(sys: PortHamiltonianSystem) -> Verdict:
                    tuple(warnings))
 
 
+_ptsv = get_lapack_funcs("ptsv", dtype=float)
+
+
 class CubicSpline:
     """Not-a-knot cubic spline through samples on a uniform grid.
 
     The call shape of scipy.interpolate.CubicSpline(x, y, axis) with its
     default end condition, for uniform x only (importing scipy.interpolate
     for this one use would double the import time of phwell).  The knot
-    slopes s solve scipy's uniform-grid rows in one tridiagonal solve,
-    s[i-1] + 4 s[i] + s[i+1] = 3 (m[i-1] + m[i]) inside with m the secant
-    slopes, s[0] + 2 s[1] = (5 m[0] + m[1]) / 2 first and the mirror row
-    last.  Each cell is the cubic Hermite form of its end values and
-    slopes; points beyond the grid continue the end cells.
+    slopes s solve scipy's uniform-grid rows, s[i-1] + 4 s[i] + s[i+1] =
+    3 (m[i-1] + m[i]) inside with m the secant slopes, s[0] + 2 s[1] =
+    (5 m[0] + m[1]) / 2 first and the mirror row last.  With the two end
+    rows halved the matrix is symmetric positive definite (diagonal 0.5,
+    4, ..., 4, 0.5, off-diagonal 1; its LDL^T pivots are at least 0.21
+    for n >= 4), so s comes from one LAPACK ?ptsv solve in float64, complex
+    samples as their float view.  Each cell is the cubic Hermite form of
+    its end values and slopes; points beyond the grid continue the end
+    cells.
     """
 
     def __init__(self, x, y, axis: int = 0):
@@ -327,15 +334,28 @@ class CubicSpline:
             raise ShapeError("spline grid must be uniform and increasing")
         self.x, self.h, self.trailing = x, h, y.shape[1:]
         self.y = y.reshape(n, -1)
-        m = np.diff(self.y, axis=0) / h
-        rhs = np.empty((n, m.shape[1]), dtype=m.dtype)
-        rhs[1:-1] = 3.0 * (m[:-1] + m[1:])
-        rhs[0] = 0.5 * (5.0 * m[0] + m[1])
-        rhs[-1] = 0.5 * (m[-2] + 5.0 * m[-1])
-        ab = np.ones((3, n))
-        ab[1, 1:-1] = 4.0
-        ab[0, 1] = ab[2, -2] = 2.0
-        self.s = solve_banded((1, 1), ab, rhs, check_finite=False)
+        dy = np.diff(self.y, axis=0)
+        rhs = np.empty((n, dy.shape[1]), dtype=np.result_type(dy, float))
+        np.add(dy[:-1], dy[1:], out=rhs[1:-1])
+        rhs[1:-1] *= 3.0 / h
+        rhs[0] = (5.0 * dy[0] + dy[1]) / (4.0 * h)
+        rhs[-1] = (dy[-2] + 5.0 * dy[-1]) / (4.0 * h)
+        diag = np.full(n, 4.0)
+        diag[0] = diag[-1] = 0.5
+        s = _ptsv(diag, np.ones(n - 1), rhs.view(float), overwrite_b=1)[2]
+        self.s = np.ascontiguousarray(s).view(rhs.dtype)
+
+    def midpoints(self) -> np.ndarray:
+        """The spline at the n - 1 cell midpoints, as self(x[:-1] + h / 2).
+
+        At u = 1/2 the Hermite form is (y_j + y_j+1) / 2 + h (s_j - s_j+1) / 8.
+        """
+        ym = np.add(self.y[:-1], self.y[1:], dtype=self.s.dtype)
+        ym *= 0.5
+        ds = np.subtract(self.s[:-1], self.s[1:])
+        ds *= 0.125 * self.h
+        ym += ds
+        return np.moveaxis(ym.reshape((-1,) + self.trailing), 0, self.axis)
 
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -360,37 +380,47 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y,
     y: either an array (n1+n2, n+1) of samples on the uniform grid over
     [0, L], or a callable t -> vector, sampled on the default grid
     (L = 30 * max Lambda, step L / n_cells).  The data should be
-    negligible near L (the half-line tail is truncated).  U must be
-    (n2, n1) when n2 > 0 (ShapeError otherwise); L must be a finite
-    number > 0 and n_cells an integer > 0 (PhwellError otherwise).
+    negligible near L (the half-line tail is truncated).  The diagonal of
+    Lambda must be finite and > 0 and that of Theta finite and < 0, L a
+    finite number > 0 and n_cells an integer > 0 (PhwellError otherwise);
+    U must be (n2, n1) when n2 > 0 (ShapeError otherwise).
 
     Each block is one unit-triangular band sweep (BLAS ?tbsv, k = 1)
-    over all its components.  The positive block evaluates the
-    decaying-kernel integral by a composite trapezoid rule, the exact
-    backward recurrence x_j = a x_{j+1} + f_j with a = exp(-h / lambda)
-    and x_n = 0: an upper-bidiagonal system.  The negative block
-    integrates the stable ODE v' = Theta^{-1}(v - y) forward with
-    classical fourth-order steps; Theta is diagonal, so each step is
-    affine, w_{j+1} = R(h / theta) w_j + g_j, with R the RK4 stability
-    polynomial and g_j one step from w = 0: a lower-bidiagonal system
-    started from v2(0) = -U v1(0).  The half-step samples of y come from
-    this module's not-a-knot CubicSpline, built once per call with one
-    tridiagonal solve.  The work is done in float64 unless y or U is
-    complex, then in complex128; v is returned as complex128 either way.
-    Returns (v, residual) with the residual measured as the max over
-    interior nodes of |v - Delta v' - y| using fourth-order central
-    differences; raises GridTooCoarse when it is not <= residual_threshold
-    (a NaN residual included).
+    over all its components, done in place in v.  The positive block
+    evaluates the decaying-kernel integral by a composite trapezoid rule,
+    the exact backward recurrence x_j = a x_{j+1} + f_j with
+    a = exp(-h / lambda) and x_n = 0: an upper-bidiagonal system.  The
+    negative block integrates the stable ODE v' = Theta^{-1}(v - y)
+    forward with classical fourth-order steps; Theta is diagonal, so each
+    step is affine, w_{j+1} = R(h / theta) w_j + g_j, with R the RK4
+    stability polynomial and g_j one step from w = 0: a lower-bidiagonal
+    system started from v2(0) = -U v1(0).  The step term is linear in the
+    cell's samples, g_j = a y_j + b ym_j + c y_{j+1} with z = h / theta,
+    a = -h/(6 theta) (1 + z + z^2/2 + z^3/4), b = -h/(6 theta)
+    (4 + 2 z + z^2/2) and c = -h/(6 theta).  The half-step samples ym are
+    this module's not-a-knot CubicSpline at the cell midpoints, read off
+    its knot slopes as (y_j + y_{j+1}) / 2 + h (s_j - s_{j+1}) / 8; the
+    spline costs one ?ptsv solve per call.  The work is done in float64
+    unless y or U is complex, then in complex128; v is returned as
+    complex128 either way.  Returns (v, residual) with the residual
+    measured as the max over interior nodes of |v - Delta v' - y| using
+    fourth-order central differences; raises GridTooCoarse when it is not
+    <= residual_threshold (a NaN residual included).
     """
     n1, n2 = decomp.n1, decomp.n2
     d = n1 + n2
+    lam = np.diag(decomp.Lambda).real
+    theta = np.diag(decomp.Theta).real
+    if not (np.all((0.0 < lam) & (lam < np.inf))
+            and np.all((-np.inf < theta) & (theta < 0.0))):
+        raise PhwellError("Lambda must have a finite diagonal > 0 and Theta a "
+                          f"finite diagonal < 0, got {lam} and {theta}")
     if n2:
         U = np.asarray(U)
         if U.shape != (n2, n1):
             raise ShapeError(f"U must be ({n2}, {n1}), got {U.shape}")
     if L is None:
-        lam_max = float(np.max(np.diag(decomp.Lambda))) if n1 else 1.0
-        L = 30.0 * lam_max
+        L = 30.0 * (float(np.max(lam)) if n1 else 1.0)
     if not 0.0 < L < np.inf:
         raise PhwellError(f"L must be a finite number > 0, got {L}")
     if callable(y):
@@ -407,52 +437,54 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y,
     if npts < 6:
         raise GridTooCoarse("need at least 6 grid points", residual=np.inf)
     h = L / (npts - 1)
-    t = np.linspace(0.0, L, npts)
     v = np.zeros((d, npts), dtype=dtype)
     # ?tbsv reads a column-major (2, n) band, band.reshape(-1, 2).T here;
     # with diag=1 it reads only the off-diagonal: band[..., 0] above the
-    # unit diagonal (lower=0), band[..., 1] below it (lower=1)
+    # unit diagonal (lower=0), band[..., 1] below it (lower=1).  Each
+    # block's rows of v are contiguous, so the sweep overwrites them.
     tbsv = get_blas_funcs("tbsv", dtype=dtype)
 
-    lam = np.diag(decomp.Lambda).real
     if n1:
         # rows j < n-1: x_j - a x_{j+1} = f_j; row n-1: x_{n-1} = 0
         decay = np.exp(-h / lam)[:, None]
-        yl = y[:n1] / lam[:, None]
-        rhs = np.zeros((n1, npts), dtype=dtype)
-        rhs[:, :-1] = 0.5 * h * (yl[:, :-1] + decay * yl[:, 1:])
+        f = v[:n1, :-1]
+        np.multiply(y[:n1, 1:], decay, out=f)
+        f += y[:n1, :-1]
+        f *= (0.5 * h / lam)[:, None]
         band = np.empty((n1, npts, 2), dtype=dtype)
         band[:, 0, 0] = 0.0  # no coupling into a component's first row
         band[:, 1:, 0] = -decay
-        v[:n1] = tbsv(1, band.reshape(-1, 2).T, rhs.reshape(-1), lower=0,
-                      diag=1, overwrite_x=1).reshape(n1, npts)
+        tbsv(1, band.reshape(-1, 2).T, v[:n1].reshape(-1), lower=0, diag=1,
+             overwrite_x=1)
 
-    theta = np.diag(decomp.Theta).real
     if n2:
+        # row 0: w_0 = -U v1(0); rows j >= 1: w_j - R w_{j-1} = g_{j-1}
         v[n1:, 0] = -U @ v[:n1, 0]
-        th = theta[:, None]
         z = h / theta
         R = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-        y0, y1 = y[n1:, :-1], y[n1:, 1:]
-        ym = CubicSpline(t, y[n1:], axis=1)(t[:-1] + 0.5 * h)
-        k1 = -y0 / th
-        k2 = (0.5 * h * k1 - ym) / th
-        k3 = (0.5 * h * k2 - ym) / th
-        k4 = (h * k3 - y1) / th
-        g = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        # rows j = 1..n-1: w_j - R w_{j-1} = g_{j-1}, with R w_0 moved right
-        g[:, 0] += R * v[n1:, 0]
-        band = np.empty((n2, npts - 1, 2), dtype=dtype)
+        c = -h / (6.0 * theta)
+        a = c * (1.0 + z * (1.0 + z * (0.5 + 0.25 * z)))
+        b = c * (4.0 + z * (2.0 + 0.5 * z))
+        ym = CubicSpline(np.linspace(0.0, L, npts), y[n1:], axis=1).midpoints()
+        g = v[n1:, 1:]
+        np.multiply(ym, b[:, None], out=g)
+        g += a[:, None] * y[n1:, :-1]
+        g += c[:, None] * y[n1:, 1:]
+        band = np.empty((n2, npts, 2), dtype=dtype)
         band[:, :-1, 1] = -R[:, None]
         band[:, -1, 1] = 0.0  # no coupling out of a component's last row
-        v[n1:, 1:] = tbsv(1, band.reshape(-1, 2).T, g.reshape(-1), lower=1,
-                          diag=1, overwrite_x=1).reshape(n2, npts - 1)
+        tbsv(1, band.reshape(-1, 2).T, v[n1:].reshape(-1), lower=1, diag=1,
+             overwrite_x=1)
 
-    # residual with 4th-order central differences on interior nodes
-    delta = np.concatenate([lam, theta])
-    dv = (v[:, :-4] - 8 * v[:, 1:-3] + 8 * v[:, 3:-1] - v[:, 4:]) / (12.0 * h)
-    mid = v[:, 2:-2]
-    res = mid - delta[:, None] * dv - y[:, 2:-2]
+    # residual with 4th-order central differences on interior nodes:
+    # Delta v' - v + y, the stencil 8 (v3 - v1) + v0 - v4 scaled by Delta / 12h
+    res = np.subtract(v[:, 3:-1], v[:, 1:-3])
+    res *= 8.0
+    res += v[:, :-4]
+    res -= v[:, 4:]
+    res *= (np.concatenate([lam, theta]) / (12.0 * h))[:, None]
+    res -= v[:, 2:-2]
+    res += y[:, 2:-2]
     residual = float(np.max(np.abs(res))) if res.size else 0.0
     if residual_threshold is not None and not residual <= residual_threshold:
         raise GridTooCoarse(

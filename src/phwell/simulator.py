@@ -469,7 +469,7 @@ class EnergyTrace:
     energy: np.ndarray
     boundary_power: np.ndarray
     interior_power: np.ndarray
-    max_violation: float
+    max_violation: float  # largest step rise of energy; inf if one is not finite
     notes: tuple = ()
     snapshots: tuple = ()  # (time, state (d, nx)) pairs
     cell_centers: np.ndarray | None = None
@@ -772,7 +772,9 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     w_left, w_right = closure.traces(ends)
     f = build_q_for_system(sys) @ (w_right - w_left)
     bpow = np.real(np.sum(f.conj() * (w_right + w_left), axis=0))
-    violation = float(max(0.0, np.max(np.diff(energies)))) if n_steps else 0.0
+    # an energy that overflowed bounds no step's rise
+    violation = (float(max(0.0, np.max(np.diff(energies))))
+                 if np.isfinite(energies).all() else np.inf)
     return EnergyTrace(
         times=times,
         energy=energies,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -291,6 +292,18 @@ def test_simulate_zero_initial_energy_is_no_contradiction(wave_cfg, tmp_path, ca
     assert main(["simulate", wave_cfg, "--tfinal", "0.5", "--cells", "32",
                  "--bump-width", "0.01", "--out", str(tmp_path / "trace.csv")]) == 0
     assert "E(0) = 0.000000e+00" in capsys.readouterr().out
+
+
+def test_simulate_prints_an_unbounded_rise_for_an_overflowed_run(tmp_path, capsys):
+    # P0 = 2000 I: the energy overflows to NaN; not a contraction, so exit 0
+    wave = build_wave("unit_interval", 0.7)
+    cfg = tmp_path / "cfg.json"
+    write_config(dataclasses.replace(wave, P=(2000.0 * np.eye(2), wave.P[1])), cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["simulate", str(cfg), "--tfinal", "1", "--cells", "64",
+                     "--out", str(tmp_path / "trace.csv")])
+    assert code == 0
+    assert "E(T) = nan   max step increase = inf\n" in capsys.readouterr().out
 
 
 def _verdict_fields(doc):

@@ -435,22 +435,76 @@ def test_resolvent_nan_residual_fails_the_threshold():
 @pytest.mark.parametrize("n1, n2, spline_solves", [(1, 0, 0), (2, 0, 0), (0, 1, 1),
                                                    (1, 1, 1), (2, 2, 1)])
 def test_resolvent_banded_lu_only_in_the_spline(monkeypatch, n1, n2, spline_solves):
-    # both recurrences are ?tbsv sweeps; solve_banded is the spline's alone
+    # both recurrences are ?tbsv sweeps; the one factorization is the
+    # spline's tridiagonal ?ptsv solve, made only when there is a negative block
     calls = []
-    solve_banded = halfline.solve_banded
+    ptsv = halfline._ptsv
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return solve_banded(*args, **kwargs)
+        return ptsv(*args, **kwargs)
 
-    monkeypatch.setattr(halfline, "solve_banded", counting)
+    monkeypatch.setattr(halfline, "_ptsv", counting)
     t = np.linspace(0.0, 30.0, 601)
     y = np.vstack([np.exp(-t)] * (n1 + n2))
     solve_resolvent_halfline(unit_decomp(n1, n2), np.full((n2, n1), 0.5), y, L=30.0)
     assert len(calls) == spline_solves
+    assert not hasattr(halfline, "solve_banded")
 
 
-@pytest.mark.parametrize("n", [6, 7, 10, 101, 3001])
+def _old_stencil_residual(v, y, decomp, L):
+    """The residual as first written: |v - Delta v' - y| with v' by fourth-order differences."""
+    h = L / (v.shape[1] - 1)
+    delta = np.concatenate([np.diag(decomp.Lambda).real, np.diag(decomp.Theta).real])
+    dv = (v[:, :-4] - 8 * v[:, 1:-3] + 8 * v[:, 3:-1] - v[:, 4:]) / (12.0 * h)
+    return float(np.max(np.abs(v[:, 2:-2] - delta[:, None] * dv - y[:, 2:-2])))
+
+
+@pytest.mark.parametrize("field", [float, complex])
+def test_resolvent_residual_matches_the_stencil(field):
+    decomp = general_decomp()
+    U = np.array([[0.3, -0.2], [0.1, 0.7]]) * field(1.0)
+    y = real_data() * field(1.0)
+    if field is complex:
+        y = y + 0.5j * np.roll(y, 1, axis=0)
+    for n in (1, 5):  # 601 and 121 points: a small and a large residual
+        yn = y[:, ::n]
+        v, res = solve_resolvent_halfline(decomp, U, yn, L=30.0)
+        want = _old_stencil_residual(v, yn, decomp, 30.0)
+        assert abs(res - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("lam, theta", [(1.0, 0.5), (-1.0, -1.0), (0.0, -1.0),
+                                        (np.nan, -1.0), (np.inf, -1.0),
+                                        (1.0, 0.0), (1.0, -np.inf)])
+def test_resolvent_rejects_wrongly_signed_blocks(lam, theta):
+    # Theta = +0.5 used to return a residual of 3.5e20, Lambda = -1 a wrong
+    # solve with a small residual and Lambda = 0 a divide-by-zero warning
+    decomp = HalfLineDecomposition(S=np.eye(2, dtype=complex), Lambda=np.array([[lam]]),
+                                   Theta=np.array([[theta]]), n1=1, n2=1)
+    y = np.vstack([np.exp(-np.linspace(0.0, 30.0, 601))] * 2)
+    with pytest.raises(PhwellError, match="Lambda must have a finite diagonal > 0"):
+        solve_resolvent_halfline(decomp, np.array([[0.5]]), y, L=30.0)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 101, 3001])
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("field", [float, complex])
+def test_spline_midpoints_match_the_call(n, rows, field):
+    # a power-of-two step puts every grid point and midpoint exactly on a
+    # double, so the two differ only in how the cubic is rounded
+    rng = np.random.default_rng(10 * n + rows + 1)
+    t = np.arange(n) * 2.0 ** rng.integers(-8, 4)
+    y = rng.normal(size=(rows, n))
+    if field is complex:
+        y = y + 1j * rng.normal(size=(rows, n))
+    spline = halfline.CubicSpline(t, y, axis=1)
+    got, want = spline.midpoints(), spline(t[:-1] + 0.5 * (t[1] - t[0]))
+    assert got.shape == want.shape == (rows, n - 1)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 10, 101, 3001])
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("field", [float, complex])
 def test_spline_matches_scipy(n, rows, field):

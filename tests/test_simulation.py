@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,17 @@ def test_simulate_rejects_a_non_finite_initial_state(bad, form):
         x0 = lambda z: cells[:, min(int(z * 32), 31)]  # noqa: E731
     with pytest.raises(PhwellError, match="x0 must be finite"):
         simulate(build_wave(UNIT_INTERVAL, 0.7), x0, 0.1, nx=32)
+
+
+def test_an_overflowed_energy_is_an_unbounded_rise():
+    # P0 = 2000 I pumps energy in at rate 4000 E: it overflows to NaN within
+    # the run, which max(0.0, nan) used to report as no rise at all
+    wave = build_wave(UNIT_INTERVAL, 0.7)
+    wave = dataclasses.replace(wave, P=(2000.0 * np.eye(2), wave.P[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = simulate(wave, smooth_bump(0.5, 0.25, 2), t_final=1.0, nx=64)
+    assert np.isfinite(tr.energy).sum() == 36 and tr.energy.size == 81
+    assert tr.max_violation == np.inf
 
 
 @pytest.mark.parametrize("amplitude", [np.inf, -np.inf, np.nan])
