@@ -254,12 +254,6 @@ def system_to_dict(sys: PortHamiltonianSystem) -> dict:
     }
 
 
-def write_config(sys: PortHamiltonianSystem, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(system_to_dict(sys), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _literal(value) -> str:
     """true, false or null, chosen by identity: np.bool_ is not a JSON value."""
     if value is True:

@@ -231,19 +231,16 @@ HALFLINE = "halfline"
 MARGIN = 1e-6  # decisive scalars must clear their thresholds by this much
 
 
-def _random_matrix(rng, d, real=False):
-    M = rng.normal(size=(d, d))
-    if not real:
-        M = M + 1j * rng.normal(size=(d, d))
-    return M
+def _random_matrix(rng, d):
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
 
 
-def _random_symmetric_chain(rng, N, d, real=False):
+def _random_symmetric_chain(rng, N, d):
     """P_1..P_N with P_k^* = (-1)^{k+1} P_k and P_N invertible."""
     while True:
         out = []
         for k in range(1, N + 1):
-            M = _random_matrix(rng, d, real)
+            M = _random_matrix(rng, d)
             if k % 2 == 1:
                 M = 0.5 * (M + M.conj().T)
             else:
@@ -254,10 +251,10 @@ def _random_symmetric_chain(rng, N, d, real=False):
             return out
 
 
-def _random_p0(rng, d, real=False):
+def _random_p0(rng, d):
     if rng.random() < 0.4:
         return np.zeros((d, d), dtype=complex)
-    G = _random_matrix(rng, d, real)
+    G = _random_matrix(rng, d)
     shift = np.max(np.linalg.eigvalsh(0.5 * (G + G.conj().T)))
     return G - (shift + 0.1 + rng.random()) * np.eye(d)
 

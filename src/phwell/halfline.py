@@ -303,37 +303,29 @@ _ptsv = get_lapack_funcs("ptsv", dtype=float)
 
 
 class CubicSpline:
-    """Not-a-knot cubic spline through samples on a uniform grid.
+    """Not-a-knot cubic spline through samples y[..., j] at step h, midpoints only.
 
-    The call shape of scipy.interpolate.CubicSpline(x, y, axis) with its
-    default end condition, for uniform x only (importing scipy.interpolate
-    for this one use would double the import time of phwell).  The knot
-    slopes s solve scipy's uniform-grid rows, s[i-1] + 4 s[i] + s[i+1] =
-    3 (m[i-1] + m[i]) inside with m the secant slopes, s[0] + 2 s[1] =
-    (5 m[0] + m[1]) / 2 first and the mirror row last.  With the two end
-    rows halved the matrix is symmetric positive definite (diagonal 0.5,
-    4, ..., 4, 0.5, off-diagonal 1; its LDL^T pivots are at least 0.21
-    for n >= 4), so s comes from one LAPACK ?ptsv solve in float64, complex
-    samples as their float view.  Each cell is the cubic Hermite form of
-    its end values and slopes; points beyond the grid continue the end
-    cells.
+    The interpolant of scipy.interpolate.CubicSpline with its default end
+    condition on a uniform grid along the last axis of y (importing
+    scipy.interpolate for this one use would double the import time of
+    phwell).  The knot slopes s solve scipy's uniform-grid rows,
+    s[i-1] + 4 s[i] + s[i+1] = 3 (m[i-1] + m[i]) inside with m the secant
+    slopes, s[0] + 2 s[1] = (5 m[0] + m[1]) / 2 first and the mirror row
+    last.  With the two end rows halved the matrix is symmetric positive
+    definite (diagonal 0.5, 4, ..., 4, 0.5, off-diagonal 1; its LDL^T
+    pivots are at least 0.21 for n >= 4), so s comes from one LAPACK ?ptsv
+    solve in float64, complex samples as their float view.  Needs n >= 4
+    samples; h is taken as given.
     """
 
-    def __init__(self, x, y, axis: int = 0):
-        x = np.asarray(x, dtype=float)
+    def __init__(self, y, h: float):
         y = np.asarray(y)
-        n = x.size
-        if x.ndim != 1 or n < 4 or y.ndim == 0 or y.shape[axis] != n:
-            raise ShapeError(f"spline needs at least 4 points, the same in x and "
-                             f"along axis {axis} of y; got {x.shape} and {y.shape}")
-        self.axis = axis % y.ndim
-        y = np.moveaxis(y, axis, 0)
-        h = (x[-1] - x[0]) / (n - 1)
-        if not (np.isfinite(h) and h > 0 and
-                np.max(np.abs(np.diff(x) - h)) <= 1e-9 * h):
-            raise ShapeError("spline grid must be uniform and increasing")
-        self.x, self.h, self.trailing = x, h, y.shape[1:]
-        self.y = y.reshape(n, -1)
+        n = y.shape[-1] if y.ndim else 0
+        if n < 4:
+            raise ShapeError(f"spline needs at least 4 samples along the last "
+                             f"axis, got shape {y.shape}")
+        self.h, self.lead = h, y.shape[:-1]
+        self.y = y.reshape(-1, n).T
         dy = np.diff(self.y, axis=0)
         rhs = np.empty((n, dy.shape[1]), dtype=np.result_type(dy, float))
         np.add(dy[:-1], dy[1:], out=rhs[1:-1])
@@ -346,7 +338,7 @@ class CubicSpline:
         self.s = np.ascontiguousarray(s).view(rhs.dtype)
 
     def midpoints(self) -> np.ndarray:
-        """The spline at the n - 1 cell midpoints, as self(x[:-1] + h / 2).
+        """The spline at the n - 1 cell midpoints, shaped like y[..., :-1].
 
         At u = 1/2 the Hermite form is (y_j + y_j+1) / 2 + h (s_j - s_j+1) / 8.
         """
@@ -355,21 +347,7 @@ class CubicSpline:
         ds = np.subtract(self.s[:-1], self.s[1:])
         ds *= 0.125 * self.h
         ym += ds
-        return np.moveaxis(ym.reshape((-1,) + self.trailing), 0, self.axis)
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        xq = x.ravel()
-        i = np.clip(np.floor((xq - self.x[0]) / self.h).astype(int),
-                    0, self.x.size - 2)
-        u = ((xq - self.x[i]) / self.h)[:, None]
-        y0, dy = self.y[i], self.y[i + 1] - self.y[i]
-        s0, s1 = self.h * self.s[i], self.h * self.s[i + 1]
-        out = y0 + u * (s0 + u * (3.0 * dy - 2.0 * s0 - s1
-                                  + u * (s0 + s1 - 2.0 * dy)))
-        out = out.reshape(x.shape + self.trailing)
-        return np.moveaxis(out, range(x.ndim),
-                           range(self.axis, self.axis + x.ndim))
+        return ym.T.reshape(self.lead + (-1,))
 
 
 def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y,
@@ -398,9 +376,10 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y,
     cell's samples, g_j = a y_j + b ym_j + c y_{j+1} with z = h / theta,
     a = -h/(6 theta) (1 + z + z^2/2 + z^3/4), b = -h/(6 theta)
     (4 + 2 z + z^2/2) and c = -h/(6 theta).  The half-step samples ym are
-    this module's not-a-knot CubicSpline at the cell midpoints, read off
-    its knot slopes as (y_j + y_{j+1}) / 2 + h (s_j - s_{j+1}) / 8; the
-    spline costs one ?ptsv solve per call.  The work is done in float64
+    the midpoints of this module's not-a-knot CubicSpline, built from the
+    negative block's samples and the step h, and read off its knot slopes
+    as (y_j + y_{j+1}) / 2 + h (s_j - s_{j+1}) / 8; the spline costs one
+    ?ptsv solve per call.  The work is done in float64
     unless y or U is complex, then in complex128; v is returned as
     complex128 either way.  Returns (v, residual) with the residual
     measured as the max over interior nodes of |v - Delta v' - y| using
@@ -465,7 +444,7 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y,
         c = -h / (6.0 * theta)
         a = c * (1.0 + z * (1.0 + z * (0.5 + 0.25 * z)))
         b = c * (4.0 + z * (2.0 + 0.5 * z))
-        ym = CubicSpline(np.linspace(0.0, L, npts), y[n1:], axis=1).midpoints()
+        ym = CubicSpline(y[n1:], h).midpoints()
         g = v[n1:, 1:]
         np.multiply(ym, b[:, None], out=g)
         g += a[:, None] * y[n1:, :-1]

@@ -23,6 +23,7 @@ from . import numlin
 from .errors import (
     HNotCoercive,
     NotHermitian,
+    PhwellError,
     ShapeError,
     SingularP1,
     SingularPN,
@@ -130,22 +131,26 @@ class HamiltonianDensity:
     def dim(self) -> int:
         return self.matrices.shape[1]
 
-    def at(self, zeta: float) -> np.ndarray:
-        """Evaluate H at a point (grid kind interpolates piecewise linearly)."""
-        if self.kind == "constant":
-            return self.matrices[0]
-        if self.kind == "piecewise_constant":
-            idx = int(np.searchsorted(self.breakpoints, zeta, side="right"))
-            return self.matrices[idx]
-        n = self.matrices.shape[0]
-        t = np.clip(zeta, 0.0, 1.0) * (n - 1)
-        i = min(int(t), n - 2)
-        w = t - i
-        return (1.0 - w) * self.matrices[i] + w * self.matrices[i + 1]
+    def at(self, zeta) -> np.ndarray:
+        """H at a point or an array of points, shape zeta.shape + (d, d).
 
-    def cell_values(self, centers) -> np.ndarray:
-        """H evaluated at an array of cell centers, shape (len(centers), d, d)."""
-        return np.stack([self.at(float(z)) for z in np.asarray(centers)])
+        Piecewise kind: the cell a point falls in, with a breakpoint
+        belonging to the cell on its right.  Grid kind: linear interpolation
+        between the samples, points outside [0, 1] taking the end values.
+        Every point must be finite (PhwellError otherwise).
+        """
+        z = np.asarray(zeta, dtype=float)
+        if not np.isfinite(z).all():
+            raise PhwellError(f"H needs finite points, got {zeta}")
+        if self.kind == "constant":
+            return np.broadcast_to(self.matrices[0], z.shape + self.matrices.shape[1:])
+        if self.kind == "piecewise_constant":
+            return self.matrices[np.searchsorted(self.breakpoints, z, side="right")]
+        n = self.matrices.shape[0]
+        t = np.clip(z, 0.0, 1.0) * (n - 1)
+        i = np.minimum(t.astype(np.intp), n - 2)
+        w = (t - i)[..., None, None]
+        return (1.0 - w) * self.matrices[i] + w * self.matrices[i + 1]
 
 
 @dataclass(frozen=True)

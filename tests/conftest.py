@@ -1,6 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.sparse import _sparsetools
+
+from phwell.config import system_to_dict
+
+
+def write_config(sys, path) -> None:
+    """Write a system as the JSON config file that phwell reads."""
+    with open(path, "w") as fh:
+        json.dump(system_to_dict(sys), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @pytest.fixture

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from phwell import config, parse_config, system_from_dict, system_to_dict
 from phwell.cli import analyze, main
-from phwell.config import verdict_to_json, write_config
+from phwell.config import verdict_to_json
 from phwell.corpus import CORPUS, random_system
 from phwell.errors import ParseError, ShapeError
 from phwell.verdict import ConditionResult, Verdict
+
+from conftest import write_config
 
 
 def wave_doc():

@@ -1,17 +1,24 @@
-"""No module of the package or of the tests imports a name it never uses.
+"""No module imports a name it never uses; the package defines none it never reads.
 
-A plain ast scan: an imported name counts as used when it is read
+Plain ast scans.  An imported name counts as used when it is read
 anywhere in the same file, or listed in that file's __all__ (the package
-re-exports through phwell/__init__.py).
+re-exports through phwell/__init__.py).  A module-level def or class of
+the package counts as used when some package module reads it outside its
+own definition, when phwell.__all__ exports it, or when perfbench/*.py,
+the benchmark, names it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
+import phwell
+
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted([*(ROOT / "src" / "phwell").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "phwell").glob("*.py"))
+FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -52,3 +59,70 @@ def test_the_scan_finds_unused_imports():
         "    return np.zeros(1), parse\n"
     )
     assert unused_imports(source) == [(2, "os"), (4, "dumps"), (5, "HALF_LINE"), (8, "re")]
+
+
+def dead_definitions(sources: dict, exported, pinned: str) -> list:
+    """(module, name) of every module-level def or class that nothing uses.
+
+    sources maps module names to source text.  A definition is used when a
+    top-level statement other than itself, in any of the modules, reads
+    its name (an ast Name, an attribute or a from-import), when exported
+    holds the name, or when the text pinned names it as a word.
+    """
+    stmts = []
+    for module, source in sources.items():
+        for i, node in enumerate(ast.parse(source).body):
+            read = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    read.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    read.add(sub.attr)
+                elif isinstance(sub, ast.ImportFrom):
+                    read.update(alias.name for alias in sub.names)
+            stmts.append((module, i, node, read))
+    dead = []
+    for module, i, node, _ in stmts:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        name = node.name
+        if any(name in read for m, j, _, read in stmts if (m, j) != (module, i)):
+            continue
+        if name not in exported and not re.search(rf"\b{re.escape(name)}\b", pinned):
+            dead.append((module, name))
+    return sorted(dead)
+
+
+def test_no_dead_definitions():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    pinned = "".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    assert dead_definitions(sources, set(phwell.__all__), pinned) == []
+
+
+def test_the_scan_finds_dead_definitions():
+    sources = {
+        "a": (
+            "import numpy as np\n"
+            "def helper(n):\n"
+            "    return helper(n - 1) if n else np.zeros(1)\n"
+            "def exported():\n"
+            "    pass\n"
+            "def pinned():\n"
+            "    pass\n"
+            "def imported():\n"
+            "    pass\n"
+            "class Used:\n"
+            "    def method(self):\n"
+            "        pass\n"
+            "def lonely():\n"
+            "    return Used().method()\n"
+        ),
+        "b": (
+            "from .a import imported\n"
+            "def via_attribute():\n"
+            "    pass\n"
+            "x = mod.via_attribute\n"
+        ),
+    }
+    found = dead_definitions(sources, {"exported"}, "wrap(a, 'pinned')")
+    assert found == [("a", "helper"), ("a", "lonely")]

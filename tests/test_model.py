@@ -14,6 +14,7 @@ from phwell import (
 )
 from phwell.errors import (
     HNotCoercive,
+    PhwellError,
     ShapeError,
     SingularP1,
     SingularPN,
@@ -166,6 +167,47 @@ def test_halfline_breakpoints_may_lie_beyond_one():
                                    WB_hat=np.array([[-0.25, 0.75]])))
     assert sys.h_max_eig == 4.0
     np.testing.assert_array_equal(sys.H.at(2.0), 4.0 * np.eye(2))
+
+
+def _densities():
+    rng = np.random.default_rng(4)
+    G = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    return [
+        HamiltonianDensity.constant(np.diag([1.0, 2.0])),
+        HamiltonianDensity.piecewise([0.3, 0.7], [np.eye(2), 2.0 * np.eye(2),
+                                                 4.0 * np.eye(2)]),
+        HamiltonianDensity.grid(G @ G.conj().transpose(0, 2, 1) + np.eye(2)),
+    ]
+
+
+@pytest.mark.parametrize("H", _densities(), ids=lambda H: H.kind)
+def test_density_at_an_array_stacks_the_point_values(H):
+    # breakpoints 0.3 and 0.7, grid nodes 0.25 and 0.75, and points past both ends
+    z = np.array([[-0.25, 0.0, 0.1, 0.25, 0.3, 0.5],
+                  [0.7, 0.75, 0.95, 1.0, 1.5, 7.0]])
+    want = np.stack([H.at(float(p)) for p in z.ravel()]).reshape(z.shape + (2, 2))
+    np.testing.assert_array_equal(H.at(z), want)
+    np.testing.assert_array_equal(H.at(z[0]), want[0])
+    assert H.at(0.5).shape == (2, 2)
+
+
+@pytest.mark.parametrize("H", _densities(), ids=lambda H: H.kind)
+@pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf, np.array([0.5, np.nan])])
+def test_density_at_rejects_a_non_finite_point(H, z):
+    # the grid kind failed with a bare ValueError from int(nan), the others not at all
+    with pytest.raises(PhwellError, match="finite points"):
+        H.at(z)
+
+
+def test_density_point_values():
+    pw, grid = _densities()[1:]
+    np.testing.assert_array_equal(pw.at(0.3), 2.0 * np.eye(2))  # right of the break
+    np.testing.assert_array_equal(pw.at(0.2999), np.eye(2))
+    np.testing.assert_array_equal(pw.at(9.0), 4.0 * np.eye(2))
+    m = grid.matrices
+    np.testing.assert_array_equal(grid.at(-1.0), m[0])
+    np.testing.assert_array_equal(grid.at(2.0), m[-1])
+    np.testing.assert_allclose(grid.at(0.125), 0.5 * (m[0] + m[1]), rtol=1e-15)
 
 
 def test_validate_halfline_needs_invertible_p1():

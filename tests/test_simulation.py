@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from phwell import HamiltonianDensity, simulate, simulator, smooth_bump, validate_system
 from phwell.corpus import (
@@ -165,8 +166,7 @@ def test_an_overflowed_energy_is_an_unbounded_rise():
     # the run, which max(0.0, nan) used to report as no rise at all
     wave = build_wave(UNIT_INTERVAL, 0.7)
     wave = dataclasses.replace(wave, P=(2000.0 * np.eye(2), wave.P[1]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        tr = simulate(wave, smooth_bump(0.5, 0.25, 2), t_final=1.0, nx=64)
+    tr = simulate(wave, smooth_bump(0.5, 0.25, 2), t_final=1.0, nx=64)
     assert np.isfinite(tr.energy).sum() == 36 and tr.energy.size == 81
     assert tr.max_violation == np.inf
 
@@ -219,10 +219,16 @@ def test_smooth_bump_rejects_bad_width(width):
         smooth_bump(0.3, width, 2)
 
 
-@pytest.mark.parametrize("component", [-1, 2, 7])
+@pytest.mark.parametrize("component", [-1, 2, 7, True, 1.0, "0"])
 def test_smooth_bump_rejects_bad_component(component):
+    # a bool index would fill every component, and 1.0 failed only inside simulate
     with pytest.raises(PhwellError, match="component"):
         smooth_bump(0.3, 0.2, 2, component=component)
+
+
+def test_smooth_bump_takes_a_numpy_integer_component():
+    np.testing.assert_array_equal(smooth_bump(0.5, 0.2, 2, component=np.int64(1))(0.5),
+                                  [0.0, 1.0])
 
 
 def test_singular_closure_detected():
@@ -288,6 +294,30 @@ def test_simulation_matches_recorded_seed_runs(name):
     assert tr.final_state.shape == (sys.dim_d, nx)
     assert len(tr.snapshots) == 1
     assert tr.snapshots[0][1].shape == (sys.dim_d, nx)
+
+
+def _grid_wave():
+    z = np.linspace(0.0, 1.0, 7)[:, None, None]
+    H = np.diag([1.0, 2.0]) + z * np.array([[1.0, 0.3], [0.3, 0.5]])
+    return validate_system({
+        "field": "real", "interval": UNIT_INTERVAL, "N": 1, "d": 2,
+        "P": [np.zeros((2, 2)), np.array([[0.0, 1.0], [1.0, 0.0]])],
+        "H": HamiltonianDensity.grid(H),
+        "WB_hat": np.array([[0.7, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]),
+    })
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_wave(UNIT_INTERVAL, 0.7, rho=([0.5], [1.0, 4.0])),
+    lambda: build_wave(HALF_LINE, 0.5, rho=([0.4, 3.0], [1.0, 4.0, 2.0])),
+    _grid_wave,
+], ids=["piecewise", "piecewise_half_line", "grid"])
+def test_cell_densities_are_the_point_values(build):
+    sys = build()
+    _, Hb, h, _ = _semidiscrete_operator(sys, nx=200)
+    centers = (np.arange(200) + 0.5) * h
+    want = block_diag(*[sys.H.at(float(z)) for z in centers])
+    np.testing.assert_array_equal(Hb.toarray(), want)
 
 
 def _energy_certificate(name):

@@ -86,14 +86,11 @@ def test_quadrature_equal_traces_conserves():
 
 
 def test_quadrature_pure_zeroth_order():
-    # P0 = -I and constant state e1: value = -||x||^2 = -1
+    # P0 = -I and constant state e1: value = -||x||^2 = -1; a rise that is
+    # saturated left of 0 is exactly 1 on [0, 1]
     sys = make_system(1, 2, [np.array([[0.0, 1.0], [1.0, 0.0]])],
                       np.zeros((2, 4)), P0=-np.eye(2))
-    x = boundary_interpolant([1.0, 0.0], [1.0, 0.0], d=2)
-    # the interpolant is e1 on the plateaus but dips between supports
-    from phwell.simulator import from_polynomial
-
-    const = from_polynomial(np.array([[1.0, 0.0]]))
+    const = SmoothFunction(terms=((("rise", -1.0, -0.5), [[1, 0]], 0.0),), dim=2)
     assert quadrature_rayleigh(sys, const) == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -346,10 +343,6 @@ def _scaled_step_derivs_reference(zeta, a, b, max_order, falling=False):
 
 def _cutoff_derivs_reference(kind, zeta, max_order):
     tag = kind[0]
-    if tag == "one":
-        out = np.zeros((max_order + 1,) + zeta.shape)
-        out[0] = 1.0
-        return out
     if tag == "rise":
         return _scaled_step_derivs_reference(zeta, kind[1], kind[2], max_order)
     if tag == "fall":
@@ -395,7 +388,7 @@ CALCULUS_WIDTHS = (0.25, 0.05, 0.01, 0.002)
 
 
 def _cutoff_kinds(w):
-    return [("one",), ("rise", 1.0 - 2.0 * w, 1.0 - w), ("fall", w, 2.0 * w),
+    return [("rise", 1.0 - 2.0 * w, 1.0 - w), ("fall", w, 2.0 * w),
             ("bump", 0.5 - w, 0.5 + w)]
 
 
@@ -430,9 +423,9 @@ def test_state_derivatives_match_the_reference(width):
     zeta = _probe_points(kinds)
     terms = tuple((kind, rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2)),
                    float(rng.uniform()))
-                  for kind, m in zip(kinds, (1, 2, 3, 6)))
-    states = [SmoothFunction(terms=terms, dim=2),
-              interior_probe([1.0, -2.0], 0.5 - width, 0.5 + width)]
+                  for kind, m in zip(kinds, (2, 3, 6)))
+    bump = (("bump", 0.5 - width, 0.5 + width), np.array([[1.0, -2.0]]), 0.0)
+    states = [SmoothFunction(terms=terms, dim=2), SmoothFunction(terms=(bump,), dim=2)]
     for N in (1, 2, 3):
         u, v = rng.normal(size=(2, 2 * N))
         states.append(boundary_interpolant(u, v, eps=width, d=2))
