@@ -271,7 +271,7 @@ def _margin(sys) -> float:
     """
     if sys.interval == HALF_LINE:
         alg = HalfLineAlgebra.of(sys)
-        margins = [float(np.min(np.abs(np.diag(alg.decomp.delta))))]
+        margins = [float(np.min(np.abs(np.r_[alg.decomp.Lambda, alg.decomp.Theta])))]
         if alg.kernel_dim:
             margins.append(_relative(alg.kernel.min_eig, alg.kernel.norm))
         if alg.lambda_utu is not None and alg.fact.U.size:
@@ -376,8 +376,8 @@ def _draw_halfline(rng, d):
         decomp = decompose_P1(P1)
         U = rng.normal(size=(n2, n1)) + 1j * rng.normal(size=(n2, n1))
         if U.size:
-            lam_min = float(np.min(np.diag(decomp.Lambda))) if n1 else 1.0
-            theta_max = float(np.max(np.abs(np.diag(decomp.Theta))))
+            lam_min = float(np.min(decomp.Lambda)) if n1 else 1.0
+            theta_max = float(np.max(np.abs(decomp.Theta)))
             safe = np.sqrt(lam_min / theta_max)
             target = rng.uniform(0.2, 0.9) * safe if rng.random() < 0.5 \
                 else rng.uniform(1.5, 3.0) * safe

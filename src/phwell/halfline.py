@@ -1,7 +1,7 @@
 """Well-posedness checks on the half line [0, inf) for first-order systems.
 
 P_1 is Hermitian and invertible, so P_1 = S^* diag(Lambda, Theta) S with S
-unitary, Lambda > 0 (n1 x n1) and Theta < 0 (n2 x n2).  A boundary matrix
+unitary, Lambda > 0 (n1 eigenvalues) and Theta < 0 (n2).  A boundary matrix
 WB_hat (k x d, full row rank) admits a contraction verdict iff k = n2,
 WB_hat = B [U I] S with B invertible, and Lambda + U^* Theta U >= 0; the
 independent route tests y^* P_1 y >= 0 on ker WB_hat.  A unitary group
@@ -17,7 +17,7 @@ unweighted generators are similar); it is checked at validation only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
@@ -30,32 +30,32 @@ from .verdict import ConditionResult, Verdict, decide
 
 @dataclass(frozen=True)
 class HalfLineDecomposition:
-    """P_1 = S^* diag(Lambda, Theta) S; positive block first."""
+    """P_1 = S^* diag(Lambda, Theta) S; positive block first.
+
+    Lambda (n1 entries, > 0) and Theta (n2 entries, < 0) are eigenvalue vectors.
+    """
 
     S: np.ndarray
-    Lambda: np.ndarray  # (n1, n1) positive diagonal
-    Theta: np.ndarray  # (n2, n2) negative diagonal
-    n1: int
-    n2: int
+    Lambda: np.ndarray
+    Theta: np.ndarray
 
     @property
-    def delta(self) -> np.ndarray:
-        d = self.n1 + self.n2
-        out = np.zeros((d, d))
-        out[: self.n1, : self.n1] = self.Lambda
-        out[self.n1 :, self.n1 :] = self.Theta
-        return out
+    def n1(self) -> int:
+        return self.Lambda.size
+
+    @property
+    def n2(self) -> int:
+        return self.Theta.size
 
 
 @dataclass(frozen=True)
 class BoundaryFactorization:
     """WB_hat = B [U I] S with B (k x k) invertible and U (n2 x n1).
 
-    B and U1 are the trailing and leading blocks of WB_hat S^* (so
+    U1 and B are the leading and trailing blocks of WB_hat S^* (so
     U1 = B U up to rounding); smin_u2 is the smallest singular value of B.
     """
 
-    B: np.ndarray
     U: np.ndarray
     residual: float
     U1: np.ndarray
@@ -66,14 +66,15 @@ class BoundaryFactorization:
 class FactorizationFailure:
     """Why WB_hat admits no factorization B [U I] S.
 
-    U1 is the leading block of WB_hat S^* when the split was made (a
-    singular trailing block), None otherwise.
+    U1, the leading block of WB_hat S^*, and smin_u2, the smallest
+    singular value of its trailing block, are set when the split was made
+    (a singular trailing block), None otherwise.
     """
 
     reason: str  # 'wrong_row_count' | 'singular_trailing_block'
     detail: str
-    diagnostics: dict = field(default_factory=dict)
     U1: np.ndarray | None = None
+    smin_u2: float | None = None
 
 
 def decompose_P1(P1, tol: float = numlin.DEFAULT_TOL) -> HalfLineDecomposition:
@@ -87,19 +88,13 @@ def decompose_P1(P1, tol: float = numlin.DEFAULT_TOL) -> HalfLineDecomposition:
     if numlin.rank_from_singular_values(np.sort(np.abs(w))[::-1], tol) < w.size:
         raise SingularP1("P_1 has an eigenvalue numerically at zero")
     n1 = int(np.sum(w > 0))
-    n2 = w.size - n1
-    lam = np.diag(w[:n1]) if n1 else np.zeros((0, 0))
-    theta = np.diag(w[n1:]) if n2 else np.zeros((0, 0))
-    return HalfLineDecomposition(S=S, Lambda=lam, Theta=theta, n1=n1, n2=n2)
+    return HalfLineDecomposition(S=S, Lambda=w[:n1], Theta=w[n1:])
 
 
 def unit_decomposition(n1: int, n2: int) -> HalfLineDecomposition:
-    """Decomposition with S = I, Lambda = I, Theta = -I (testing convenience)."""
-    d = n1 + n2
-    lam = np.eye(n1) if n1 else np.zeros((0, 0))
-    theta = -np.eye(n2) if n2 else np.zeros((0, 0))
-    return HalfLineDecomposition(S=np.eye(d, dtype=complex), Lambda=lam,
-                                 Theta=theta, n1=n1, n2=n2)
+    """Decomposition with S = I, Lambda = 1, Theta = -1 (testing convenience)."""
+    return HalfLineDecomposition(S=np.eye(n1 + n2, dtype=complex),
+                                 Lambda=np.ones(n1), Theta=-np.ones(n2))
 
 
 def factorize_boundary(WB_hat, decomp: HalfLineDecomposition, tol: float = None):
@@ -120,8 +115,7 @@ def factorize_boundary(WB_hat, decomp: HalfLineDecomposition, tol: float = None)
     if k != decomp.n2:
         return FactorizationFailure(
             "wrong_row_count",
-            f"need exactly n2 = {decomp.n2} independent conditions, got {k}",
-            {"k": float(k), "n2": float(decomp.n2)})
+            f"need exactly n2 = {decomp.n2} independent conditions, got {k}")
     split = WB_hat @ decomp.S.conj().T
     U1, U2 = split[:, : decomp.n1], split[:, decomp.n1 :]
     smin_u2 = 0.0
@@ -132,12 +126,12 @@ def factorize_boundary(WB_hat, decomp: HalfLineDecomposition, tol: float = None)
             return FactorizationFailure(
                 "singular_trailing_block",
                 "the negative-block columns of WB_hat S^* are singular",
-                {"smin_u2": smin_u2}, U1)
+                U1, smin_u2)
     U = np.linalg.solve(U2, U1) if k else np.zeros((0, decomp.n1), dtype=complex)
     eye = np.eye(decomp.n2, dtype=complex)
     recon = U2 @ np.hstack([U, eye]) @ decomp.S if k else WB_hat
     residual = numlin.operator_norm(recon - WB_hat)
-    return BoundaryFactorization(B=U2, U=U, residual=residual, U1=U1, smin_u2=smin_u2)
+    return BoundaryFactorization(U=U, residual=residual, U1=U1, smin_u2=smin_u2)
 
 
 @dataclass(frozen=True)
@@ -163,8 +157,7 @@ class HalfLineAlgebra:
     smax_wb_hat: float | None
     fact: BoundaryFactorization | FactorizationFailure | None  # None when k > n2
     lambda_utu: numlin.DefinitenessReport | None  # when the factorization exists
-    smin_u1: float | None  # this and the next two only when k = n1 = n2
-    smin_u2: float | None
+    smin_u1: float | None  # this and the next only when k = n1 = n2
     blocks_invertible: bool | None  # both U1 and U2
 
     @classmethod
@@ -182,17 +175,16 @@ class HalfLineAlgebra:
             if rank < WB.shape[0]:
                 WB_eff = vh[:rank]  # orthonormal rows with the same kernel
         k = WB_eff.shape[0]
-        fact = lam = smin_u1 = smin_u2 = invertible = None
+        fact = lam = smin_u1 = invertible = None
         if k <= n2:
             fact = factorize_boundary(WB_eff, decomp, tol)
             factored = isinstance(fact, BoundaryFactorization)
             if factored:
-                lam = numlin.definiteness(
-                    decomp.Lambda + fact.U.conj().T @ decomp.Theta @ fact.U, tol)
+                lam = numlin.definiteness(np.diag(decomp.Lambda) + fact.U.conj().T
+                                          @ np.diag(decomp.Theta) @ fact.U, tol)
             if k == n1 == n2:
                 s1 = np.linalg.svd(fact.U1, compute_uv=False)
                 smin_u1 = float(s1[-1])
-                smin_u2 = fact.smin_u2 if factored else fact.diagnostics["smin_u2"]
                 invertible = factored and numlin.rank_from_singular_values(s1, tol) == k
         return cls(
             decomp=decomp,
@@ -206,7 +198,6 @@ class HalfLineAlgebra:
             fact=fact,
             lambda_utu=lam,
             smin_u1=smin_u1,
-            smin_u2=smin_u2,
             blocks_invertible=invertible,
         )
 
@@ -227,8 +218,9 @@ def _contraction_conditions(alg: HalfLineAlgebra):
         ta4 = ConditionResult("TA.4", False, None, counts,
                               reason=f"needs k <= n2 = {n2}, got k = {alg.k}")
     elif isinstance(fact, FactorizationFailure):
-        ta4 = ConditionResult("TA.4", True, False, {**counts, **fact.diagnostics},
-                              reason=fact.detail)
+        if fact.smin_u2 is not None:
+            counts["smin_u2"] = fact.smin_u2
+        ta4 = ConditionResult("TA.4", True, False, counts, reason=fact.detail)
     else:
         ta4 = ConditionResult(
             "TA.4", True, alg.lambda_utu.is_psd and p0.is_nsd,
@@ -262,7 +254,7 @@ def _unitary_conditions(alg: HalfLineAlgebra):
                                reason="unitary generation needs k = n1 = n2")
     elif not alg.blocks_invertible:
         ta24 = ConditionResult(
-            "TA2.4", True, False, {"smin_u1": alg.smin_u1, "smin_u2": alg.smin_u2},
+            "TA2.4", True, False, {"smin_u1": alg.smin_u1, "smin_u2": alg.fact.smin_u2},
             reason="both blocks of WB_hat S^* must be invertible")
     else:
         ta24 = ConditionResult(
@@ -270,7 +262,7 @@ def _unitary_conditions(alg: HalfLineAlgebra):
             {
                 "norm_lambda_utu": alg.lambda_utu.norm,
                 "smin_u1": alg.smin_u1,
-                "smin_u2": alg.smin_u2,
+                "smin_u2": alg.fact.smin_u2,
                 "re_p0_norm": p0.norm,
             },
         )
@@ -350,18 +342,15 @@ class CubicSpline:
         return ym.T.reshape(self.lead + (-1,))
 
 
-def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y,
-                             L: float = None, n_cells: int = 3000,
+def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y, L: float,
                              residual_threshold: float = None):
     """Solve v - diag(Lambda, Theta) v' = y with the coupling U v1(0) + v2(0) = 0.
 
-    y: either an array (n1+n2, n+1) of samples on the uniform grid over
-    [0, L], or a callable t -> vector, sampled on the default grid
-    (L = 30 * max Lambda, step L / n_cells).  The data should be
-    negligible near L (the half-line tail is truncated).  The diagonal of
-    Lambda must be finite and > 0 and that of Theta finite and < 0, L a
-    finite number > 0 and n_cells an integer > 0 (PhwellError otherwise);
-    U must be (n2, n1) when n2 > 0 (ShapeError otherwise).
+    y: an array (n1+n2, n+1) of samples on the uniform grid over [0, L].
+    The data should be negligible near L (the half-line tail is
+    truncated).  Lambda must be finite and > 0 and Theta finite and < 0,
+    and L a finite number > 0 (PhwellError otherwise); U must be (n2, n1)
+    when n2 > 0 (ShapeError otherwise).
 
     Each block is one unit-triangular band sweep (BLAS ?tbsv, k = 1)
     over all its components, done in place in v.  The positive block
@@ -369,7 +358,7 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y,
     the exact backward recurrence x_j = a x_{j+1} + f_j with
     a = exp(-h / lambda) and x_n = 0: an upper-bidiagonal system.  The
     negative block integrates the stable ODE v' = Theta^{-1}(v - y)
-    forward with classical fourth-order steps; Theta is diagonal, so each
+    forward with classical fourth-order steps; Theta acts componentwise, so each
     step is affine, w_{j+1} = R(h / theta) w_j + g_j, with R the RK4
     stability polynomial and g_j one step from w = 0: a lower-bidiagonal
     system started from v2(0) = -U v1(0).  The step term is linear in the
@@ -388,25 +377,17 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y,
     """
     n1, n2 = decomp.n1, decomp.n2
     d = n1 + n2
-    lam = np.diag(decomp.Lambda).real
-    theta = np.diag(decomp.Theta).real
+    lam, theta = decomp.Lambda, decomp.Theta
     if not (np.all((0.0 < lam) & (lam < np.inf))
             and np.all((-np.inf < theta) & (theta < 0.0))):
-        raise PhwellError("Lambda must have a finite diagonal > 0 and Theta a "
-                          f"finite diagonal < 0, got {lam} and {theta}")
+        raise PhwellError("Lambda must be finite and > 0 and Theta finite and < 0, "
+                          f"got {lam} and {theta}")
     if n2:
         U = np.asarray(U)
         if U.shape != (n2, n1):
             raise ShapeError(f"U must be ({n2}, {n1}), got {U.shape}")
-    if L is None:
-        L = 30.0 * (float(np.max(lam)) if n1 else 1.0)
     if not 0.0 < L < np.inf:
         raise PhwellError(f"L must be a finite number > 0, got {L}")
-    if callable(y):
-        if not isinstance(n_cells, (int, np.integer)) or n_cells <= 0:
-            raise PhwellError(f"n_cells must be an integer > 0, got {n_cells!r}")
-        grid = np.linspace(0.0, L, n_cells + 1)
-        y = np.stack([np.asarray(y(float(tt))).reshape(d) for tt in grid], axis=1)
     y = np.asarray(y)
     dtype = complex if np.iscomplexobj(y) or (n2 and np.iscomplexobj(U)) else float
     y = y.astype(dtype, copy=False)

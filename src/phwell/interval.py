@@ -38,15 +38,18 @@ from .verdict import ConditionResult, Verdict, decide
 
 @dataclass(frozen=True)
 class VExtraction:
-    """Result of solving (W1+W2) V = W1-W2; V is None when W1+W2 is singular.
+    """Result of solving (W1+W2) V = W1-W2, from one SVD of W1+W2.
 
-    rank is the numerical rank of W1+W2, None when W1+W2 is not square.
+    rank, smin and smax are read off that SVD for every shape: smin is
+    0.0 when W1+W2 is wide (it has a kernel), and with no entries the
+    singular values are taken as [0.0], so rank is 0.  V is None, with
+    the reason, when W1+W2 is not square or numerically singular.
     """
 
     V: np.ndarray | None
     smin: float
     smax: float
-    rank: int | None
+    rank: int
     reason: str | None = None
 
 
@@ -83,15 +86,14 @@ def extract_v(W1, W2, tol: float = numlin.DEFAULT_TOL) -> VExtraction:
     W1 = np.asarray(W1, dtype=complex)
     W2 = np.asarray(W2, dtype=complex)
     T = W1 + W2
-    if T.shape[0] != T.shape[1]:
-        return VExtraction(None, 0.0, 0.0, None,
-                           f"W1+W2 is {T.shape[0]}x{T.shape[1]}, not square")
-    if T.shape[0] == 0:
-        return VExtraction(np.zeros((0, 0), dtype=complex), 0.0, 0.0, 0)
-    s = np.linalg.svd(T, compute_uv=False)
-    smin, smax = float(s[-1]), float(s[0])
+    k, nd = T.shape
+    s = np.linalg.svd(T, compute_uv=False) if T.size else np.zeros(1)
+    smin = float(s[-1]) if k >= nd else 0.0  # a wide W1+W2 has a kernel
+    smax = float(s[0])
     rank = numlin.rank_from_singular_values(s, tol)
-    if rank < T.shape[0]:
+    if k != nd:
+        return VExtraction(None, smin, smax, rank, f"W1+W2 is {k}x{nd}, not square")
+    if rank < k:
         return VExtraction(None, smin, smax, rank,
                            f"W1+W2 numerically singular (s_min={smin:.3e})")
     V = np.linalg.solve(T, W1 - W2)
@@ -118,18 +120,12 @@ def isometry_defect(V) -> float:
     return numlin.operator_norm(np.eye(V.shape[0]) - V @ V.conj().T)
 
 
-def _rank_smin(M, tol: float):
-    """(rank, smin) of a nonempty M from one SVD, by the one rank rule."""
-    s = np.linalg.svd(M, compute_uv=False)
-    return numlin.rank_from_singular_values(s, tol), float(s[-1])
-
-
 def _injective(M, tol: float):
     """(is_injective, smin) of M by relative singular-value threshold."""
     if M.shape[0] < M.shape[1]:
         return False, 0.0  # wide matrices always have a kernel
-    rank, smin = _rank_smin(M, tol)
-    return rank == M.shape[1], smin
+    s = np.linalg.svd(M, compute_uv=False)
+    return numlin.rank_from_singular_values(s, tol) == M.shape[1], float(s[-1])
 
 
 @dataclass(frozen=True)
@@ -138,10 +134,12 @@ class BoundaryAlgebra:
 
     Only computations that would otherwise be repeated bit for bit are
     shared.  One SVD of WB_hat gives its rank, its kernel basis and its
-    extreme singular values.  The equivalent criteria -- the sigma form, V,
-    the kernel form, injectivity of W1+W2 against surjectivity of WB_hat --
-    stay separate entries, so their agreement still detects a bug.  Every
-    decision uses the one threshold Tolerances.check.
+    extreme singular values; one SVD of W1+W2, in extract_v, gives V, the
+    rank RANBED reads and the smallest singular value every condition
+    reports, for any shape of W1+W2.  The equivalent criteria -- the sigma
+    form, V, the kernel form, injectivity of W1+W2 against surjectivity of
+    WB_hat -- stay separate entries, so their agreement still detects a
+    bug.  Every decision uses the one threshold Tolerances.check.
     """
 
     k: int
@@ -150,10 +148,8 @@ class BoundaryAlgebra:
     sigma: numlin.DefinitenessReport
     kernel: numlin.DefinitenessReport
     kernel_dim: int
-    ext: VExtraction  # the single decision on W1+W2
-    rank_w1_plus_w2: int  # read by RANBED alone
+    ext: VExtraction  # the single decision on W1+W2, and its rank for RANBED
     rank_wb_hat: int  # rank [W1+W2 | W1-W2] for RANBED; rank == k is surjectivity
-    smin_w1_plus_w2: float
     inj_w2_minus_w1: bool
     smin_w2_minus_w1: float
     surjective: bool  # WB_hat has full row rank
@@ -175,15 +171,6 @@ class BoundaryAlgebra:
             rank = numlin.rank_from_singular_values(s, check)
             K = vh[rank:].conj().T
         ext = extract_v(bop.W1, bop.W2, check)
-        # extract_v decides nothing on a non-square W1+W2, where T3.3 still
-        # reports its smallest singular value (0 when wide, with a kernel);
-        # only a wide W1+W2 needs an SVD of its own, for RANBED's rank
-        if k == nd:
-            rank_t, smin_t = ext.rank, ext.smin
-        elif k > nd:
-            rank_t, smin_t = _rank_smin(bop.W1 + bop.W2, check)
-        else:
-            rank_t, smin_t = numlin.numerical_rank(bop.W1 + bop.W2, check), 0.0
         inj_m, smin_m = _injective(bop.W2 - bop.W1, check)
         v_norm = defect = v_contractive = v_unitary = None
         if ext.V is not None:
@@ -199,9 +186,7 @@ class BoundaryAlgebra:
             kernel=numlin.definiteness(kernel_energy_form(K, bop.Q), check),
             kernel_dim=K.shape[1],
             ext=ext,
-            rank_w1_plus_w2=rank_t,
             rank_wb_hat=rank,
-            smin_w1_plus_w2=smin_t,
             inj_w2_minus_w1=inj_m,
             smin_w2_minus_w1=smin_m,
             surjective=rank == k,
@@ -337,7 +322,7 @@ def check_unitary_conditions(alg: BoundaryAlgebra):
         (ext.V is not None and alg.inj_w2_minus_w1 and alg.sigma.is_zero
          and p0_zero) if square else None,
         {
-            "smin_w1_plus_w2": alg.smin_w1_plus_w2,
+            "smin_w1_plus_w2": ext.smin,
             "smin_w2_minus_w1": alg.smin_w2_minus_w1,
             "norm_sigma_form": snorm,
             "re_p0_norm": p0_norm,
@@ -411,7 +396,7 @@ def analyze_interval(sys: PortHamiltonianSystem) -> Verdict:
                         "unaffected but rank-based conditions will fail")
 
     conditions = [
-        range_containment(alg.rank_w1_plus_w2, alg.rank_wb_hat),
+        range_containment(alg.ext.rank, alg.rank_wb_hat),
         check_injective_psd(alg),
         check_v_contraction(alg),
         check_kernel_dissipativity(alg),

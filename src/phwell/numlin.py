@@ -30,7 +30,6 @@ class DefinitenessReport:
     min_eig: float
     max_eig: float
     verdict: str
-    tolerance_used: float
 
     @property
     def is_psd(self) -> bool:
@@ -147,7 +146,7 @@ def definiteness(M, tol: float = DEFAULT_TOL) -> DefinitenessReport:
         raise ValueError("definiteness needs a square matrix")
     if M.shape[0] == 0:
         # Vacuous form: semidefinite in both directions.
-        return DefinitenessReport(0.0, 0.0, "zero", tol)
+        return DefinitenessReport(0.0, 0.0, "zero")
     require_hermitian(M, 10.0 * tol)
     w = np.linalg.eigvalsh(hermitian_part(M))
     lo, hi = float(w[0]), float(w[-1])
@@ -162,7 +161,7 @@ def definiteness(M, tol: float = DEFAULT_TOL) -> DefinitenessReport:
         verdict = "negative_semidefinite"
     else:
         verdict = "indefinite"
-    return DefinitenessReport(lo, hi, verdict, tol)
+    return DefinitenessReport(lo, hi, verdict)
 
 
 def hermitian_eigendecomposition(P, tol: float = DEFAULT_TOL):

@@ -333,7 +333,6 @@ class OracleReport:
     values: np.ndarray
     cross_check_max_diff: float
     witness: SmoothFunction | None  # state achieving a positive value, if any
-    tolerance: float
 
     @property
     def vacuous(self) -> bool:
@@ -422,7 +421,7 @@ def dissipativity_oracle(sys: PortHamiltonianSystem, n_samples: int = 64,
         diffs.append(g)
 
     if not vals:
-        return OracleReport(True, 0, r, 0.0, np.zeros(0), 0.0, None, ORACLE_TOL)
+        return OracleReport(True, 0, r, 0.0, np.zeros(0), 0.0, None)
     arr = np.concatenate(vals)
     best = int(np.argmax(arr))  # the first probe reaching the maximum
     witness = None
@@ -440,7 +439,6 @@ def dissipativity_oracle(sys: PortHamiltonianSystem, n_samples: int = 64,
         values=arr,
         cross_check_max_diff=float(np.max(np.concatenate(diffs))),
         witness=witness,
-        tolerance=ORACLE_TOL,
     )
 
 
@@ -720,10 +718,6 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     M = sparse.vstack(blocks, format="csr")
     M.eliminate_zeros()
     del A, Hb, P0b, blocks  # freed before the loop: only M is needed
-    # the record rows [Hb; P0b Hb] of M as a view, for the last state
-    k = M.indptr[2 * dn]
-    M_record = sparse.csr_array((M.data[:k], M.indices[:k], M.indptr[:2 * dn + 1]),
-                                shape=(2 * dn, dn))
 
     times = np.zeros(n_steps + 1)
     energies = np.zeros(n_steps + 1)
@@ -755,7 +749,7 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
         while snap_idx < len(snap_times) and snap_times[snap_idx] <= t + 1e-12:
             snap_list.append((t, as_cells(x)))
             snap_idx += 1
-    record(n_steps, x, M_record @ x)
+    record(n_steps, x, M @ x)
 
     # port power 2 Re <f, e> with f = Q (w_r - w_l) / sqrt2, e = (w_r + w_l) / sqrt2;
     # an overflowed run (max_violation = inf) yields inf and nan powers here

@@ -35,12 +35,12 @@ def halfline_system(P1, WB, P0=None, field="real"):
 def test_decompose_wave_matrix():
     dec = decompose_P1(P1_WAVE)
     assert (dec.n1, dec.n2) == (1, 1)
-    np.testing.assert_allclose(dec.Lambda, [[1.0]], atol=1e-14)
-    np.testing.assert_allclose(dec.Theta, [[-1.0]], atol=1e-14)
+    np.testing.assert_allclose(dec.Lambda, [1.0], atol=1e-14)
+    np.testing.assert_allclose(dec.Theta, [-1.0], atol=1e-14)
     np.testing.assert_allclose(np.abs(dec.S), np.full((2, 2), 1 / np.sqrt(2)),
                                atol=1e-14)
-    np.testing.assert_allclose(dec.S.conj().T @ dec.delta @ dec.S, P1_WAVE,
-                               atol=1e-14)
+    delta = np.diag(np.r_[dec.Lambda, dec.Theta])
+    np.testing.assert_allclose(dec.S.conj().T @ delta @ dec.S, P1_WAVE, atol=1e-14)
 
 
 def test_decompose_negative_definite():
@@ -52,8 +52,8 @@ def test_decompose_negative_definite():
 def test_decompose_diagonal_permutation():
     dec = decompose_P1(np.diag([2.0, -3.0, -5.0]))
     assert (dec.n1, dec.n2) == (1, 2)
-    np.testing.assert_allclose(np.diag(dec.Lambda), [2.0])
-    np.testing.assert_allclose(np.diag(dec.Theta), [-3.0, -5.0])
+    np.testing.assert_allclose(dec.Lambda, [2.0])
+    np.testing.assert_allclose(dec.Theta, [-3.0, -5.0])
     # rows of S are permutation rows up to sign
     np.testing.assert_allclose(np.sort(np.abs(dec.S), axis=None)[-3:], [1, 1, 1])
 
@@ -71,7 +71,7 @@ def test_factorize_wave_boundary():
         assert isinstance(fact, BoundaryFactorization)
         assert fact.residual < 1e-12
         # Lambda + U* Theta U = 1 - |u|^2 regardless of eigenvector signs
-        M = dec.Lambda + fact.U.conj().T @ dec.Theta @ fact.U
+        M = np.diag(dec.Lambda) + fact.U.conj().T @ np.diag(dec.Theta) @ fact.U
         assert M[0, 0] == pytest.approx(1.0 - abs(u) ** 2, abs=1e-12)
 
 
@@ -86,7 +86,7 @@ def test_factorize_empty_boundary_positive_p1():
     dec = decompose_P1(np.eye(3))
     fact = factorize_boundary(np.zeros((0, 3)), dec)
     assert isinstance(fact, BoundaryFactorization)
-    assert fact.B.shape == (0, 0) and fact.U.shape == (0, 3)
+    assert fact.U1.shape == (0, 3) and fact.U.shape == (0, 3)
 
 
 def test_factorize_wrong_row_count():
@@ -94,6 +94,7 @@ def test_factorize_wrong_row_count():
     fact = factorize_boundary(np.array([[1.0, 0.0, 0.0]]), dec)
     assert isinstance(fact, FactorizationFailure)
     assert fact.reason == "wrong_row_count"
+    assert fact.U1 is None and fact.smin_u2 is None  # no split was made
 
 
 def test_factorize_singular_trailing_block():
@@ -101,6 +102,8 @@ def test_factorize_singular_trailing_block():
     fact = factorize_boundary(np.array([[1.0, 0.0]]), dec)  # hits only Lambda block
     assert isinstance(fact, FactorizationFailure)
     assert fact.reason == "singular_trailing_block"
+    assert fact.smin_u2 == 0.0
+    np.testing.assert_array_equal(np.abs(fact.U1), [[1.0]])
 
 
 def test_factorize_raw_rank_deficient_rows():
@@ -214,11 +217,8 @@ def test_unitary_flip_gives_contraction():
 
 
 def unit_decomp(n1, n2):
-    d = n1 + n2
-    lam = np.eye(n1) if n1 else np.zeros((0, 0))
-    theta = -np.eye(n2) if n2 else np.zeros((0, 0))
-    return HalfLineDecomposition(S=np.eye(d, dtype=complex), Lambda=lam,
-                                 Theta=theta, n1=n1, n2=n2)
+    return HalfLineDecomposition(S=np.eye(n1 + n2, dtype=complex), Lambda=np.ones(n1),
+                                 Theta=-np.ones(n2))
 
 
 def test_resolvent_closed_form():
@@ -283,13 +283,13 @@ def _resolvent_by_loops(decomp, U, y, L):
     h = L / (npts - 1)
     t = np.linspace(0.0, L, npts)
     v = np.zeros(y.shape, dtype=complex)
-    lam = np.diag(decomp.Lambda).real
+    lam = decomp.Lambda
     for i in range(n1):
         decay = np.exp(-h / lam[i])
         yi = y[i] / lam[i]
         for j in range(npts - 2, -1, -1):
             v[i, j] = decay * v[i, j + 1] + 0.5 * h * (yi[j] + decay * yi[j + 1])
-    theta = np.diag(decomp.Theta).real
+    theta = decomp.Theta
     splines_re = [CubicSpline(t, y[n1 + i].real) for i in range(n2)]
     splines_im = [CubicSpline(t, y[n1 + i].imag) for i in range(n2)]
 
@@ -312,9 +312,7 @@ def _resolvent_by_loops(decomp, U, y, L):
 def test_resolvent_general_blocks_match_loops():
     # Lambda = 0.02 makes the decay per step exp(-2.5), so its n-th power
     # underflows; complex U and y, two components in each block.
-    decomp = HalfLineDecomposition(S=np.eye(4, dtype=complex),
-                                   Lambda=np.diag([1.0, 0.02]),
-                                   Theta=np.diag([-0.5, -3.0]), n1=2, n2=2)
+    decomp = general_decomp()
     U = np.array([[0.3 + 0.4j, -0.2], [0.1j, 0.7 - 0.1j]])
     L = 30.0
     t = np.linspace(0.0, L, 601)
@@ -337,20 +335,10 @@ def test_resolvent_grid_too_coarse():
                                  residual_threshold=1e-9)
 
 
-def test_resolvent_callable_rhs_default_grid():
-    decomp = unit_decomp(1, 0)
-    x, res = solve_resolvent_halfline(decomp, np.zeros((0, 1)),
-                                      lambda t: np.array([np.exp(-t)]))
-    assert x.shape == (1, 3001)  # default step L / 3000
-    assert res <= 5e-5  # trapezoid at the default step
-    assert abs(x[0, 0] - 0.5) <= 5e-5
-
-
 def general_decomp():
     # Lambda = 0.02 makes the decay per step exp(-2.5) on a 601-point grid
-    return HalfLineDecomposition(S=np.eye(4, dtype=complex),
-                                 Lambda=np.diag([1.0, 0.02]),
-                                 Theta=np.diag([-0.5, -3.0]), n1=2, n2=2)
+    return HalfLineDecomposition(S=np.eye(4, dtype=complex), Lambda=np.array([1.0, 0.02]),
+                                 Theta=np.array([-0.5, -3.0]))
 
 
 def real_data():
@@ -396,9 +384,8 @@ def test_resolvent_callable_rhs_keeps_its_field(monkeypatch, field):
         return get_blas_funcs(name, *args, dtype=dtype, **kwargs)
 
     monkeypatch.setattr(halfline, "get_blas_funcs", recording)
-    x, res = solve_resolvent_halfline(unit_decomp(1, 1), np.array([[0.5]]),
-                                      lambda t: field(1.0) * np.exp(-t) * np.ones(2),
-                                      L=30.0)
+    y = np.vstack([np.exp(-np.linspace(0.0, 30.0, 3001))] * 2).astype(field)
+    x, res = solve_resolvent_halfline(unit_decomp(1, 1), np.array([[0.5]]), y, L=30.0)
     assert dtypes == [np.dtype(field)]
     assert x.dtype == np.complex128
     assert res <= 1e-3
@@ -411,13 +398,6 @@ def test_resolvent_rejects_bad_length(n2, L):
     y = np.vstack([np.exp(-np.linspace(0.0, 30.0, 301))] * (1 + n2))
     with pytest.raises(PhwellError, match="L must be a finite number > 0"):
         solve_resolvent_halfline(decomp, np.zeros((n2, 1)), y, L=L)
-
-
-@pytest.mark.parametrize("n_cells", [-5, 0, 2.5, "3000", None])
-def test_resolvent_rejects_bad_cell_count(n_cells):
-    with pytest.raises(PhwellError, match="n_cells must be an integer > 0"):
-        solve_resolvent_halfline(unit_decomp(1, 0), np.zeros((0, 1)),
-                                 lambda t: np.array([np.exp(-t)]), n_cells=n_cells)
 
 
 def test_resolvent_nan_residual_fails_the_threshold():
@@ -455,7 +435,7 @@ def test_resolvent_banded_lu_only_in_the_spline(monkeypatch, n1, n2, spline_solv
 def _old_stencil_residual(v, y, decomp, L):
     """The residual as first written: |v - Delta v' - y| with v' by fourth-order differences."""
     h = L / (v.shape[1] - 1)
-    delta = np.concatenate([np.diag(decomp.Lambda).real, np.diag(decomp.Theta).real])
+    delta = np.concatenate([decomp.Lambda, decomp.Theta])
     dv = (v[:, :-4] - 8 * v[:, 1:-3] + 8 * v[:, 3:-1] - v[:, 4:]) / (12.0 * h)
     return float(np.max(np.abs(v[:, 2:-2] - delta[:, None] * dv - y[:, 2:-2])))
 
@@ -480,10 +460,10 @@ def test_resolvent_residual_matches_the_stencil(field):
 def test_resolvent_rejects_wrongly_signed_blocks(lam, theta):
     # Theta = +0.5 used to return a residual of 3.5e20, Lambda = -1 a wrong
     # solve with a small residual and Lambda = 0 a divide-by-zero warning
-    decomp = HalfLineDecomposition(S=np.eye(2, dtype=complex), Lambda=np.array([[lam]]),
-                                   Theta=np.array([[theta]]), n1=1, n2=1)
+    decomp = HalfLineDecomposition(S=np.eye(2, dtype=complex), Lambda=np.array([lam]),
+                                   Theta=np.array([theta]))
     y = np.vstack([np.exp(-np.linspace(0.0, 30.0, 601))] * 2)
-    with pytest.raises(PhwellError, match="Lambda must have a finite diagonal > 0"):
+    with pytest.raises(PhwellError, match="Lambda must be finite and > 0"):
         solve_resolvent_halfline(decomp, np.array([[0.5]]), y, L=30.0)
 
 

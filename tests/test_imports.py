@@ -5,7 +5,9 @@ anywhere in the same file, or listed in that file's __all__ (the package
 re-exports through phwell/__init__.py).  A module-level def or class of
 the package counts as used when some package module reads it outside its
 own definition, when phwell.__all__ exports it, or when perfbench/*.py,
-the benchmark, names it.
+the benchmark, names it.  A class field (an annotated name in a class
+body) or property of the package counts as used when some package, test
+or perfbench module loads it as an attribute.
 """
 
 import ast
@@ -19,6 +21,7 @@ import phwell
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "phwell").glob("*.py"))
 FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -95,7 +98,7 @@ def dead_definitions(sources: dict, exported, pinned: str) -> list:
 
 def test_no_dead_definitions():
     sources = {p.stem: p.read_text() for p in PACKAGE}
-    pinned = "".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    pinned = "".join(p.read_text() for p in BENCH)
     assert dead_definitions(sources, set(phwell.__all__), pinned) == []
 
 
@@ -126,3 +129,61 @@ def test_the_scan_finds_dead_definitions():
     }
     found = dead_definitions(sources, {"exported"}, "wrap(a, 'pinned')")
     assert found == [("a", "helper"), ("a", "lonely")]
+
+
+def dead_members(sources: dict, readers) -> list:
+    """(module, class, name) of every class field or property that nothing reads.
+
+    sources maps module names to source text.  A field is an annotated
+    name in the body of a module-level class, a property a method of one
+    decorated @property.  It is used when some source text in readers
+    loads its name as an attribute.
+    """
+    loaded = {node.attr for text in readers for node in ast.walk(ast.parse(text))
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    dead = []
+    for module, source in sources.items():
+        for cls in ast.parse(source).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    name = item.target.id
+                elif isinstance(item, ast.FunctionDef) and any(
+                        isinstance(d, ast.Name) and d.id == "property"
+                        for d in item.decorator_list):
+                    name = item.name
+                else:
+                    continue
+                if name not in loaded:
+                    dead.append((module, cls.name, name))
+    return sorted(dead)
+
+
+def test_no_dead_members():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    readers = [p.read_text() for p in [*FILES, *BENCH]]
+    assert dead_members(sources, readers) == []
+
+
+def test_the_scan_finds_dead_members():
+    source = (
+        "class Report:\n"
+        "    kept: float\n"
+        "    stored: float\n"
+        "    unread: int = 0\n"
+        "    LIMIT = 3\n"
+        "    @property\n"
+        "    def norm(self):\n"
+        "        return self.kept\n"
+        "    @property\n"
+        "    def lonely(self):\n"
+        "        return 0\n"
+        "    def method(self):\n"
+        "        self.stored = 1.0\n"
+        "        return Report(unread=1)\n"
+    )
+    reader = "r = Report()\nprint(r.norm, r.method())\n"
+    found = dead_members({"a": source}, [source, reader])
+    assert found == [("a", "Report", "lonely"), ("a", "Report", "stored"),
+                     ("a", "Report", "unread")]

@@ -141,6 +141,25 @@ def test_extract_v_singular_sum():
     assert "singular" in ext.reason
 
 
+@pytest.mark.parametrize("T, rank, smin, smax, reason", [
+    (np.diag([3.0, 2.0]), 2, 2.0, 3.0, None),
+    (np.array([[3.0, 0.0], [0.0, 2.0], [0.0, 0.0]]), 2, 2.0, 3.0, "3x2, not square"),
+    (np.array([[3.0, 0.0, 0.0], [0.0, 2.0, 0.0]]), 2, 0.0, 3.0, "2x3, not square"),
+    (np.diag([3.0, 0.0]), 1, 0.0, 3.0, "numerically singular"),
+    (np.zeros((0, 3)), 0, 0.0, 0.0, "0x3, not square"),
+    (np.zeros((0, 0)), 0, 0.0, 0.0, None),
+])
+def test_extract_v_reads_every_shape_off_one_svd(T, rank, smin, smax, reason):
+    # W1 + W2 = T; a wide T has a kernel, so its smin is 0.0
+    ext = extract_v(T, np.zeros_like(T))
+    assert ext.rank == rank
+    assert (ext.smin, ext.smax) == pytest.approx((smin, smax), abs=1e-14)
+    if reason is None:
+        assert ext.reason is None and ext.V.shape == T.shape
+    else:
+        assert ext.V is None and reason in ext.reason
+
+
 def test_v_contraction_norms():
     assert check_v_contraction(algebra_from_v(shift_matrix(6))).holds  # ||L|| = 1 exactly
     assert not check_v_contraction(algebra_from_v(2.0 * np.eye(3))).holds
@@ -327,7 +346,7 @@ def test_ranbed_ranks_w1_plus_w2_with_one_svd(W1, W2, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recording)
     monkeypatch.setattr(private, "svd", recording)
     alg = algebra_from_split(W1, W2)
-    res = range_containment(alg.rank_w1_plus_w2, alg.rank_wb_hat)
+    res = range_containment(alg.ext.rank, alg.rank_wb_hat)
     monkeypatch.undo()
     assert sum(m.shape == T.shape and np.array_equal(m, T) for m in inputs) == 1
     r_t = numlin.numerical_rank(T, TOL.check)

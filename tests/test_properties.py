@@ -165,3 +165,25 @@ def test_ranbed_augmented_rank_is_the_rank_of_wb_hat():
         alg = BoundaryAlgebra.of(bop, sys.re_P0(), sys.tol)
         augmented = np.hstack([bop.W1 + bop.W2, bop.W1 - bop.W2])
         assert alg.rank_wb_hat == numlin.numerical_rank(augmented, sys.tol.check)
+
+
+def disagreeing_diagnostics(verdict) -> list:
+    """Diagnostic keys that two conditions of one report give different values."""
+    first, bad = {}, set()
+    for c in verdict.conditions:
+        for key, value in c.diagnostics.items():
+            seen = first.setdefault(key, value)
+            if not (seen == value or (seen != seen and value != value)):  # NaN == NaN
+                bad.add(key)
+    return sorted(bad)
+
+
+def test_a_diagnostic_has_one_value_per_report():
+    # a tall W1+W2 (interval_rect, k > N*d) has a nonzero smallest singular
+    # value, which T1.4, T3.4 and C3.7 must report as T3.3 does
+    systems = {name: entry.system() for name, entry in CORPUS.items()}
+    for klass in ("interval_square", "interval_rect", "halfline"):
+        systems.update({(klass, seed): random_system(seed, klass=klass)
+                        for seed in range(50)})
+    found = {key: disagreeing_diagnostics(analyze(sys)) for key, sys in systems.items()}
+    assert {key: keys for key, keys in found.items() if keys} == {}
