@@ -154,19 +154,12 @@ def _cmd_sweep(args) -> int:
     rng_seeds = np.random.default_rng(args.seed).integers(0, 2**31 - 1,
                                                           size=2 * args.count)
     bad = 0
-    for i in range(args.count):
-        system = corpus_mod.random_system(int(rng_seeds[i]), klass="interval_square")
-        verdict = analyze_interval(system)
-        if verdict.discrepancy:
-            bad += 1
-            print(f"DISCREPANCY interval seed={rng_seeds[i]}")
-    for i in range(args.count):
-        seed = int(rng_seeds[args.count + i])
-        system = corpus_mod.random_system(seed, klass="halfline")
-        verdict = analyze_halfline(system)
-        if verdict.discrepancy:
-            bad += 1
-            print(f"DISCREPANCY halfline seed={seed}")
+    for klass, label, seeds in (("interval_square", "interval", rng_seeds[:args.count]),
+                                ("halfline", "halfline", rng_seeds[args.count:])):
+        for seed in seeds:
+            if analyze(corpus_mod.random_system(int(seed), klass=klass)).discrepancy:
+                bad += 1
+                print(f"DISCREPANCY {label} seed={seed}")
     print(f"sweep: {2 * args.count} systems, {bad} discrepancies")
     return EXIT_DISCREPANCY if bad else EXIT_OK
 

@@ -246,7 +246,7 @@ def _random_symmetric_chain(rng, N, d):
             else:
                 M = 0.5 * (M - M.conj().T)
             out.append(M)
-        s = np.linalg.svd(out[-1], compute_uv=False)
+        s = numlin.singular_values(out[-1])
         if s[-1] > 1e-3 * s[0] and s[-1] > MARGIN:
             return out
 
@@ -276,7 +276,7 @@ def _margin(sys) -> float:
             margins.append(_relative(alg.kernel.min_eig, alg.kernel.norm))
         if alg.lambda_utu is not None and alg.fact.U.size:
             margins.append(_relative(alg.lambda_utu.min_eig, alg.lambda_utu.norm))
-        if alg.smin_wb_hat is not None:
+        if sys.n_conditions:
             margins.append(_relative(alg.smin_wb_hat, alg.smax_wb_hat))
     else:
         alg = BoundaryAlgebra.of(derive_boundary_operator(sys), sys.re_P0(), sys.tol)
@@ -302,8 +302,12 @@ def random_system(seed: int, N: int = None, d: int = None,
     halfline draws whose decisive scalars -- read off the checkers' own
     BoundaryAlgebra / HalfLineAlgebra bundles -- sit within 1e-6 (relative
     where the scalar has a scale) of a decision threshold are rejected and
-    redrawn; interval_rect draws are not filtered.
+    redrawn; interval_rect draws are not filtered.  Any other klass raises
+    ValueError.
     """
+    if klass not in (INTERVAL_SQUARE, INTERVAL_RECT, HALFLINE):
+        raise ValueError(f"unknown klass {klass!r}; expected {INTERVAL_SQUARE!r}, "
+                         f"{INTERVAL_RECT!r} or {HALFLINE!r}")
     rng = np.random.default_rng(seed)
     for _ in range(200):
         if klass == HALFLINE:

@@ -97,7 +97,8 @@ def unit_decomposition(n1: int, n2: int) -> HalfLineDecomposition:
                                  Lambda=np.ones(n1), Theta=-np.ones(n2))
 
 
-def factorize_boundary(WB_hat, decomp: HalfLineDecomposition, tol: float = None):
+def factorize_boundary(WB_hat, decomp: HalfLineDecomposition,
+                       tol: float = numlin.DEFAULT_TOL):
     """Factor WB_hat as B [U I] S, or explain why that is impossible.
 
     Needs k = n2 and an invertible trailing block of WB_hat S^*, which
@@ -106,8 +107,6 @@ def factorize_boundary(WB_hat, decomp: HalfLineDecomposition, tol: float = None)
     singular trailing block always certifies failure of the kernel test
     as well: some (0, u) lies in the kernel and u^* Theta u < 0.
     """
-    if tol is None:
-        tol = numlin.DEFAULT_TOL
     WB_hat = np.asarray(WB_hat, dtype=complex)
     k, d = WB_hat.shape
     if d != decomp.n1 + decomp.n2:
@@ -118,18 +117,15 @@ def factorize_boundary(WB_hat, decomp: HalfLineDecomposition, tol: float = None)
             f"need exactly n2 = {decomp.n2} independent conditions, got {k}")
     split = WB_hat @ decomp.S.conj().T
     U1, U2 = split[:, : decomp.n1], split[:, decomp.n1 :]
-    smin_u2 = 0.0
-    if k:
-        s = np.linalg.svd(U2, compute_uv=False)
-        smin_u2 = float(s[-1])
-        if numlin.rank_from_singular_values(s, tol) < k:
-            return FactorizationFailure(
-                "singular_trailing_block",
-                "the negative-block columns of WB_hat S^* are singular",
-                U1, smin_u2)
-    U = np.linalg.solve(U2, U1) if k else np.zeros((0, decomp.n1), dtype=complex)
-    eye = np.eye(decomp.n2, dtype=complex)
-    recon = U2 @ np.hstack([U, eye]) @ decomp.S if k else WB_hat
+    s = numlin.singular_values(U2)
+    smin_u2 = float(s[-1])
+    if numlin.rank_from_singular_values(s, tol) < k:
+        return FactorizationFailure(
+            "singular_trailing_block",
+            "the negative-block columns of WB_hat S^* are singular",
+            U1, smin_u2)
+    U = np.linalg.solve(U2, U1)
+    recon = U2 @ np.hstack([U, np.eye(k, dtype=complex)]) @ decomp.S
     residual = numlin.operator_norm(recon - WB_hat)
     return BoundaryFactorization(U=U, residual=residual, U1=U1, smin_u2=smin_u2)
 
@@ -153,9 +149,9 @@ class HalfLineAlgebra:
     re_p0: numlin.DefinitenessReport
     kernel: numlin.DefinitenessReport  # y^* P_1 y on ker WB_hat
     kernel_dim: int
-    smin_wb_hat: float | None  # None when WB_hat has no rows
-    smax_wb_hat: float | None
-    fact: BoundaryFactorization | FactorizationFailure | None  # None when k > n2
+    smin_wb_hat: float  # 0.0 when WB_hat has no rows, as on the interval
+    smax_wb_hat: float
+    fact: BoundaryFactorization | FactorizationFailure
     lambda_utu: numlin.DefinitenessReport | None  # when the factorization exists
     smin_u1: float | None  # this and the next only when k = n1 = n2
     blocks_invertible: bool | None  # both U1 and U2
@@ -166,26 +162,21 @@ class HalfLineAlgebra:
         decomp = decompose_P1(sys.P[1], sys.tol.tau_rank)
         n1, n2 = decomp.n1, decomp.n2
         WB = np.asarray(sys.WB_hat, dtype=complex)
-        K, WB_eff, smin, smax = np.eye(WB.shape[1], dtype=complex), WB, None, None
-        if WB.shape[0]:
-            _, s, vh = np.linalg.svd(WB)
-            smin, smax = float(s[-1]), float(s[0])
-            rank = numlin.rank_from_singular_values(s, tol)
-            K = vh[rank:].conj().T
-            if rank < WB.shape[0]:
-                WB_eff = vh[:rank]  # orthonormal rows with the same kernel
+        s, rank, vh = numlin.svd_rank(WB, tol)
+        K = vh[rank:].conj().T
+        # dependent rows give way to orthonormal rows with the same kernel
+        WB_eff = vh[:rank] if rank < WB.shape[0] else WB
         k = WB_eff.shape[0]
-        fact = lam = smin_u1 = invertible = None
-        if k <= n2:
-            fact = factorize_boundary(WB_eff, decomp, tol)
-            factored = isinstance(fact, BoundaryFactorization)
-            if factored:
-                lam = numlin.definiteness(np.diag(decomp.Lambda) + fact.U.conj().T
-                                          @ np.diag(decomp.Theta) @ fact.U, tol)
-            if k == n1 == n2:
-                s1 = np.linalg.svd(fact.U1, compute_uv=False)
-                smin_u1 = float(s1[-1])
-                invertible = factored and numlin.rank_from_singular_values(s1, tol) == k
+        fact = factorize_boundary(WB_eff, decomp, tol)
+        factored = isinstance(fact, BoundaryFactorization)
+        lam = smin_u1 = invertible = None
+        if factored:
+            lam = numlin.definiteness(np.diag(decomp.Lambda) + fact.U.conj().T
+                                      @ np.diag(decomp.Theta) @ fact.U, tol)
+        if k == n1 == n2:
+            s1 = numlin.singular_values(fact.U1)
+            smin_u1 = float(s1[-1])
+            invertible = factored and numlin.rank_from_singular_values(s1, tol) == k
         return cls(
             decomp=decomp,
             k=k,
@@ -193,8 +184,8 @@ class HalfLineAlgebra:
             kernel=numlin.definiteness(
                 K.conj().T @ np.asarray(sys.P[1], dtype=complex) @ K, tol),
             kernel_dim=K.shape[1],
-            smin_wb_hat=smin,
-            smax_wb_hat=smax,
+            smin_wb_hat=float(s[-1]),
+            smax_wb_hat=float(s[0]),
             fact=fact,
             lambda_utu=lam,
             smin_u1=smin_u1,
@@ -214,7 +205,7 @@ def _contraction_conditions(alg: HalfLineAlgebra):
         },
     )
     counts = {"k": float(alg.k), "n2": float(n2)}
-    if fact is None:
+    if alg.k > n2:
         ta4 = ConditionResult("TA.4", False, None, counts,
                               reason=f"needs k <= n2 = {n2}, got k = {alg.k}")
     elif isinstance(fact, FactorizationFailure):

@@ -40,10 +40,10 @@ from .verdict import ConditionResult, Verdict, decide
 class VExtraction:
     """Result of solving (W1+W2) V = W1-W2, from one SVD of W1+W2.
 
-    rank, smin and smax are read off that SVD for every shape: smin is
-    0.0 when W1+W2 is wide (it has a kernel), and with no entries the
-    singular values are taken as [0.0], so rank is 0.  V is None, with
-    the reason, when W1+W2 is not square or numerically singular.
+    rank, smin and smax are read off that SVD for every shape, as an
+    injectivity test reads it (numlin's shape convention): smin is 0.0
+    when W1+W2 is wide or empty.  V is None, with the reason, when W1+W2
+    is not square or numerically singular.
     """
 
     V: np.ndarray | None
@@ -87,9 +87,8 @@ def extract_v(W1, W2, tol: float = numlin.DEFAULT_TOL) -> VExtraction:
     W2 = np.asarray(W2, dtype=complex)
     T = W1 + W2
     k, nd = T.shape
-    s = np.linalg.svd(T, compute_uv=False) if T.size else np.zeros(1)
-    smin = float(s[-1]) if k >= nd else 0.0  # a wide W1+W2 has a kernel
-    smax = float(s[0])
+    s = numlin.singular_values(T)
+    smin, smax = float(s[-1]), float(s[0])
     rank = numlin.rank_from_singular_values(s, tol)
     if k != nd:
         return VExtraction(None, smin, smax, rank, f"W1+W2 is {k}x{nd}, not square")
@@ -118,14 +117,6 @@ def isometry_defect(V) -> float:
     """|| I - V V^* ||: zero iff V is a co-isometry (unitary when square)."""
     V = np.asarray(V, dtype=complex)
     return numlin.operator_norm(np.eye(V.shape[0]) - V @ V.conj().T)
-
-
-def _injective(M, tol: float):
-    """(is_injective, smin) of M by relative singular-value threshold."""
-    if M.shape[0] < M.shape[1]:
-        return False, 0.0  # wide matrices always have a kernel
-    s = np.linalg.svd(M, compute_uv=False)
-    return numlin.rank_from_singular_values(s, tol) == M.shape[1], float(s[-1])
 
 
 @dataclass(frozen=True)
@@ -164,14 +155,10 @@ class BoundaryAlgebra:
     def of(cls, bop: BoundaryOperator, re_P0, tol: Tolerances) -> "BoundaryAlgebra":
         check = tol.check
         k, nd = bop.W1.shape
-        # with no rows WB_hat is trivially onto the zero space; its kernel is all
-        s, rank, K = np.zeros(1), 0, np.eye(2 * nd, dtype=complex)
-        if k:
-            _, s, vh = np.linalg.svd(bop.WB_hat)
-            rank = numlin.rank_from_singular_values(s, check)
-            K = vh[rank:].conj().T
+        s, rank, vh = numlin.svd_rank(bop.WB_hat, check)
+        K = vh[rank:].conj().T
         ext = extract_v(bop.W1, bop.W2, check)
-        inj_m, smin_m = _injective(bop.W2 - bop.W1, check)
+        s_m = numlin.singular_values(bop.W2 - bop.W1)
         v_norm = defect = v_contractive = v_unitary = None
         if ext.V is not None:
             v_norm = numlin.operator_norm(ext.V)
@@ -187,8 +174,8 @@ class BoundaryAlgebra:
             kernel_dim=K.shape[1],
             ext=ext,
             rank_wb_hat=rank,
-            inj_w2_minus_w1=inj_m,
-            smin_w2_minus_w1=smin_m,
+            inj_w2_minus_w1=numlin.rank_from_singular_values(s_m, check) == nd,
+            smin_w2_minus_w1=float(s_m[-1]),
             surjective=rank == k,
             smin_wb_hat=float(s[-1]),
             smax_wb_hat=float(s[0]),

@@ -116,7 +116,7 @@ class HamiltonianDensity:
             raise ShapeError("piecewise H needs len(breakpoints)+1 matrices", path="H")
         if not (np.isfinite(b).all() and (b > 0).all()):
             raise ShapeError("H breakpoints must be finite and > 0", path="H")
-        if b.size and not np.all(np.diff(b) > 0):
+        if not np.all(np.diff(b) > 0):
             raise ShapeError("H breakpoints must be strictly increasing", path="H")
         return HamiltonianDensity("piecewise_constant", _freeze(m), _freeze(b))
 
@@ -271,7 +271,7 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
         raise StructureError("half_line systems must have N = 1", path="N")
 
     # P_N invertible; a Hermitian P_1's singular values are its |eigenvalues|
-    s = np.linalg.svd(P[N], compute_uv=False)
+    s = numlin.singular_values(P[N])
     if numlin.rank_from_singular_values(s, tol.tau_rank) < d:
         if interval == HALF_LINE:
             raise SingularP1(f"P[1] has an eigenvalue numerically at zero "
@@ -339,7 +339,7 @@ def _require_finite(M, name: str, path: str = None) -> None:
 
 
 def _check_q(Q, tau_rank: float) -> None:
-    s = np.linalg.svd(Q, compute_uv=False)
+    s = numlin.singular_values(Q)
     if numlin.rank_from_singular_values(s, tau_rank) < Q.shape[0]:
         raise SingularQ(f"Q is numerically singular (s_min={s[-1]:.3e})", path="P")
 
@@ -368,14 +368,16 @@ def build_q_for_system(sys: PortHamiltonianSystem) -> np.ndarray:
     return build_q(list(sys.P[1:]))
 
 
-def split_boundary_operator(WB_hat, Q, tol: float | None = None):
+def split_boundary_operator(WB_hat, Q, tol: float = numlin.DEFAULT_TOL):
     """Split WB_hat into (W1, W2) with [W1 W2] = WB_hat [Q -Q; I I]^{-1}.
 
     Using the closed-form inverse 0.5 [Q^{-1} I; -Q^{-1} I] this is
     W1 = 0.5 (Wh1 - Wh2) Q^{-1} and W2 = 0.5 (Wh1 + Wh2) for
     WB_hat = [Wh1 Wh2].  Reconstruction [W1 W2][Q -Q; I I] = WB_hat holds
     by construction.  Raises SingularQ for a numerically singular Q, which
-    validate_system already rules out for validated systems.
+    validate_system already rules out for validated systems.  An omitted
+    tol is numlin.DEFAULT_TOL, as for every algebra primitive; PHWELL_TOL
+    sets Tolerances, not this default.
     """
     WB_hat = np.asarray(WB_hat, dtype=complex)
     Q = np.asarray(Q, dtype=complex)
@@ -384,8 +386,6 @@ def split_boundary_operator(WB_hat, Q, tol: float | None = None):
         raise ShapeError(
             f"WB_hat width {WB_hat.shape[1]} does not match 2*{n}", path="WB_hat"
         )
-    if tol is None:
-        tol = default_tolerance()
     _check_q(Q, tol)
     return _split(WB_hat, Q)
 

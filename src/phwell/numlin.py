@@ -6,6 +6,14 @@ the one rank rule; callers never compare singular values themselves.  Every
 symmetry decision goes through require_hermitian, the one Hermitian rule.
 Definiteness is decided by eigenvalue extremes of the symmetrized matrix.
 Nothing here depends on the problem structure.
+
+Every SVD of the package is taken here, and every matrix shape is read
+the same way (the shape convention): a matrix with no entries has the
+singular values [0.0] -- rank 0, smallest and largest singular value
+0.0 -- and the kernel basis of a matrix with no rows is the identity.
+singular_values also gives a wide matrix, which has a kernel, a trailing
+0.0; svd_rank keeps the min(p, q) values of the SVD, which its callers
+read as the extreme singular values of WB_hat.
 """
 
 from __future__ import annotations
@@ -66,6 +74,35 @@ def rank_from_singular_values(s, tol: float = DEFAULT_TOL) -> int:
     return int(np.sum(s > tol * s[0])) if s.size else 0
 
 
+def _convention(s: np.ndarray) -> np.ndarray:
+    """The shape convention: a matrix with no entries has the singular values [0.0]."""
+    return s if s.size else np.zeros(1)
+
+
+def singular_values(M) -> np.ndarray:
+    """Singular values of M in descending order, under the shape convention.
+
+    A wide M, which has a kernel, gets a trailing 0.0, so its smallest
+    value reads 0.0; the appended zero changes neither the rank nor the
+    largest value.
+    """
+    M = _as2d(M)
+    s = np.linalg.svd(M, compute_uv=False)
+    return np.append(s, 0.0) if M.shape[0] < M.shape[1] else _convention(s)
+
+
+def svd_rank(M, tol: float = DEFAULT_TOL):
+    """(s, rank, vh) from one full SVD of M under the one rank rule.
+
+    s holds the min(p, q) singular values, under the shape convention; the
+    rows of vh from rank on span the kernel of M, and those before it its
+    row space.
+    """
+    _, s, vh = np.linalg.svd(_as2d(M))
+    s = _convention(s)
+    return s, rank_from_singular_values(s, tol), vh
+
+
 def kernel_basis(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the numerical kernel of M (columns, q x r).
 
@@ -73,28 +110,18 @@ def kernel_basis(M, tol: float = DEFAULT_TOL) -> np.ndarray:
     r = q - numerical_rank(M).  A matrix with no rows (or all-zero rows)
     has the full identity as kernel basis.
     """
-    M = _as2d(M)
-    if M.size == 0:
-        return np.eye(M.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(M)
-    return vh[rank_from_singular_values(s, tol):].conj().T
+    _, rank, vh = svd_rank(M, tol)
+    return vh[rank:].conj().T
 
 
 def numerical_rank(M, tol: float = DEFAULT_TOL) -> int:
     """Rank of M with singular values below tol * sigma_max treated as zero."""
-    M = _as2d(M)
-    if M.size == 0:
-        return 0
-    return rank_from_singular_values(np.linalg.svd(M, compute_uv=False), tol)
+    return rank_from_singular_values(singular_values(M), tol)
 
 
 def smallest_singular_value(M) -> float:
-    """Smallest of the min(p, q) singular values of M (0.0 if empty)."""
-    M = _as2d(M)
-    if M.size == 0:
-        return 0.0
-    s = np.linalg.svd(M, compute_uv=False)
-    return float(s[-1])
+    """Smallest singular value of M (0.0 if M is empty or wide)."""
+    return float(singular_values(M)[-1])
 
 
 def operator_norm(M) -> float:
@@ -102,10 +129,7 @@ def operator_norm(M) -> float:
 
     The one gesdd call np.linalg.norm(M, 2) makes, without its wrapping.
     """
-    M = _as2d(M)
-    if M.size == 0:
-        return 0.0
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+    return float(singular_values(M)[0])
 
 
 def hermitian_part(M) -> np.ndarray:
@@ -124,8 +148,6 @@ def require_hermitian(M, threshold: float) -> None:
     so a Frobenius norm within the threshold passes without the eigensolve.
     """
     M = _as2d(M)
-    if M.size == 0:
-        return
     D = M - M.conj().T
     if np.linalg.norm(D) <= threshold:
         return
@@ -215,8 +237,5 @@ def principal_angles(A, B) -> np.ndarray:
 
 def orthonormal_columns(A, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the column space of A (via SVD, rank-revealing)."""
-    A = _as2d(A)
-    if A.size == 0:
-        return np.zeros((A.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(A, full_matrices=False)
+    u, s, _ = np.linalg.svd(_as2d(A), full_matrices=False)
     return u[:, :rank_from_singular_values(s, tol)]

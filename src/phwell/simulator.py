@@ -546,7 +546,7 @@ class _BoundaryClosure:
         R[out_right, d:] = S[self.neg]
         M[out_left, d:] = S[self.pos]  # outgoing at the left end
         R[out_left, :d] = S[self.pos]
-        cond_s = np.linalg.svd(M, compute_uv=False)
+        cond_s = numlin.singular_values(M)
         if numlin.rank_from_singular_values(cond_s, 1e-12) < 2 * d:
             raise BoundaryClosureSingular(
                 "ghost-state system is singular: the boundary conditions "

@@ -147,6 +147,11 @@ def test_random_system_golden_fixture():
     assert json.loads(json.dumps(doc)) == frozen
 
 
+def test_random_system_refuses_an_unknown_class():
+    with pytest.raises(ValueError, match="interval_square.*interval_rect.*halfline"):
+        random_system(0, klass="typo")
+
+
 def test_random_systems_all_validate():
     # constructive symmetrization: every draw passes validation
     rng = np.random.default_rng(123)

@@ -1,6 +1,7 @@
 """No module imports a name it never uses; the package defines none it never reads.
 
-Plain ast scans.  An imported name counts as used when it is read
+Plain ast scans.  Every SVD is taken in phwell/numlin.py, which owns
+how a matrix of any shape is read.  An imported name counts as used when it is read
 anywhere in the same file, or listed in that file's __all__ (the package
 re-exports through phwell/__init__.py).  A module-level def or class of
 the package counts as used when some package module reads it outside its
@@ -20,7 +21,7 @@ import phwell
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "phwell").glob("*.py"))
-FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py"), *(ROOT / "tools").glob("*.py")])
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
@@ -187,3 +188,42 @@ def test_the_scan_finds_dead_members():
     found = dead_members({"a": source}, [source, reader])
     assert found == [("a", "Report", "lonely"), ("a", "Report", "stored"),
                      ("a", "Report", "unread")]
+
+
+def svd_calls(source: str) -> list:
+    """Lines of the source that reach an SVD through a linalg module.
+
+    That is an attribute svd of a name or attribute called linalg
+    (np.linalg.svd, scipy.linalg.svd, linalg.svd) or an import of svd from
+    a module whose name ends in linalg.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "svd":
+            owner = node.value
+            if getattr(owner, "attr", getattr(owner, "id", None)) == "linalg":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            if any(alias.name == "svd" for alias in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "numlin.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_svd_is_taken_in_numlin(path):
+    assert svd_calls(path.read_text()) == []
+
+
+def test_the_scan_finds_svd_calls():
+    source = (
+        "import numpy as np\n"
+        "from numpy import linalg\n"
+        "from scipy.linalg import svd, qr\n"
+        "s = np.linalg.svd(M, compute_uv=False)\n"
+        "u = linalg.svd(M)[0]\n"
+        "f = scipy.linalg.svd\n"
+        "q = np.linalg.qr(M)\n"
+        "t = model.svd\n"
+    )
+    assert svd_calls(source) == [3, 4, 5, 6]

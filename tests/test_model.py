@@ -22,7 +22,12 @@ from phwell.errors import (
     StructureError,
     ValidationError,
 )
-from phwell.halfline import decompose_P1
+from phwell.halfline import (
+    BoundaryFactorization,
+    decompose_P1,
+    factorize_boundary,
+    unit_decomposition,
+)
 from phwell.model import BoundaryTrace, derive_boundary_operator, port_variables
 from phwell.simulator import boundary_interpolant
 
@@ -355,6 +360,18 @@ def test_q_is_decided_once(monkeypatch):
     with pytest.raises(SingularQ):
         split_boundary_operator(np.eye(2, 4), np.diag([1.0, 1e-14]))
     assert len(calls) == 1
+
+
+def test_an_omitted_tol_is_the_numlin_default(monkeypatch):
+    # PHWELL_TOL sets Tolerances; the algebra primitives' own default stays
+    # numlin.DEFAULT_TOL, so both decide a 1e-6 singular-value ratio alike
+    monkeypatch.setenv("PHWELL_TOL", "1e-3")
+    W1, W2 = split_boundary_operator(np.eye(2, 4), np.diag([1.0, 1e-6]))
+    np.testing.assert_allclose(W1, [[0.5, 0.0], [0.0, 0.5e6]])
+    fact = factorize_boundary(np.diag([1.0, 1e-6]), unit_decomposition(0, 2))
+    assert isinstance(fact, BoundaryFactorization)
+    with pytest.raises(SingularQ):
+        split_boundary_operator(np.eye(2, 4), np.diag([1.0, 1e-6]), tol=1e-3)
 
 
 def test_derive_boundary_operator_reconstruction():

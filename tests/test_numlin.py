@@ -3,9 +3,12 @@ import pytest
 
 import json
 
-from phwell import cli, config, numlin
+from phwell import HamiltonianDensity, cli, config, numlin, validate_system
 from phwell.corpus import CORPUS
 from phwell.errors import NotHermitian
+from phwell.halfline import BoundaryFactorization, FactorizationFailure, HalfLineAlgebra
+from phwell.interval import BoundaryAlgebra
+from phwell.model import derive_boundary_operator
 from phwell.simulator import dissipativity_oracle
 
 
@@ -211,6 +214,80 @@ def test_rank_rule_examples():
     # a singular value exactly at tol * s_max does not count
     assert rank(np.array([1.0, 1e-10]), 1e-10) == 1
     assert rank(np.array([1.0, 1e-10]), 0.0) == 2
+
+
+WIDE = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
+
+
+@pytest.mark.parametrize("M, s, s_full", [
+    (np.zeros((0, 3)), [0.0], [0.0]),
+    (np.zeros((3, 0)), [0.0], [0.0]),
+    (np.zeros((0, 0)), [0.0], [0.0]),
+    (WIDE, [3.0, np.sqrt(5.0), 0.0], [3.0, np.sqrt(5.0)]),
+    (WIDE.T, [3.0, np.sqrt(5.0)], [3.0, np.sqrt(5.0)]),
+    (np.diag([2.0, 1.0, 0.0]), [2.0, 1.0, 0.0], [2.0, 1.0, 0.0]),
+], ids=["0x3", "3x0", "0x0", "wide", "tall", "square_singular"])
+def test_every_shape_reads_one_way(M, s, s_full):
+    # singular_values gives a wide matrix a trailing 0.0; svd_rank keeps
+    # the min(p, q) values of the SVD; both read an empty matrix as [0.0]
+    p, q = M.shape
+    rank = int(np.sum(np.array(s) > 0))
+    np.testing.assert_allclose(numlin.singular_values(M), s, atol=1e-15)
+    s_svd, r, vh = numlin.svd_rank(M)
+    np.testing.assert_allclose(s_svd, s_full, atol=1e-15)
+    assert r == rank == numlin.numerical_rank(M)
+    np.testing.assert_allclose(vh @ vh.conj().T, np.eye(q), atol=1e-15)
+    assert numlin.operator_norm(M) == pytest.approx(s[0])
+    assert numlin.smallest_singular_value(M) == pytest.approx(s[-1], abs=1e-15)
+    K = numlin.kernel_basis(M)
+    assert K.shape == (q, q - rank)
+    np.testing.assert_allclose(M @ K, 0.0, atol=1e-14)
+    np.testing.assert_allclose(K.conj().T @ K, np.eye(q - rank), atol=1e-15)
+    assert numlin.orthonormal_columns(M).shape == (p, rank)
+    if p == q:
+        numlin.require_hermitian(M, 0.0)
+
+
+def _first_order(interval, P1, WB):
+    d = P1.shape[0]
+    return validate_system({
+        "field": "real", "interval": interval, "N": 1, "d": d,
+        "P": [np.zeros((d, d)), P1],
+        "H": HamiltonianDensity.constant(np.eye(d)),
+        "WB_hat": WB,
+    })
+
+
+@pytest.mark.parametrize("P1", [np.diag([1.0, -1.0]), np.eye(2)], ids=["n2=1", "n2=0"])
+def test_no_boundary_conditions_read_alike_on_both_sides(P1):
+    # k = 0: every trace is in the kernel (K = I, so the kernel form is the
+    # whole form) and WB_hat's singular values read [0.0]
+    interval = _first_order("unit_interval", np.eye(1), np.zeros((0, 2)))
+    alg_i = BoundaryAlgebra.of(derive_boundary_operator(interval), interval.re_P0(),
+                               interval.tol)
+    alg_h = HalfLineAlgebra.of(_first_order("half_line", P1, np.zeros((0, 2))))
+    assert alg_i.kernel_dim == alg_h.kernel_dim == 2
+    assert (alg_i.kernel.min_eig, alg_i.kernel.max_eig) == (-1.0, 1.0)  # diag(Q, -Q)
+    assert (alg_h.kernel.min_eig, alg_h.kernel.max_eig) == (min(P1.diagonal()), 1.0)
+    assert alg_i.smin_wb_hat == alg_i.smax_wb_hat == 0.0
+    assert alg_h.smin_wb_hat == alg_h.smax_wb_hat == 0.0
+    assert alg_i.rank_wb_hat == alg_i.ext.rank == alg_h.k == 0
+    if alg_h.decomp.n2:
+        assert alg_h.fact.reason == "wrong_row_count"
+    else:
+        assert isinstance(alg_h.fact, BoundaryFactorization)
+        assert alg_h.fact.U.shape == (0, 2) and alg_h.fact.residual == 0.0
+
+
+def test_more_half_line_conditions_than_n2_fail_to_factor():
+    sys = _first_order("half_line", np.diag([1.0, -1.0]), np.eye(2))
+    alg = HalfLineAlgebra.of(sys)
+    assert (alg.k, alg.decomp.n2) == (2, 1)
+    assert isinstance(alg.fact, FactorizationFailure)
+    assert alg.fact.reason == "wrong_row_count"
+    ta4 = cli.analyze(sys)["TA.4"]
+    assert ta4.applicable is False
+    assert ta4.reason == "needs k <= n2 = 1, got k = 2"
 
 
 @pytest.mark.parametrize("name,budget", [("path_graph_d32", 6), ("wave_halfline_u05", 5)])
