@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from . import numlin
 from .errors import GridTooCoarse, PhwellError, ShapeError, SingularP1
@@ -282,9 +281,6 @@ def analyze_halfline(sys: PortHamiltonianSystem) -> Verdict:
                    tuple(warnings))
 
 
-_ptsv = get_lapack_funcs("ptsv", dtype=float)
-
-
 class CubicSpline:
     """Not-a-knot cubic spline through samples y[..., j] at step h, midpoints only.
 
@@ -298,10 +294,13 @@ class CubicSpline:
     definite (diagonal 0.5, 4, ..., 4, 0.5, off-diagonal 1; its LDL^T
     pivots are at least 0.21 for n >= 4), so s comes from one LAPACK ?ptsv
     solve in float64, complex samples as their float view.  Needs n >= 4
-    samples; h is taken as given.
+    samples; h is taken as given.  scipy.linalg loads at the first build,
+    not when phwell is imported.
     """
 
     def __init__(self, y, h: float):
+        from scipy.linalg import get_lapack_funcs
+
         y = np.asarray(y)
         n = y.shape[-1] if y.ndim else 0
         if n < 4:
@@ -317,7 +316,8 @@ class CubicSpline:
         rhs[-1] = (dy[-2] + 5.0 * dy[-1]) / (4.0 * h)
         diag = np.full(n, 4.0)
         diag[0] = diag[-1] = 0.5
-        s = _ptsv(diag, np.ones(n - 1), rhs.view(float), overwrite_b=1)[2]
+        ptsv = get_lapack_funcs("ptsv", dtype=float)
+        s = ptsv(diag, np.ones(n - 1), rhs.view(float), overwrite_b=1)[2]
         self.s = np.ascontiguousarray(s).view(rhs.dtype)
 
     def midpoints(self) -> np.ndarray:
@@ -366,6 +366,8 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y, L: float,
     fourth-order central differences; raises GridTooCoarse when it is not
     <= residual_threshold (a NaN residual included).
     """
+    from scipy.linalg import get_blas_funcs
+
     n1, n2 = decomp.n1, decomp.n2
     d = n1 + n2
     lam, theta = decomp.Lambda, decomp.Theta

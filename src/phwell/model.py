@@ -112,6 +112,9 @@ class HamiltonianDensity:
     def piecewise(breakpoints, matrices) -> "HamiltonianDensity":
         b = np.asarray(breakpoints, dtype=float)
         m = np.asarray(matrices, dtype=complex)
+        if b.ndim != 1:
+            raise ShapeError("H breakpoints must be a list of numbers, "
+                             f"got shape {b.shape}", path="H")
         if m.shape[0] != b.size + 1:
             raise ShapeError("piecewise H needs len(breakpoints)+1 matrices", path="H")
         if not (np.isfinite(b).all() and (b > 0).all()):

@@ -21,6 +21,7 @@ from the matrix checkers:
   (_rk4_matrix).  Stacked under the record rows [Hb; P0b Hb], R makes
   each step one product that also records the state it starts from, in
   real arithmetic when the system and the start state are real.
+  scipy.sparse loads at the first simulate call, not at import.
 
 The upwind scheme only ever adds numerical dissipation, so it can confirm
 an energy inequality but never fake energy growth.  For the assembled
@@ -38,7 +39,6 @@ from math import comb, factorial
 
 import numpy as np
 from numpy.polynomial import polynomial as poly
-from scipy import sparse
 
 from . import numlin
 from .errors import (
@@ -576,6 +576,8 @@ def _semidiscrete_operator(sys: PortHamiltonianSystem, nx: int, L: float = 10.0)
     blocks of cells 0 and nx-1.  The discrete energy is h x* Hb x, so
     Herm(h Hb A_h) <= 0 certifies that the semi-discrete scheme dissipates.
     """
+    from scipy import sparse
+
     d = sys.dim_d
     h = (1.0 if sys.interval == UNIT_INTERVAL else float(L)) / nx
     P1 = np.asarray(sys.P[1], dtype=complex)
@@ -629,6 +631,8 @@ def _rk4_matrix(A, dt: float):
     with A, its entries scaled in place and 1 added on the diagonal, so no
     identity or scaled copy is kept beside it.
     """
+    from scipy import sparse
+
     R = sparse.eye_array(A.shape[0], format="csr")
     for j in (4, 3, 2, 1):
         R = A @ R
@@ -673,6 +677,8 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     one bit for bit, so only the energies' dot products round differently.
     final_state and the snapshots are complex either way.
     """
+    from scipy import sparse
+
     if sys.order_N != 1:
         raise ShapeError("simulate supports first-order (N = 1) systems only")
     if isinstance(nx, bool) or not isinstance(nx, (int, np.integer)) or nx < 16:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from phwell import HamiltonianDensity, halfline, validate_system
 from phwell.corpus import build_wave
@@ -376,14 +377,15 @@ def test_resolvent_is_complex_linear_in_the_data():
 
 @pytest.mark.parametrize("field", [float, complex])
 def test_resolvent_callable_rhs_keeps_its_field(monkeypatch, field):
+    # the resolvent looks its BLAS routine up in scipy.linalg at each call
     dtypes = []
-    get_blas_funcs = halfline.get_blas_funcs
+    get_blas_funcs = scipy.linalg.get_blas_funcs
 
     def recording(name, *args, dtype=None, **kwargs):
         dtypes.append(np.dtype(dtype))
         return get_blas_funcs(name, *args, dtype=dtype, **kwargs)
 
-    monkeypatch.setattr(halfline, "get_blas_funcs", recording)
+    monkeypatch.setattr(scipy.linalg, "get_blas_funcs", recording)
     y = np.vstack([np.exp(-np.linspace(0.0, 30.0, 3001))] * 2).astype(field)
     x, res = solve_resolvent_halfline(unit_decomp(1, 1), np.array([[0.5]]), y, L=30.0)
     assert dtypes == [np.dtype(field)]
@@ -416,15 +418,22 @@ def test_resolvent_nan_residual_fails_the_threshold():
                                                    (1, 1, 1), (2, 2, 1)])
 def test_resolvent_banded_lu_only_in_the_spline(monkeypatch, n1, n2, spline_solves):
     # both recurrences are ?tbsv sweeps; the one factorization is the
-    # spline's tridiagonal ?ptsv solve, made only when there is a negative block
+    # spline's tridiagonal ?ptsv solve, made only when there is a negative
+    # block; the spline looks ?ptsv up in scipy.linalg at each build
     calls = []
-    ptsv = halfline._ptsv
+    get_lapack_funcs = scipy.linalg.get_lapack_funcs
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return ptsv(*args, **kwargs)
+    def counting_lookup(name, *args, **kwargs):
+        routine = get_lapack_funcs(name, *args, **kwargs)
+        if name != "ptsv":
+            return routine
 
-    monkeypatch.setattr(halfline, "_ptsv", counting)
+        def counting(*a, **kw):
+            calls.append(1)
+            return routine(*a, **kw)
+        return counting
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting_lookup)
     t = np.linspace(0.0, 30.0, 601)
     y = np.vstack([np.exp(-t)] * (n1 + n2))
     solve_resolvent_halfline(unit_decomp(n1, n2), np.full((n2, n1), 0.5), y, L=30.0)

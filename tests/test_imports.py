@@ -1,7 +1,10 @@
 """No module imports a name it never uses; the package defines none it never reads.
 
 Plain ast scans.  Every SVD is taken in phwell/numlin.py, which owns
-how a matrix of any shape is read.  An imported name counts as used when it is read
+how a matrix of any shape is read.  No package module imports scipy at
+module level, so the checker commands load numpy only; a fresh
+interpreter checks that, and that simulate and the resolvent still load
+what they need on their first call.  An imported name counts as used when it is read
 anywhere in the same file, or listed in that file's __all__ (the package
 re-exports through phwell/__init__.py).  A module-level def or class of
 the package counts as used when some package module reads it outside its
@@ -12,12 +15,17 @@ or perfbench module loads it as an attribute.
 """
 
 import ast
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from conftest import write_config
 
 import phwell
+from phwell.corpus import CORPUS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "phwell").glob("*.py"))
@@ -227,3 +235,107 @@ def test_the_scan_finds_svd_calls():
         "t = model.svd\n"
     )
     assert svd_calls(source) == [3, 4, 5, 6]
+
+
+def module_level_scipy_imports(source: str) -> list:
+    """Lines of the source that import scipy or a scipy module outside every function.
+
+    Such an import runs when the module is imported: at module level, in
+    a class body, or under an if or try there.  A function body runs it
+    only when the function is called.
+    """
+    lines = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            if any(name.partition(".")[0] == "scipy" for name in names):
+                lines.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(lines)
+
+
+def test_no_module_level_scipy_import():
+    found = {p.name: lines for p in PACKAGE
+             if (lines := module_level_scipy_imports(p.read_text()))}
+    assert found == {}
+
+
+def test_the_scan_finds_module_level_scipy_imports():
+    source = (
+        "import numpy as np\n"
+        "import scipy\n"
+        "import os, scipy.sparse as sp\n"
+        "from scipy.linalg import get_blas_funcs\n"
+        "from .scipy import helper\n"
+        "import scipyx\n"
+        "try:\n"
+        "    from scipy import signal\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class Spline:\n"
+        "    from scipy.special import gamma\n"
+        "    def build(self):\n"
+        "        from scipy.linalg import get_lapack_funcs\n"
+        "def simulate():\n"
+        "    from scipy import sparse\n"
+        "    import scipy.linalg\n"
+    )
+    assert module_level_scipy_imports(source) == [2, 3, 4, 8, 12]
+
+
+# Run in a fresh interpreter: the test process has scipy.sparse loaded
+# (conftest.py imports it), and earlier tests load more.
+NUMPY_ONLY_RUN = """
+import contextlib, io, json, sys
+import numpy as np
+import phwell
+from phwell import cli, halfline, simulator
+from phwell.corpus import CORPUS
+
+HEAVY = ("scipy.linalg", "scipy.sparse", "scipy.interpolate", "scipy.optimize",
+         "scipy.special", "scipy.signal")
+out = {"after_import": [m for m in HEAVY if m in sys.modules]}
+cfg = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    out["codes"] = [cli.main(argv) for argv in (
+        ["analyze", cfg, "--json"], ["oracle", cfg],
+        ["corpus", "--run", "wave_interval_damped"], ["sweep", "--count", "2"])]
+out["after_checker"] = [m for m in HEAVY if m in sys.modules]
+trace = simulator.simulate(CORPUS["wave_interval_damped"].system(),
+                           simulator.smooth_bump(0.5, 0.25, 2), t_final=0.05, nx=32)
+out["energies_finite"] = bool(np.isfinite(trace.energy).all())
+t = np.linspace(0.0, 30.0, 601)
+_, out["residual"] = halfline.solve_resolvent_halfline(
+    halfline.unit_decomposition(1, 1), np.array([[0.5]]), np.vstack([np.exp(-t)] * 2),
+    L=30.0)
+out["after_evidence"] = [m for m in HEAVY if m in sys.modules]
+print(json.dumps(out))
+"""
+
+
+def test_checker_commands_load_numpy_only(tmp_path):
+    # import phwell, then analyze, oracle, corpus and sweep: no scipy
+    # module that costs import time; simulate and the resolvent then load
+    # scipy.sparse and scipy.linalg themselves
+    cfg = tmp_path / "wave.json"
+    write_config(CORPUS["wave_interval_damped"].system(), cfg)
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_RUN, str(cfg)],
+                          capture_output=True, text=True, cwd=ROOT / "src")
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["after_import"] == []
+    assert out["codes"] == [0, 0, 0, 0]
+    assert out["after_checker"] == []
+    assert out["energies_finite"]
+    assert out["residual"] <= 1e-3
+    assert {"scipy.linalg", "scipy.sparse"} <= set(out["after_evidence"])

@@ -166,6 +166,14 @@ def test_validate_rejects_breakpoints_outside_the_unit_interval(b):
         validate_system(wave_raw(H=_two_cell_H(b)))
 
 
+@pytest.mark.parametrize("b", [0.5, [[0.5]]])
+def test_piecewise_rejects_breakpoints_that_are_not_a_list(b):
+    # a scalar formerly ended in numpy's bare "diff requires input that is
+    # at least one dimensional"
+    with pytest.raises(ShapeError, match="H breakpoints must be a list"):
+        HamiltonianDensity.piecewise(b, [np.eye(1), 2 * np.eye(1)])
+
+
 def test_halfline_breakpoints_may_lie_beyond_one():
     # simulate reads H on [0, L], so a cell past z = 1 applies there
     sys = validate_system(wave_raw(interval="half_line", H=_two_cell_H(1.5),

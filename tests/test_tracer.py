@@ -5,8 +5,6 @@ rename inside phwell breaks `perfbench/run.py --trace 1`; this catches it
 in the test suite.
 """
 
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -119,23 +117,3 @@ def test_resolvent_builds_one_spline(monkeypatch):
     assert tracer.aggregate()["halfline.CubicSpline.build"].calls == 1
     assert tracer.counters["halfline.spline_evals"] <= 3
 
-
-def test_import_leaves_out_scipy_interpolate():
-    # scipy.interpolate pulls in scipy.optimize and scipy.special, about
-    # half of the import time of phwell
-    code = ("import sys, phwell; print([m for m in ('scipy.interpolate', "
-            "'scipy.optimize', 'scipy.special') if m in sys.modules])")
-    src = PERFBENCH.parent / "src"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, cwd=src)
-    assert out.stdout.strip() == "[]"
-
-
-def test_import_leaves_out_scipy_signal():
-    # scipy.signal costs about 0.45 s to import, more than the whole set-up
-    # of a benchmark workload
-    code = "import sys, phwell; print('scipy.signal' in sys.modules)"
-    src = PERFBENCH.parent / "src"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, cwd=src)
-    assert out.stdout.strip() == "False"
