@@ -8,7 +8,6 @@ quadrature dissipativity oracle and an energy-monitoring simulator as
 independent evidence.
 """
 
-from .cli import analyze
 from .config import parse_config, system_from_dict, system_to_dict
 from .errors import (
     BoundaryClosureSingular,
@@ -53,6 +52,14 @@ from .simulator import (
     smooth_bump,
 )
 from .verdict import ConditionResult, Verdict
+
+
+def analyze(system: PortHamiltonianSystem) -> Verdict:
+    """Dispatch to the interval or half-line checker."""
+    if system.interval == HALF_LINE:
+        return analyze_halfline(system)
+    return analyze_interval(system)
+
 
 __version__ = "0.1.0"
 

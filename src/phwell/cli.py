@@ -18,12 +18,10 @@ import sys as _sys
 
 import numpy as np
 
+from . import analyze
 from . import corpus as corpus_mod
 from .config import parse_config, verdict_to_json
-from .errors import PhwellError, ValidationError
-from .halfline import analyze_halfline
-from .interval import analyze_interval
-from .model import HALF_LINE, PortHamiltonianSystem
+from .errors import PhwellError
 from .simulator import dissipativity_oracle, simulate, smooth_bump
 from .verdict import CONTRACTION
 
@@ -35,13 +33,6 @@ ORACLE_CROSS_CHECK_LIMIT = 1e-8  # quadrature vs boundary form; beyond it, a bug
 # largest one-step energy rise, relative to E(0), that a simulated
 # contraction may show (criterion 9's allowance); beyond it, a bug
 SIMULATE_RISE_ALLOWANCE = 1e-3
-
-
-def analyze(sys: PortHamiltonianSystem):
-    """Dispatch to the interval or half-line checker."""
-    if sys.interval == HALF_LINE:
-        return analyze_halfline(sys)
-    return analyze_interval(sys)
 
 
 def _print_text_verdict(verdict, out=None):
@@ -116,7 +107,7 @@ def _cmd_oracle(args) -> int:
         "cross_check_max_diff": report.cross_check_max_diff,
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
-    contradicts = report.holds != analyze_interval(system)["T1.5"].holds
+    contradicts = report.holds != analyze(system)["T1.5"].holds
     if contradicts or report.cross_check_max_diff > ORACLE_CROSS_CHECK_LIMIT:
         return EXIT_DISCREPANCY
     return EXIT_OK
@@ -219,7 +210,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValidationError, PhwellError) as exc:
+    except PhwellError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_VALIDATION
 

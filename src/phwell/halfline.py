@@ -140,7 +140,8 @@ class HalfLineAlgebra:
     M = Lambda + U^* Theta U is classified once.  The equivalent criteria
     stay separate entries -- the kernel form (TA.3, TA2.3) against the
     factorization (TA.4, TA2.4) -- so their agreement still detects a bug.
-    Every decision uses the one threshold Tolerances.check.
+    Every condition decision uses Tolerances.check; the sign split of P_1
+    (decompose_P1) that they all start from uses Tolerances.tau_rank.
     """
 
     decomp: HalfLineDecomposition

@@ -130,7 +130,11 @@ class BoundaryAlgebra:
     reports, for any shape of W1+W2.  The equivalent criteria -- the sigma
     form, V, the kernel form, injectivity of W1+W2 against surjectivity of
     WB_hat -- stay separate entries, so their agreement still detects a
-    bug.  Every decision uses the one threshold Tolerances.check.
+    bug.  Every decision uses Tolerances.check except the tests on V:
+    ||V|| <= 1 + v_norm_slack (T1.4, C2.7) is absolute, and the isometry
+    defect (T3.4, C3.7) is allowed max(v_norm_slack, check ||V||^2).
+    Near ||V|| = 1 those thresholds and check's on the sigma and kernel
+    forms disagree, which raises a false discrepancy (ROADMAP item 12).
     """
 
     k: int

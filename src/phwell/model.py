@@ -64,9 +64,10 @@ class Tolerances:
 
     tau_struct, tau_rank and tau_pd govern validation: the symmetry of the
     P_k and of H, the invertibility of P_N (no zero eigenvalue of P_1 on
-    the half line) and Q, and the positivity of H.  check is the one
-    threshold of every condition decision; v_norm_slack is the absolute
-    slack of ||V|| <= 1.  Every value must be a finite number >= 0.
+    the half line) and Q, and the positivity of H.  check decides the
+    conditions, except that v_norm_slack, an absolute slack PHWELL_TOL
+    does not move, bounds ||V|| <= 1 and the isometry defect of V; see
+    interval.BoundaryAlgebra.  Every value must be a finite number >= 0.
     """
 
     tau_struct: float = dc_field(default_factory=default_tolerance)
@@ -226,8 +227,10 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
     raw keys: field, interval, N, d (positive ints, bool excluded), P
     (list of N+1 matrices), H (HamiltonianDensity or matrix), WB_hat,
     optional tolerances (Tolerances or dict).  Every entry of P, H and
-    WB_hat must be finite.  Raises ShapeError / StructureError /
-    SingularPN / SingularP1 / SingularQ / HNotCoercive.
+    WB_hat must be finite.  Raises ValidationError (a missing key, bad
+    tolerances) or one of its subclasses ShapeError / StructureError /
+    SingularPN / SingularP1 / SingularQ / HNotCoercive, with path naming
+    the offending key.
     """
     field = raw.get("field", "complex")
     if field not in ("real", "complex"):
@@ -236,20 +239,31 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
     if interval not in (UNIT_INTERVAL, HALF_LINE):
         raise StructureError(f"unknown interval kind {interval!r}", path="interval")
 
-    N, d = raw["N"], raw["d"]
+    N, d = _required(raw, "N"), _required(raw, "d")
     if not all(type(v) is int and v >= 1 for v in (N, d)):
         raise ShapeError(f"N and d must be positive integers, got N={N!r}, d={d!r}")
 
     tol = raw.get("tolerances") or Tolerances()
     if isinstance(tol, dict):
+        unknown = set(tol) - {f.name for f in fields(Tolerances)}
+        if unknown:
+            raise ValidationError(f"unknown tolerance keys {sorted(unknown, key=str)}",
+                                  path="tolerances")
         tol = Tolerances(**tol)
+    if not isinstance(tol, Tolerances):
+        raise ValidationError("tolerances must be a Tolerances or a dict, got "
+                              f"{type(tol).__name__}", path="tolerances")
 
-    P_raw = raw["P"]
-    if len(P_raw) != N + 1:
-        raise ShapeError(f"P must list N+1 = {N + 1} matrices, got {len(P_raw)}", path="P")
+    P_raw = _required(raw, "P")
+    try:
+        count = len(P_raw)
+    except TypeError:
+        count = type(P_raw).__name__
+    if count != N + 1:
+        raise ShapeError(f"P must list N+1 = {N + 1} matrices, got {count}", path="P")
     P = []
     for k, Pk in enumerate(P_raw):
-        Pk = np.asarray(Pk, dtype=complex)
+        Pk = _matrix(Pk, f"P[{k}]")
         if Pk.shape != (d, d):
             raise ShapeError(f"P[{k}] must be {d}x{d}, got {Pk.shape}", path=f"P[{k}]")
         _require_finite(Pk, f"P[{k}]")
@@ -282,11 +296,12 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
         raise SingularPN(f"P[{N}] is numerically singular (s_min={s[-1]:.3e})", path=f"P[{N}]")
 
     # H Hermitian positive definite at every sample
-    H = raw["H"]
+    H = _required(raw, "H")
     if not isinstance(H, HamiltonianDensity):
-        H = HamiltonianDensity.constant(np.asarray(H, dtype=complex))
-    if H.dim != d:
-        raise ShapeError(f"H samples must be {d}x{d}, got {H.dim}x{H.dim}", path="H")
+        H = HamiltonianDensity.constant(_matrix(H, "H"))
+    if H.matrices.shape[1:] != (d, d):
+        got = "x".join(map(str, H.matrices.shape[1:]))
+        raise ShapeError(f"H samples must be {d}x{d}, got {got}", path="H")
     if (H.kind == "piecewise_constant" and interval == UNIT_INTERVAL
             and H.breakpoints.size and H.breakpoints[-1] >= 1.0):
         raise ShapeError("H breakpoints on the unit interval must be < 1", path="H")
@@ -306,9 +321,7 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
         M_eig = max(M_eig, float(w[-1]))
 
     # boundary operator width
-    WB = np.asarray(raw["WB_hat"], dtype=complex)
-    if WB.ndim != 2:
-        raise ShapeError("WB_hat must be a matrix", path="WB_hat")
+    WB = _matrix(_required(raw, "WB_hat"), "WB_hat")
     width = 2 * N * d if interval == UNIT_INTERVAL else d
     if WB.shape[1] != width:
         raise ShapeError(
@@ -334,6 +347,24 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
         h_min_eig=m_eig,
         h_max_eig=M_eig,
     )
+
+
+def _required(raw: dict, key: str):
+    """raw[key]; ValidationError naming key when raw lacks it."""
+    if key not in raw:
+        raise ValidationError(f"missing required key {key!r}", path=key)
+    return raw[key]
+
+
+def _matrix(value, name: str) -> np.ndarray:
+    """value as a complex 2-D array; ShapeError naming name unless it is one."""
+    try:
+        M = np.asarray(value, dtype=complex)
+    except (TypeError, ValueError):
+        M = None
+    if M is None or M.ndim != 2:
+        raise ShapeError(f"{name} must be a matrix", path=name)
+    return M
 
 
 def _require_finite(M, name: str, path: str = None) -> None:

@@ -4,9 +4,12 @@ Plain ast scans.  Every SVD is taken in phwell/numlin.py, which owns
 how a matrix of any shape is read.  No package module imports scipy at
 module level, so the checker commands load numpy only; a fresh
 interpreter checks that, and that simulate and the resolvent still load
-what they need on their first call.  An imported name counts as used when it is read
-anywhere in the same file, or listed in that file's __all__ (the package
-re-exports through phwell/__init__.py).  A module-level def or class of
+what they need on their first call.  No package module but cli.py
+imports phwell.cli, so import phwell leaves the command line unloaded
+and python -m phwell.cli runs without runpy's warning.  An imported
+name counts as used when it is read anywhere in the same file, or
+listed in that file's __all__ (the package re-exports through
+phwell/__init__.py).  A module-level def or class of
 the package counts as used when some package module reads it outside its
 own definition, when phwell.__all__ exports it, or when perfbench/*.py,
 the benchmark, names it.  A class field (an annotated name in a class
@@ -339,3 +342,72 @@ def test_checker_commands_load_numpy_only(tmp_path):
     assert out["energies_finite"]
     assert out["residual"] <= 1e-3
     assert {"scipy.linalg", "scipy.sparse"} <= set(out["after_evidence"])
+
+
+def cli_imports(source: str) -> list:
+    """Lines of the source that import the command-line module phwell.cli.
+
+    Relative (from .cli import ..., from . import cli) or absolute
+    (import phwell.cli, from phwell.cli import ..., from phwell import cli).
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names = [module, *(f"{module.rstrip('.')}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        if {".cli", "phwell.cli"} & set(names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "cli.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_package_module_imports_the_cli(path):
+    # the library never loads its front end: import phwell stays free of
+    # argparse and the corpus, and python -m phwell.cli runs without a warning
+    assert cli_imports(path.read_text()) == []
+
+
+def test_the_scan_finds_cli_imports():
+    source = (
+        "from . import analyze, corpus\n"
+        "from .cli import analyze\n"
+        "from . import cli\n"
+        "import phwell.cli\n"
+        "from phwell.cli import main\n"
+        "from phwell import cli as front\n"
+        "from .client import fetch\n"
+        "import phwell.clip\n"
+        "def f():\n"
+        "    from .cli import build_parser\n"
+    )
+    assert cli_imports(source) == [2, 3, 4, 5, 6, 10]
+
+
+def test_python_m_cli_runs_without_a_warning():
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "phwell.cli", "--help"],
+                          capture_output=True, text=True, cwd=ROOT / "src")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("usage: phwell")
+
+
+IMPORT_RUN = """
+import json, sys
+import phwell
+out = {"loaded": [m for m in ("phwell.cli", "phwell.corpus", "argparse") if m in sys.modules]}
+from phwell import cli
+out["same_analyze"] = phwell.analyze is cli.analyze
+print(json.dumps(out))
+"""
+
+
+def test_import_phwell_leaves_the_command_line_unloaded():
+    proc = subprocess.run([sys.executable, "-c", IMPORT_RUN],
+                          capture_output=True, text=True, cwd=ROOT / "src")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"loaded": [], "same_analyze": True}

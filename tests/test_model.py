@@ -155,6 +155,25 @@ def test_validate_rejects_non_finite_entries(name, over):
         validate_system(wave_raw(**over))
 
 
+def _without(key):
+    raw = wave_raw()
+    del raw[key]
+    return raw
+
+
+@pytest.mark.parametrize("raw,path", [
+    (_without("WB_hat"), "WB_hat"),  # was KeyError
+    (wave_raw(tolerances={"bogus": 1.0}), "tolerances"),  # was TypeError
+    (wave_raw(tolerances="x"), "tolerances"),  # was AttributeError
+    (wave_raw(P=5), "P"),  # was TypeError
+    (wave_raw(H=[[1.0], [1.0, 2.0]]), "H"),  # was numpy's ValueError
+])
+def test_validate_rejects_malformed_raw_input(raw, path):
+    with pytest.raises(ValidationError) as exc:
+        validate_system(raw)
+    assert exc.value.path == path
+
+
 def _two_cell_H(b):
     return HamiltonianDensity.piecewise([b], [np.eye(2), 4.0 * np.eye(2)])
 

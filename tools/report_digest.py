@@ -22,8 +22,7 @@ import tempfile
 
 import numpy as np
 
-from phwell import config, corpus
-from phwell.cli import analyze
+from phwell import analyze, config, corpus
 from phwell.model import UNIT_INTERVAL
 from phwell.simulator import dissipativity_oracle
 
