@@ -66,6 +66,8 @@ def _cmd_simulate(args) -> int:
     out_dir = os.path.dirname(args.out)
     if out_dir and not os.path.isdir(out_dir):
         raise PhwellError(f"--out directory {out_dir!r} does not exist")
+    if os.path.isdir(args.out):
+        raise PhwellError(f"--out {args.out!r} is a directory, not a file")
     system = parse_config(args.config)
     x0 = smooth_bump(args.bump_center, args.bump_width, system.dim_d,
                      component=args.component)

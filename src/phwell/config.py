@@ -1,9 +1,12 @@
-"""JSON configuration files: parsing, validation wrapping and serialization.
+"""JSON configuration files: reading, serialization and the verdict report.
 
 Top-level keys: field ("real"|"complex"), interval ("unit_interval"|
-"half_line"), N, d, P (array of N+1 row-major matrices), H (object with
-kind and data), WB_hat, tolerances (optional overrides).  Complex entries
-are written as [re, im] pairs; plain numbers are accepted as real entries.
+"half_line"), N, d, P (array of N+1 row-major matrices), H (a matrix or
+an object with kind and data), WB_hat, tolerances (optional overrides).
+Complex entries are written as [re, im] pairs; plain numbers are
+accepted as real entries.  This module only reads the numbers and raises
+ParseError for what it cannot read; model.validate_system decides every
+structural rule (keys, N and d, counts, widths, tolerances, realness).
 
 A matrix is read in one pass over its rows into one array; only a matrix
 that pass rejects is read again entry by entry, and _entry words the
@@ -20,13 +23,7 @@ from json.encoder import encode_basestring_ascii as _string
 import numpy as np
 
 from .errors import ParseError
-from .model import (
-    UNIT_INTERVAL,
-    HamiltonianDensity,
-    PortHamiltonianSystem,
-    Tolerances,
-    validate_system,
-)
+from .model import HamiltonianDensity, PortHamiltonianSystem, validate_system
 
 
 def _finite(value) -> bool:
@@ -40,7 +37,7 @@ def _finite(value) -> bool:
         return False
 
 
-def _entry(value, path: str, allow_complex: bool) -> complex:
+def _entry(value, path: str) -> complex:
     """One matrix entry; an int beyond the float range raises OverflowError."""
     if isinstance(value, bool):
         raise ParseError(f"{path}: booleans are not numbers", path=path)
@@ -60,9 +57,6 @@ def _entry(value, path: str, allow_complex: bool) -> complex:
         if not (math.isfinite(re) and math.isfinite(im)):
             raise ParseError(f"{path}: [re, im] parts must be finite numbers",
                              path=path)
-        if im != 0 and not allow_complex:
-            raise ParseError(f"{path}: complex entry in a real-field system",
-                             path=path)
         return complex(re, im)
     raise ParseError(f"{path}: expected a number or [re, im] pair", path=path)
 
@@ -70,7 +64,7 @@ def _entry(value, path: str, allow_complex: bool) -> complex:
 _NUMBER = (float, int)  # exact types: bool, an int subclass, is not a number
 
 
-def _matrix(raw, path: str, allow_complex: bool) -> np.ndarray:
+def _matrix(raw, path: str) -> np.ndarray:
     """A matrix from its rows, in one pass and one array conversion.
 
     Entries go into one flat list of (re, im) parts, viewed as complex
@@ -84,7 +78,7 @@ def _matrix(raw, path: str, allow_complex: bool) -> np.ndarray:
     parts = []
     for row in raw:
         if len(row) != ncols:
-            return _matrix_by_entry(raw, path, allow_complex)
+            return _matrix_by_entry(raw, path)
         for v in row:
             if type(v) in _NUMBER:
                 parts.append(v)
@@ -93,17 +87,17 @@ def _matrix(raw, path: str, allow_complex: bool) -> np.ndarray:
                   and type(v[0]) in _NUMBER and type(v[1]) in _NUMBER):
                 parts += v
             else:
-                return _matrix_by_entry(raw, path, allow_complex)
+                return _matrix_by_entry(raw, path)
     try:
         flat = np.array(parts, dtype=float)
     except OverflowError:  # an int beyond the float range
-        return _matrix_by_entry(raw, path, allow_complex)
-    if not np.isfinite(flat).all() or (not allow_complex and flat[1::2].any()):
-        return _matrix_by_entry(raw, path, allow_complex)
+        return _matrix_by_entry(raw, path)
+    if not np.isfinite(flat).all():
+        return _matrix_by_entry(raw, path)
     return flat.view(complex).reshape(len(raw), ncols)
 
 
-def _matrix_by_entry(raw, path: str, allow_complex: bool) -> np.ndarray:
+def _matrix_by_entry(raw, path: str) -> np.ndarray:
     ncols = len(raw[0])
     rows = []
     for i, row in enumerate(raw):
@@ -111,7 +105,7 @@ def _matrix_by_entry(raw, path: str, allow_complex: bool) -> np.ndarray:
             raise ParseError(f"{path}: row {i} has length {len(row)}, expected {ncols}",
                              path=path)
         try:
-            rows.append([_entry(v, f"{path}[{i}][{j}]", allow_complex)
+            rows.append([_entry(v, f"{path}[{i}][{j}]")
                          for j, v in enumerate(row)])
         except OverflowError:
             raise ParseError(f"{path}[{i}]: entries must be finite numbers",
@@ -119,9 +113,9 @@ def _matrix_by_entry(raw, path: str, allow_complex: bool) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _parse_H(raw, path: str, allow_complex: bool) -> HamiltonianDensity:
+def _parse_H(raw, path: str) -> HamiltonianDensity:
     if isinstance(raw, list):
-        return HamiltonianDensity.constant(_matrix(raw, path, allow_complex))
+        return HamiltonianDensity.constant(_matrix(raw, path))
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ParseError(f"{path}: expected a matrix or an object with 'kind'",
                          path=path)
@@ -133,7 +127,7 @@ def _parse_H(raw, path: str, allow_complex: bool) -> HamiltonianDensity:
         raise ParseError(f"{path}.matrices: expected an array of matrices", path=path)
     if kind == "constant":
         return HamiltonianDensity.constant(
-            _matrix(raw["matrix"], f"{path}.matrix", allow_complex))
+            _matrix(raw["matrix"], f"{path}.matrix"))
     if kind == "piecewise_constant":
         bps = raw.get("breakpoints", [])
         if not isinstance(bps, list) or not all(
@@ -141,13 +135,13 @@ def _parse_H(raw, path: str, allow_complex: bool) -> HamiltonianDensity:
                 for b in bps):
             raise ParseError(f"{path}.breakpoints: expected finite numbers", path=path)
         mats = [
-            _matrix(m, f"{path}.matrices[{i}]", allow_complex)
+            _matrix(m, f"{path}.matrices[{i}]")
             for i, m in enumerate(raw["matrices"])
         ]
         return HamiltonianDensity.piecewise(bps, mats)
     if kind == "grid":
         mats = [
-            _matrix(m, f"{path}.matrices[{i}]", allow_complex)
+            _matrix(m, f"{path}.matrices[{i}]")
             for i, m in enumerate(raw["matrices"])
         ]
         return HamiltonianDensity.grid(mats)
@@ -155,63 +149,33 @@ def _parse_H(raw, path: str, allow_complex: bool) -> HamiltonianDensity:
 
 
 def system_from_dict(doc: dict) -> PortHamiltonianSystem:
-    """Build and validate a system from a parsed JSON document."""
+    """Read the JSON numbers of a document and validate the system they make.
+
+    ParseError only for what is not readable: a top level that is not an
+    object, a matrix entry that is not a finite number or [re, im] pair,
+    a malformed H object.  Every other key goes to validate_system as it
+    stands, which decides the rest and raises its ValidationError.
+    """
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
-    for key in ("N", "d", "P", "H", "WB_hat"):
-        if key not in doc:
-            raise ParseError(f"missing required key {key!r}", path=key)
-    field = doc.get("field", "complex")
-    allow_complex = field != "real"
-    N = doc["N"]
-    d = doc["d"]
-    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1
-               for v in (N, d)):
-        raise ParseError("N and d must be positive integers", path="N")
-    P_raw = doc["P"]
-    if not isinstance(P_raw, list) or len(P_raw) != N + 1:
-        raise ParseError(f"P must list N+1 = {N + 1} matrices", path="P")
-    P = [_matrix(m, f"P[{k}]", allow_complex) for k, m in enumerate(P_raw)]
-    H = _parse_H(doc["H"], "H", allow_complex)
-    if isinstance(doc["WB_hat"], list) and not doc["WB_hat"]:
-        # k = 0 boundary rows, as system_to_dict writes them
-        interval = doc.get("interval", UNIT_INTERVAL)
-        width = (2 if interval == UNIT_INTERVAL else 1) * N * d
-        WB = np.zeros((0, width), dtype=complex)
-    else:
-        WB = _matrix(doc["WB_hat"], "WB_hat", allow_complex)
-    tols = doc.get("tolerances")
-    tolerances = None
-    if tols is not None:
-        if not isinstance(tols, dict):
-            raise ParseError("tolerances must be an object", path="tolerances")
-        known = {f.name for f in dataclasses.fields(Tolerances)}
-        bad = set(tols) - known
-        if bad:
-            raise ParseError(f"unknown tolerance keys {sorted(bad)}", path="tolerances")
-        tolerances = Tolerances(**tols)
-    raw = {
-        "field": field,
-        "interval": doc.get("interval", "unit_interval"),
-        "N": N,
-        "d": d,
-        "P": P,
-        "H": H,
-        "WB_hat": WB,
-    }
-    if tolerances is not None:
-        raw["tolerances"] = tolerances
+    raw = dict(doc)
+    if isinstance(raw.get("P"), list):
+        raw["P"] = [_matrix(m, f"P[{k}]") for k, m in enumerate(raw["P"])]
+    if "H" in raw:
+        raw["H"] = _parse_H(raw["H"], "H")
+    if "WB_hat" in raw and raw["WB_hat"] != []:  # [] is k = 0 rows
+        raw["WB_hat"] = _matrix(raw["WB_hat"], "WB_hat")
     return validate_system(raw)
 
 
 def parse_config(path) -> PortHamiltonianSystem:
     """Read, parse and validate a JSON system description file."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # json detects UTF-8, -16 and -32
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable, or nested too deep
         raise ParseError(f"{path} is not valid JSON: {exc}")
     return system_from_dict(doc)
 

@@ -45,7 +45,11 @@ class NotHermitian(PhwellError):
 
 
 class ParseError(PhwellError):
-    """A configuration file is syntactically or structurally malformed."""
+    """A configuration file cannot be read as JSON numbers and objects.
+
+    Syntax only: a structural fault of a readable document is the
+    ValidationError that validate_system raises.
+    """
 
     def __init__(self, message, path=None):
         super().__init__(message)

@@ -42,7 +42,7 @@ def _tolerance_value(value, name: str) -> float:
     """value as a float; ValidationError naming name unless finite and >= 0."""
     try:
         x = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # an int beyond the float range
         x = math.nan
     if not (math.isfinite(x) and x >= 0.0):
         raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}",
@@ -82,6 +82,17 @@ class Tolerances:
             object.__setattr__(self, f.name, value)
 
 
+def _samples(matrices) -> np.ndarray:
+    """H samples as one complex (m, d, d') array; ShapeError unless they stack."""
+    try:
+        m = np.asarray(matrices, dtype=complex)
+    except (TypeError, ValueError):
+        m = None
+    if m is None or m.ndim != 3:
+        raise ShapeError("H samples must be matrices of one shape", path="H")
+    return m
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
@@ -106,13 +117,12 @@ class HamiltonianDensity:
 
     @staticmethod
     def constant(H) -> "HamiltonianDensity":
-        H = np.asarray(H, dtype=complex)
-        return HamiltonianDensity("constant", _freeze(H[None, :, :]))
+        return HamiltonianDensity("constant", _freeze(_samples([H])))
 
     @staticmethod
     def piecewise(breakpoints, matrices) -> "HamiltonianDensity":
         b = np.asarray(breakpoints, dtype=float)
-        m = np.asarray(matrices, dtype=complex)
+        m = _samples(matrices)
         if b.ndim != 1:
             raise ShapeError("H breakpoints must be a list of numbers, "
                              f"got shape {b.shape}", path="H")
@@ -126,7 +136,7 @@ class HamiltonianDensity:
 
     @staticmethod
     def grid(matrices) -> "HamiltonianDensity":
-        m = np.asarray(matrices, dtype=complex)
+        m = _samples(matrices)
         if m.shape[0] < 2:
             raise ShapeError("grid H needs at least 2 samples", path="H")
         return HamiltonianDensity("grid", _freeze(m))
@@ -225,12 +235,15 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
     """Validate a raw description and return an immutable system.
 
     raw keys: field, interval, N, d (positive ints, bool excluded), P
-    (list of N+1 matrices), H (HamiltonianDensity or matrix), WB_hat,
-    optional tolerances (Tolerances or dict).  Every entry of P, H and
-    WB_hat must be finite.  Raises ValidationError (a missing key, bad
-    tolerances) or one of its subclasses ShapeError / StructureError /
-    SingularPN / SingularP1 / SingularQ / HNotCoercive, with path naming
-    the offending key.
+    (list of N+1 matrices), H (HamiltonianDensity or matrix), WB_hat (an
+    empty list is k = 0 rows of the system's width), optional tolerances
+    (Tolerances or dict).  Every entry of P, H and WB_hat must be finite,
+    and real when field is 'real'.  Raises ValidationError (a missing
+    key, bad tolerances) or one of its subclasses ShapeError /
+    StructureError / SingularPN / SingularP1 / SingularQ / HNotCoercive,
+    with path naming the offending key.  This is the one place that
+    decides the structure of a system; config.system_from_dict only reads
+    the JSON numbers.
     """
     field = raw.get("field", "complex")
     if field not in ("real", "complex"):
@@ -239,11 +252,16 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
     if interval not in (UNIT_INTERVAL, HALF_LINE):
         raise StructureError(f"unknown interval kind {interval!r}", path="interval")
 
+    real = field == "real"
     N, d = _required(raw, "N"), _required(raw, "d")
-    if not all(type(v) is int and v >= 1 for v in (N, d)):
-        raise ShapeError(f"N and d must be positive integers, got N={N!r}, d={d!r}")
+    for key, v in (("N", N), ("d", d)):
+        if not (type(v) is int and v >= 1):
+            raise ShapeError(f"N and d must be positive integers, got N={N!r}, d={d!r}",
+                             path=key)
 
-    tol = raw.get("tolerances") or Tolerances()
+    tol = raw.get("tolerances")
+    if tol is None:
+        tol = Tolerances()
     if isinstance(tol, dict):
         unknown = set(tol) - {f.name for f in fields(Tolerances)}
         if unknown:
@@ -263,16 +281,10 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
         raise ShapeError(f"P must list N+1 = {N + 1} matrices, got {count}", path="P")
     P = []
     for k, Pk in enumerate(P_raw):
-        Pk = _matrix(Pk, f"P[{k}]")
+        Pk = _matrix(Pk, f"P[{k}]", real)
         if Pk.shape != (d, d):
             raise ShapeError(f"P[{k}] must be {d}x{d}, got {Pk.shape}", path=f"P[{k}]")
-        _require_finite(Pk, f"P[{k}]")
         P.append(Pk)
-
-    if field == "real":
-        for k, Pk in enumerate(P):
-            if np.any(np.abs(Pk.imag) > 0):
-                raise StructureError(f"real-field system has complex P[{k}]", path=f"P[{k}]")
 
     # P_k^* = (-1)^{k+1} P_k, k = 1..N; i P_k is Hermitian iff P_k is skew.
     # The accepted P_k is kept as its exact (skew-)Hermitian part.
@@ -298,7 +310,7 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
     # H Hermitian positive definite at every sample
     H = _required(raw, "H")
     if not isinstance(H, HamiltonianDensity):
-        H = HamiltonianDensity.constant(_matrix(H, "H"))
+        H = HamiltonianDensity.constant(H)
     if H.matrices.shape[1:] != (d, d):
         got = "x".join(map(str, H.matrices.shape[1:]))
         raise ShapeError(f"H samples must be {d}x{d}, got {got}", path="H")
@@ -307,7 +319,7 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
         raise ShapeError("H breakpoints on the unit interval must be < 1", path="H")
     m_eig, M_eig = np.inf, -np.inf
     for i, Hs in enumerate(H.matrices):
-        _require_finite(Hs, f"H sample {i}", path="H")
+        _matrix(Hs, f"H sample {i}", real, path="H")
         try:
             numlin.require_hermitian(Hs, tol.tau_struct)
         except NotHermitian:
@@ -321,16 +333,16 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
         M_eig = max(M_eig, float(w[-1]))
 
     # boundary operator width
-    WB = _matrix(_required(raw, "WB_hat"), "WB_hat")
+    WB = _required(raw, "WB_hat")
     width = 2 * N * d if interval == UNIT_INTERVAL else d
+    if isinstance(WB, list) and not WB:  # k = 0 rows, as system_to_dict writes them
+        WB = np.zeros((0, width), dtype=complex)
+    WB = _matrix(WB, "WB_hat", real)
     if WB.shape[1] != width:
         raise ShapeError(
             f"WB_hat must have width {width} for this system, got {WB.shape[1]}",
             path="WB_hat",
         )
-    _require_finite(WB, "WB_hat")
-    if field == "real" and np.any(np.abs(WB.imag) > 0):
-        raise StructureError("real-field system has complex WB_hat", path="WB_hat")
 
     if N > 1:  # unit interval; for N = 1, Q = P_1 = P_N, decided above
         _check_q(build_q(P[1:]), tol.tau_rank)
@@ -356,20 +368,26 @@ def _required(raw: dict, key: str):
     return raw[key]
 
 
-def _matrix(value, name: str) -> np.ndarray:
-    """value as a complex 2-D array; ShapeError naming name unless it is one."""
+def _matrix(value, name: str, real: bool, path: str = None) -> np.ndarray:
+    """value as a complex 2-D array of finite entries, real ones if real.
+
+    ShapeError unless value is a matrix; StructureError for a non-finite
+    entry or, if real, naming the first complex one.  path defaults to name.
+    """
+    path = path or name
     try:
         M = np.asarray(value, dtype=complex)
     except (TypeError, ValueError):
         M = None
     if M is None or M.ndim != 2:
-        raise ShapeError(f"{name} must be a matrix", path=name)
-    return M
-
-
-def _require_finite(M, name: str, path: str = None) -> None:
+        raise ShapeError(f"{name} must be a matrix", path=path)
     if not np.isfinite(M).all():
-        raise StructureError(f"{name} has a non-finite entry", path=path or name)
+        raise StructureError(f"{name} has a non-finite entry", path=path)
+    if real and M.imag.any():
+        i, j = np.argwhere(M.imag)[0]
+        raise StructureError(f"real-field system has complex {name}[{i}][{j}]",
+                             path=path)
+    return M
 
 
 def _check_q(Q, tau_rank: float) -> None:

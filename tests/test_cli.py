@@ -151,6 +151,42 @@ def test_simulate_rejects_missing_out_directory(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["transport.json"]
 
 
+def test_simulate_refuses_a_directory_as_out(tmp_path, monkeypatch, capsys):
+    # formerly ran the whole simulation, then died with IsADirectoryError
+    monkeypatch.chdir(tmp_path)
+    write_config(build_transport(), tmp_path / "transport.json")
+    (tmp_path / "runs").mkdir()
+    code = main(["simulate", "transport.json", "--tfinal", "0.1", "--cells", "32",
+                 "--out", "runs"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "is a directory" in captured.err and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs", "transport.json"]
+    assert list((tmp_path / "runs").iterdir()) == []
+
+
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe{",  # a UTF-16 byte order mark, then half a character
+    b'{"field": "r\xe9al"}',  # a Latin-1 byte inside a string
+    b"[" * 100_000,  # nested beyond the recursion limit
+], ids=["utf-16 cut", "latin-1", "deep"])
+def test_analyze_refuses_a_file_it_cannot_decode(data, tmp_path, capsys):
+    # formerly a UnicodeDecodeError or RecursionError traceback and exit 1
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_analyze_reads_utf16_text(tmp_path, capsys):
+    path = tmp_path / "wave.json"
+    text = json.dumps(system_to_dict(build_wave("half_line", 0.5)))
+    path.write_bytes(text.encode("utf-16"))
+    assert main(["analyze", str(path)]) == 0
+    assert "consensus:   contraction" in capsys.readouterr().out
+
+
 def test_simulate_snapshot_at_zero_is_the_initial_state(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_config(build_transport(), tmp_path / "transport.json")

@@ -10,7 +10,7 @@ from phwell import config, parse_config, system_from_dict, system_to_dict
 from phwell.cli import analyze, main
 from phwell.config import verdict_to_json
 from phwell.corpus import CORPUS, random_system
-from phwell.errors import ParseError, ShapeError
+from phwell.errors import ParseError, ShapeError, StructureError, ValidationError
 from phwell.verdict import ConditionResult, Verdict
 
 from conftest import write_config
@@ -64,11 +64,17 @@ def test_wrong_pair_length_is_parse_error():
         system_from_dict(doc)
 
 
-def test_complex_entry_in_real_field_rejected():
+def test_complex_entry_in_real_field_rejected(tmp_path):
+    # readable JSON: validate_system rejects it, naming the entry
     doc = wave_doc()
     doc["P"][1][0][0] = [0.0, 1.0]
-    with pytest.raises(ParseError):
+    with pytest.raises(StructureError, match=re.escape(
+            "real-field system has complex P[1][0][0]")) as err:
         system_from_dict(doc)
+    assert err.value.path == "P[1]"
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
 
 
 def test_complex_pairs_round_trip():
@@ -98,14 +104,18 @@ def test_h_object_without_matrices_is_parse_error():
         system_from_dict(doc)
 
 
-def test_tolerance_overrides():
+def test_tolerance_overrides(tmp_path):
     doc = wave_doc()
     doc["tolerances"] = {"tau_rank": 1e-6}
     sys = system_from_dict(doc)
     assert sys.tol.tau_rank == 1e-6
     doc["tolerances"] = {"bogus": 1.0}
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError) as err:
         system_from_dict(doc)
+    assert err.value.path == "tolerances"
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
 
 
 def test_env_var_overrides_default_tolerance(monkeypatch):
@@ -141,6 +151,16 @@ def test_bad_config_tolerance_exits_2(value, tmp_path, capsys):
     assert "tolerances.check" in capsys.readouterr().err
 
 
+def test_a_tolerance_beyond_the_float_range_exits_2(tmp_path, capsys):
+    # formerly an OverflowError traceback and exit 1
+    doc = wave_doc()
+    doc["tolerances"] = {"check": 10**400}
+    path = tmp_path / "wave.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+    assert "tolerances.check" in capsys.readouterr().err
+
+
 def test_zero_tolerance_is_valid(monkeypatch):
     doc = wave_doc()
     doc["tolerances"] = {"check": 0}
@@ -158,12 +178,28 @@ def test_zero_tolerance_is_valid(monkeypatch):
            "matrices": [[[1.0, 0.0], [0.0, 1.0]]] * 2}},
 ])
 def test_malformed_config_is_parse_error(change, tmp_path, capsys):
+    # a bool N or d is readable JSON: validate_system decides it
+    error = ShapeError if {"N", "d"} & set(change) else ParseError
     doc = dict(wave_doc(), **change)
-    with pytest.raises(ParseError):
+    with pytest.raises(error):
         system_from_dict(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["analyze", str(path)]) == 2
+
+
+@pytest.mark.parametrize("kind", ["grid", "piecewise_constant"])
+def test_h_samples_of_different_shapes_exit_2(kind, tmp_path, capsys):
+    # formerly numpy's ValueError traceback and exit 1
+    doc = wave_doc()
+    doc["H"] = {"kind": kind, "breakpoints": [0.5],
+                "matrices": [[[1.0, 0.0], [0.0, 1.0]], [[1.0]]]}
+    with pytest.raises(ShapeError, match="H samples must be matrices of one shape"):
+        system_from_dict(doc)
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 2
+    assert "H samples" in capsys.readouterr().err
 
 
 def _non_finite_doc(case):
@@ -269,14 +305,11 @@ def test_empty_boundary_rows_on_the_interval_have_width_2nd():
     assert system_from_dict(doc).WB_hat.shape == (0, 4)
 
 
-def _by_entry(raw, path, allow_complex):
-    """A matrix parsed one _entry at a time, or the ParseError it raises."""
-    try:
-        return np.array([[config._entry(v, f"{path}[{i}][{j}]", allow_complex)
-                          for j, v in enumerate(row)] for i, row in enumerate(raw)],
-                        dtype=complex)
-    except ParseError as exc:
-        return str(exc)
+def _by_entry(raw, path):
+    """A matrix parsed one _entry at a time."""
+    return np.array([[config._entry(v, f"{path}[{i}][{j}]")
+                      for j, v in enumerate(row)] for i, row in enumerate(raw)],
+                    dtype=complex)
 
 
 _parts = (st.floats(allow_nan=False, allow_infinity=False)
@@ -285,18 +318,13 @@ _parts = (st.floats(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.booleans(),
-       st.data())
-def test_matrix_is_bit_identical_to_entry_by_entry(nrows, ncols, allow_complex, data):
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_matrix_is_bit_identical_to_entry_by_entry(nrows, ncols, data):
     entry = _parts | st.lists(_parts, min_size=2, max_size=2)
     raw = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                              min_size=nrows, max_size=nrows))
-    expected = _by_entry(raw, "P[0]", allow_complex)
-    if isinstance(expected, str):  # a real-field system given a complex entry
-        with pytest.raises(ParseError, match=re.escape(expected)):
-            config._matrix(raw, "P[0]", allow_complex)
-        return
-    got = config._matrix(raw, "P[0]", allow_complex)
+    expected = _by_entry(raw, "P[0]")
+    got = config._matrix(raw, "P[0]")
     assert got.dtype == complex and got.shape == (nrows, ncols)
     np.testing.assert_array_equal(got, expected)
     for part in ("real", "imag"):
@@ -307,7 +335,10 @@ def test_matrix_is_bit_identical_to_entry_by_entry(nrows, ncols, allow_complex, 
 NAN = float("nan")
 
 
-@pytest.mark.parametrize("raw,allow_complex,message,path", [
+# syntax: True when the reader, _matrix, rejects raw with a ParseError;
+# False when raw is readable and validate_system rejects it as P[1] of a
+# real-field system
+@pytest.mark.parametrize("raw,syntax,message,path", [
     ([[True, 0.0], [0.0, NAN]], True,
      "P[1][0][0]: booleans are not numbers", "P[1][0][0]"),
     ([[0.0, 0.0], [False, 1.0]], True,
@@ -329,15 +360,21 @@ NAN = float("nan")
     ([[0.0, [0.0, float("inf")]], [0.0, 0.0]], True,
      "P[1][0][1]: [re, im] parts must be finite numbers", "P[1][0][1]"),
     ([[0.0, [0.0, 1.0]], [0.0, 0.0]], False,
-     "P[1][0][1]: complex entry in a real-field system", "P[1][0][1]"),
+     "real-field system has complex P[1][0][1]", "P[1]"),
     ([[0.0, None], [0.0, 0.0]], True,
      "P[1][0][1]: expected a number or [re, im] pair", "P[1][0][1]"),
     ([[0.0, 1.0], [2.0, 3.0, 4.0]], True,
      "P[1]: row 1 has length 3, expected 2", "P[1]"),
 ])
-def test_malformed_matrix_names_its_first_bad_entry(raw, allow_complex, message, path):
-    with pytest.raises(ParseError) as err:
-        config._matrix(raw, "P[1]", allow_complex)
+def test_malformed_matrix_names_its_first_bad_entry(raw, syntax, message, path):
+    if syntax:
+        with pytest.raises(ParseError) as err:
+            config._matrix(raw, "P[1]")
+    else:
+        doc = wave_doc()
+        doc["P"][1] = raw
+        with pytest.raises(StructureError) as err:
+            system_from_dict(doc)
     assert str(err.value) == message
     assert err.value.path == path
 

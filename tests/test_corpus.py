@@ -152,6 +152,17 @@ def test_random_system_refuses_an_unknown_class():
         random_system(0, klass="typo")
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"d": 0},  # formerly never returned: no 0x0 P_N is invertible
+    {"N": 0}, {"N": -1}, {"N": 1.5}, {"N": True}, {"d": 2.0},
+    {"d": 0, "klass": HALFLINE}, {"N": 0, "klass": INTERVAL_RECT},
+    {"N": 2, "klass": HALFLINE},  # formerly an N = 1 system
+])
+def test_random_system_refuses_bad_arguments(kwargs):
+    with pytest.raises(ValueError, match="must be a positive int|have N = 1"):
+        random_system(0, **kwargs)
+
+
 def test_random_systems_all_validate():
     # constructive symmetrization: every draw passes validation
     rng = np.random.default_rng(123)

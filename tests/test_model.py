@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -10,8 +11,10 @@ from phwell import (
     extract_v,
     numlin,
     split_boundary_operator,
+    system_from_dict,
     validate_system,
 )
+from phwell.cli import main
 from phwell.errors import (
     HNotCoercive,
     PhwellError,
@@ -167,6 +170,9 @@ def _without(key):
     (wave_raw(tolerances="x"), "tolerances"),  # was AttributeError
     (wave_raw(P=5), "P"),  # was TypeError
     (wave_raw(H=[[1.0], [1.0, 2.0]]), "H"),  # was numpy's ValueError
+    # each was read as "no tolerances": the default Tolerances, silently
+    *((wave_raw(tolerances=falsy), "tolerances")
+      for falsy in (0, False, "", [], (), 0.0)),
 ])
 def test_validate_rejects_malformed_raw_input(raw, path):
     with pytest.raises(ValidationError) as exc:
@@ -191,6 +197,16 @@ def test_piecewise_rejects_breakpoints_that_are_not_a_list(b):
     # at least one dimensional"
     with pytest.raises(ShapeError, match="H breakpoints must be a list"):
         HamiltonianDensity.piecewise(b, [np.eye(1), 2 * np.eye(1)])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HamiltonianDensity.constant([1.0, 2.0]),  # was IndexError
+    lambda: HamiltonianDensity.grid([np.eye(2), np.eye(1)]),  # was numpy's ValueError
+    lambda: HamiltonianDensity.piecewise([0.5], [np.eye(2), np.eye(1)]),
+], ids=["constant", "grid", "piecewise"])
+def test_density_rejects_samples_that_do_not_stack(make):
+    with pytest.raises(ShapeError, match="H samples must be matrices of one shape"):
+        make()
 
 
 def test_halfline_breakpoints_may_lie_beyond_one():
@@ -486,3 +502,93 @@ def test_package_exports_resolve():
                  "PortVariables", "OrderError"):
         assert name not in phwell.__all__
         assert not hasattr(phwell, name)
+
+
+@pytest.mark.parametrize("H", [
+    np.array([[1.0, 0.5j], [-0.5j, 1.0]]),
+    HamiltonianDensity.piecewise([0.5], [np.eye(2), [[1.0, 0.5j], [-0.5j, 1.0]]]),
+])
+def test_validate_rejects_a_complex_h_on_a_real_field(H):
+    # formerly accepted; JSON already refused it
+    with pytest.raises(StructureError, match=r"real-field system has complex H") as exc:
+        validate_system(wave_raw(H=H))
+    assert exc.value.path == "H"
+    assert validate_system(wave_raw(H=H, field="complex")).h_min_eig == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("interval,width", [("unit_interval", 4), ("half_line", 2)])
+def test_validate_reads_an_empty_boundary_list_as_no_rows(interval, width):
+    # formerly a ShapeError; JSON already read [] as k = 0 rows
+    sys = validate_system(wave_raw(interval=interval, WB_hat=[]))
+    assert sys.WB_hat.shape == (0, width) and sys.n_conditions == 0
+
+
+# ---------------------------------------------------------------------------
+# Both front ends agree: validate_system on the Python form of a
+# description, system_from_dict and `phwell analyze` on its JSON form.
+
+
+def _json(value):
+    """The JSON form of a wave_raw value: matrices as rows, [re, im] pairs."""
+    if isinstance(value, HamiltonianDensity):
+        return {"kind": "constant", "matrix": _json(value.matrices[0])}
+    if isinstance(value, np.ndarray):
+        return [_json(row) for row in value] if value.ndim else _json(value.item())
+    if isinstance(value, (list, tuple)):
+        return [_json(v) for v in value]
+    if isinstance(value, complex):
+        return [value.real, value.imag] if value.imag else value.real
+    return value
+
+
+def _removed(key):
+    return lambda raw: raw.pop(key)
+
+
+_COMPLEX_P1 = np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
+
+
+@pytest.mark.parametrize("change,error,path", [
+    (_removed("N"), ValidationError, "N"),
+    (_removed("d"), ValidationError, "d"),
+    (_removed("P"), ValidationError, "P"),
+    (_removed("H"), ValidationError, "H"),
+    (_removed("WB_hat"), ValidationError, "WB_hat"),
+    ({"N": True}, ShapeError, "N"),
+    ({"N": 0}, ShapeError, "N"),
+    ({"N": 1.5}, ShapeError, "N"),
+    ({"P": [np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2)]}, ShapeError, "P"),
+    ({"P": [np.zeros((2, 2))]}, ShapeError, "P"),
+    ({"tolerances": []}, ValidationError, "tolerances"),
+    ({"tolerances": {"bogus": 1}}, ValidationError, "tolerances"),
+    ({"P": [np.zeros((2, 2)), _COMPLEX_P1]}, StructureError, "P[1]"),
+    ({"H": HamiltonianDensity.constant([[1.0, 0.5j], [-0.5j, 1.0]])},
+     StructureError, "H"),
+    ({"WB_hat": np.array([[0.7j, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])},
+     StructureError, "WB_hat"),
+    ({"WB_hat": np.zeros((2, 3))}, ShapeError, "WB_hat"),
+    ({"WB_hat": []}, None, None),  # k = 0 rows of width 2Nd, accepted
+], ids=["no N", "no d", "no P", "no H", "no WB_hat", "N True", "N 0", "N 1.5",
+        "P one too many", "P one too few", "tolerances []", "tolerances bogus",
+        "complex P", "complex H", "complex WB_hat", "WB_hat width", "WB_hat []"])
+def test_both_front_ends_decide_alike(change, error, path, tmp_path, capsys):
+    raw = wave_raw()
+    if callable(change):
+        change(raw)
+    else:
+        raw.update(change)
+    doc = {key: _json(value) for key, value in raw.items()}
+    outcomes = []
+    for front_end, form in ((validate_system, raw), (system_from_dict, doc)):
+        try:
+            sys = front_end(form)
+        except PhwellError as exc:
+            outcomes.append((type(exc), exc.path))
+        else:
+            assert sys.WB_hat.shape[1] == 4
+            outcomes.append((None, None))
+    assert outcomes == [(error, path)] * 2
+    config = tmp_path / "case.json"
+    config.write_text(json.dumps(doc))
+    assert main(["analyze", str(config)]) == (0 if error is None else 2)
+    assert ("error: " in capsys.readouterr().err) == (error is not None)
