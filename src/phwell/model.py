@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
@@ -273,12 +274,17 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
                               f"{type(tol).__name__}", path="tolerances")
 
     P_raw = _required(raw, "P")
-    try:
-        count = len(P_raw)
-    except TypeError:
+    # a string or a mapping has a length, but its items are no matrices
+    if isinstance(P_raw, (str, bytes, Mapping)):
         count = type(P_raw).__name__
+    else:
+        try:
+            count = len(P_raw)
+        except TypeError:
+            count = type(P_raw).__name__
     if count != N + 1:
-        raise ShapeError(f"P must list N+1 = {N + 1} matrices, got {count}", path="P")
+        raise ShapeError(f"P must be a list of N+1 = {N + 1} matrices, got {count}",
+                         path="P")
     P = []
     for k, Pk in enumerate(P_raw):
         Pk = _matrix(Pk, f"P[{k}]", real)

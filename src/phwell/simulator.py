@@ -16,11 +16,12 @@ from the matrix checkers:
   finite-volume method in characteristic variables and records the
   discrete energy <x, H x> together with boundary / interior power.  The
   scheme and its ghost-trace boundary closure are linear in the state, so
-  _semidiscrete_operator assembles them once as a sparse matrix A_h, and
-  a classical Runge-Kutta step with it is one fixed sparse matrix R
-  (_rk4_matrix).  Stacked under the record rows [Hb; P0b Hb], R makes
-  each step one product that also records the state it starts from, in
-  real arithmetic when the system and the start state are real.
+  _semidiscrete_operator assembles them once as a sparse matrix A_h from
+  their d x d blocks (_block_csr), and a classical Runge-Kutta step with
+  it is one fixed sparse matrix R (_rk4_matrix).  Stacked under the
+  record rows Hb, and P0b Hb when P0 != 0, R makes each step one product
+  that also records the state it starts from, in real arithmetic when
+  the system and the start state are real.
   scipy.sparse loads at the first simulate call, not at import.
 
 The upwind scheme only ever adds numerical dissipation, so it can confirm
@@ -496,8 +497,8 @@ def smooth_bump(center: float, width: float, d: int, component: int = 0,
 def _initial_state(x0, centers, d) -> np.ndarray:
     """x0 on the cells as a (d, nx) array, the layout of EnergyTrace states."""
     if callable(x0):
-        x0 = np.stack([np.asarray(x0(float(z)), dtype=complex).reshape(d)
-                       for z in centers], axis=1)
+        x0 = np.array([np.asarray(x0(float(z)), dtype=complex).reshape(d)
+                       for z in centers]).T
     arr = np.asarray(x0, dtype=complex)
     if arr.shape != (d, centers.size):
         raise ShapeError(f"x0 must be callable or a ({d}, {centers.size}) array")
@@ -565,6 +566,33 @@ class _BoundaryClosure:
         return g[:self.d], g[self.d:]
 
 
+def _block_csr(blocks, d: int, nx: int):
+    """The (d nx) x (d nx) CSR matrix of d x d blocks at cell positions.
+
+    blocks lists (B, rows, cols) with equal-length arrays of cell indices:
+    a d x d B goes to every position (rows[i], cols[i]), a (len(rows), d, d)
+    stack puts B[i] there.  Only nonzero entries are placed, and all of
+    them become CSR in one conversion, so memory is O(nnz).
+    """
+    from scipy import sparse
+
+    r, c, v = [], [], []
+    for B, rows, cols in blocks:
+        rows, cols = np.asarray(rows) * d, np.asarray(cols) * d
+        if B.ndim == 2:
+            a, b = np.nonzero(B)
+            r.append((rows[:, None] + a).ravel())
+            c.append((cols[:, None] + b).ravel())
+            v.append(np.tile(B[a, b], rows.size))
+        else:
+            k, a, b = np.nonzero(B)
+            r.append(rows[k] + a)
+            c.append(cols[k] + b)
+            v.append(B[k, a, b])
+    return sparse.coo_array((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
+                            shape=(d * nx, d * nx)).tocsr()
+
+
 def _semidiscrete_operator(sys: PortHamiltonianSystem, nx: int, L: float = 10.0):
     """The upwind scheme with its boundary closure as one sparse matrix.
 
@@ -576,8 +604,6 @@ def _semidiscrete_operator(sys: PortHamiltonianSystem, nx: int, L: float = 10.0)
     blocks of cells 0 and nx-1.  The discrete energy is h x* Hb x, so
     Herm(h Hb A_h) <= 0 certifies that the semi-discrete scheme dissipates.
     """
-    from scipy import sparse
-
     d = sys.dim_d
     h = (1.0 if sys.interval == UNIT_INTERVAL else float(L)) / nx
     P1 = np.asarray(sys.P[1], dtype=complex)
@@ -594,31 +620,21 @@ def _semidiscrete_operator(sys: PortHamiltonianSystem, nx: int, L: float = 10.0)
     ends[d:, d:] = P0 - P1 @ Bp / h
     ends[:d] -= P1 @ closure.G[:d] / h
     ends[d:] += P1 @ closure.G[d:] / h
-    idx = np.concatenate([np.arange(d), (nx - 1) * d + np.arange(d)])
-    rows, cols = np.meshgrid(idx, idx, indexing="ij")
-    dn = d * nx
-    interior = sparse.coo_array(
-        (np.ones(nx - 2), (np.arange(1, nx - 1),) * 2), shape=(nx, nx))
-    A_w = (sparse.kron(sparse.eye_array(nx, k=-1), sparse.csr_array(-P1 @ Bn / h))
-           + sparse.kron(interior, sparse.csr_array(P1 @ (Bn - Bp) / h + P0))
-           + sparse.kron(sparse.eye_array(nx, k=1), sparse.csr_array(P1 @ Bp / h))
-           + sparse.coo_array((ends.ravel(), (rows.ravel(), cols.ravel())),
-                              shape=(dn, dn)))
+    cells = np.arange(nx)
+    first, last = [0], [nx - 1]
+    A_w = _block_csr([(-P1 @ Bn / h, cells[1:], cells[:-1]),
+                      (P1 @ (Bn - Bp) / h + P0, cells[1:-1], cells[1:-1]),
+                      (P1 @ Bp / h, cells[:-1], cells[1:]),
+                      (ends[:d, :d], first, first), (ends[:d, d:], first, last),
+                      (ends[d:, :d], last, first), (ends[d:, d:], last, last)], d, nx)
 
     # H frozen per cell; piecewise representations extend flat beyond the
     # last breakpoint, which covers the truncated half line as well.
     if sys.H.kind == "constant":
-        Hb = sparse.kron(sparse.eye_array(nx), sparse.csr_array(sys.H.matrices[0]),
-                         format="csr")
+        Hb = _block_csr([(sys.H.matrices[0], cells, cells)], d, nx)
     else:
-        Hc = sys.H.at((np.arange(nx) + 0.5) * h)
-        base = (np.arange(nx) * d)[:, None, None]
-        r = np.broadcast_to(base + np.arange(d)[:, None], Hc.shape)
-        c = np.broadcast_to(base + np.arange(d), Hc.shape)
-        Hb = sparse.coo_array((Hc.ravel(), (r.ravel(), c.ravel())),
-                              shape=(dn, dn)).tocsr()
-        Hb.eliminate_zeros()
-    A_h = (A_w.tocsr() @ Hb).tocsr()
+        Hb = _block_csr([(sys.H.at((cells + 0.5) * h), cells, cells)], d, nx)
+    A_h = (A_w @ Hb).tocsr()
     A_h.eliminate_zeros()
     return A_h, Hb, h, closure
 
@@ -672,6 +688,8 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     Each step is one sparse product with the stacked M = [Hb; P0b Hb; R]:
     y = M x_n holds w_n = Hb x_n, P0 w_n and the next state R x_n, so a
     step and the record of the state it starts from cost one product.
+    The P0b Hb rows are stacked only when P0 has a nonzero entry; with
+    P0 = 0 the interior power is exactly 0 at every step.
     When M and x0 are real (every imaginary part exactly zero), the run
     steps in float64; a complex product of such factors equals the real
     one bit for bit, so only the energies' dot products round differently.
@@ -713,8 +731,12 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
                           f"more than the limit of {MAX_STEPS}")
     dt = t_final / n_steps
 
-    P0b = sparse.kron(sparse.eye_array(nx), sparse.csr_array(sys.P[0]), format="csr")
-    blocks = [Hb, P0b @ Hb, _rk4_matrix(A, dt)]
+    # with P0 = 0 the interior power is exactly 0: no P0 rows to multiply
+    has_p0 = bool(sys.P[0].any())
+    blocks = [Hb, _rk4_matrix(A, dt)]
+    if has_p0:
+        cells = np.arange(nx)
+        blocks.insert(1, _block_csr([(sys.P[0], cells, cells)], d, nx) @ Hb)
     x = _initial_state(x0, centers, d).T.ravel()  # cell-major
     if not (x.imag.any() or any(b.data.imag.any() for b in blocks)):
         # contiguous real copies: a strided .real view is copied per product
@@ -723,7 +745,8 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
         x = x.real.copy()
     M = sparse.vstack(blocks, format="csr")
     M.eliminate_zeros()
-    del A, Hb, P0b, blocks  # freed before the loop: only M is needed
+    start = (len(blocks) - 1) * dn  # R x_n: the rows below the record rows
+    del A, Hb, blocks  # freed before the loop: only M is needed
 
     times = np.zeros(n_steps + 1)
     energies = np.zeros(n_steps + 1)
@@ -734,7 +757,8 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
         """Step i's energy, interior power and end cells from y = M x."""
         w = y[:dn]
         energies[i] = h * np.vdot(x, w).real
-        ipow[i] = 2.0 * h * np.vdot(w, y[dn:2 * dn]).real
+        if has_p0:
+            ipow[i] = 2.0 * h * np.vdot(w, y[dn:2 * dn]).real
         ends[:d, i], ends[d:, i] = w[:d], w[-d:]
 
     def as_cells(x):
@@ -749,7 +773,7 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     for step in range(n_steps):
         y = M @ x
         record(step, x, y)
-        x = y[2 * dn:]
+        x = y[start:]
         t = (step + 1) * dt
         times[step + 1] = t
         while snap_idx < len(snap_times) and snap_times[snap_idx] <= t + 1e-12:

@@ -33,13 +33,14 @@ def count_svds(monkeypatch):
 
 @pytest.fixture
 def count_matvecs(monkeypatch):
-    """A list that gains one entry per scipy CSR matrix-vector product."""
-    # CSR @ vector looks the kernel up on _sparsetools at every call
+    """A list that gains one entry per scipy CSR matrix-vector product: its row count."""
+    # CSR @ vector looks the kernel up on _sparsetools at every call, and
+    # passes the matrix's row count first
     calls = []
     matvec = _sparsetools.csr_matvec
 
     def counting(*args):
-        calls.append(1)
+        calls.append(args[0])
         return matvec(*args)
 
     monkeypatch.setattr(_sparsetools, "csr_matvec", counting)

@@ -180,6 +180,20 @@ def test_validate_rejects_malformed_raw_input(raw, path):
     assert exc.value.path == path
 
 
+@pytest.mark.parametrize("P, kind", [
+    ("ab", "str"),  # two items, as N+1 = 2 matrices would have
+    ("abc", "str"),
+    (b"ab", "bytes"),
+    ({"a": np.zeros((2, 2)), "b": np.eye(2)}, "dict"),
+], ids=["str of N+1", "str", "bytes", "mapping"])
+def test_p_must_be_a_list_of_matrices(P, kind):
+    # formerly P[0] must be a matrix, or "got 3", which said nothing of a list
+    with pytest.raises(ShapeError) as exc:
+        validate_system(wave_raw(P=P))
+    assert exc.value.path == "P"
+    assert str(exc.value).endswith(f"P must be a list of N+1 = 2 matrices, got {kind}")
+
+
 def _two_cell_H(b):
     return HamiltonianDensity.piecewise([b], [np.eye(2), 4.0 * np.eye(2)])
 
@@ -559,6 +573,9 @@ _COMPLEX_P1 = np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
     ({"N": 1.5}, ShapeError, "N"),
     ({"P": [np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2)]}, ShapeError, "P"),
     ({"P": [np.zeros((2, 2))]}, ShapeError, "P"),
+    ({"P": "ab"}, ShapeError, "P"),
+    ({"P": {"a": [[0.0, 0.0], [0.0, 0.0]], "b": [[0.0, 1.0], [1.0, 0.0]]}},
+     ShapeError, "P"),
     ({"tolerances": []}, ValidationError, "tolerances"),
     ({"tolerances": {"bogus": 1}}, ValidationError, "tolerances"),
     ({"P": [np.zeros((2, 2)), _COMPLEX_P1]}, StructureError, "P[1]"),
@@ -569,8 +586,9 @@ _COMPLEX_P1 = np.array([[0.0, 1.0 + 1.0j], [1.0 - 1.0j, 0.0]])
     ({"WB_hat": np.zeros((2, 3))}, ShapeError, "WB_hat"),
     ({"WB_hat": []}, None, None),  # k = 0 rows of width 2Nd, accepted
 ], ids=["no N", "no d", "no P", "no H", "no WB_hat", "N True", "N 0", "N 1.5",
-        "P one too many", "P one too few", "tolerances []", "tolerances bogus",
-        "complex P", "complex H", "complex WB_hat", "WB_hat width", "WB_hat []"])
+        "P one too many", "P one too few", "P str", "P object", "tolerances []",
+        "tolerances bogus", "complex P", "complex H", "complex WB_hat", "WB_hat width",
+        "WB_hat []"])
 def test_both_front_ends_decide_alike(change, error, path, tmp_path, capsys):
     raw = wave_raw()
     if callable(change):

@@ -2,9 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import block_diag
 
-from phwell import HamiltonianDensity, simulate, simulator, smooth_bump, validate_system
+from phwell import (
+    HamiltonianDensity,
+    numlin,
+    simulate,
+    simulator,
+    smooth_bump,
+    validate_system,
+)
 from phwell.corpus import (
     CORPUS,
     build_path_graph,
@@ -320,6 +328,72 @@ def test_cell_densities_are_the_point_values(build):
     np.testing.assert_array_equal(Hb.toarray(), want)
 
 
+def _complex_p0_wave():
+    # P0 != 0 and a complex P1: the blocks' entries are complex throughout
+    return validate_system({
+        "field": "complex", "interval": UNIT_INTERVAL, "N": 1, "d": 2,
+        "P": [np.array([[-1.0 + 0.5j, 2.0 - 1.0j], [-0.3j, -2.0 + 0.2j]]),
+              np.array([[0.0, 1.0 - 0.5j], [1.0 + 0.5j, 0.0]])],
+        "H": HamiltonianDensity.constant(np.array([[2.0, 0.5], [0.5, 1.0]])),
+        "WB_hat": np.array([[0.7, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]),
+    })
+
+
+def _kron_operator(sys, nx, L=10.0):
+    """A_h and Hb from sums of Kronecker products, the assembly _block_csr replaced."""
+    d = sys.dim_d
+    h = (1.0 if sys.interval == UNIT_INTERVAL else L) / nx
+    P1 = np.asarray(sys.P[1], dtype=complex)
+    P0 = np.asarray(sys.P[0], dtype=complex)
+    S, delta = numlin.hermitian_eigendecomposition(P1)
+    closure = simulator._BoundaryClosure(sys, S, delta)
+    Sp, Sn = S[closure.pos], S[closure.neg]
+    Bp, Bn = Sp.conj().T @ Sp, Sn.conj().T @ Sn
+    ends = np.zeros((2 * d, 2 * d), dtype=complex)
+    ends[:d, :d] = P1 @ Bn / h + P0
+    ends[d:, d:] = P0 - P1 @ Bp / h
+    ends[:d] -= P1 @ closure.G[:d] / h
+    ends[d:] += P1 @ closure.G[d:] / h
+    idx = np.concatenate([np.arange(d), (nx - 1) * d + np.arange(d)])
+    rows, cols = np.meshgrid(idx, idx, indexing="ij")
+    interior = sparse.coo_array(
+        (np.ones(nx - 2), (np.arange(1, nx - 1),) * 2), shape=(nx, nx))
+    A_w = (sparse.kron(sparse.eye_array(nx, k=-1), sparse.csr_array(-P1 @ Bn / h))
+           + sparse.kron(interior, sparse.csr_array(P1 @ (Bn - Bp) / h + P0))
+           + sparse.kron(sparse.eye_array(nx, k=1), sparse.csr_array(P1 @ Bp / h))
+           + sparse.coo_array((ends.ravel(), (rows.ravel(), cols.ravel())),
+                              shape=(d * nx, d * nx)))
+    if sys.H.kind == "constant":
+        Hb = sparse.kron(sparse.eye_array(nx), sparse.csr_array(sys.H.matrices[0]),
+                         format="csr")
+    else:
+        Hc = sys.H.at((np.arange(nx) + 0.5) * h)
+        Hb = sparse.csr_array(block_diag(*Hc))
+    A_h = (A_w.tocsr() @ Hb).tocsr()
+    A_h.eliminate_zeros()
+    return A_h, Hb
+
+
+@pytest.mark.parametrize("build", [
+    CORPUS["wave_interval_damped"].system,
+    CORPUS["path_graph_d8"].system,
+    lambda: build_wave(UNIT_INTERVAL, 0.7, rho=([0.5], [1.0, 4.0])),
+    _grid_wave,
+    CORPUS["wave_halfline_u05"].system,
+    _complex_p0_wave,
+], ids=["constant", "path_graph_d8", "piecewise", "grid", "half_line", "complex_p0"])
+def test_block_assembly_matches_the_kronecker_sums(build):
+    sys = build()
+    got = _semidiscrete_operator(sys, nx=40)[:2]
+    for mine, ref in zip(got, _kron_operator(sys, nx=40)):
+        mine, ref = mine.copy(), ref.copy()
+        mine.sort_indices()
+        ref.sort_indices()
+        np.testing.assert_array_equal(mine.indptr, ref.indptr)
+        np.testing.assert_array_equal(mine.indices, ref.indices)
+        np.testing.assert_array_equal(mine.data, ref.data)
+
+
 def _energy_certificate(name):
     """lambda_max(Herm(h Hb A_h)) and ||h Hb A_h|| of the stepping operator."""
     A, Hb, h, _ = _semidiscrete_operator(CORPUS[name].system(), nx=100)
@@ -429,3 +503,24 @@ def test_one_sparse_product_per_step(count_matvecs):
     n_steps = tr.times.size - 1
     assert n_steps > 100
     assert len(count_matvecs) <= n_steps + 1
+
+
+def test_zero_p0_steps_without_interior_power_rows(count_matvecs):
+    # P0 = 0: each product has the rows of Hb and R only, and the interior
+    # power is exactly 0 rather than a dot product with zeros
+    sys = CORPUS["wave_interval_damped"].system()
+    assert not sys.P[0].any()
+    nx = 64
+    count_matvecs.clear()
+    tr = simulate(sys, smooth_bump(0.5, 0.25, 2), t_final=0.1, nx=nx, cfl=0.45)
+    assert count_matvecs == [2 * sys.dim_d * nx] * tr.times.size
+    assert all(p == 0.0 and not np.signbit(p) for p in tr.interior_power)
+
+
+def test_nonzero_p0_keeps_its_interior_power_rows(count_matvecs):
+    sys = _complex_p0_wave()
+    nx = 64
+    count_matvecs.clear()
+    tr = simulate(sys, smooth_bump(0.5, 0.25, 2), t_final=0.1, nx=nx, cfl=0.45)
+    assert count_matvecs == [3 * sys.dim_d * nx] * tr.times.size
+    assert np.all(tr.interior_power != 0.0)
