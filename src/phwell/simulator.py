@@ -21,7 +21,8 @@ from the matrix checkers:
   it is one fixed sparse matrix R (_rk4_matrix).  Stacked under the
   record rows Hb, and P0b Hb when P0 != 0, R makes each step one product
   that also records the state it starts from, in real arithmetic when
-  the system and the start state are real.
+  the system and the start state are real, made by the CSR kernel into
+  two reused buffers.
   scipy.sparse loads at the first simulate call, not at import.
 
 The upwind scheme only ever adds numerical dissipation, so it can confirm
@@ -497,8 +498,19 @@ def smooth_bump(center: float, width: float, d: int, component: int = 0,
 def _initial_state(x0, centers, d) -> np.ndarray:
     """x0 on the cells as a (d, nx) array, the layout of EnergyTrace states."""
     if callable(x0):
-        x0 = np.array([np.asarray(x0(float(z)), dtype=complex).reshape(d)
-                       for z in centers]).T
+        cells = []
+        for z in centers.tolist():
+            value = x0(z)
+            try:
+                arr = np.asarray(value, dtype=complex)
+                got = arr.size
+            except (TypeError, ValueError):
+                got = f"{type(value).__name__} {value!r:.40}"
+            if got != d:
+                raise ShapeError(f"x0 at cell centre z = {z:g} must give {d} numbers, "
+                                 f"got {got}")
+            cells.append(arr.reshape(d))
+        x0 = np.array(cells).T
     arr = np.asarray(x0, dtype=complex)
     if arr.shape != (d, centers.size):
         raise ShapeError(f"x0 must be callable or a ({d}, {centers.size}) array")
@@ -572,10 +584,14 @@ def _block_csr(blocks, d: int, nx: int):
     blocks lists (B, rows, cols) with equal-length arrays of cell indices:
     a d x d B goes to every position (rows[i], cols[i]), a (len(rows), d, d)
     stack puts B[i] there.  Only nonzero entries are placed, and all of
-    them become CSR in one conversion, so memory is O(nnz).
+    them become CSR in one conversion, so memory is O(nnz).  The cell
+    coordinates take the index dtype scipy picks for d nx (int32 unless
+    d nx passes 2**31 - 1), which carries over to every product built on
+    the matrix, so simulate's step streams 4-byte indices.
     """
     from scipy import sparse
 
+    idx = sparse.get_index_dtype(maxval=d * nx)
     r, c, v = [], [], []
     for B, rows, cols in blocks:
         rows, cols = np.asarray(rows) * d, np.asarray(cols) * d
@@ -589,8 +605,8 @@ def _block_csr(blocks, d: int, nx: int):
             r.append(rows[k] + a)
             c.append(cols[k] + b)
             v.append(B[k, a, b])
-    return sparse.coo_array((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
-                            shape=(d * nx, d * nx)).tocsr()
+    coords = (np.concatenate(r, dtype=idx), np.concatenate(c, dtype=idx))
+    return sparse.coo_array((np.concatenate(v), coords), shape=(d * nx, d * nx)).tocsr()
 
 
 def _semidiscrete_operator(sys: PortHamiltonianSystem, nx: int, L: float = 10.0):
@@ -664,11 +680,12 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
 
     x0 is a callable z -> d-vector or a (d, nx) array of cell values, the
     layout of final_state and the snapshots, so a run can restart from
-    another's final_state.  t_final and L must be finite numbers > 0, and
-    each snapshot time a finite number in [0, t_final]; a run needing more
-    than MAX_STEPS steps is refused before anything is allocated.  A
-    snapshot is x0 for a time within 1e-12 of 0, otherwise the state after
-    the first step that reaches its time.
+    another's final_state; a callable that does not give d numbers at a
+    cell centre raises ShapeError.  t_final and L must be finite numbers
+    > 0, and each snapshot time a finite number in [0, t_final]; a run
+    needing more than MAX_STEPS steps is refused before anything is
+    allocated.  A snapshot is x0 for a time within 1e-12 of 0, otherwise
+    the state after the first step that reaches its time.
 
     First order in space (characteristic upwinding of w = Hx with H frozen
     per cell), classical four-stage explicit stepping in time with
@@ -694,8 +711,12 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     steps in float64; a complex product of such factors equals the real
     one bit for bit, so only the energies' dot products round differently.
     final_state and the snapshots are complex either way.
+    M has int32 indices (see _block_csr).  Each product is the CSR kernel
+    that M @ x runs, called directly into one of two buffers allocated
+    once per run, so every result equals M @ x bit for bit.
     """
     from scipy import sparse
+    from scipy.sparse import _sparsetools  # CSR kernel of M @ x; checked on scipy 1.17.1
 
     if sys.order_N != 1:
         raise ShapeError("simulate supports first-order (N = 1) systems only")
@@ -770,8 +791,20 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
         snap_list.append((0.0, as_cells(x)))
         snap_idx += 1
 
+    # M @ x without scipy's dispatch and its fresh result array: the same
+    # kernel call into one of two reused buffers, zeroed first because
+    # csr_matvec adds to y.  x is a view of the other buffer, so the
+    # product never overwrites its input; snapshots and final_state copy.
+    nrow, ncol = M.shape
+    buffers = np.empty((2, nrow), dtype=M.dtype)
+
+    def product(x, y):
+        y.fill(0)
+        _sparsetools.csr_matvec(nrow, ncol, M.indptr, M.indices, M.data, x, y)
+        return y
+
     for step in range(n_steps):
-        y = M @ x
+        y = product(x, buffers[step % 2])
         record(step, x, y)
         x = y[start:]
         t = (step + 1) * dt
@@ -779,7 +812,7 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
         while snap_idx < len(snap_times) and snap_times[snap_idx] <= t + 1e-12:
             snap_list.append((t, as_cells(x)))
             snap_idx += 1
-    record(n_steps, x, M @ x)
+    record(n_steps, x, product(x, buffers[n_steps % 2]))
 
     # port power 2 Re <f, e> with f = Q (w_r - w_l) / sqrt2, e = (w_r + w_l) / sqrt2;
     # an overflowed run (max_violation = inf) yields inf and nan powers here

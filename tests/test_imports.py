@@ -6,7 +6,9 @@ module level, so the checker commands load numpy only; a fresh
 interpreter checks that, and that simulate and the resolvent still load
 what they need on their first call.  No package module but cli.py
 imports phwell.cli, so import phwell leaves the command line unloaded
-and python -m phwell.cli runs without runpy's warning.  An imported
+and python -m phwell.cli runs without runpy's warning.  The one private
+scipy name the package uses is scipy.sparse._sparsetools, inside a
+function of simulator.py.  An imported
 name counts as used when it is read anywhere in the same file, or
 listed in that file's __all__ (the package re-exports through
 phwell/__init__.py).  A module-level def or class of
@@ -294,6 +296,95 @@ def test_the_scan_finds_module_level_scipy_imports():
         "    import scipy.linalg\n"
     )
     assert module_level_scipy_imports(source) == [2, 3, 4, 8, 12]
+
+
+def private_scipy_names(source: str) -> list:
+    """(line, name, in_function) of every private scipy name the source reaches.
+
+    A private name is a scipy dotted path up to its first _-prefixed part
+    (dunders such as __version__ are public).  The source reaches one by
+    an import (import scipy.sparse._sputils, from scipy.sparse import
+    _sparsetools) or by an attribute chain on a name that an import bound
+    to scipy or a scipy module (sp._base after from scipy import sparse
+    as sp).  in_function is True when the line sits in a function body.
+    """
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.partition(".")[0] == "scipy":
+                    bound[alias.asname or "scipy"] = alias.name if alias.asname else "scipy"
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if node.module.partition(".")[0] == "scipy":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+
+    def private(path):
+        parts = path.split(".")
+        for i, part in enumerate(parts):
+            if part.startswith("_") and not part.endswith("__"):
+                return ".".join(parts[:i + 1])
+        return None
+
+    found = set()
+
+    def visit(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            paths = []
+            if isinstance(child, ast.Import):
+                paths = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                paths = [f"{child.module}.{alias.name}" for alias in child.names]
+            elif isinstance(child, ast.Attribute):
+                attrs, base = [], child
+                while isinstance(base, ast.Attribute):
+                    attrs.append(base.attr)
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id in bound:
+                    paths = [".".join([bound[base.id], *reversed(attrs)])]
+            for path in paths:
+                if path.partition(".")[0] == "scipy" and (name := private(path)):
+                    found.add((child.lineno, name, in_function))
+            visit(child, in_function
+                  or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+    visit(tree, False)
+    return sorted(found)
+
+
+def test_the_only_private_scipy_name_is_the_csr_kernel():
+    # simulate's step calls scipy.sparse._sparsetools.csr_matvec, the kernel
+    # behind CSR @ vector, directly; no other private scipy name is used, and
+    # that one is imported on the first simulate call only
+    found = {(p.name, name, in_function) for p in PACKAGE
+             for _, name, in_function in private_scipy_names(p.read_text())}
+    assert found == {("simulator.py", "scipy.sparse._sparsetools", True)}
+
+
+def test_the_scan_finds_private_scipy_names():
+    source = (
+        "import numpy as np\n"
+        "import scipy\n"
+        "import scipy.sparse._sputils\n"
+        "from scipy.sparse import _sparsetools, csr_array\n"
+        "from scipy._lib import doccer\n"
+        "import scipy.linalg as la\n"
+        "from scipy import sparse as sp\n"
+        "from ._private import helper\n"
+        "v = scipy.__version__\n"
+        "def f():\n"
+        "    from scipy.sparse._sparsetools import csr_matvec\n"
+        "    return sp._base, la.blas, np._core, sp.csr_array, scipy.sparse._sputils.isdense\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return _sparsetools.csr_matvec\n"
+    )
+    assert private_scipy_names(source) == [
+        (3, "scipy.sparse._sputils", False), (4, "scipy.sparse._sparsetools", False),
+        (5, "scipy._lib", False), (11, "scipy.sparse._sparsetools", True),
+        (12, "scipy.sparse._base", True), (12, "scipy.sparse._sputils", True),
+        (15, "scipy.sparse._sparsetools", True)]
 
 
 # Run in a fresh interpreter: the test process has scipy.sparse loaded

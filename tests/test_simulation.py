@@ -1,9 +1,11 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import block_diag
+from scipy.sparse import _sparsetools
 
 from phwell import (
     HamiltonianDensity,
@@ -22,7 +24,9 @@ from phwell.corpus import (
 )
 from phwell.errors import BoundaryClosureSingular, CFLViolation, PhwellError, ShapeError
 from phwell.model import HALF_LINE, UNIT_INTERVAL
-from phwell.simulator import _rk4_matrix, _semidiscrete_operator
+from phwell.simulator import _block_csr, _rk4_matrix, _semidiscrete_operator
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_transport_exact_solution():
@@ -253,6 +257,19 @@ def test_initial_state_array_forms():
     np.testing.assert_allclose(tr2.energy, base.energy, rtol=1e-12)
     with pytest.raises(ShapeError):
         simulate(sys, arr, 0.1, nx=32, cfl=0.5)
+
+
+@pytest.mark.parametrize("value, got", [
+    (lambda z: np.zeros(3), "got 3"),
+    (lambda z: None, "got 1"),
+    (lambda z: "ab", "got str 'ab'"),
+    (lambda z: [1.0, [2.0, 3.0]], "got list"),
+], ids=["three_numbers", "none", "string", "ragged"])
+def test_a_callable_start_state_must_give_d_numbers_per_cell(value, got):
+    sys = CORPUS["wave_interval_damped"].system()
+    with pytest.raises(ShapeError, match=r"x0 at cell centre z = 0\.015625 must give "
+                                         rf"2 numbers, {got}"):
+        simulate(sys, value, 0.1, nx=32)
 
 
 def test_restart_from_final_state():
@@ -524,3 +541,110 @@ def test_nonzero_p0_keeps_its_interior_power_rows(count_matvecs):
     tr = simulate(sys, smooth_bump(0.5, 0.25, 2), t_final=0.1, nx=nx, cfl=0.45)
     assert count_matvecs == [3 * sys.dim_d * nx] * tr.times.size
     assert np.all(tr.interior_power != 0.0)
+
+
+def _run_capturing_the_step_matrix(sys, x0, **kwargs):
+    """simulate's trace, its step matrix M and start vector, from the first kernel call."""
+    seen = []
+    matvec = _sparsetools.csr_matvec
+
+    def capture(nrow, ncol, indptr, indices, data, x, y):
+        if not seen:
+            seen.append((sparse.csr_array((data.copy(), indices.copy(), indptr.copy()),
+                                          shape=(nrow, ncol)), x.copy()))
+        return matvec(nrow, ncol, indptr, indices, data, x, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_sparsetools, "csr_matvec", capture)
+        tr = simulate(sys, x0, **kwargs)
+    return (tr, *seen[0])
+
+
+def _public_product_loop(M, x, n_steps):
+    """States x_0 .. x_n and products y_i = M @ x_i of the reference loop."""
+    start = M.shape[0] - M.shape[1]
+    xs, ys = [x], []
+    for _ in range(n_steps + 1):
+        ys.append(M @ xs[-1])
+        xs.append(ys[-1][start:])
+    return xs[:-1], ys
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _wave_complex_start():
+    z = (np.arange(48) + 0.5) / 48
+    return np.stack([np.exp(-80 * (z - 0.4) ** 2), np.sin(np.pi * z)]) + 1j * np.stack(
+        [np.cos(3 * z), np.exp(-60 * (z - 0.6) ** 2)])
+
+
+@pytest.mark.parametrize("build, x0", [
+    (CORPUS["wave_interval_damped"].system, smooth_bump(0.5, 0.25, 2)),
+    (_complex_p0_wave, smooth_bump(0.5, 0.25, 2)),
+    (CORPUS["wave_interval_damped"].system, _wave_complex_start()),
+], ids=["real", "complex_p0", "complex_start"])
+def test_the_kernel_steps_equal_public_products(build, x0):
+    # simulate calls the CSR kernel into reused buffers; a loop of M @ x
+    # with the same M gives every energy, power and state bit for bit
+    sys = build()
+    nx, d = 48, sys.dim_d
+    tr, M, x = _run_capturing_the_step_matrix(sys, x0, t_final=0.2, nx=nx, cfl=0.45)
+    n_steps = tr.times.size - 1
+    xs, ys = _public_product_loop(M, x, n_steps)
+    h, dn = 1.0 / nx, d * nx
+    energy = [h * np.vdot(x, y[:dn]).real for x, y in zip(xs, ys)]
+    ipow = [2.0 * h * np.vdot(y[:dn], y[dn:2 * dn]).real if M.shape[0] == 3 * dn else 0.0
+            for y in ys]
+    assert _same_bits(tr.energy, energy)
+    assert _same_bits(tr.interior_power, ipow)
+    assert _same_bits(tr.final_state, xs[-1].reshape(nx, d).T.astype(complex))
+
+
+@pytest.mark.parametrize("build", [CORPUS["wave_interval_damped"].system, _complex_p0_wave],
+                         ids=["real", "complex_p0"])
+def test_snapshots_on_consecutive_steps_keep_their_own_states(build):
+    # the step buffers alternate; a snapshot or final_state that aliased one
+    # would show a later step's state
+    sys = build()
+    nx, x0 = 32, smooth_bump(0.5, 0.25, 2)
+    times = simulate(sys, x0, t_final=0.2, nx=nx, cfl=0.45).times
+    steps = [1, 2, 3, times.size - 3, times.size - 2, times.size - 1]
+    tr, M, x = _run_capturing_the_step_matrix(sys, x0, t_final=0.2, nx=nx, cfl=0.45,
+                                              snapshot_times=times[steps])
+    xs, _ = _public_product_loop(M, x, times.size - 1)
+    assert [t for t, _ in tr.snapshots] == list(times[steps])
+    for k, (_, state) in zip(steps, tr.snapshots):
+        assert _same_bits(state, xs[k].reshape(nx, 2).T.astype(complex))
+    assert _same_bits(tr.final_state, tr.snapshots[-1][1])
+
+
+def test_benchmark_step_matrices_have_int32_indices(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    for name, (build, nx, _, center, width) in workloads._sim_cases().items():
+        sys = build()
+        _, M, _ = _run_capturing_the_step_matrix(
+            sys, smooth_bump(center, width, sys.dim_d), t_final=1e-3, nx=nx, cfl=0.45)
+        assert (M.indices.dtype, M.indptr.dtype) == (np.int32, np.int32), name
+
+
+def test_block_csr_takes_scipys_index_dtype(monkeypatch):
+    # scipy picks int32 up to 2**31 - 1 and int64 past it; a size past int32
+    # is checked on the choice, not allocated
+    choose = sparse.get_index_dtype
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs)
+        return choose(*args, **kwargs)
+
+    monkeypatch.setattr(sparse, "get_index_dtype", spy)
+    B = _block_csr([(np.eye(2), np.arange(3), np.arange(3))], 2, 3)
+    assert seen == [{"maxval": 6}]
+    assert (B.indices.dtype, B.indptr.dtype) == (np.int32, np.int32)
+    assert choose(maxval=2**31 - 1) == np.int32
+    assert choose(maxval=2**31) == np.int64
