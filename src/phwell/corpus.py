@@ -303,14 +303,15 @@ def random_system(seed: int, N: int = None, d: int = None,
     BoundaryAlgebra / HalfLineAlgebra bundles -- sit within 1e-6 (relative
     where the scalar has a scale) of a decision threshold are rejected and
     redrawn; interval_rect draws are not filtered.  Any other klass, an N
-    or d given that is not a positive int, or N != 1 for halfline raises
-    ValueError.
+    or d given that is not a positive integer (a bool is not one), or
+    N != 1 for halfline raises ValueError.
     """
     if klass not in (INTERVAL_SQUARE, INTERVAL_RECT, HALFLINE):
         raise ValueError(f"unknown klass {klass!r}; expected {INTERVAL_SQUARE!r}, "
                          f"{INTERVAL_RECT!r} or {HALFLINE!r}")
     for name, v in (("N", N), ("d", d)):
-        if v is not None and not (type(v) is int and v >= 1):
+        if v is not None and (isinstance(v, bool)
+                              or not isinstance(v, (int, np.integer)) or v < 1):
             raise ValueError(f"{name} must be a positive int, got {v!r}")
     if klass == HALFLINE and N not in (None, 1):
         raise ValueError(f"{HALFLINE!r} systems have N = 1, got N={N!r}")

@@ -10,7 +10,7 @@ Condition ids (fixed in the JSON schema):
   RANBED -- range containment ran(W1-W2) <= ran(W1+W2), informational
   T1.3   -- W1+W2 injective and W_B Sigma W_B^* >= 0
   T1.4   -- W1+W2 injective and ||V|| <= 1
-  T1.5   -- boundary kernel energy form negative semidefinite
+  T1.5   -- model.boundary_form(Q) negative semidefinite on ker WB_hat
   C2.6   -- W_B surjective and W_B Sigma W_B^* >= 0
   C2.7   -- W_B surjective and ||V|| <= 1
   T3.x / C3.x -- the corresponding zero / isometry variants
@@ -31,6 +31,7 @@ from .model import (
     BoundaryOperator,
     PortHamiltonianSystem,
     Tolerances,
+    boundary_form,
     derive_boundary_operator,
 )
 from .verdict import ConditionResult, Verdict, decide
@@ -61,18 +62,11 @@ def sigma_form(W1, W2) -> np.ndarray:
 
 
 def kernel_energy_form(K, Q) -> np.ndarray:
-    """G = K^* blockdiag(Q, -Q) K for a basis K (columns) of ker WB_hat.
-
-    The Phi_1 block comes first, matching the trace stacking order.
-    """
+    """G = K^* boundary_form(Q) K for a basis K (columns) of ker WB_hat."""
     K = np.asarray(K, dtype=complex)
-    Q = np.asarray(Q, dtype=complex)
-    n = Q.shape[0]
-    if K.shape[0] != 2 * n:
+    B = boundary_form(Q)
+    if K.shape[0] != B.shape[0]:
         raise ShapeError("kernel basis height does not match blockdiag(Q, -Q)")
-    B = np.zeros((2 * n, 2 * n), dtype=complex)
-    B[:n, :n] = Q
-    B[n:, n:] = -Q
     return K.conj().T @ B @ K
 
 

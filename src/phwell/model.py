@@ -8,7 +8,8 @@ with P_k^* = (-1)^{k+1} P_k for k >= 1, P_N invertible, and H(z) Hermitian
 positive definite with uniform bounds.  Everything is stored in complex
 arithmetic; real-field systems are embedded (verdicts are field independent).
 
-Boundary traces are stacked z=1 block first: Phi = [Phi_1; Phi_0].
+Boundary traces are stacked z=1 block first, Phi = [Phi_1; Phi_0], the
+order of the energy form boundary_form(Q) on them.
 """
 
 from __future__ import annotations
@@ -181,6 +182,7 @@ class PortHamiltonianSystem:
     order_N: int
     dim_d: int
     P: tuple  # N+1 frozen (d, d) complex arrays
+    Q: np.ndarray  # frozen build_q(P[1:]), the Q validate_system decided on
     H: HamiltonianDensity
     WB_hat: np.ndarray  # (k, 2Nd) or (k, d)
     tol: Tolerances
@@ -235,16 +237,16 @@ class BoundaryOperator:
 def validate_system(raw: dict) -> PortHamiltonianSystem:
     """Validate a raw description and return an immutable system.
 
-    raw keys: field, interval, N, d (positive ints, bool excluded), P
-    (list of N+1 matrices), H (HamiltonianDensity or matrix), WB_hat (an
-    empty list is k = 0 rows of the system's width), optional tolerances
-    (Tolerances or dict).  Every entry of P, H and WB_hat must be finite,
-    and real when field is 'real'.  Raises ValidationError (a missing
-    key, bad tolerances) or one of its subclasses ShapeError /
-    StructureError / SingularPN / SingularP1 / SingularQ / HNotCoercive,
-    with path naming the offending key.  This is the one place that
-    decides the structure of a system; config.system_from_dict only reads
-    the JSON numbers.
+    raw keys: field, interval, N, d (positive ints, numpy ones stored as
+    int, bool excluded), P (list of N+1 matrices), H (HamiltonianDensity or
+    matrix), WB_hat (an empty list is k = 0 rows of the system's width),
+    optional tolerances (Tolerances or dict).  Every entry of P, H and
+    WB_hat must be finite, and real when field is 'real'.  Raises
+    ValidationError (a missing key, bad tolerances) or one of its subclasses
+    ShapeError / StructureError / SingularPN / SingularP1 / SingularQ /
+    HNotCoercive, with path naming the offending key.  This is the one place
+    that decides the structure of a system; config.system_from_dict only
+    reads the JSON numbers.
     """
     field = raw.get("field", "complex")
     if field not in ("real", "complex"):
@@ -256,9 +258,10 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
     real = field == "real"
     N, d = _required(raw, "N"), _required(raw, "d")
     for key, v in (("N", N), ("d", d)):
-        if not (type(v) is int and v >= 1):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
             raise ShapeError(f"N and d must be positive integers, got N={N!r}, d={d!r}",
                              path=key)
+    N, d = int(N), int(d)
 
     tol = raw.get("tolerances")
     if tol is None:
@@ -350,8 +353,9 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
             path="WB_hat",
         )
 
+    Q = build_q(P[1:])
     if N > 1:  # unit interval; for N = 1, Q = P_1 = P_N, decided above
-        _check_q(build_q(P[1:]), tol.tau_rank)
+        _check_q(Q, tol.tau_rank)
 
     return PortHamiltonianSystem(
         field=field,
@@ -359,6 +363,7 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
         order_N=N,
         dim_d=d,
         P=tuple(_freeze(Pk) for Pk in P),
+        Q=_freeze(Q),
         H=H,
         WB_hat=_freeze(WB),
         tol=tol,
@@ -421,9 +426,18 @@ def build_q(P1N) -> np.ndarray:
     return Q
 
 
-def build_q_for_system(sys: PortHamiltonianSystem) -> np.ndarray:
-    """Q of a validated system (uses P_1..P_N)."""
-    return build_q(list(sys.P[1:]))
+def boundary_form(Q) -> np.ndarray:
+    """blockdiag(Q, -Q): Phi^* B Phi = Phi_1^* Q Phi_1 - Phi_0^* Q Phi_0.
+
+    Twice the boundary term of Re <A0 x, x> on the traces Phi = [Phi_1; Phi_0],
+    read by T1.5/T3.5, the oracle's cross-check and simulate's boundary power.
+    """
+    Q = np.asarray(Q, dtype=complex)
+    n = Q.shape[0]
+    B = np.zeros((2 * n, 2 * n), dtype=complex)
+    B[:n, :n] = Q
+    B[n:, n:] = -Q
+    return B
 
 
 def split_boundary_operator(WB_hat, Q, tol: float = numlin.DEFAULT_TOL):
@@ -459,14 +473,9 @@ def _split(WB_hat, Q):
 
 
 def derive_boundary_operator(sys: PortHamiltonianSystem) -> BoundaryOperator:
-    """Q and (W1, W2) for a unit-interval system.
-
-    validate_system already decided that Q is invertible, with the same
-    tau_rank, so Q is not checked again here.
-    """
-    Q = build_q_for_system(sys)
-    W1, W2 = _split(sys.WB_hat, Q)
-    return BoundaryOperator(WB_hat=sys.WB_hat, Q=_freeze(Q), W1=_freeze(W1),
+    """sys.Q, already decided invertible, and (W1, W2) for a unit-interval system."""
+    W1, W2 = _split(sys.WB_hat, sys.Q)
+    return BoundaryOperator(WB_hat=sys.WB_hat, Q=sys.Q, W1=_freeze(W1),
                             W2=_freeze(W2))
 
 

@@ -11,11 +11,12 @@ from the matrix checkers:
   stack is integrated once per (order, width) per process and shared by
   every system (_oracle_gram); a system's M = sum_k S_k kron P_k is one
   broadcast product of that stack with P, equal entry for entry to
-  np.kron;
+  np.kron, and cross-checked against half of model.boundary_form(sys.Q);
 * simulate evolves first-order (N = 1) systems with an upwind
   finite-volume method in characteristic variables and records the
-  discrete energy <x, H x> together with boundary / interior power.  The
-  scheme and its ghost-trace boundary closure are linear in the state, so
+  discrete energy <x, H x>, the interior power and the boundary power
+  model.boundary_form(sys.Q) on the ghost traces.  The scheme and its
+  ghost-trace boundary closure are linear in the state, so
   _semidiscrete_operator assembles them once as a sparse matrix A_h from
   their d x d blocks (_block_csr), and a classical Runge-Kutta step with
   it is one fixed sparse matrix R (_rk4_matrix).  Stacked under the
@@ -50,7 +51,7 @@ from .errors import (
     ShapeError,
 )
 from .interval import kernel_energy_form
-from .model import HALF_LINE, UNIT_INTERVAL, PortHamiltonianSystem, build_q_for_system
+from .model import HALF_LINE, UNIT_INTERVAL, PortHamiltonianSystem, boundary_form
 
 # simulate's step limit.  Its per-step records take 24 + 32 d bytes a step
 # (56 MB at d = 1); every run of the tests and the benchmark takes fewer
@@ -292,15 +293,6 @@ def _oracle_gram(N: int, eps: float | None) -> np.ndarray:
     return S
 
 
-def _boundary_form(Q) -> np.ndarray:
-    """B with z^* B z = 0.5 (u^* Q u - v^* Q v) for traces z = [u; v]."""
-    n = Q.shape[0]
-    B = np.zeros((2 * n, 2 * n), dtype=Q.dtype)
-    B[:n, :n] = Q
-    B[n:, n:] = -Q
-    return 0.5 * B
-
-
 def _forms(M, Z) -> np.ndarray:
     """Re z^* M z for every column z of Z."""
     return np.real(np.sum(Z.conj() * (M @ Z), axis=0))
@@ -310,15 +302,21 @@ def boundary_form_value(sys: PortHamiltonianSystem, u, v,
                         x: SmoothFunction = None) -> float:
     """0.5 (u^* Q u - v^* Q v) + Re <P0 x, x> for trace targets (u, v).
 
-    This is the integrated-by-parts value of Re <A0 x, x>; the zeroth
-    order term needs the state itself, interpolated when not supplied.
+    This is the integrated-by-parts value of Re <A0 x, x>, half of
+    model.boundary_form on [u; v] plus the zeroth order term, which needs
+    the state itself, interpolated when not supplied.  A half-line system,
+    or a u or v without N*d entries, raises ShapeError.
     """
-    z = np.concatenate([np.asarray(u, dtype=complex).reshape(-1),
-                        np.asarray(v, dtype=complex).reshape(-1)])
-    bval = float(_forms(_boundary_form(build_q_for_system(sys)), z[:, None])[0])
+    if sys.interval != UNIT_INTERVAL:
+        raise ShapeError("boundary_form_value needs a unit_interval system")
+    u, v = (np.asarray(t, dtype=complex).reshape(-1) for t in (u, v))
+    if u.size != sys.nd or v.size != sys.nd:
+        raise ShapeError(f"u and v need N*d = {sys.nd} entries each, "
+                         f"got {u.size} and {v.size}")
+    bval = float(_forms(0.5 * boundary_form(sys.Q), np.concatenate([u, v])[:, None])[0])
     if np.any(np.abs(sys.P[0]) > 0):
         if x is None:
-            x = boundary_interpolant(z[:sys.nd], z[sys.nd:], d=sys.dim_d)
+            x = boundary_interpolant(u, v, d=sys.dim_d)
         S0 = _rayleigh_split(sys.order_N, x)[0]
         bval += float(np.real(np.sum(sys.P[0] * S0)))
     return bval
@@ -406,12 +404,11 @@ def dissipativity_oracle(sys: PortHamiltonianSystem, n_samples: int = 64,
         else:
             draws = rng.normal(size=(n_samples, r))
         # importance direction: trace vector maximizing the boundary form
-        Q = build_q_for_system(sys)
-        G = kernel_energy_form(K, Q)
+        G = kernel_energy_form(K, sys.Q)
         top = np.linalg.eigh(numlin.hermitian_part(G))[1][:, -1]
         Z = K @ np.vstack([draws, top]).T  # one trace vector per column
         scale = np.maximum(1.0, np.sum(np.abs(Z) ** 2, axis=0))
-        bform = _forms(_boundary_form(Q), Z)
+        bform = _forms(0.5 * boundary_form(sys.Q), Z)
         v, g = zip(*(family(eps, Z, bform, scale) for eps in widths))
         vals.append(np.column_stack(v).ravel())  # sample-major, width-minor
         diffs.append(np.column_stack(g).ravel())
@@ -435,7 +432,7 @@ def dissipativity_oracle(sys: PortHamiltonianSystem, n_samples: int = 64,
             witness = interior_probe(evecs[:, best - Z.shape[1] * len(widths)])
     return OracleReport(
         holds=bool(arr[best] <= ORACLE_TOL),
-        n_samples=n_samples,
+        n_samples=n_samples if r else 0,  # no kernel trace is drawn when r = 0
         kernel_dim=r,
         max_value=float(arr[best]),
         values=arr,
@@ -523,9 +520,9 @@ def _initial_state(x0, centers, d) -> np.ndarray:
 class _BoundaryClosure:
     """Ghost traces as one linear map of the first and last cells.
 
-    Unknown z = [w_hat(1); w_hat(0)] with the boundary rows plus one
-    characteristic extrapolation row per outgoing component at each end,
-    so [w_left; w_right] = G [w_first; w_last], solved once for all
+    Unknown z = [w_hat(1); w_hat(0)] (model.boundary_form's order) with the
+    boundary rows plus one characteristic extrapolation row per outgoing
+    component at each end, so z = G [w_first; w_last], solved once for all
     columns.  Unit interval: the boundary rows are WB_hat.  Half line: the
     truncation end takes the z = 1 slot with rows [[S[pos], 0], [0, WB_hat]],
     which set its incoming characteristics to zero (absorbing).
@@ -536,7 +533,6 @@ class _BoundaryClosure:
         self.pos = np.where(delta > 0)[0]  # moving left; outgoing at z=0
         self.neg = np.where(delta < 0)[0]  # moving right; outgoing at z=1
         d = S.shape[0]
-        self.d = d
         WB = np.asarray(sys.WB_hat, dtype=complex)
         k = WB.shape[0]
         need = d
@@ -565,17 +561,15 @@ class _BoundaryClosure:
                 "ghost-state system is singular: the boundary conditions "
                 "constrain outgoing characteristics inconsistently",
                 matrix=M)
-        Z = np.linalg.solve(M, R)
-        self.G = np.vstack([Z[d:], Z[:d]])  # z lists w_hat(1) first
+        self.G = np.linalg.solve(M, R)
 
     def traces(self, ends):
-        """(w_hat_left, w_hat_right) ghost traces from [w_first; w_last].
+        """Ghost traces [w_hat(1); w_hat(0)] from [w_first; w_last].
 
         ends stacks the first and last cells' values of w = Hx, (2d,) for
         one state or (2d, n) for n states, one product for all of them.
         """
-        g = self.G @ ends
-        return g[:self.d], g[self.d:]
+        return self.G @ ends
 
 
 def _block_csr(blocks, d: int, nx: int):
@@ -634,8 +628,8 @@ def _semidiscrete_operator(sys: PortHamiltonianSystem, nx: int, L: float = 10.0)
     ends = np.zeros((2 * d, 2 * d), dtype=complex)
     ends[:d, :d] = P1 @ Bn / h + P0
     ends[d:, d:] = P0 - P1 @ Bp / h
-    ends[:d] -= P1 @ closure.G[:d] / h
-    ends[d:] += P1 @ closure.G[d:] / h
+    ends[:d] -= P1 @ closure.G[d:] / h  # ghost trace w_hat(0) at cell 0
+    ends[d:] += P1 @ closure.G[:d] / h  # ghost trace w_hat(1) at cell nx-1
     cells = np.arange(nx)
     first, last = [0], [nx - 1]
     A_w = _block_csr([(-P1 @ Bn / h, cells[1:], cells[:-1]),
@@ -701,7 +695,8 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     artificial dissipation, noted on the trace).
 
     Records the discrete energy sum_c h x_c^* H_c x_c per step along with
-    the boundary port power 2 Re <f, e> and interior power 2 Re <P0 w, w>.
+    the boundary power, model.boundary_form(Q) on the ghost traces (the
+    port power 2 Re <f, e>), and interior power 2 Re <P0 w, w>.
     Each step is one sparse product with the stacked M = [Hb; P0b Hb; R]:
     y = M x_n holds w_n = Hb x_n, P0 w_n and the next state R x_n, so a
     step and the record of the state it starts from cost one product.
@@ -814,12 +809,9 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
             snap_idx += 1
     record(n_steps, x, product(x, buffers[n_steps % 2]))
 
-    # port power 2 Re <f, e> with f = Q (w_r - w_l) / sqrt2, e = (w_r + w_l) / sqrt2;
     # an overflowed run (max_violation = inf) yields inf and nan powers here
     with np.errstate(over="ignore", invalid="ignore"):
-        w_left, w_right = closure.traces(ends)
-        f = build_q_for_system(sys) @ (w_right - w_left)
-        bpow = np.real(np.sum(f.conj() * (w_right + w_left), axis=0))
+        bpow = _forms(boundary_form(sys.Q), closure.traces(ends))
     # an energy that overflowed bounds no step's rise
     violation = (float(max(0.0, np.max(np.diff(energies))))
                  if np.isfinite(energies).all() else np.inf)

@@ -12,7 +12,7 @@ from phwell import numlin, simulate, smooth_bump
 from phwell.corpus import CORPUS, build_wave, random_system
 from phwell.halfline import analyze_halfline, solve_resolvent_halfline, unit_decomposition
 from phwell.interval import CONTRACTION_FAMILY, analyze_interval, extract_v, sigma_form
-from phwell.model import UNIT_INTERVAL, build_q_for_system, split_boundary_operator
+from phwell.model import UNIT_INTERVAL, split_boundary_operator
 from phwell.simulator import dissipativity_oracle
 
 
@@ -70,7 +70,7 @@ def test_criterion_03_path_graph(capsys):
             assert v.consensus == "contraction"
             assert v.unitary is False
             assert not v.discrepancy
-            W1, W2 = split_boundary_operator(sys.WB_hat, build_q_for_system(sys))
+            W1, W2 = split_boundary_operator(sys.WB_hat, sys.Q)
             expected = np.zeros((d, d))
             expected[-1, -1] = 0.5
             assert np.max(np.abs(sigma_form(W1, W2) - expected)) <= 1e-12
@@ -85,7 +85,7 @@ def test_criterion_04_binary_tree(capsys):
             v = analyze_interval(sys)
             assert v.consensus == "contraction"
             assert not v.discrepancy
-            W1, W2 = split_boundary_operator(sys.WB_hat, build_q_for_system(sys))
+            W1, W2 = split_boundary_operator(sys.WB_hat, sys.Q)
             sf = sigma_form(W1, W2)
             block = sf[:interior, :interior]
             assert np.max(np.abs(block - 0.25 * np.eye(interior))) <= 1e-12

@@ -21,7 +21,7 @@ from phwell.corpus import (
     tree_coupling,
 )
 from phwell.interval import extract_v, sigma_form
-from phwell.model import build_q_for_system, split_boundary_operator
+from phwell.model import split_boundary_operator
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -35,14 +35,14 @@ def test_path_graph_structure():
 
 def test_path_graph_sigma_form_d2():
     sys = build_path_graph(2)
-    W1, W2 = split_boundary_operator(sys.WB_hat, build_q_for_system(sys))
+    W1, W2 = split_boundary_operator(sys.WB_hat, sys.Q)
     np.testing.assert_allclose(sigma_form(W1, W2),
                                0.5 * np.diag([0.0, 1.0]), atol=1e-14)
 
 
 def test_path_graph_v_is_shift():
     sys = build_path_graph(8)
-    W1, W2 = split_boundary_operator(sys.WB_hat, build_q_for_system(sys))
+    W1, W2 = split_boundary_operator(sys.WB_hat, sys.Q)
     ext = extract_v(W1, W2)
     np.testing.assert_allclose(ext.V, shift_matrix(8), atol=1e-13)
 
@@ -56,7 +56,7 @@ def test_tree_coupling_row_pattern():
 
 def test_binary_tree_sigma_form_quarter_identity():
     sys = build_binary_tree(2)  # d = 6
-    W1, W2 = split_boundary_operator(sys.WB_hat, build_q_for_system(sys))
+    W1, W2 = split_boundary_operator(sys.WB_hat, sys.Q)
     sf = sigma_form(W1, W2)
     np.testing.assert_allclose(sf, 0.25 * np.diag([1, 1, 2, 2, 2, 2]), atol=1e-14)
     # fully-interior rows carry exactly 1/4
@@ -65,7 +65,7 @@ def test_binary_tree_sigma_form_quarter_identity():
 
 def test_binary_tree_l3_interior_rows():
     sys = build_binary_tree(3)  # d = 14; edges 1..6 have both children present
-    W1, W2 = split_boundary_operator(sys.WB_hat, build_q_for_system(sys))
+    W1, W2 = split_boundary_operator(sys.WB_hat, sys.Q)
     sf = sigma_form(W1, W2)
     np.testing.assert_allclose(sf[:6, :6], 0.25 * np.eye(6), atol=1e-14)
 
@@ -157,10 +157,25 @@ def test_random_system_refuses_an_unknown_class():
     {"N": 0}, {"N": -1}, {"N": 1.5}, {"N": True}, {"d": 2.0},
     {"d": 0, "klass": HALFLINE}, {"N": 0, "klass": INTERVAL_RECT},
     {"N": 2, "klass": HALFLINE},  # formerly an N = 1 system
+    {"N": np.bool_(True)}, {"d": np.float64(2.0)},
 ])
 def test_random_system_refuses_bad_arguments(kwargs):
     with pytest.raises(ValueError, match="must be a positive int|have N = 1"):
         random_system(0, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, klass", [
+    ({"N": np.int64(2), "d": np.int32(3)}, INTERVAL_SQUARE),
+    ({"N": np.int64(1), "d": np.uint8(2)}, INTERVAL_RECT),
+    ({"N": np.int64(1), "d": np.int64(3)}, HALFLINE),
+])
+def test_random_system_takes_numpy_integers_as_ints(kwargs, klass):
+    got = random_system(7, klass=klass, **kwargs)
+    want = random_system(7, klass=klass, **{k: int(v) for k, v in kwargs.items()})
+    assert type(got.order_N) is int and type(got.dim_d) is int
+    assert (got.order_N, got.dim_d) == (want.order_N, want.dim_d)
+    assert np.array_equal(got.WB_hat, want.WB_hat)
+    assert all(np.array_equal(a, b) for a, b in zip(got.P, want.P))
 
 
 def test_random_systems_all_validate():
@@ -194,7 +209,7 @@ def test_draws_with_singular_q_are_redrawn(seed, klass):
     # these seeds first draw a tiny P_N whose Q fails the rank threshold;
     # validation now rejects them, so the draw is repeated
     sys = random_system(seed, klass=klass)
-    s = np.linalg.svd(build_q_for_system(sys), compute_uv=False)
+    s = np.linalg.svd(sys.Q, compute_uv=False)
     assert s[-1] >= sys.tol.tau_rank * s[0]
     assert not analyze(sys).discrepancy
 

@@ -12,9 +12,18 @@ from phwell import (
     numlin,
     split_boundary_operator,
     system_from_dict,
+    system_to_dict,
     validate_system,
 )
 from phwell.cli import main
+from phwell.corpus import (
+    CORPUS,
+    HALFLINE,
+    INTERVAL_RECT,
+    INTERVAL_SQUARE,
+    corpus_names,
+    random_system,
+)
 from phwell.errors import (
     HNotCoercive,
     PhwellError,
@@ -128,10 +137,36 @@ def test_validate_rejects_wrong_width():
     {"d": True, "P": [np.zeros((1, 1)), np.eye(1)], "H": np.eye(1),
      "WB_hat": np.array([[0.0, 1.0]])},  # was taken as d = 1
     {"d": 2.0},
+    {"N": np.bool_(True)},
+    {"d": np.float64(2.0)},
 ])
 def test_validate_requires_int_n_and_d(over):
     with pytest.raises(ShapeError, match="N and d must be positive integers"):
         validate_system(wave_raw(**over))
+
+
+@pytest.mark.parametrize("N, d", [(np.int64(1), 2), (1, np.int32(2)),
+                                  (np.uint8(1), np.int64(2))])
+def test_validate_stores_numpy_integer_n_and_d_as_int(N, d):
+    sys = validate_system(wave_raw(N=N, d=d))
+    assert type(sys.order_N) is int and type(sys.dim_d) is int
+    assert (sys.order_N, sys.dim_d) == (1, 2)
+    assert json.loads(json.dumps(system_to_dict(sys)))["N"] == 1
+
+
+def _q_systems():
+    yield from (CORPUS[name].system() for name in corpus_names())
+    for klass in (INTERVAL_SQUARE, INTERVAL_RECT, HALFLINE):
+        yield from (random_system(seed, klass=klass) for seed in range(50))
+
+
+def test_system_keeps_its_q_read_only_and_equal_to_build_q():
+    for sys in _q_systems():
+        assert not sys.Q.flags.writeable
+        assert sys.Q.dtype == complex
+        assert np.array_equal(sys.Q, build_q(sys.P[1:]))
+        with pytest.raises(ValueError):
+            sys.Q[0, 0] = 1.0
 
 
 def _with_entry(M, value):
@@ -404,14 +439,13 @@ def test_port_variables_opposite_traces():
 
 def test_q_is_decided_once(monkeypatch):
     import phwell.model as model_mod
-    from phwell.corpus import CORPUS
 
     sys = CORPUS["path_graph_d8"].system()
     calls = []
     real = model_mod._check_q
     monkeypatch.setattr(model_mod, "_check_q",
                         lambda *a, **kw: calls.append(a) or real(*a, **kw))
-    derive_boundary_operator(sys)
+    assert derive_boundary_operator(sys).Q is sys.Q
     assert calls == []  # validate_system already decided Q
     # a raw Q is still checked
     with pytest.raises(SingularQ):

@@ -23,7 +23,13 @@ from phwell.corpus import (
     build_wave,
 )
 from phwell.errors import BoundaryClosureSingular, CFLViolation, PhwellError, ShapeError
-from phwell.model import HALF_LINE, UNIT_INTERVAL
+from phwell.model import (
+    HALF_LINE,
+    UNIT_INTERVAL,
+    BoundaryTrace,
+    boundary_form,
+    port_variables,
+)
 from phwell.simulator import _block_csr, _rk4_matrix, _semidiscrete_operator
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,6 +76,31 @@ def test_damped_wave_monotone_energy():
     tr = simulate(sys, x0, t_final=1.0, nx=200, cfl=0.45)
     assert tr.max_violation == 0.0
     assert tr.energy[-1] < tr.energy[0]
+
+
+@pytest.mark.parametrize("name", ["wave_interval_damped", "wave_halfline_u05"])
+def test_boundary_power_is_the_boundary_form_on_the_ghost_traces(name):
+    # the end cells of every step's state, through the closure's ghost
+    # traces [w_hat(1); w_hat(0)], give the recorded power; it is also the
+    # port power 2 Re <f, e> of those traces
+    sys = CORPUS[name].system()
+    nx, d = 64, sys.dim_d
+    x0 = smooth_bump(0.5, 0.4, d)
+    tr = simulate(sys, x0, t_final=0.4, nx=nx, cfl=0.45)
+    tr = simulate(sys, x0, t_final=0.4, nx=nx, cfl=0.45, snapshot_times=tr.times)
+    closure = _semidiscrete_operator(sys, nx)[3]
+    H = sys.H.at(tr.cell_centers[[0, -1]])
+    ends = np.array([np.concatenate([H[0] @ x[:, 0], H[1] @ x[:, -1]])
+                     for _, x in tr.snapshots]).T
+    phi = closure.traces(ends)
+    want = np.real(np.sum(phi.conj() * (boundary_form(sys.Q) @ phi), axis=0))
+    scale = np.max(np.abs(tr.boundary_power))
+    assert scale > 0.0
+    np.testing.assert_allclose(tr.boundary_power, want, rtol=0, atol=1e-12 * scale)
+    for j in range(phi.shape[1]):
+        pv = port_variables(BoundaryTrace(phi1=phi[:d, j], phi0=phi[d:, j]), sys.Q)
+        port = 2.0 * np.vdot(pv.f_boundary, pv.e_boundary).real
+        assert abs(port - tr.boundary_power[j]) <= 1e-12 * scale
 
 
 def test_energy_rate_identity_refines():
@@ -369,8 +400,8 @@ def _kron_operator(sys, nx, L=10.0):
     ends = np.zeros((2 * d, 2 * d), dtype=complex)
     ends[:d, :d] = P1 @ Bn / h + P0
     ends[d:, d:] = P0 - P1 @ Bp / h
-    ends[:d] -= P1 @ closure.G[:d] / h
-    ends[d:] += P1 @ closure.G[d:] / h
+    ends[:d] -= P1 @ closure.G[d:] / h  # G's rows are [w_hat(1); w_hat(0)]
+    ends[d:] += P1 @ closure.G[:d] / h
     idx = np.concatenate([np.arange(d), (nx - 1) * d + np.arange(d)])
     rows, cols = np.meshgrid(idx, idx, indexing="ij")
     interior = sparse.coo_array(

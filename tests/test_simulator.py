@@ -5,14 +5,13 @@ import pytest
 
 from phwell import HamiltonianDensity, numlin, validate_system
 from phwell.corpus import CORPUS, build_transport, build_wave, random_system
-from phwell.errors import PhwellError
+from phwell.errors import PhwellError, ShapeError
 from phwell.interval import analyze_interval, kernel_energy_form
-from phwell.model import UNIT_INTERVAL, build_q_for_system
+from phwell.model import UNIT_INTERVAL, boundary_form, build_q
 from phwell.simulator import (
     ORACLE_LAYER_WIDTHS,
     ORACLE_TOL,
     SmoothFunction,
-    _boundary_form,
     _cutoff_derivs,
     _cutoff_junctions,
     _forms,
@@ -187,6 +186,33 @@ def test_oracle_vacuous_for_trivial_kernel():
     assert rep.holds
 
 
+@pytest.mark.parametrize("WB, P0, drawn", [
+    (np.eye(2), None, 0),
+    (np.eye(2), -np.eye(1), 0),  # interior bumps only: still no kernel trace
+    (np.array([[1.0, 0.0]]), -np.eye(1), 8),
+], ids=["trivial kernel, P0 = 0", "trivial kernel, P0 != 0", "kernel dim 1"])
+def test_oracle_reports_the_kernel_traces_it_drew(WB, P0, drawn):
+    sys = make_system(1, 1, [np.eye(1)], WB, P0=P0)
+    rep = dissipativity_oracle(sys, n_samples=8, seed=0)
+    assert rep.n_samples == drawn
+    assert rep.kernel_dim == (drawn > 0)
+
+
+def test_boundary_form_value_refuses_a_half_line_system():
+    sys = CORPUS["wave_halfline_u05"].system()
+    with pytest.raises(ShapeError, match="unit_interval"):
+        boundary_form_value(sys, [1.0, 0.0], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("u, v", [([1.0, 0.0, 2.0], [0.0, 1.0]),
+                                  ([1.0, 0.0], [1.0]),
+                                  ([1.0, 0.0, 2.0], [0.0])],
+                         ids=["u long", "v short", "u long, v short"])
+def test_boundary_form_value_refuses_traces_of_the_wrong_length(u, v):
+    with pytest.raises(ShapeError, match="N\\*d = 2 entries each"):
+        boundary_form_value(build_wave("unit_interval", 0.7), u, v)
+
+
 def test_oracle_matches_kernel_condition_with_p0():
     rng = np.random.default_rng(21)
     for i in range(8):
@@ -226,11 +252,11 @@ def kron_oracle_reference(sys, n_samples, seed):
             draws = D[:, 0] + 1j * D[:, 1]
         else:
             draws = rng.normal(size=(n_samples, r))
-        Q = build_q_for_system(sys)
+        Q = build_q(sys.P[1:])
         G = numlin.hermitian_part(kernel_energy_form(K, Q))
         Z = K @ np.vstack([draws, np.linalg.eigh(G)[1][:, -1]]).T
         scale = np.maximum(1.0, np.sum(np.abs(Z) ** 2, axis=0))
-        bform = _forms(_boundary_form(Q), Z)
+        bform = _forms(0.5 * boundary_form(Q), Z)
         v, g = zip(*(family(eps, Z, bform, scale) for eps in widths))
         vals.append(np.column_stack(v).ravel())
         diffs.append(np.column_stack(g).ravel())
