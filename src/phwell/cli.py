@@ -4,7 +4,8 @@ Subcommands: analyze, simulate, oracle, corpus, sweep.  Exit codes:
 0 success, 1 usage error, 2 validation/parse error, 3 discrepancy
 detected (two provably equivalent conditions disagreed numerically, a
 corpus entry missed its recorded verdict, the oracle contradicted T1.5
-or its own boundary-form cross-check, or a simulation of a system that
+(unit interval) or TA.3 (half line) or its own boundary-form
+cross-check, or a simulation of a system that
 analyze calls a contraction gained energy beyond its allowance -- all
 bug signals).
 """
@@ -18,7 +19,7 @@ import sys as _sys
 
 import numpy as np
 
-from . import analyze
+from . import HALF_LINE, analyze
 from . import corpus as corpus_mod
 from .config import parse_config, verdict_to_json
 from .errors import PhwellError
@@ -99,17 +100,17 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     system = parse_config(args.config)
-    report = dissipativity_oracle(system, n_samples=args.samples, seed=args.seed)
+    report = dissipativity_oracle(system)
     doc = {
         "holds": report.holds,
         "vacuous": report.vacuous,
-        "n_samples": report.n_samples,
         "kernel_dim": report.kernel_dim,
         "max_value": report.max_value,
         "cross_check_max_diff": report.cross_check_max_diff,
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
-    contradicts = report.holds != analyze(system)["T1.5"].holds
+    reference = "TA.3" if system.interval == HALF_LINE else "T1.5"
+    contradicts = report.holds != analyze(system)[reference].holds
     if contradicts or report.cross_check_max_diff > ORACLE_CROSS_CHECK_LIMIT:
         return EXIT_DISCREPANCY
     return EXIT_OK
@@ -188,8 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser("oracle", help="quadrature dissipativity oracle")
     po.add_argument("config")
-    po.add_argument("--samples", type=int, default=64)
-    po.add_argument("--seed", type=int, default=0)
     po.set_defaults(func=_cmd_oracle)
 
     pc = sub.add_parser("corpus", help="list or run the built-in examples")

@@ -1,5 +1,7 @@
 import dataclasses
+import types
 from pathlib import Path
+from sys import modules
 
 import numpy as np
 import pytest
@@ -632,6 +634,45 @@ def test_the_kernel_steps_equal_public_products(build, x0):
     assert _same_bits(tr.energy, energy)
     assert _same_bits(tr.interior_power, ipow)
     assert _same_bits(tr.final_state, xs[-1].reshape(nx, d).T.astype(complex))
+
+
+@pytest.mark.parametrize("hidden", [None, types.ModuleType("scipy.sparse._sparsetools")],
+                         ids=["no kernel module", "no kernel name"])
+@pytest.mark.parametrize("build, x0", [
+    (CORPUS["wave_interval_damped"].system, smooth_bump(0.5, 0.25, 2)),
+    (_complex_p0_wave, smooth_bump(0.5, 0.25, 2)),
+    (CORPUS["wave_interval_damped"].system, _wave_complex_start()),
+], ids=["real", "complex_p0", "complex_start"])
+def test_a_scipy_without_the_kernel_name_steps_with_public_products(build, x0, hidden,
+                                                                    monkeypatch):
+    # a None entry in sys.modules fails the import of the kernel's module,
+    # an empty module fails the import of its name; either way simulate
+    # steps with M @ x, whose scipy code keeps its own module binding, and
+    # every field of the trace equals the kernel path's bit for bit
+    sys = build()
+    kwargs = {"t_final": 0.2, "nx": 48, "cfl": 0.45, "snapshot_times": [0.0, 0.1]}
+    want = simulate(sys, x0, **kwargs)
+    products = []
+    matmul = sparse.csr_array.__matmul__
+
+    def counting(self, other):
+        if isinstance(other, np.ndarray):
+            products.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setitem(modules, "scipy.sparse._sparsetools", hidden)
+    monkeypatch.setattr(sparse.csr_array, "__matmul__", counting)
+    got = simulate(sys, x0, **kwargs)
+    assert len(products) == got.times.size  # one product per step and the last record
+    for field in dataclasses.fields(want):
+        a, b = getattr(want, field.name), getattr(got, field.name)
+        if field.name == "snapshots":
+            assert [t for t, _ in a] == [t for t, _ in b]
+            assert all(_same_bits(x, y) for (_, x), (_, y) in zip(a, b))
+        elif field.name == "notes":
+            assert a == b
+        else:
+            assert _same_bits(a, b), field.name
 
 
 @pytest.mark.parametrize("build", [CORPUS["wave_interval_damped"].system, _complex_p0_wave],

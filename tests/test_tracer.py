@@ -12,7 +12,7 @@ import numpy as np
 from phwell import cli, simulator
 from phwell.corpus import CORPUS, random_system
 from phwell.halfline import solve_resolvent_halfline, unit_decomposition
-from phwell.simulator import dissipativity_oracle
+from phwell.simulator import ORACLE_WITNESS_WIDTHS, dissipativity_oracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -26,14 +26,19 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     try:
         tracer_mod.install(tracer)
         assert tracer.patched()
-        dissipativity_oracle(random_system(0, N=3, klass="interval_square"),
-                             n_samples=4, seed=0)
-        # one quadrature per layer width (3 at most) plus one for the bumps
+        system = random_system(0, N=3, klass="interval_square")
+        rep = dissipativity_oracle(system)
+        # one quadrature for the boundary stack, one for the bump stack
+        # (P0 != 0), and one per witness width tried past the first, whose
+        # stack is the boundary one
+        width = rep.witness.narrowest_transition()
+        tried = 1 + next(i for i, eps in enumerate(ORACLE_WITNESS_WIDTHS)
+                         if abs(eps - width) <= 1e-12)
         misses = tracer.aggregate()["simulator._rayleigh_split"].calls
-        assert 1 <= misses <= 4
+        assert system.P[0].any()
+        assert misses == 2 + (tried - 1)
         # another system of the same order reuses every Gram stack
-        dissipativity_oracle(random_system(1, N=3, klass="interval_square"),
-                             n_samples=4, seed=0)
+        dissipativity_oracle(random_system(1, N=3, klass="interval_square"))
     finally:
         tracer.uninstall()
     assert tracer_mod.leftover_wrappers() == []

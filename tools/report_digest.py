@@ -3,8 +3,7 @@
 The pool: `analyze --json` reports (each system written to a JSON config
 and parsed back, as `phwell analyze` reads it) for the corpus and seeds
 0..S-1 of the three random classes, plus `dissipativity_oracle` outputs on
-the unit-interval corpus entries and `random_system(seed, N=1)` for seeds
-0..O-1.  Run it once per source tree and compare the two files; a change
+every corpus entry and `random_system(seed, N=1)` for seeds 0..O-1.  Run it once per source tree and compare the two files; a change
 that must not move a report leaves them byte-identical.
 
     PYTHONPATH=<tree>/src python tools/report_digest.py OUT.json [--seeds S] [--oracle-seeds O]
@@ -23,7 +22,6 @@ import tempfile
 import numpy as np
 
 from phwell import analyze, config, corpus
-from phwell.model import UNIT_INTERVAL
 from phwell.simulator import dissipativity_oracle
 
 CLASSES = ("interval_square", "interval_rect", "halfline")
@@ -39,9 +37,11 @@ def _round_trip(system, tmp: str):
 
 def _oracle(system) -> str:
     r = dissipativity_oracle(system)
-    values = hashlib.sha256(np.ascontiguousarray(r.values).tobytes()).hexdigest()
-    return repr((r.holds, r.n_samples, r.kernel_dim, r.max_value,
-                 r.cross_check_max_diff, r.witness is None, values))
+    witness = None
+    if r.witness is not None:  # each term's cutoff, and its coefficients' bytes hashed
+        witness = [(kind, hashlib.sha256(np.ascontiguousarray(c).tobytes()).hexdigest())
+                   for kind, c, _ in r.witness.terms]
+    return repr((r.holds, r.kernel_dim, r.max_value, r.cross_check_max_diff, witness))
 
 
 def digest(seeds: int, oracle_seeds: int) -> dict:
@@ -55,9 +55,7 @@ def digest(seeds: int, oracle_seeds: int) -> dict:
                 system = _round_trip(corpus.random_system(seed, klass=klass), tmp)
                 out[f"{klass}/{seed}"] = config.verdict_to_json(analyze(system))
     for name in corpus.corpus_names():
-        system = corpus.CORPUS[name].system()
-        if system.interval == UNIT_INTERVAL:
-            out[f"oracle/{name}"] = _oracle(system)
+        out[f"oracle/{name}"] = _oracle(corpus.CORPUS[name].system())
     for seed in range(oracle_seeds):
         out[f"oracle/seed{seed}"] = _oracle(
             corpus.random_system(seed, N=1, klass="interval_square"))
