@@ -39,7 +39,7 @@ from .model import (
     PortHamiltonianSystem,
     Tolerances,
     build_q,
-    split_boundary_operator,
+    derive_boundary_operator,
     validate_system,
 )
 from .simulator import (
@@ -70,6 +70,7 @@ __all__ = [
     "boundary_interpolant",
     "build_q",
     "decompose_P1",
+    "derive_boundary_operator",
     "dissipativity_oracle",
     "extract_v",
     "factorize_boundary",
@@ -78,7 +79,6 @@ __all__ = [
     "simulate",
     "smooth_bump",
     "solve_resolvent_halfline",
-    "split_boundary_operator",
     "system_from_dict",
     "system_to_dict",
     "validate_system",

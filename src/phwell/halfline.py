@@ -276,8 +276,7 @@ def analyze_halfline(sys: PortHamiltonianSystem) -> Verdict:
             f"to {alg.k} with the same kernel")
     ta3, ta4 = _contraction_conditions(alg)
     ta23, ta24 = _unitary_conditions(alg)
-    consensus, unitary, discrepancy = decide(
-        [ta3, ta4], [ta23, ta24], ta3, ta23, ta4.applicable, ta24.applicable)
+    consensus, unitary, discrepancy = decide([ta3, ta4], [ta23, ta24])
     return Verdict((ta3, ta4, ta23, ta24), consensus, unitary, discrepancy,
                    tuple(warnings))
 

@@ -9,7 +9,8 @@ positive definite with uniform bounds.  Everything is stored in complex
 arithmetic; real-field systems are embedded (verdicts are field independent).
 
 Boundary traces are stacked z=1 block first, Phi = [Phi_1; Phi_0], the
-order of the energy form boundary_form(Q) on them.
+order of the energy form boundary_form(Q) on them.  validate_system decides
+Q invertible; derive_boundary_operator is the one split of WB_hat.
 """
 
 from __future__ import annotations
@@ -203,22 +204,6 @@ class PortHamiltonianSystem:
 
     def re_P0(self) -> np.ndarray:
         return numlin.hermitian_part(self.P0)
-
-
-@dataclass(frozen=True)
-class BoundaryTrace:
-    """Traces of x and its derivatives up to order N-1; z=1 block first."""
-
-    phi1: np.ndarray  # (N*d,)
-    phi0: np.ndarray  # (N*d,)
-
-
-@dataclass(frozen=True)
-class PortVariables:
-    """Boundary flow / effort pair (f, e) = (1/sqrt2) [Q -Q; I I] Phi."""
-
-    f_boundary: np.ndarray
-    e_boundary: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -440,48 +425,29 @@ def boundary_form(Q) -> np.ndarray:
     return B
 
 
-def split_boundary_operator(WB_hat, Q, tol: float = numlin.DEFAULT_TOL):
-    """Split WB_hat into (W1, W2) with [W1 W2] = WB_hat [Q -Q; I I]^{-1}.
-
-    Using the closed-form inverse 0.5 [Q^{-1} I; -Q^{-1} I] this is
-    W1 = 0.5 (Wh1 - Wh2) Q^{-1} and W2 = 0.5 (Wh1 + Wh2) for
-    WB_hat = [Wh1 Wh2].  Reconstruction [W1 W2][Q -Q; I I] = WB_hat holds
-    by construction.  Raises SingularQ for a numerically singular Q, which
-    validate_system already rules out for validated systems.  An omitted
-    tol is numlin.DEFAULT_TOL, as for every algebra primitive; PHWELL_TOL
-    sets Tolerances, not this default.
-    """
-    WB_hat = np.asarray(WB_hat, dtype=complex)
-    Q = np.asarray(Q, dtype=complex)
-    n = Q.shape[0]
-    if WB_hat.shape[1] != 2 * n:
-        raise ShapeError(
-            f"WB_hat width {WB_hat.shape[1]} does not match 2*{n}", path="WB_hat"
-        )
-    _check_q(Q, tol)
-    return _split(WB_hat, Q)
-
-
-def _split(WB_hat, Q):
-    """(W1, W2) of split_boundary_operator for a Q already known invertible."""
-    n = Q.shape[0]
-    Wh1, Wh2 = WB_hat[:, :n], WB_hat[:, n:]
-    Qi = np.linalg.inv(Q)
-    W1 = 0.5 * (Wh1 - Wh2) @ Qi
-    W2 = 0.5 * (Wh1 + Wh2)
-    return W1, W2
-
-
 def derive_boundary_operator(sys: PortHamiltonianSystem) -> BoundaryOperator:
-    """sys.Q, already decided invertible, and (W1, W2) for a unit-interval system."""
-    W1, W2 = _split(sys.WB_hat, sys.Q)
+    """sys.Q and the split [W1 W2] = WB_hat [Q -Q; I I]^{-1} of a unit-interval system.
+
+    By the closed-form inverse 0.5 [Q^{-1} I; -Q^{-1} I], W1 = 0.5 (Wh1 - Wh2) Q^{-1}
+    and W2 = 0.5 (Wh1 + Wh2) for WB_hat = [Wh1 Wh2], so [W1 W2][Q -Q; I I] =
+    WB_hat by construction.  validate_system decided Q invertible; nothing here does.
+    """
+    if sys.interval != UNIT_INTERVAL:
+        raise ShapeError("derive_boundary_operator needs a unit_interval system")
+    n = sys.nd
+    Wh1, Wh2 = sys.WB_hat[:, :n], sys.WB_hat[:, n:]
+    W1 = 0.5 * (Wh1 - Wh2) @ np.linalg.inv(sys.Q)
+    W2 = 0.5 * (Wh1 + Wh2)
     return BoundaryOperator(WB_hat=sys.WB_hat, Q=sys.Q, W1=_freeze(W1),
                             W2=_freeze(W2))
 
 
-def port_variables(trace: BoundaryTrace, Q) -> PortVariables:
-    """f = (1/sqrt2) Q (Phi_1 - Phi_0), e = (1/sqrt2) (Phi_1 + Phi_0)."""
+def port_variables(phi1, phi0, Q):
+    """Flow and effort (f, e) = (1/sqrt2) [Q -Q; I I] [phi1; phi0] of the traces.
+
+    phi1, phi0: x and its derivatives up to order N-1 at z = 1 and z = 0.
+    """
     Q = np.asarray(Q, dtype=complex)
-    f = Q @ (trace.phi1 - trace.phi0) / np.sqrt(2.0)
-    e = (trace.phi1 + trace.phi0) / np.sqrt(2.0)
-    return PortVariables(f_boundary=_freeze(f), e_boundary=_freeze(e))
+    f = Q @ (phi1 - phi0) / np.sqrt(2.0)
+    e = (phi1 + phi0) / np.sqrt(2.0)
+    return f, e

@@ -258,10 +258,12 @@ def quadrature_rayleigh(sys: PortHamiltonianSystem, x: SmoothFunction) -> float:
     Derivatives of x are analytic; the quadrature is composite
     Gauss-Legendre split at the cutoff plateau junctions.  The Hamiltonian
     density plays no role here (the value concerns the unweighted
-    generator).
+    generator).  A half-line state needs zero traces at z = 1 (ShapeError
+    otherwise); it extends by zero, so its [0, 1] value is the half-line one.
     """
-    if sys.interval != UNIT_INTERVAL:
-        raise ShapeError("quadrature_rayleigh needs a unit_interval system")
+    if sys.interval == HALF_LINE and x.derivatives([1.0], sys.order_N - 1).any():
+        raise ShapeError("a half-line state needs zero traces at z = 1, so that it "
+                         "extends by zero")
     S = _rayleigh_split(sys.order_N, x)
     return float(np.real(np.sum(np.asarray(sys.P) * S)))
 
@@ -315,15 +317,17 @@ def boundary_form_value(sys: PortHamiltonianSystem, u, v,
 
     This is the integrated-by-parts value of Re <A0 x, x>, half of
     model.boundary_form on [u; v] plus the zeroth order term, which needs
-    the state itself, interpolated when not supplied.  A half-line system,
-    or a u or v without N*d entries, raises ShapeError.
+    the state itself, interpolated when not supplied.  A half-line system
+    needs u = 0, a state that extends by zero past z = 1.  A u or v without
+    N*d entries, or a nonzero u on the half line, raises ShapeError.
     """
-    if sys.interval != UNIT_INTERVAL:
-        raise ShapeError("boundary_form_value needs a unit_interval system")
     u, v = (np.asarray(t, dtype=complex).reshape(-1) for t in (u, v))
     if u.size != sys.nd or v.size != sys.nd:
         raise ShapeError(f"u and v need N*d = {sys.nd} entries each, "
                          f"got {u.size} and {v.size}")
+    if sys.interval == HALF_LINE and u.any():
+        raise ShapeError("a half-line system needs u = 0, the traces at z = 1 of a "
+                         "state that extends by zero")
     bval = float(_forms(0.5 * boundary_form(sys.Q), np.concatenate([u, v])[:, None])[0])
     if np.any(np.abs(sys.P[0]) > 0):
         if x is None:

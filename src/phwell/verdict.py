@@ -71,31 +71,32 @@ def family_outcome(results):
     return None, True
 
 
-def decide(contraction, unitary, contraction_kernel, unitary_kernel,
-           contraction_certified: bool, unitary_certified: bool):
+def decide(contraction, unitary):
     """(consensus, unitary, discrepancy) from the two equivalence families.
 
-    The one verdict rule of both checkers.  A family that certifies
-    generation decides by the agreement of its applicable members; one
-    that does not leaves the decision to its kernel test, which can show
-    dissipativity (dissipative_only) or refute unitarity, never certify
-    it.  A unitary certificate without contraction is a bug signal: it
-    sets the discrepancy flag and unitary becomes None.  Once contraction
-    is refuted, a certifying unitary family answers False.
+    The one verdict rule of both checkers.  A family, its kernel test
+    first, certifies generation when another member applies, and decides by
+    the agreement of its applicable members; else its kernel test decides:
+    it can show dissipativity (dissipative_only) or refute unitarity, never
+    certify it.  A unitary certificate without contraction is a bug signal:
+    it sets the discrepancy flag and unitary becomes None.  Once
+    contraction is refuted, a certifying unitary family answers False.
     """
     c_value, disc_c = family_outcome(contraction)
     u_value, disc_u = family_outcome(unitary)
     discrepancy = disc_c or disc_u
-    if contraction_certified:
+    c_certified, u_certified = (any(r.applicable for r in f[1:])
+                                for f in (contraction, unitary))
+    if c_certified:
         consensus = {True: CONTRACTION, False: NOT_CONTRACTION,
                      None: UNDETERMINED}[c_value]
     else:
-        consensus = DISSIPATIVE_ONLY if contraction_kernel.holds else NOT_CONTRACTION
-    if not unitary_certified:
-        u_value = None if unitary_kernel.holds else False
+        consensus = DISSIPATIVE_ONLY if contraction[0].holds else NOT_CONTRACTION
+    if not u_certified:
+        u_value = None if unitary[0].holds else False
     if u_value is True and consensus != CONTRACTION:
         discrepancy = True
         u_value = None
-    if unitary_certified and consensus == NOT_CONTRACTION and u_value is None:
+    if u_certified and consensus == NOT_CONTRACTION and u_value is None:
         u_value = False
     return consensus, u_value, discrepancy

@@ -12,7 +12,7 @@ from phwell import numlin, simulate, smooth_bump
 from phwell.corpus import CORPUS, build_wave, random_system
 from phwell.halfline import analyze_halfline, solve_resolvent_halfline, unit_decomposition
 from phwell.interval import CONTRACTION_FAMILY, analyze_interval, extract_v, sigma_form
-from phwell.model import UNIT_INTERVAL, split_boundary_operator
+from phwell.model import UNIT_INTERVAL, derive_boundary_operator
 from phwell.simulator import dissipativity_oracle
 
 
@@ -70,10 +70,10 @@ def test_criterion_03_path_graph(capsys):
             assert v.consensus == "contraction"
             assert v.unitary is False
             assert not v.discrepancy
-            W1, W2 = split_boundary_operator(sys.WB_hat, sys.Q)
+            bop = derive_boundary_operator(sys)
             expected = np.zeros((d, d))
             expected[-1, -1] = 0.5
-            assert np.max(np.abs(sigma_form(W1, W2) - expected)) <= 1e-12
+            assert np.max(np.abs(sigma_form(bop.W1, bop.W2) - expected)) <= 1e-12
 
 
 def test_criterion_04_binary_tree(capsys):
@@ -85,8 +85,8 @@ def test_criterion_04_binary_tree(capsys):
             v = analyze_interval(sys)
             assert v.consensus == "contraction"
             assert not v.discrepancy
-            W1, W2 = split_boundary_operator(sys.WB_hat, sys.Q)
-            sf = sigma_form(W1, W2)
+            bop = derive_boundary_operator(sys)
+            sf = sigma_form(bop.W1, bop.W2)
             block = sf[:interior, :interior]
             assert np.max(np.abs(block - 0.25 * np.eye(interior))) <= 1e-12
 

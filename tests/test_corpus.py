@@ -21,7 +21,7 @@ from phwell.corpus import (
     tree_coupling,
 )
 from phwell.interval import extract_v, sigma_form
-from phwell.model import split_boundary_operator
+from phwell.model import derive_boundary_operator
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -35,15 +35,15 @@ def test_path_graph_structure():
 
 def test_path_graph_sigma_form_d2():
     sys = build_path_graph(2)
-    W1, W2 = split_boundary_operator(sys.WB_hat, sys.Q)
-    np.testing.assert_allclose(sigma_form(W1, W2),
+    bop = derive_boundary_operator(sys)
+    np.testing.assert_allclose(sigma_form(bop.W1, bop.W2),
                                0.5 * np.diag([0.0, 1.0]), atol=1e-14)
 
 
 def test_path_graph_v_is_shift():
     sys = build_path_graph(8)
-    W1, W2 = split_boundary_operator(sys.WB_hat, sys.Q)
-    ext = extract_v(W1, W2)
+    bop = derive_boundary_operator(sys)
+    ext = extract_v(bop.W1, bop.W2)
     np.testing.assert_allclose(ext.V, shift_matrix(8), atol=1e-13)
 
 
@@ -56,8 +56,8 @@ def test_tree_coupling_row_pattern():
 
 def test_binary_tree_sigma_form_quarter_identity():
     sys = build_binary_tree(2)  # d = 6
-    W1, W2 = split_boundary_operator(sys.WB_hat, sys.Q)
-    sf = sigma_form(W1, W2)
+    bop = derive_boundary_operator(sys)
+    sf = sigma_form(bop.W1, bop.W2)
     np.testing.assert_allclose(sf, 0.25 * np.diag([1, 1, 2, 2, 2, 2]), atol=1e-14)
     # fully-interior rows carry exactly 1/4
     np.testing.assert_allclose(sf[:2, :2], 0.25 * np.eye(2), atol=1e-14)
@@ -65,8 +65,8 @@ def test_binary_tree_sigma_form_quarter_identity():
 
 def test_binary_tree_l3_interior_rows():
     sys = build_binary_tree(3)  # d = 14; edges 1..6 have both children present
-    W1, W2 = split_boundary_operator(sys.WB_hat, sys.Q)
-    sf = sigma_form(W1, W2)
+    bop = derive_boundary_operator(sys)
+    sf = sigma_form(bop.W1, bop.W2)
     np.testing.assert_allclose(sf[:6, :6], 0.25 * np.eye(6), atol=1e-14)
 
 

@@ -18,7 +18,7 @@ from phwell.interval import (
     range_containment,
     sigma_form,
 )
-from phwell.model import BoundaryOperator, split_boundary_operator
+from phwell.model import BoundaryOperator
 
 NO_P0 = np.zeros((1, 1))
 TOL = Tolerances(check=numlin.DEFAULT_TOL)
@@ -32,9 +32,21 @@ def algebra_from_split(W1, W2, re_P0=NO_P0):
     return BoundaryAlgebra.of(bop, re_P0, TOL)
 
 
+def split(WB_hat, Q):
+    """Reference (W1, W2) with [W1 W2] [Q -Q; I I] = WB_hat, Q invertible.
+
+    The closed form of model.derive_boundary_operator, kept here so the
+    checks can take a raw (WB_hat, Q) pair.
+    """
+    WB_hat = np.asarray(WB_hat, dtype=complex)
+    n = np.shape(Q)[0]
+    Wh1, Wh2 = WB_hat[:, :n], WB_hat[:, n:]
+    return 0.5 * (Wh1 - Wh2) @ np.linalg.inv(Q), 0.5 * (Wh1 + Wh2)
+
+
 def algebra(WB_hat, Q, re_P0=NO_P0):
     """Condition inputs for a raw boundary operator and Q."""
-    W1, W2 = split_boundary_operator(WB_hat, Q)
+    W1, W2 = split(WB_hat, Q)
     bop = BoundaryOperator(np.asarray(WB_hat, dtype=complex), np.asarray(Q, dtype=complex),
                            W1, W2)
     return BoundaryAlgebra.of(bop, re_P0, TOL)
@@ -173,7 +185,7 @@ def test_surjective_psd_cases():
     assert check_surjective_psd(algebra(sys.WB_hat, np.eye(d))).holds
     # counterexample truncation: surjectivity holds but PSD fails
     WBc = np.hstack([-L, -np.eye(d)])
-    W1c, W2c = split_boundary_operator(WBc, np.eye(d))
+    W1c, W2c = split(WBc, np.eye(d))
     np.testing.assert_allclose(W1c, 0.5 * (np.eye(d) - L), atol=1e-14)
     np.testing.assert_allclose(W2c, -0.5 * (np.eye(d) + L), atol=1e-14)
     res = check_surjective_psd(algebra(WBc, np.eye(d)))

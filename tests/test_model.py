@@ -8,9 +8,9 @@ from phwell import (
     HamiltonianDensity,
     Tolerances,
     build_q,
+    derive_boundary_operator,
     extract_v,
     numlin,
-    split_boundary_operator,
     system_from_dict,
     system_to_dict,
     validate_system,
@@ -40,7 +40,7 @@ from phwell.halfline import (
     factorize_boundary,
     unit_decomposition,
 )
-from phwell.model import BoundaryTrace, derive_boundary_operator, port_variables
+from phwell.model import port_variables
 from phwell.simulator import boundary_interpolant
 
 
@@ -364,10 +364,21 @@ def shift(d):
     return L
 
 
+def split(WB, Q):
+    """(W1, W2) of derive_boundary_operator for the N = 1 system with P1 = Q."""
+    n = Q.shape[0]
+    sys = validate_system(wave_raw(field="complex", d=n, P=[np.zeros((n, n)), Q],
+                                   H=HamiltonianDensity.constant(np.eye(n)),
+                                   WB_hat=WB))
+    assert np.array_equal(sys.Q, Q)
+    bop = derive_boundary_operator(sys)
+    return bop.W1, bop.W2
+
+
 def test_split_path_graph():
     d = 6
     L = shift(d)
-    W1, W2 = split_boundary_operator(np.hstack([np.eye(d), -L]), np.eye(d))
+    W1, W2 = split(np.hstack([np.eye(d), -L]), np.eye(d))
     np.testing.assert_allclose(W1, 0.5 * (np.eye(d) + L), atol=1e-14)
     np.testing.assert_allclose(W2, 0.5 * (np.eye(d) - L), atol=1e-14)
 
@@ -375,7 +386,7 @@ def test_split_path_graph():
 def test_split_q_minus_q_row():
     Q = np.array([[2.0, 1.0], [1.0, 3.0]])
     WB = np.hstack([Q, -Q])
-    W1, W2 = split_boundary_operator(WB, Q)
+    W1, W2 = split(WB, Q)
     np.testing.assert_allclose(W1, np.eye(2), atol=1e-13)
     np.testing.assert_allclose(W2, np.zeros((2, 2)), atol=1e-13)
 
@@ -384,7 +395,7 @@ def test_split_pure_effort_row():
     # WB_hat = [0 I]: W1 = -Q^{-1}/2, W2 = I/2 (verified by reconstruction)
     Q = np.array([[2.0, 1.0], [1.0, 3.0]])
     WB = np.hstack([np.zeros((2, 2)), np.eye(2)])
-    W1, W2 = split_boundary_operator(WB, Q)
+    W1, W2 = split(WB, Q)
     np.testing.assert_allclose(W1, -0.5 * np.linalg.inv(Q), atol=1e-13)
     np.testing.assert_allclose(W2, 0.5 * np.eye(2), atol=1e-13)
 
@@ -397,7 +408,7 @@ def test_split_reconstruction_random():
         A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         Q = A + A.conj().T + 3.0 * np.eye(n)
         WB = rng.normal(size=(k, 2 * n)) + 1j * rng.normal(size=(k, 2 * n))
-        W1, W2 = split_boundary_operator(WB, Q)
+        W1, W2 = split(WB, Q)
         recon = np.hstack([W1 @ Q + W2, -W1 @ Q + W2])
         assert np.linalg.norm(recon - WB, 2) <= 1e-10 * np.linalg.norm(WB, 2)
 
@@ -417,24 +428,23 @@ def test_boundary_trace_of_interpolant_is_exact():
 
 def test_port_variables_equal_traces():
     v = np.array([1.0, 2.0])
-    pv = port_variables(BoundaryTrace(phi1=v, phi0=v), np.eye(2))
-    np.testing.assert_allclose(pv.f_boundary, 0.0, atol=1e-15)
-    np.testing.assert_allclose(pv.e_boundary, np.sqrt(2) * v)
+    f, e = port_variables(v, v, np.eye(2))
+    np.testing.assert_allclose(f, 0.0, atol=1e-15)
+    np.testing.assert_allclose(e, np.sqrt(2) * v)
 
 
 def test_port_variables_hand_product():
     Q = np.array([[0.0, 1.0], [1.0, 0.0]])
-    pv = port_variables(BoundaryTrace(phi1=np.array([1.0, 1.0]),
-                                      phi0=np.array([0.0, 1.0])), Q)
-    np.testing.assert_allclose(pv.f_boundary, np.array([0.0, 1.0]) / np.sqrt(2))
-    np.testing.assert_allclose(pv.e_boundary, np.array([1.0, 2.0]) / np.sqrt(2))
+    f, e = port_variables(np.array([1.0, 1.0]), np.array([0.0, 1.0]), Q)
+    np.testing.assert_allclose(f, np.array([0.0, 1.0]) / np.sqrt(2))
+    np.testing.assert_allclose(e, np.array([1.0, 2.0]) / np.sqrt(2))
 
 
 def test_port_variables_opposite_traces():
     w = np.array([0.5, -2.0])
-    pv = port_variables(BoundaryTrace(phi1=w, phi0=-w), np.eye(2))
-    np.testing.assert_allclose(pv.f_boundary, np.sqrt(2) * w)
-    np.testing.assert_allclose(pv.e_boundary, 0.0, atol=1e-15)
+    f, e = port_variables(w, -w, np.eye(2))
+    np.testing.assert_allclose(f, np.sqrt(2) * w)
+    np.testing.assert_allclose(e, 0.0, atol=1e-15)
 
 
 def test_q_is_decided_once(monkeypatch):
@@ -447,22 +457,19 @@ def test_q_is_decided_once(monkeypatch):
                         lambda *a, **kw: calls.append(a) or real(*a, **kw))
     assert derive_boundary_operator(sys).Q is sys.Q
     assert calls == []  # validate_system already decided Q
-    # a raw Q is still checked
-    with pytest.raises(SingularQ):
-        split_boundary_operator(np.eye(2, 4), np.diag([1.0, 1e-14]))
-    assert len(calls) == 1
 
 
 def test_an_omitted_tol_is_the_numlin_default(monkeypatch):
     # PHWELL_TOL sets Tolerances; the algebra primitives' own default stays
-    # numlin.DEFAULT_TOL, so both decide a 1e-6 singular-value ratio alike
+    # numlin.DEFAULT_TOL, so a 1e-6 singular-value ratio is invertible
     monkeypatch.setenv("PHWELL_TOL", "1e-3")
-    W1, W2 = split_boundary_operator(np.eye(2, 4), np.diag([1.0, 1e-6]))
-    np.testing.assert_allclose(W1, [[0.5, 0.0], [0.0, 0.5e6]])
     fact = factorize_boundary(np.diag([1.0, 1e-6]), unit_decomposition(0, 2))
     assert isinstance(fact, BoundaryFactorization)
-    with pytest.raises(SingularQ):
-        split_boundary_operator(np.eye(2, 4), np.diag([1.0, 1e-6]), tol=1e-3)
+
+
+def test_derive_boundary_operator_refuses_a_half_line_system():
+    with pytest.raises(ShapeError, match="unit_interval"):
+        derive_boundary_operator(CORPUS["wave_halfline_u05"].system())
 
 
 def test_derive_boundary_operator_reconstruction():
@@ -545,11 +552,14 @@ def test_package_exports_resolve():
 
     assert len(set(phwell.__all__)) == len(phwell.__all__)
     assert all(hasattr(phwell, name) for name in phwell.__all__)
-    # no longer exported; port_variables and its dataclasses stay in phwell.model
-    for name in ("boundary_trace", "port_variables", "BoundaryTrace",
-                 "PortVariables", "OrderError"):
+    assert "derive_boundary_operator" in phwell.__all__
+    # removed or no longer exported; port_variables stays in phwell.model
+    for name in ("boundary_trace", "port_variables", "split_boundary_operator",
+                 "BoundaryTrace", "PortVariables", "OrderError"):
         assert name not in phwell.__all__
         assert not hasattr(phwell, name)
+    for name in ("split_boundary_operator", "BoundaryTrace", "PortVariables"):
+        assert not hasattr(phwell.model, name)
 
 
 @pytest.mark.parametrize("H", [

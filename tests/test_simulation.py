@@ -28,7 +28,6 @@ from phwell.errors import BoundaryClosureSingular, CFLViolation, PhwellError, Sh
 from phwell.model import (
     HALF_LINE,
     UNIT_INTERVAL,
-    BoundaryTrace,
     boundary_form,
     port_variables,
 )
@@ -100,8 +99,8 @@ def test_boundary_power_is_the_boundary_form_on_the_ghost_traces(name):
     assert scale > 0.0
     np.testing.assert_allclose(tr.boundary_power, want, rtol=0, atol=1e-12 * scale)
     for j in range(phi.shape[1]):
-        pv = port_variables(BoundaryTrace(phi1=phi[:d, j], phi0=phi[d:, j]), sys.Q)
-        port = 2.0 * np.vdot(pv.f_boundary, pv.e_boundary).real
+        f, e = port_variables(phi[:d, j], phi[d:, j], sys.Q)
+        port = 2.0 * np.vdot(f, e).real
         assert abs(port - tr.boundary_power[j]) <= 1e-12 * scale
 
 

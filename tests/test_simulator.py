@@ -207,9 +207,45 @@ def test_oracle_reports_the_kernel_traces_it_drew(WB, P0, dim):
 
 
 def test_boundary_form_value_refuses_a_half_line_system():
+    # u != 0 is a trace at z = 1 of a state that does not extend by zero
     sys = CORPUS["wave_halfline_u05"].system()
-    with pytest.raises(ShapeError, match="unit_interval"):
+    with pytest.raises(ShapeError, match="needs u = 0"):
         boundary_form_value(sys, [1.0, 0.0], [0.0, 1.0])
+
+
+HALF_LINE_WITNESSES = [n for n, e in CORPUS.items() if e.system().interval == HALF_LINE
+                       and dissipativity_oracle(e.system()).witness is not None]
+
+
+def test_the_half_line_corpus_has_witnesses():
+    assert HALF_LINE_WITNESSES == ["wave_halfline_u101", "wave_halfline_u2",
+                                   "wave_halfline_um3"]
+
+
+@pytest.mark.parametrize("name", HALF_LINE_WITNESSES)
+def test_half_line_witness_reproduces_max_value(name):
+    # the witness vanishes at z = 1, so it extends by zero and its [0, 1]
+    # quadrature is its half-line value; with P0 = 0 that is max_value, and
+    # by parts it is the boundary form of its traces up to the oracle's
+    # cross-check gap
+    sys = CORPUS[name].system()
+    rep = dissipativity_oracle(sys)
+    assert not sys.P[0].any()
+    assert quadrature_rayleigh(sys, rep.witness) == pytest.approx(rep.max_value,
+                                                                  rel=1e-12)
+    v = rep.witness.value([0.0])[0]
+    by_parts = boundary_form_value(sys, np.zeros(sys.dim_d), v, x=rep.witness)
+    assert abs(by_parts - rep.max_value) <= 1e-8
+
+
+def test_quadrature_rayleigh_refuses_a_half_line_state_with_traces_at_one():
+    sys = CORPUS["wave_halfline_u2"].system()
+    x = boundary_interpolant([0.0, 0.0], [1.0, 0.5])
+    assert quadrature_rayleigh(sys, x) == pytest.approx(
+        boundary_form_value(sys, [0.0, 0.0], [1.0, 0.5]), abs=1e-8)
+    # a nonzero rise term: the state does not extend by zero past z = 1
+    with pytest.raises(ShapeError, match="zero traces at z = 1"):
+        quadrature_rayleigh(sys, boundary_interpolant([0.0, 1e-3], [1.0, 0.5]))
 
 
 @pytest.mark.parametrize("u, v", [([1.0, 0.0, 2.0], [0.0, 1.0]),

@@ -22,7 +22,7 @@ def r(cid, holds):
     ((True, True), (False, False), (True, True), (CONTRACTION, False, False)),
     ((True, True), (True, True), (True, True), (CONTRACTION, True, False)),
     # skipped members do not vote
-    ((True, None), (True, None), (True, True), (CONTRACTION, True, False)),
+    ((True, None, True), (True, None, True), (True, True), (CONTRACTION, True, False)),
     # a family disagrees: its value is undetermined and the flag is set
     ((True, False), (False, False), (True, True), (UNDETERMINED, False, True)),
     ((True, True), (True, False), (True, True), (CONTRACTION, None, True)),
@@ -36,12 +36,15 @@ def r(cid, holds):
     ((False,), (True,), (False, False), (NOT_CONTRACTION, None, False)),
     ((True,), (False,), (False, False), (DISSIPATIVE_ONLY, False, False)),
     ((True, True), (True,), (True, False), (CONTRACTION, None, False)),
-    # not_contraction with unitary None: a certifying unitary family says False
-    ((False, False), (None, None), (True, True), (NOT_CONTRACTION, False, False)),
+    # not_contraction with unitary None (its members disagree): a certifying
+    # unitary family says False
+    ((False, False), (True, False), (True, True), (NOT_CONTRACTION, False, True)),
     ((False, False), (True,), (True, False), (NOT_CONTRACTION, None, False)),
 ])
 def test_decide_table(contraction, unitary, certified, expected):
     cfam = [r(f"c{i}", h) for i, h in enumerate(contraction)]
     ufam = [r(f"u{i}", h) for i, h in enumerate(unitary)]
-    # the kernel tests are the first member of each family, as in the checkers
-    assert decide(cfam, ufam, cfam[0], ufam[0], *certified) == expected
+    # each family's first member is its kernel test, as in the checkers; a
+    # row's certification follows from its members: another one applies
+    assert tuple(any(m.applicable for m in f[1:]) for f in (cfam, ufam)) == certified
+    assert decide(cfam, ufam) == expected
