@@ -24,9 +24,9 @@ from the matrix checkers:
   their d x d blocks (_block_csr), and a classical Runge-Kutta step with
   it is one fixed sparse matrix R (_rk4_matrix).  Stacked under the
   record rows Hb, and P0b Hb when P0 != 0, R makes each step one product
-  that also records the state it starts from, in real arithmetic when
-  the system and the start state are real, made by the CSR kernel into
-  two reused buffers.
+  that also records the state it starts from, made by the CSR kernel into
+  two reused buffers.  A system with real blocks is assembled in
+  float64, and stepped in float64 too when its start state is real.
   scipy.sparse loads at the first simulate call, not at import.
 
 The upwind scheme only ever adds numerical dissipation, so it can confirm
@@ -458,31 +458,65 @@ def smooth_bump(center: float, width: float, d: int, component: int = 0,
                 amplitude: float = 1.0):
     """Compactly supported C-infinity bump in one state component.
 
-    center and amplitude must be finite, width a finite number > 0 and
-    component an integer (not a bool) in [0, d).
+    center and amplitude must be finite, width a finite number > 0, d a
+    positive integer and component an integer in [0, d), neither a bool;
+    anything else raises PhwellError.  The bump is a callable z -> d-vector
+    whose on_cells(centers) gives all cells at once, the path simulate
+    takes, equal bit for bit to calling it per cell.
     """
     if not (np.isfinite(center) and np.isfinite(amplitude) and 0.0 < width < np.inf):
         raise PhwellError(f"bump center and amplitude must be finite and width a "
                           f"finite number > 0, got center {center}, amplitude "
                           f"{amplitude} and width {width}")
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise PhwellError(f"bump dimension d must be an integer >= 1, got {d!r}")
     if (isinstance(component, bool) or not isinstance(component, (int, np.integer))
             or not 0 <= component < d):
         raise PhwellError(f"bump component must be an integer in [0, {d}), "
                           f"got {component!r}")
+    return _Bump(center, width, d, component, amplitude)
 
-    def x0(zeta):
-        r = (zeta - center) / width
-        out = np.zeros(d)
+
+@dataclass(frozen=True)
+class _Bump:
+    """smooth_bump's state: amplitude exp(1 - 1/(1 - r^2)), r = (z - center)/width."""
+
+    center: float
+    width: float
+    d: int
+    component: int
+    amplitude: float
+
+    def __call__(self, zeta):
+        r = (zeta - self.center) / self.width
+        out = np.zeros(self.d)
         if abs(r) < 1.0:
-            out[component] = amplitude * np.exp(1.0 - 1.0 / (1.0 - r * r))
+            out[self.component] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - r * r))
         return out
 
-    return x0
+    def on_cells(self, centers) -> np.ndarray:
+        """The bump at every centre as a complex (d, len(centers)) array.
+
+        The same operations as a call per centre on float64 arrays instead
+        of Python floats, so each value is the same double.
+        """
+        r = (np.asarray(centers, dtype=float) - self.center) / self.width
+        inside = np.abs(r) < 1.0
+        r = r[inside]
+        out = np.zeros((self.d, inside.size), dtype=complex)
+        out[self.component, inside] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - r * r))
+        return out
 
 
 def _initial_state(x0, centers, d) -> np.ndarray:
-    """x0 on the cells as a (d, nx) array, the layout of EnergyTrace states."""
-    if callable(x0):
+    """x0 on the cells as a (d, nx) array, the layout of EnergyTrace states.
+
+    A smooth_bump is sampled on all cells at once; any other callable is
+    called once per cell centre.
+    """
+    if isinstance(x0, _Bump) and x0.d == d:
+        x0 = x0.on_cells(centers)
+    elif callable(x0):
         cells = []
         for z in centers.tolist():
             value = x0(z)
@@ -601,6 +635,9 @@ def _semidiscrete_operator(sys: PortHamiltonianSystem, nx: int, L: float = 10.0)
     and P1 Bp/h on its right neighbour; the ghost traces G fold into the
     blocks of cells 0 and nx-1.  The discrete energy is h x* Hb x, so
     Herm(h Hb A_h) <= 0 certifies that the semi-discrete scheme dissipates.
+    The blocks come from complex P1, P0, S and G; when every placed block,
+    H and P0 have no nonzero imaginary part, A_h and Hb are float64 (the
+    complex assembly's real parts bit for bit), else complex128.
     """
     d = sys.dim_d
     h = (1.0 if sys.interval == UNIT_INTERVAL else float(L)) / nx
@@ -620,18 +657,21 @@ def _semidiscrete_operator(sys: PortHamiltonianSystem, nx: int, L: float = 10.0)
     ends[d:] += P1 @ closure.G[:d] / h  # ghost trace w_hat(1) at cell nx-1
     cells = np.arange(nx)
     first, last = [0], [nx - 1]
-    A_w = _block_csr([(-P1 @ Bn / h, cells[1:], cells[:-1]),
-                      (P1 @ (Bn - Bp) / h + P0, cells[1:-1], cells[1:-1]),
-                      (P1 @ Bp / h, cells[:-1], cells[1:]),
-                      (ends[:d, :d], first, first), (ends[:d, d:], first, last),
-                      (ends[d:, :d], last, first), (ends[d:, d:], last, last)], d, nx)
-
     # H frozen per cell; piecewise representations extend flat beyond the
     # last breakpoint, which covers the truncated half line as well.
-    if sys.H.kind == "constant":
-        Hb = _block_csr([(sys.H.matrices[0], cells, cells)], d, nx)
-    else:
-        Hb = _block_csr([(sys.H.at((cells + 0.5) * h), cells, cells)], d, nx)
+    H = sys.H.matrices[0] if sys.H.kind == "constant" else sys.H.at((cells + 0.5) * h)
+    blocks = [-P1 @ Bn / h, P1 @ (Bn - Bp) / h + P0, P1 @ Bp / h, ends, H]
+    if not any(B.imag.any() for B in [*blocks, P0]):
+        # real data: the complex products of these blocks would equal the
+        # real ones bit for bit, so the sparse matrices are built real
+        blocks = [B.real for B in blocks]
+    left, own, right, ends, H = blocks
+    A_w = _block_csr([(left, cells[1:], cells[:-1]),
+                      (own, cells[1:-1], cells[1:-1]),
+                      (right, cells[:-1], cells[1:]),
+                      (ends[:d, :d], first, first), (ends[:d, d:], first, last),
+                      (ends[d:, :d], last, first), (ends[d:, d:], last, last)], d, nx)
+    Hb = _block_csr([(H, cells, cells)], d, nx)
     A_h = (A_w @ Hb).tocsr()
     A_h.eliminate_zeros()
     return A_h, Hb, h, closure
@@ -690,10 +730,14 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     step and the record of the state it starts from cost one product.
     The P0b Hb rows are stacked only when P0 has a nonzero entry; with
     P0 = 0 the interior power is exactly 0 at every step.
-    When M and x0 are real (every imaginary part exactly zero), the run
-    steps in float64; a complex product of such factors equals the real
-    one bit for bit, so only the energies' dot products round differently.
-    final_state and the snapshots are complex either way.
+    The matrices are float64 when _semidiscrete_operator finds the
+    system's blocks real; a complex product of such factors equals the
+    real one bit for bit.  A real start state then steps in float64, so
+    only the energies' dot products round differently; a complex one steps
+    through M's entries made complex in M's own index order, so its sums
+    are those of the complex assembly.  final_state and the snapshots are
+    complex either way.  A smooth_bump x0 is sampled on all cells at once
+    (on_cells), any other callable once per cell.
     M has int32 indices (see _block_csr).  Each product is the CSR kernel
     that M @ x runs, called directly into one of two buffers allocated
     once per run, so every result equals M @ x bit for bit.  The kernel
@@ -746,15 +790,19 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     blocks = [Hb, _rk4_matrix(A, dt)]
     if has_p0:
         cells = np.arange(nx)
-        blocks.insert(1, _block_csr([(sys.P[0], cells, cells)], d, nx) @ Hb)
-    x = _initial_state(x0, centers, d).T.ravel()  # cell-major
-    if not (x.imag.any() or any(b.data.imag.any() for b in blocks)):
-        # contiguous real copies: a strided .real view is copied per product
-        blocks = [sparse.csr_array((b.data.real.copy(), b.indices, b.indptr),
-                                   shape=b.shape) for b in blocks]
-        x = x.real.copy()
+        P0 = sys.P[0] if np.iscomplexobj(A.data) else sys.P[0].real
+        blocks.insert(1, _block_csr([(P0, cells, cells)], d, nx) @ Hb)
     M = sparse.vstack(blocks, format="csr")
     M.eliminate_zeros()
+    x = _initial_state(x0, centers, d).T.ravel()  # cell-major
+    if not np.iscomplexobj(M.data):
+        if x.imag.any():
+            # complex entries in M's own index order: M.astype(complex)
+            # would sort each row's indices and so the kernel's sums
+            M = sparse.csr_array((M.data.astype(complex), M.indices, M.indptr),
+                                 shape=M.shape)
+        else:
+            x = x.real.copy()
     start = (len(blocks) - 1) * dn  # R x_n: the rows below the record rows
     del A, Hb, blocks  # freed before the loop: only M is needed
 

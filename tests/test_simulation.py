@@ -270,6 +270,54 @@ def test_smooth_bump_rejects_bad_component(component):
         smooth_bump(0.3, 0.2, 2, component=component)
 
 
+@pytest.mark.parametrize("d", [0, -2, 2.5, 2.0, True, "2", None])
+def test_smooth_bump_rejects_a_d_that_is_not_a_positive_integer(d):
+    # 2.5 and True used to fail only inside simulate, "2" in the comparison
+    with pytest.raises(PhwellError, match=r"bump dimension d must be an integer >= 1"):
+        smooth_bump(0.5, 0.25, d)
+
+
+@pytest.mark.parametrize("center, width", [(0.5, 0.25), (-0.3, 0.7), (3.0, 2.0)])
+def test_bump_on_cells_equals_its_calls_per_cell(center, width):
+    # r = 0, |r| within 1e-12 of 1 on both sides and both ends, and a dense
+    # grid past the support; every component and amplitude sign
+    near = np.array([1e-12, 5e-13, 1e-13, 0.0, -1e-13, -5e-13, -1e-12])
+    z = np.concatenate([
+        np.linspace(center - 1.5 * width, center + 1.5 * width, 1201), [center],
+        center + width * (1.0 + near), center - width * (1.0 + near),
+        np.nextafter(center + width, [-np.inf, np.inf]),
+        np.nextafter(center - width, [-np.inf, np.inf])])
+    for component in range(3):
+        for amplitude in (1.0, -0.7, 2.5e3):
+            bump = smooth_bump(center, width, 3, component=component, amplitude=amplitude)
+            per_cell = np.array([bump(v) for v in z.tolist()], dtype=complex).T
+            got = bump.on_cells(z)
+            assert _same_bits(got, per_cell)
+            assert got[component].real.max() > 0.0 or amplitude < 0.0
+
+
+@pytest.mark.parametrize("build, nx", [
+    (CORPUS["wave_interval_damped"].system, 48),
+    (CORPUS["wave_halfline_u05"].system, 64),
+    (CORPUS["path_graph_d8"].system, 40),
+], ids=["interval", "half_line", "path_graph_d8"])
+def test_a_bump_start_equals_its_per_cell_calls(build, nx):
+    # simulate samples a smooth_bump on all cells at once; a plain callable
+    # around the same bump takes the per-cell path, with the same trace
+    sys = build()
+    bump = smooth_bump(0.4 if sys.interval == UNIT_INTERVAL else 3.0, 0.3, sys.dim_d,
+                       amplitude=1.3)
+    kwargs = {"t_final": 0.1, "nx": nx, "cfl": 0.45, "snapshot_times": [0.0, 0.05]}
+    _assert_same_trace(simulate(sys, bump, **kwargs),
+                       simulate(sys, lambda z: bump(z), **kwargs))
+
+
+def test_a_bump_of_another_dimension_is_refused_per_cell():
+    sys = CORPUS["wave_interval_damped"].system()
+    with pytest.raises(ShapeError, match="must give 2 numbers, got 3"):
+        simulate(sys, smooth_bump(0.5, 0.25, 3), 0.1, nx=32)
+
+
 def test_smooth_bump_takes_a_numpy_integer_component():
     np.testing.assert_array_equal(smooth_bump(0.5, 0.2, 2, component=np.int64(1))(0.5),
                                   [0.0, 1.0])
@@ -441,6 +489,19 @@ def test_block_assembly_matches_the_kronecker_sums(build):
         np.testing.assert_array_equal(mine.indptr, ref.indptr)
         np.testing.assert_array_equal(mine.indices, ref.indices)
         np.testing.assert_array_equal(mine.data, ref.data)
+
+
+def test_real_systems_assemble_in_float64(monkeypatch):
+    # the five benchmark systems have real blocks; a complex P1 and P0
+    # keep the assembly complex
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    for name, (build, *_) in workloads._sim_cases().items():
+        A, Hb, _, _ = _semidiscrete_operator(build(), nx=40)
+        assert (A.dtype, Hb.dtype) == (np.float64, np.float64), name
+    A, Hb, _, _ = _semidiscrete_operator(_complex_p0_wave(), nx=40)
+    assert (A.dtype, Hb.dtype) == (np.complex128, np.complex128)
 
 
 def _energy_certificate(name):
@@ -663,6 +724,34 @@ def test_a_scipy_without_the_kernel_name_steps_with_public_products(build, x0, h
     monkeypatch.setattr(sparse.csr_array, "__matmul__", counting)
     got = simulate(sys, x0, **kwargs)
     assert len(products) == got.times.size  # one product per step and the last record
+    _assert_same_trace(want, got)
+
+
+def test_a_complex_start_steps_a_real_operator_in_its_index_order(monkeypatch):
+    # a real system assembles real matrices; a complex start state makes
+    # them complex without reordering: the step matrix, and so every sum
+    # of the kernel, equals that of the assembly from complex blocks
+    sys = CORPUS["wave_interval_damped"].system()
+    kwargs = {"t_final": 0.2, "nx": 48, "cfl": 0.45, "snapshot_times": [0.1]}
+    tr, M, _ = _run_capturing_the_step_matrix(sys, _wave_complex_start(), **kwargs)
+    place = simulator._block_csr
+
+    def complex_blocks(blocks, d, nx):
+        return place([(B.astype(complex), r, c) for B, r, c in blocks], d, nx)
+
+    monkeypatch.setattr(simulator, "_block_csr", complex_blocks)
+    ref, M_ref, _ = _run_capturing_the_step_matrix(sys, _wave_complex_start(), **kwargs)
+    assert (M.dtype, M_ref.dtype) == (np.complex128, np.complex128)
+    np.testing.assert_array_equal(M.indptr, M_ref.indptr)
+    np.testing.assert_array_equal(M.indices, M_ref.indices)
+    np.testing.assert_array_equal(M.data, M_ref.data)
+    # the assembly order is not sorted, so an upcast that sorts fails above
+    assert not M_ref.has_sorted_indices
+    _assert_same_trace(tr, ref)
+
+
+def _assert_same_trace(want, got):
+    """Every field of two EnergyTraces equal bit for bit."""
     for field in dataclasses.fields(want):
         a, b = getattr(want, field.name), getattr(got, field.name)
         if field.name == "snapshots":
