@@ -25,8 +25,8 @@ from the matrix checkers:
   it is one fixed sparse matrix R (_rk4_matrix).  Stacked under the
   record rows Hb, and P0b Hb when P0 != 0, R makes each step one product
   that also records the state it starts from, made by the CSR kernel into
-  two reused buffers.  A system with real blocks is assembled in
-  float64, and stepped in float64 too when its start state is real.
+  two reused buffers.  A run is assembled and stepped in float64 exactly
+  when its blocks and its start state are real, else in complex128.
   scipy.sparse loads at the first simulate call, not at import.
 
 The upwind scheme only ever adds numerical dissipation, so it can confirm
@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+from numbers import Real
 
 import numpy as np
 from numpy.polynomial import polynomial as poly
@@ -194,7 +195,8 @@ def boundary_interpolant(u, v, eps: float = 0.25, d: int = None) -> SmoothFuncti
     and sum v_{i+1}/i! z^i by plateau cutoffs that equal 1 on [1-eps, 1]
     (resp. [0, eps]) and vanish past twice that distance, so every trace up
     to order N-1 is matched exactly.  Small eps concentrates the state in
-    boundary layers of width ~2 eps.  Requires 0 < eps <= 1/4.
+    boundary layers of width ~2 eps.  Requires 0 < eps <= 1/4; a d that is
+    not a positive integer (a bool is not one) raises ShapeError.
     """
     if not 0.0 < eps <= 0.25:
         raise ValueError("eps must lie in (0, 1/4]")
@@ -204,6 +206,8 @@ def boundary_interpolant(u, v, eps: float = 0.25, d: int = None) -> SmoothFuncti
         raise ShapeError("trace targets must have equal length")
     if d is None:
         d = u.size  # N = 1 by default
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise ShapeError(f"trace dimension d must be an integer >= 1, got {d!r}")
     if u.size % d:
         raise ShapeError(f"trace length {u.size} is not a multiple of d={d}")
     N = u.size // d
@@ -458,16 +462,17 @@ def smooth_bump(center: float, width: float, d: int, component: int = 0,
                 amplitude: float = 1.0):
     """Compactly supported C-infinity bump in one state component.
 
-    center and amplitude must be finite, width a finite number > 0, d a
-    positive integer and component an integer in [0, d), neither a bool;
-    anything else raises PhwellError.  The bump is a callable z -> d-vector
-    whose on_cells(centers) gives all cells at once, the path simulate
-    takes, equal bit for bit to calling it per cell.
+    center, width and amplitude must be finite real numbers and width > 0,
+    d a positive integer and component an integer in [0, d), none of them
+    a bool; anything else raises PhwellError naming the argument.  The bump
+    is a callable z -> d-vector whose on_cells(centers) gives all cells at
+    once, the path simulate takes; a call is on_cells on one centre.
     """
-    if not (np.isfinite(center) and np.isfinite(amplitude) and 0.0 < width < np.inf):
-        raise PhwellError(f"bump center and amplitude must be finite and width a "
-                          f"finite number > 0, got center {center}, amplitude "
-                          f"{amplitude} and width {width}")
+    for name, value, low in (("center", center, -np.inf), ("width", width, 0.0),
+                             ("amplitude", amplitude, -np.inf)):
+        if isinstance(value, bool) or not (isinstance(value, Real) and low < value < np.inf):
+            raise PhwellError(f"bump {name} must be a finite real number"
+                              f"{' > 0' if low == 0.0 else ''}, got {value!r}")
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
         raise PhwellError(f"bump dimension d must be an integer >= 1, got {d!r}")
     if (isinstance(component, bool) or not isinstance(component, (int, np.integer))
@@ -488,18 +493,10 @@ class _Bump:
     amplitude: float
 
     def __call__(self, zeta):
-        r = (zeta - self.center) / self.width
-        out = np.zeros(self.d)
-        if abs(r) < 1.0:
-            out[self.component] = self.amplitude * np.exp(1.0 - 1.0 / (1.0 - r * r))
-        return out
+        return self.on_cells([zeta])[:, 0].real
 
     def on_cells(self, centers) -> np.ndarray:
-        """The bump at every centre as a complex (d, len(centers)) array.
-
-        The same operations as a call per centre on float64 arrays instead
-        of Python floats, so each value is the same double.
-        """
+        """The bump at every centre as a complex (d, len(centers)) array."""
         r = (np.asarray(centers, dtype=float) - self.center) / self.width
         inside = np.abs(r) < 1.0
         r = r[inside]
@@ -540,18 +537,20 @@ def _initial_state(x0, centers, d) -> np.ndarray:
 
 
 class _BoundaryClosure:
-    """Ghost traces as one linear map of the first and last cells.
+    """P1's characteristics, and the ghost traces as one linear map of the end cells.
 
-    Unknown z = [w_hat(1); w_hat(0)] (model.boundary_form's order) with the
-    boundary rows plus one characteristic extrapolation row per outgoing
-    component at each end, so z = G [w_first; w_last], solved once for all
-    columns.  Unit interval: the boundary rows are WB_hat.  Half line: the
-    truncation end takes the z = 1 slot with rows [[S[pos], 0], [0, WB_hat]],
-    which set its incoming characteristics to zero (absorbing).
+    S and delta factor P1 = S* diag(delta) S.  Unknown z = [w_hat(1);
+    w_hat(0)] (model.boundary_form's order) with the boundary rows plus one
+    characteristic extrapolation row per outgoing component at each end,
+    so z = G [w_first; w_last], solved once for all columns.  Unit
+    interval: the boundary rows are WB_hat.  Half line: the truncation end
+    takes the z = 1 slot with rows [[S[pos], 0], [0, WB_hat]], which set
+    its incoming characteristics to zero (absorbing).
     """
 
-    def __init__(self, sys, S, delta):
-        self.delta = delta
+    def __init__(self, sys):
+        S, delta = numlin.hermitian_eigendecomposition(np.asarray(sys.P[1], dtype=complex))
+        self.S, self.delta = S, delta
         self.pos = np.where(delta > 0)[0]  # moving left; outgoing at z=0
         self.neg = np.where(delta < 0)[0]  # moving right; outgoing at z=1
         d = S.shape[0]
@@ -625,27 +624,27 @@ def _block_csr(blocks, d: int, nx: int):
     return sparse.coo_array((np.concatenate(v), coords), shape=(d * nx, d * nx)).tocsr()
 
 
-def _semidiscrete_operator(sys: PortHamiltonianSystem, nx: int, L: float = 10.0):
-    """The upwind scheme with its boundary closure as one sparse matrix.
+def _semidiscrete_operator(sys: PortHamiltonianSystem, closure: _BoundaryClosure,
+                           h: float, nx: int, real_start: bool):
+    """The upwind scheme with its boundary closure as sparse matrices.
 
-    Returns (A_h, Hb, h, closure): dx/dt = A_h x on the cell-major state
-    (cell c holds entries c*d .. c*d+d-1), Hb = blockdiag(H_c) and the cell
-    width h.  With w = Hb x, Bp = S* Pi+ S and Bn = S* Pi- S, an interior
-    cell sees -P1 Bn/h on its left neighbour, P1 (Bn - Bp)/h + P0 on itself
-    and P1 Bp/h on its right neighbour; the ghost traces G fold into the
-    blocks of cells 0 and nx-1.  The discrete energy is h x* Hb x, so
-    Herm(h Hb A_h) <= 0 certifies that the semi-discrete scheme dissipates.
-    The blocks come from complex P1, P0, S and G; when every placed block,
-    H and P0 have no nonzero imaginary part, A_h and Hb are float64 (the
-    complex assembly's real parts bit for bit), else complex128.
+    Returns (A_h, Hb, P0w) for nx cells of width h: dx/dt = A_h x on the
+    cell-major state (cell c holds entries c*d .. c*d+d-1), Hb =
+    blockdiag(H_c) and P0w = P0b Hb, the interior-power record rows, or
+    None when P0 = 0.  With w = Hb x, Bp = S* Pi+ S and Bn = S* Pi- S, an
+    interior cell sees -P1 Bn/h on its left neighbour, P1 (Bn - Bp)/h + P0
+    on itself and P1 Bp/h on its right neighbour; the closure's ghost
+    traces G fold into the blocks of cells 0 and nx-1.  The discrete energy
+    is h x* Hb x, so Herm(h Hb A_h) <= 0 certifies that the semi-discrete
+    scheme dissipates.  The blocks come from complex P1, P0, S and G; the
+    three matrices are float64 exactly when real_start holds and no placed
+    block, H or P0 has a nonzero imaginary part (the complex assembly's
+    real parts bit for bit), else complex128.
     """
     d = sys.dim_d
-    h = (1.0 if sys.interval == UNIT_INTERVAL else float(L)) / nx
     P1 = np.asarray(sys.P[1], dtype=complex)
     P0 = np.asarray(sys.P[0], dtype=complex)
-    S, delta = numlin.hermitian_eigendecomposition(P1)
-    closure = _BoundaryClosure(sys, S, delta)
-    Sp, Sn = S[closure.pos], S[closure.neg]
+    Sp, Sn = closure.S[closure.pos], closure.S[closure.neg]
     Bp = Sp.conj().T @ Sp
     Bn = Sn.conj().T @ Sn
 
@@ -660,12 +659,12 @@ def _semidiscrete_operator(sys: PortHamiltonianSystem, nx: int, L: float = 10.0)
     # H frozen per cell; piecewise representations extend flat beyond the
     # last breakpoint, which covers the truncated half line as well.
     H = sys.H.matrices[0] if sys.H.kind == "constant" else sys.H.at((cells + 0.5) * h)
-    blocks = [-P1 @ Bn / h, P1 @ (Bn - Bp) / h + P0, P1 @ Bp / h, ends, H]
-    if not any(B.imag.any() for B in [*blocks, P0]):
+    blocks = [-P1 @ Bn / h, P1 @ (Bn - Bp) / h + P0, P1 @ Bp / h, ends, H, P0]
+    if real_start and not any(B.imag.any() for B in blocks):
         # real data: the complex products of these blocks would equal the
         # real ones bit for bit, so the sparse matrices are built real
         blocks = [B.real for B in blocks]
-    left, own, right, ends, H = blocks
+    left, own, right, ends, H, P0 = blocks
     A_w = _block_csr([(left, cells[1:], cells[:-1]),
                       (own, cells[1:-1], cells[1:-1]),
                       (right, cells[:-1], cells[1:]),
@@ -674,7 +673,8 @@ def _semidiscrete_operator(sys: PortHamiltonianSystem, nx: int, L: float = 10.0)
     Hb = _block_csr([(H, cells, cells)], d, nx)
     A_h = (A_w @ Hb).tocsr()
     A_h.eliminate_zeros()
-    return A_h, Hb, h, closure
+    P0w = _block_csr([(P0, cells, cells)], d, nx) @ Hb if P0.any() else None
+    return A_h, Hb, P0w
 
 
 def _rk4_matrix(A, dt: float):
@@ -704,10 +704,11 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     layout of final_state and the snapshots, so a run can restart from
     another's final_state; a callable that does not give d numbers at a
     cell centre raises ShapeError.  t_final and L must be finite numbers
-    > 0, and each snapshot time a finite number in [0, t_final]; a run
-    needing more than MAX_STEPS steps is refused before anything is
-    allocated.  A snapshot is x0 for a time within 1e-12 of 0, otherwise
-    the state after the first step that reaches its time.
+    > 0, and each snapshot time a finite number in [0, t_final].  A run
+    needing more than MAX_STEPS steps, or whose boundary closure has no
+    solution (BoundaryClosureSingular), is refused before any per-cell
+    array exists.  A snapshot is the state at the first step whose time
+    is within 1e-12 of the snapshot time or past it (x0 for time 0).
 
     First order in space (characteristic upwinding of w = Hx with H frozen
     per cell), classical four-stage explicit stepping in time with
@@ -730,14 +731,13 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     step and the record of the state it starts from cost one product.
     The P0b Hb rows are stacked only when P0 has a nonzero entry; with
     P0 = 0 the interior power is exactly 0 at every step.
-    The matrices are float64 when _semidiscrete_operator finds the
-    system's blocks real; a complex product of such factors equals the
-    real one bit for bit.  A real start state then steps in float64, so
-    only the energies' dot products round differently; a complex one steps
-    through M's entries made complex in M's own index order, so its sums
-    are those of the complex assembly.  final_state and the snapshots are
-    complex either way.  A smooth_bump x0 is sampled on all cells at once
-    (on_cells), any other callable once per cell.
+    The closure, the step count and x0 come first; then M is assembled
+    once, in float64 exactly when every placed block, H, P0 and x0 are
+    real, else in complex128.  A complex product of real factors equals
+    the real one bit for bit, so a real run differs from a complex one
+    only in the rounding of the energies' dot products.  final_state and
+    the snapshots are complex either way.  A smooth_bump x0 is sampled on
+    all cells at once (on_cells), any other callable once per cell.
     M has int32 indices (see _block_csr).  Each product is the CSR kernel
     that M @ x runs, called directly into one of two buffers allocated
     once per run, so every result equals M @ x bit for bit.  The kernel
@@ -769,14 +769,8 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
 
     d = sys.dim_d
     dn = d * nx
-    A, Hb, h, closure = _semidiscrete_operator(sys, nx, L)
-    centers = (np.arange(nx) + 0.5) * h
-    notes = []
-    if sys.interval == HALF_LINE:
-        notes.append(
-            f"half-line run truncated to [0, {float(L):g}]; the absorbing "
-            "closure adds artificial dissipation")
-
+    closure = _BoundaryClosure(sys)
+    h = (1.0 if sys.interval == UNIT_INTERVAL else float(L)) / nx
     lam_max = float(np.max(np.abs(closure.delta))) * sys.h_max_eig
     dt = cfl * h / lam_max
     n_steps = max(1, int(np.ceil(t_final / dt - 1e-12)))
@@ -784,27 +778,19 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
         raise PhwellError(f"t_final = {t_final:g} at nx = {nx} needs {n_steps} steps, "
                           f"more than the limit of {MAX_STEPS}")
     dt = t_final / n_steps
+    centers = (np.arange(nx) + 0.5) * h
+    x = _initial_state(x0, centers, d).T.ravel()  # cell-major
 
+    A, Hb, P0w = _semidiscrete_operator(sys, closure, h, nx, real_start=not x.imag.any())
     # with P0 = 0 the interior power is exactly 0: no P0 rows to multiply
-    has_p0 = bool(sys.P[0].any())
-    blocks = [Hb, _rk4_matrix(A, dt)]
-    if has_p0:
-        cells = np.arange(nx)
-        P0 = sys.P[0] if np.iscomplexobj(A.data) else sys.P[0].real
-        blocks.insert(1, _block_csr([(P0, cells, cells)], d, nx) @ Hb)
+    has_p0 = P0w is not None
+    blocks = [Hb, P0w, _rk4_matrix(A, dt)] if has_p0 else [Hb, _rk4_matrix(A, dt)]
     M = sparse.vstack(blocks, format="csr")
     M.eliminate_zeros()
-    x = _initial_state(x0, centers, d).T.ravel()  # cell-major
-    if not np.iscomplexobj(M.data):
-        if x.imag.any():
-            # complex entries in M's own index order: M.astype(complex)
-            # would sort each row's indices and so the kernel's sums
-            M = sparse.csr_array((M.data.astype(complex), M.indices, M.indptr),
-                                 shape=M.shape)
-        else:
-            x = x.real.copy()
+    if M.dtype == np.float64:
+        x = x.real.copy()
     start = (len(blocks) - 1) * dn  # R x_n: the rows below the record rows
-    del A, Hb, blocks  # freed before the loop: only M is needed
+    del A, Hb, P0w, blocks  # freed before the loop: only M is needed
 
     times = np.zeros(n_steps + 1)
     energies = np.zeros(n_steps + 1)
@@ -821,12 +807,6 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
 
     def as_cells(x):
         return x.reshape(nx, d).T.astype(complex)
-
-    snap_list = []
-    snap_idx = 0
-    while snap_idx < len(snap_times) and snap_times[snap_idx] <= 1e-12:
-        snap_list.append((0.0, as_cells(x)))
-        snap_idx += 1
 
     # M @ x without scipy's dispatch and its fresh result array: the same
     # kernel call into one of two reused buffers, zeroed first because
@@ -846,17 +826,22 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
             csr_matvec(nrow, ncol, M.indptr, M.indices, M.data, x, y)
             return y
 
-    for step in range(n_steps):
-        y = product(x, buffers[step % 2])
-        record(step, x, y)
-        x = y[start:]
-        t = (step + 1) * dt
-        times[step + 1] = t
+    snap_list = []
+    snap_idx = 0
+    for step in range(n_steps + 1):  # the last pass only records x_n
+        t = step * dt
+        times[step] = t
         while snap_idx < len(snap_times) and snap_times[snap_idx] <= t + 1e-12:
             snap_list.append((t, as_cells(x)))
             snap_idx += 1
-    record(n_steps, x, product(x, buffers[n_steps % 2]))
+        y = product(x, buffers[step % 2])
+        record(step, x, y)
+        state, x = x, y[start:]
 
+    notes = ()
+    if sys.interval == HALF_LINE:
+        notes = (f"half-line run truncated to [0, {float(L):g}]; the absorbing "
+                 "closure adds artificial dissipation",)
     # an overflowed run (max_violation = inf) yields inf and nan powers here
     with np.errstate(over="ignore", invalid="ignore"):
         bpow = _forms(boundary_form(sys.Q), closure.traces(ends))
@@ -869,8 +854,8 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
         boundary_power=bpow,
         interior_power=ipow,
         max_violation=violation,
-        notes=tuple(notes),
+        notes=notes,
         snapshots=tuple(snap_list),
         cell_centers=centers,
-        final_state=as_cells(x),
+        final_state=as_cells(state),
     )

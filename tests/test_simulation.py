@@ -11,7 +11,6 @@ from scipy.sparse import _sparsetools
 
 from phwell import (
     HamiltonianDensity,
-    numlin,
     simulate,
     simulator,
     smooth_bump,
@@ -34,6 +33,14 @@ from phwell.model import (
 from phwell.simulator import _block_csr, _rk4_matrix, _semidiscrete_operator
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _operator(sys, nx, L=10.0):
+    """simulate's A_h and Hb for a real start state, with the cell width and closure."""
+    h = (1.0 if sys.interval == UNIT_INTERVAL else L) / nx
+    closure = simulator._BoundaryClosure(sys)
+    A, Hb, _ = _semidiscrete_operator(sys, closure, h, nx, real_start=True)
+    return A, Hb, h, closure
 
 
 def test_transport_exact_solution():
@@ -89,7 +96,7 @@ def test_boundary_power_is_the_boundary_form_on_the_ghost_traces(name):
     x0 = smooth_bump(0.5, 0.4, d)
     tr = simulate(sys, x0, t_final=0.4, nx=nx, cfl=0.45)
     tr = simulate(sys, x0, t_final=0.4, nx=nx, cfl=0.45, snapshot_times=tr.times)
-    closure = _semidiscrete_operator(sys, nx)[3]
+    closure = simulator._BoundaryClosure(sys)
     H = sys.H.at(tr.cell_centers[[0, -1]])
     ends = np.array([np.concatenate([H[0] @ x[:, 0], H[1] @ x[:, -1]])
                      for _, x in tr.snapshots]).T
@@ -215,8 +222,9 @@ def test_an_overflowed_energy_is_an_unbounded_rise():
     assert tr.max_violation == np.inf
 
 
-@pytest.mark.parametrize("amplitude", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("amplitude", [np.inf, -np.inf, np.nan, 1j, None, "a", True])
 def test_smooth_bump_rejects_a_non_finite_amplitude(amplitude):
+    # a call of the bump would drop a complex amplitude's imaginary part
     with pytest.raises(PhwellError, match="amplitude"):
         smooth_bump(0.3, 0.2, 2, amplitude=amplitude)
 
@@ -257,10 +265,16 @@ def test_snapshots_at_both_ends_of_the_run():
     np.testing.assert_array_equal(tr.snapshots[-1][1], tr.final_state)
 
 
-@pytest.mark.parametrize("width", [0.0, -0.1, np.inf, np.nan])
+@pytest.mark.parametrize("width", [0.0, -0.1, np.inf, np.nan, "w", None, 0.2j])
 def test_smooth_bump_rejects_bad_width(width):
     with pytest.raises(PhwellError, match="width"):
         smooth_bump(0.3, width, 2)
+
+
+@pytest.mark.parametrize("center", [np.inf, np.nan, "a", None, 0.5 + 0.1j, False])
+def test_smooth_bump_rejects_a_center_that_is_not_a_finite_real_number(center):
+    with pytest.raises(PhwellError, match="bump center must be a finite real number"):
+        smooth_bump(center, 0.2, 2)
 
 
 @pytest.mark.parametrize("component", [-1, 2, 7, True, 1.0, "0"])
@@ -327,6 +341,34 @@ def test_singular_closure_detected():
     sys = build_transport(inflow_zero=False)
     with pytest.raises(BoundaryClosureSingular):
         simulate(sys, smooth_bump(0.3, 0.2, 1), 0.1, nx=32)
+
+
+def _one_condition_wave():
+    return validate_system({
+        "field": "real", "interval": UNIT_INTERVAL, "N": 1, "d": 2,
+        "P": [np.zeros((2, 2)), np.array([[0.0, 1.0], [1.0, 0.0]])],
+        "H": HamiltonianDensity.constant(np.eye(2)),
+        "WB_hat": np.array([[0.7, 1.0, 0.0, 0.0]]),
+    })
+
+
+@pytest.mark.parametrize("build, t_final, error, match", [
+    (lambda: build_wave(UNIT_INTERVAL, 0.7), 1e9, PhwellError, "more than the limit"),
+    (_one_condition_wave, 0.1, BoundaryClosureSingular, "needs k = 2 conditions"),
+    (lambda: build_transport(inflow_zero=False), 0.1, BoundaryClosureSingular,
+     "ghost-state system is singular"),
+], ids=["step_limit", "k_not_d", "singular_ghost_system"])
+def test_a_refused_run_does_no_per_cell_work(build, t_final, error, match, monkeypatch):
+    # the step limit and the closure are decided before x0 is sampled and
+    # before any block is placed
+    def per_cell(*args):
+        raise AssertionError("per-cell work before the refusal")
+
+    monkeypatch.setattr(simulator, "_block_csr", per_cell)
+    monkeypatch.setattr(simulator, "_initial_state", per_cell)
+    sys = build()
+    with pytest.raises(error, match=match):
+        simulate(sys, smooth_bump(0.3, 0.2, sys.dim_d), t_final, nx=400_000)
 
 
 def test_initial_state_array_forms():
@@ -419,7 +461,7 @@ def _grid_wave():
 ], ids=["piecewise", "piecewise_half_line", "grid"])
 def test_cell_densities_are_the_point_values(build):
     sys = build()
-    _, Hb, h, _ = _semidiscrete_operator(sys, nx=200)
+    _, Hb, h, _ = _operator(sys, nx=200)
     centers = (np.arange(200) + 0.5) * h
     want = block_diag(*[sys.H.at(float(z)) for z in centers])
     np.testing.assert_array_equal(Hb.toarray(), want)
@@ -442,9 +484,8 @@ def _kron_operator(sys, nx, L=10.0):
     h = (1.0 if sys.interval == UNIT_INTERVAL else L) / nx
     P1 = np.asarray(sys.P[1], dtype=complex)
     P0 = np.asarray(sys.P[0], dtype=complex)
-    S, delta = numlin.hermitian_eigendecomposition(P1)
-    closure = simulator._BoundaryClosure(sys, S, delta)
-    Sp, Sn = S[closure.pos], S[closure.neg]
+    closure = simulator._BoundaryClosure(sys)
+    Sp, Sn = closure.S[closure.pos], closure.S[closure.neg]
     Bp, Bn = Sp.conj().T @ Sp, Sn.conj().T @ Sn
     ends = np.zeros((2 * d, 2 * d), dtype=complex)
     ends[:d, :d] = P1 @ Bn / h + P0
@@ -481,7 +522,7 @@ def _kron_operator(sys, nx, L=10.0):
 ], ids=["constant", "path_graph_d8", "piecewise", "grid", "half_line", "complex_p0"])
 def test_block_assembly_matches_the_kronecker_sums(build):
     sys = build()
-    got = _semidiscrete_operator(sys, nx=40)[:2]
+    got = _operator(sys, nx=40)[:2]
     for mine, ref in zip(got, _kron_operator(sys, nx=40)):
         mine, ref = mine.copy(), ref.copy()
         mine.sort_indices()
@@ -498,15 +539,15 @@ def test_real_systems_assemble_in_float64(monkeypatch):
     import workloads
 
     for name, (build, *_) in workloads._sim_cases().items():
-        A, Hb, _, _ = _semidiscrete_operator(build(), nx=40)
+        A, Hb, _, _ = _operator(build(), nx=40)
         assert (A.dtype, Hb.dtype) == (np.float64, np.float64), name
-    A, Hb, _, _ = _semidiscrete_operator(_complex_p0_wave(), nx=40)
+    A, Hb, _, _ = _operator(_complex_p0_wave(), nx=40)
     assert (A.dtype, Hb.dtype) == (np.complex128, np.complex128)
 
 
 def _energy_certificate(name):
     """lambda_max(Herm(h Hb A_h)) and ||h Hb A_h|| of the stepping operator."""
-    A, Hb, h, _ = _semidiscrete_operator(CORPUS[name].system(), nx=100)
+    A, Hb, h, _ = _operator(CORPUS[name].system(), nx=100)
     M = (h * (Hb @ A)).toarray()
     lam = np.linalg.eigvalsh(0.5 * (M + M.conj().T))[-1]
     return lam, np.linalg.norm(M, 2)
@@ -535,7 +576,7 @@ def _step_certificate(name, cfl):
     this is checked, not implied by the semi-discrete certificate.
     """
     sys = CORPUS[name].system()
-    A, Hb, h, closure = _semidiscrete_operator(sys, nx=100)
+    A, Hb, h, closure = _operator(sys, nx=100)
     dt = cfl * h / (np.max(np.abs(closure.delta)) * sys.h_max_eig)
     R = _rk4_matrix(A, dt).toarray()
     W = h * Hb.toarray()
@@ -567,7 +608,7 @@ def test_one_matrix_step_matches_four_stage_rk4(name, nx, t_final, center):
     x0 = smooth_bump(center, 0.25, sys.dim_d)
     tr = simulate(sys, x0, t_final=t_final, nx=nx, cfl=0.45)
     # reference: the four-stage loop on A_h, with the run's own step size
-    A, Hb, h, _ = _semidiscrete_operator(sys, nx)
+    A, Hb, h, _ = _operator(sys, nx)
     dt = tr.times[1]
     x = np.stack([x0(z) for z in tr.cell_centers]).astype(complex).ravel()
     energies = [h * np.vdot(x, Hb @ x).real]
@@ -728,9 +769,10 @@ def test_a_scipy_without_the_kernel_name_steps_with_public_products(build, x0, h
 
 
 def test_a_complex_start_steps_a_real_operator_in_its_index_order(monkeypatch):
-    # a real system assembles real matrices; a complex start state makes
-    # them complex without reordering: the step matrix, and so every sum
-    # of the kernel, equals that of the assembly from complex blocks
+    # a real system with a complex start state is assembled from complex
+    # blocks, never as a real matrix made complex afterwards: the step
+    # matrix, and so every sum of the kernel, equals that of the assembly
+    # with every block cast to complex
     sys = CORPUS["wave_interval_damped"].system()
     kwargs = {"t_final": 0.2, "nx": 48, "cfl": 0.45, "snapshot_times": [0.1]}
     tr, M, _ = _run_capturing_the_step_matrix(sys, _wave_complex_start(), **kwargs)

@@ -70,6 +70,12 @@ def test_interpolant_eps_validation():
         boundary_interpolant([1.0], [1.0], eps=0.3)
 
 
+@pytest.mark.parametrize("d", [0, -1, True, 2.0, "2"])
+def test_interpolant_refuses_a_d_that_is_not_a_positive_integer(d):
+    with pytest.raises(ShapeError, match="trace dimension d must be an integer >= 1"):
+        boundary_interpolant([1.0, 0.0], [0.0, 1.0], d=d)
+
+
 def test_quadrature_wave_hand_value():
     # traces Phi1=(1,1), Phi0=(0,1): value = (x(1)*P1x(1) - x(0)*P1x(0))/2 = 1
     sys = make_system(1, 2, [np.array([[0.0, 1.0], [1.0, 0.0]])], np.zeros((2, 4)))

@@ -13,20 +13,23 @@ from phwell.corpus import CORPUS
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "tools" / "trace_digest.py"
-# the whole pool at --t-scale 0.02 with BLAS on one thread: path_graph_d32's
-# 12,800-entry energy dot products round by the BLAS thread count.  The hash
-# is also tied to the OpenBLAS dot kernel the CPU selects and to numpy's SIMD
-# exp (the bumps); it was taken with numpy's OpenBLAS 0.3.31 (DYNAMIC_ARCH)
-# on an AVX-512 x86-64 host.  On a host where the parent tree prints another
-# value, this pin fails with no code change: re-derive it there from the
-# parent before reading the failure as a trace regression.
+# the whole pool at --t-scale 0.02 with BLAS on one thread, which the script
+# sets itself: path_graph_d32's 12,800-entry energy dot products round by the
+# BLAS thread count.  The hash is also tied to the OpenBLAS dot kernel the CPU
+# selects and to numpy's SIMD exp (the bumps); it was taken with numpy's
+# OpenBLAS 0.3.31 (DYNAMIC_ARCH) on an AVX-512 x86-64 host.  On a host where
+# the parent tree prints another value, this pin fails with no code change:
+# re-derive it there from the parent before reading the failure as a trace
+# regression.
 SMALL_POOL_SHA256 = "048301f1d5aac8cc2ee619336f53ca1b00e0864d1308e0c2679fc0583a9432cd"
 
 
 def test_trace_digest_writes_every_field_of_the_whole_pool(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location("trace_digest", SCRIPT)
     script = importlib.util.module_from_spec(spec)
+    environ = dict(os.environ)
     spec.loader.exec_module(script)
+    assert dict(os.environ) == environ  # only a script run pins BLAS threads
     out = tmp_path / "digest.json"
     script.main([str(out), "--t-scale", "0.02"])
     data = json.loads(out.read_text())
@@ -56,11 +59,12 @@ def test_trace_digest_writes_every_field_of_the_whole_pool(tmp_path, capsys):
 
 def test_trace_digest_of_a_short_pool_is_pinned(tmp_path):
     # a change that moves any trace of the 12 runs by one ulp fails here;
-    # the complex_start run guards the index order of a real operator made
-    # complex for a complex start state
+    # the complex_start run guards the complex assembly of a real system
+    # with a complex start state.  Two BLAS threads asked for in the
+    # environment are overridden by the script's one.
     out = tmp_path / "digest.json"
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1",
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
+           "MKL_NUM_THREADS": "2",
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH")]))}
     run = subprocess.run([executable, str(SCRIPT), str(out), "--t-scale", "0.02"],

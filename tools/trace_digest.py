@@ -12,9 +12,23 @@ a change that must not move a result leaves them byte-identical.
 
 --t-scale multiplies every run's t_final and snapshot times (default 1,
 the full pool).  It prints the number of outputs and the sha256 of OUT.json.
+
+Run as a script, it puts BLAS on one thread before numpy loads: the
+path_graph_d32 energies are dot products over 12,800 entries, which a
+multithreaded BLAS splits by the thread count, so without this one tree
+gives another file on a host with another core count.  The last bits
+still depend on the machine: the OpenBLAS dot kernel the CPU selects and
+numpy's SIMD exp (the bumps) set them, so compare files made on one
+machine.  Imported, it leaves the process's environment alone.
 """
 
 from __future__ import annotations
+
+import os
+
+if __name__ == "__main__":
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
 
 import argparse
 import dataclasses
