@@ -23,7 +23,7 @@ import numpy as np
 
 from . import numlin
 from .errors import GridTooCoarse, PhwellError, ShapeError, SingularP1
-from .model import HALF_LINE, PortHamiltonianSystem
+from .model import HALF_LINE, PortHamiltonianSystem, is_real
 from .verdict import ConditionResult, Verdict, decide
 
 
@@ -197,7 +197,7 @@ def _contraction_conditions(alg: HalfLineAlgebra):
     """TA.3 from the kernel form, TA.4 from the factorization."""
     p0, fact, n2 = alg.re_p0, alg.fact, alg.decomp.n2
     ta3 = ConditionResult(
-        "TA.3", True, alg.kernel.is_psd and p0.is_nsd,
+        "TA.3", alg.kernel.is_psd and p0.is_nsd,
         {
             "kernel_dim": float(alg.kernel_dim),
             "min_eig_kernel_form": alg.kernel.min_eig,
@@ -206,15 +206,15 @@ def _contraction_conditions(alg: HalfLineAlgebra):
     )
     counts = {"k": float(alg.k), "n2": float(n2)}
     if alg.k > n2:
-        ta4 = ConditionResult("TA.4", False, None, counts,
+        ta4 = ConditionResult("TA.4", None, counts,
                               reason=f"needs k <= n2 = {n2}, got k = {alg.k}")
     elif isinstance(fact, FactorizationFailure):
         if fact.smin_u2 is not None:
             counts["smin_u2"] = fact.smin_u2
-        ta4 = ConditionResult("TA.4", True, False, counts, reason=fact.detail)
+        ta4 = ConditionResult("TA.4", False, counts, reason=fact.detail)
     else:
         ta4 = ConditionResult(
-            "TA.4", True, alg.lambda_utu.is_psd and p0.is_nsd,
+            "TA.4", alg.lambda_utu.is_psd and p0.is_nsd,
             {
                 "min_eig_lambda_utu": alg.lambda_utu.min_eig,
                 "factorization_residual": fact.residual,
@@ -228,7 +228,7 @@ def _unitary_conditions(alg: HalfLineAlgebra):
     """TA2.3 from the kernel form, TA2.4 from TA.4's factorization."""
     p0, k, n1, n2 = alg.re_p0, alg.k, alg.decomp.n1, alg.decomp.n2
     ta23 = ConditionResult(
-        "TA2.3", True, alg.kernel.is_zero and p0.is_zero,
+        "TA2.3", alg.kernel.is_zero and p0.is_zero,
         {
             "kernel_dim": float(alg.kernel_dim),
             "norm_kernel_form": alg.kernel.norm,
@@ -238,18 +238,18 @@ def _unitary_conditions(alg: HalfLineAlgebra):
     counts = {"k": float(k), "n1": float(n1), "n2": float(n2)}
     if k > min(n1, n2):
         ta24 = ConditionResult(
-            "TA2.4", False, None, counts,
+            "TA2.4", None, counts,
             reason=f"needs k <= min(n1, n2) = {min(n1, n2)}, got k = {k}")
     elif not k == n1 == n2:
-        ta24 = ConditionResult("TA2.4", True, False, counts,
+        ta24 = ConditionResult("TA2.4", False, counts,
                                reason="unitary generation needs k = n1 = n2")
     elif not alg.blocks_invertible:
         ta24 = ConditionResult(
-            "TA2.4", True, False, {"smin_u1": alg.smin_u1, "smin_u2": alg.fact.smin_u2},
+            "TA2.4", False, {"smin_u1": alg.smin_u1, "smin_u2": alg.fact.smin_u2},
             reason="both blocks of WB_hat S^* must be invertible")
     else:
         ta24 = ConditionResult(
-            "TA2.4", True, alg.lambda_utu.is_zero and p0.is_zero,
+            "TA2.4", alg.lambda_utu.is_zero and p0.is_zero,
             {
                 "norm_lambda_utu": alg.lambda_utu.norm,
                 "smin_u1": alg.smin_u1,
@@ -340,8 +340,9 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y, L: float,
     y: an array (n1+n2, n+1) of samples on the uniform grid over [0, L].
     The data should be negligible near L (the half-line tail is
     truncated).  Lambda must be finite and > 0 and Theta finite and < 0,
-    and L a finite number > 0 (PhwellError otherwise); U must be (n2, n1)
-    when n2 > 0 (ShapeError otherwise).
+    L a finite real number > 0 and residual_threshold None or a finite real
+    number >= 0, a bool being no number (PhwellError otherwise); U must be
+    (n2, n1) when n2 > 0 (ShapeError otherwise).
 
     Each block is one unit-triangular band sweep (BLAS ?tbsv, k = 1)
     over all its components, done in place in v.  The positive block
@@ -379,8 +380,12 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y, L: float,
         U = np.asarray(U)
         if U.shape != (n2, n1):
             raise ShapeError(f"U must be ({n2}, {n1}), got {U.shape}")
-    if not 0.0 < L < np.inf:
+    if not (is_real(L) and 0.0 < L < np.inf):
         raise PhwellError(f"L must be a finite number > 0, got {L}")
+    if residual_threshold is not None and not (
+            is_real(residual_threshold) and 0.0 <= residual_threshold < np.inf):
+        raise PhwellError("residual_threshold must be None or a finite number >= 0, "
+                          f"got {residual_threshold!r}")
     y = np.asarray(y)
     dtype = complex if np.iscomplexobj(y) or (n2 and np.iscomplexobj(U)) else float
     y = y.astype(dtype, copy=False)

@@ -102,7 +102,7 @@ def range_containment(r_t: int, r_td: int) -> ConditionResult:
     automatic, so it never gates the equivalence family.
     """
     return ConditionResult(
-        "RANBED", True, r_td == r_t,
+        "RANBED", r_td == r_t,
         {"rank_w1_plus_w2": float(r_t), "rank_augmented": float(r_td)},
     )
 
@@ -202,7 +202,7 @@ def check_kernel_dissipativity(alg: BoundaryAlgebra) -> ConditionResult:
     WB_hat.  A trivial kernel passes vacuously.
     """
     return ConditionResult(
-        "T1.5", True, alg.kernel.is_nsd and alg.re_p0.is_nsd,
+        "T1.5", alg.kernel.is_nsd and alg.re_p0.is_nsd,
         {
             "kernel_dim": float(alg.kernel_dim),
             "max_eig_kernel_form": alg.kernel.max_eig,
@@ -218,10 +218,9 @@ def check_injective_psd(alg: BoundaryAlgebra) -> ConditionResult:
     Only applicable in the square case (k = N*d), where W1+W2 is
     injective exactly when extract_v finds V."""
     if not alg.square:
-        return ConditionResult("T1.3", False, None, reason=alg.not_square)
+        return ConditionResult("T1.3", None, reason=alg.not_square)
     return ConditionResult(
-        "T1.3", True,
-        alg.ext.V is not None and alg.sigma.is_psd and alg.re_p0.is_nsd,
+        "T1.3", alg.ext.V is not None and alg.sigma.is_psd and alg.re_p0.is_nsd,
         {
             "smin_w1_plus_w2": alg.ext.smin,
             "min_eig_sigma_form": alg.sigma.min_eig,
@@ -240,10 +239,10 @@ def check_v_contraction(alg: BoundaryAlgebra) -> ConditionResult:
     by T1.3)."""
     ext = alg.ext
     if ext.V is None:
-        return ConditionResult("T1.4", False, None,
-                               {"smin_w1_plus_w2": ext.smin}, reason=ext.reason)
+        return ConditionResult("T1.4", None, {"smin_w1_plus_w2": ext.smin},
+                               reason=ext.reason)
     return ConditionResult(
-        "T1.4", True, alg.v_contractive and alg.re_p0.is_nsd,
+        "T1.4", alg.v_contractive and alg.re_p0.is_nsd,
         {"v_norm": alg.v_norm, "re_p0_max_eig": alg.re_p0.max_eig},
     )
 
@@ -251,9 +250,9 @@ def check_v_contraction(alg: BoundaryAlgebra) -> ConditionResult:
 def check_surjective_psd(alg: BoundaryAlgebra) -> ConditionResult:
     """C2.6: WB_hat full row rank, W_B Sigma W_B^* >= 0 and Re P0 <= 0."""
     if not alg.square:
-        return ConditionResult("C2.6", False, None, reason=alg.not_square)
+        return ConditionResult("C2.6", None, reason=alg.not_square)
     return ConditionResult(
-        "C2.6", True, alg.surjective and alg.sigma.is_psd and alg.re_p0.is_nsd,
+        "C2.6", alg.surjective and alg.sigma.is_psd and alg.re_p0.is_nsd,
         {
             "smin_wb_hat": alg.smin_wb_hat,
             "min_eig_sigma_form": alg.sigma.min_eig,
@@ -268,15 +267,15 @@ def check_surjective_v(alg: BoundaryAlgebra) -> ConditionResult:
     When W1+W2 is singular no factorization with surjective W_B can
     exist, so the condition is reported as failing."""
     if not alg.square:
-        return ConditionResult("C2.7", False, None, reason=alg.not_square)
+        return ConditionResult("C2.7", None, reason=alg.not_square)
     ext = alg.ext
     diags = {"smin_wb_hat": alg.smin_wb_hat, "re_p0_max_eig": alg.re_p0.max_eig}
     if ext.V is None:
         diags["smin_w1_plus_w2"] = ext.smin
-        return ConditionResult("C2.7", True, False, diags, reason=ext.reason)
+        return ConditionResult("C2.7", False, diags, reason=ext.reason)
     diags["v_norm"] = alg.v_norm
     return ConditionResult(
-        "C2.7", True, alg.surjective and alg.v_contractive and alg.re_p0.is_nsd, diags)
+        "C2.7", alg.surjective and alg.v_contractive and alg.re_p0.is_nsd, diags)
 
 
 def check_unitary_conditions(alg: BoundaryAlgebra):
@@ -294,7 +293,7 @@ def check_unitary_conditions(alg: BoundaryAlgebra):
     p0_norm = alg.re_p0.norm
     snorm = alg.sigma.norm
     results = [ConditionResult(
-        "T3.5", True, alg.kernel.is_zero and p0_zero,
+        "T3.5", alg.kernel.is_zero and p0_zero,
         {
             "kernel_dim": float(alg.kernel_dim),
             "norm_kernel_form": alg.kernel.norm,
@@ -303,9 +302,8 @@ def check_unitary_conditions(alg: BoundaryAlgebra):
     )]
 
     results.append(ConditionResult(
-        "T3.3", square,
-        (ext.V is not None and alg.inj_w2_minus_w1 and alg.sigma.is_zero
-         and p0_zero) if square else None,
+        "T3.3", (ext.V is not None and alg.inj_w2_minus_w1 and alg.sigma.is_zero
+                 and p0_zero) if square else None,
         {
             "smin_w1_plus_w2": ext.smin,
             "smin_w2_minus_w1": alg.smin_w2_minus_w1,
@@ -318,11 +316,11 @@ def check_unitary_conditions(alg: BoundaryAlgebra):
     # V exists only in the square case
     if ext.V is None:
         results.append(ConditionResult(
-            "T3.4", False, None, {"smin_w1_plus_w2": ext.smin},
+            "T3.4", None, {"smin_w1_plus_w2": ext.smin},
             reason=ext.reason if square else not_square))
     else:
         results.append(ConditionResult(
-            "T3.4", True, alg.inj_w2_minus_w1 and alg.v_unitary and p0_zero,
+            "T3.4", alg.inj_w2_minus_w1 and alg.v_unitary and p0_zero,
             {
                 "v_norm": alg.v_norm,
                 "isometry_defect": alg.isometry_defect,
@@ -332,20 +330,19 @@ def check_unitary_conditions(alg: BoundaryAlgebra):
         ))
 
     results.append(ConditionResult(
-        "C3.6", square,
-        (alg.surjective and alg.sigma.is_zero and p0_zero) if square else None,
+        "C3.6", (alg.surjective and alg.sigma.is_zero and p0_zero) if square else None,
         {"smin_wb_hat": alg.smin_wb_hat, "norm_sigma_form": snorm, "re_p0_norm": p0_norm},
         reason=not_square,
     ))
 
     if ext.V is None:
         results.append(ConditionResult(
-            "C3.7", square, False if square else None,
+            "C3.7", False if square else None,
             {"smin_wb_hat": alg.smin_wb_hat, "smin_w1_plus_w2": ext.smin},
             reason=ext.reason if square else not_square))
     else:
         results.append(ConditionResult(
-            "C3.7", True, alg.surjective and alg.v_unitary and p0_zero,
+            "C3.7", alg.surjective and alg.v_unitary and p0_zero,
             {
                 "smin_wb_hat": alg.smin_wb_hat,
                 "v_norm": alg.v_norm,

@@ -19,6 +19,7 @@ import math
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field, fields
+from numbers import Real
 
 import numpy as np
 
@@ -39,6 +40,11 @@ UNIT_INTERVAL = "unit_interval"
 HALF_LINE = "half_line"
 
 V_NORM_SLACK = 1e-8  # absolute slack for ||V|| <= 1 tests; shifts sit exactly at 1
+
+
+def is_real(value) -> bool:
+    """A real number that is not a bool: an int, a float or a numpy one."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def _tolerance_value(value, name: str) -> float:

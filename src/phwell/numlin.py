@@ -29,27 +29,20 @@ DEFAULT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DefinitenessReport:
-    """Eigenvalue extremes of a Hermitian matrix and the resulting verdict.
+    """Eigenvalue extremes of a Hermitian matrix and its two semidefinite tests.
 
-    verdict is one of 'positive_semidefinite', 'negative_semidefinite',
-    'indefinite', 'zero'.  'zero' means both semidefinite verdicts hold.
+    is_psd and is_nsd are definiteness's two comparisons; the matrix is
+    numerically zero exactly when both hold.
     """
 
     min_eig: float
     max_eig: float
-    verdict: str
-
-    @property
-    def is_psd(self) -> bool:
-        return self.verdict in ("positive_semidefinite", "zero")
-
-    @property
-    def is_nsd(self) -> bool:
-        return self.verdict in ("negative_semidefinite", "zero")
+    is_psd: bool
+    is_nsd: bool
 
     @property
     def is_zero(self) -> bool:
-        return self.verdict == "zero"
+        return self.is_psd and self.is_nsd
 
     @property
     def norm(self) -> float:
@@ -168,22 +161,12 @@ def definiteness(M, tol: float = DEFAULT_TOL) -> DefinitenessReport:
         raise ValueError("definiteness needs a square matrix")
     if M.shape[0] == 0:
         # Vacuous form: semidefinite in both directions.
-        return DefinitenessReport(0.0, 0.0, "zero")
+        return DefinitenessReport(0.0, 0.0, True, True)
     require_hermitian(M, 10.0 * tol)
     w = np.linalg.eigvalsh(hermitian_part(M))
     lo, hi = float(w[0]), float(w[-1])
     scale = max(1.0, abs(lo), abs(hi))
-    psd = lo >= -tol * scale
-    nsd = hi <= tol * scale
-    if psd and nsd:
-        verdict = "zero"
-    elif psd:
-        verdict = "positive_semidefinite"
-    elif nsd:
-        verdict = "negative_semidefinite"
-    else:
-        verdict = "indefinite"
-    return DefinitenessReport(lo, hi, verdict)
+    return DefinitenessReport(lo, hi, lo >= -tol * scale, hi <= tol * scale)
 
 
 def hermitian_eigendecomposition(P, tol: float = DEFAULT_TOL):

@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
-from numbers import Real
 
 import numpy as np
 from numpy.polynomial import polynomial as poly
@@ -55,7 +54,7 @@ from .errors import (
     ShapeError,
 )
 from .interval import kernel_energy_form
-from .model import HALF_LINE, UNIT_INTERVAL, PortHamiltonianSystem, boundary_form
+from .model import HALF_LINE, UNIT_INTERVAL, PortHamiltonianSystem, boundary_form, is_real
 
 # kernel_energy_form is bound here for the benchmark's tracer
 # (perfbench/tracer.py), which counts calls to it by this name; the
@@ -195,11 +194,12 @@ def boundary_interpolant(u, v, eps: float = 0.25, d: int = None) -> SmoothFuncti
     and sum v_{i+1}/i! z^i by plateau cutoffs that equal 1 on [1-eps, 1]
     (resp. [0, eps]) and vanish past twice that distance, so every trace up
     to order N-1 is matched exactly.  Small eps concentrates the state in
-    boundary layers of width ~2 eps.  Requires 0 < eps <= 1/4; a d that is
-    not a positive integer (a bool is not one) raises ShapeError.
+    boundary layers of width ~2 eps.  An eps that is not a real number in
+    (0, 1/4], or a d that is not a positive integer, raises ShapeError (a
+    bool is neither).
     """
-    if not 0.0 < eps <= 0.25:
-        raise ValueError("eps must lie in (0, 1/4]")
+    if not (is_real(eps) and 0.0 < eps <= 0.25):
+        raise ShapeError(f"eps must be a real number in (0, 1/4], got {eps!r}")
     u = np.asarray(u, dtype=complex).reshape(-1)
     v = np.asarray(v, dtype=complex).reshape(-1)
     if u.size != v.size:
@@ -470,7 +470,7 @@ def smooth_bump(center: float, width: float, d: int, component: int = 0,
     """
     for name, value, low in (("center", center, -np.inf), ("width", width, 0.0),
                              ("amplitude", amplitude, -np.inf)):
-        if isinstance(value, bool) or not (isinstance(value, Real) and low < value < np.inf):
+        if not (is_real(value) and low < value < np.inf):
             raise PhwellError(f"bump {name} must be a finite real number"
                               f"{' > 0' if low == 0.0 else ''}, got {value!r}")
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
@@ -703,12 +703,14 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
     x0 is a callable z -> d-vector or a (d, nx) array of cell values, the
     layout of final_state and the snapshots, so a run can restart from
     another's final_state; a callable that does not give d numbers at a
-    cell centre raises ShapeError.  t_final and L must be finite numbers
-    > 0, and each snapshot time a finite number in [0, t_final].  A run
-    needing more than MAX_STEPS steps, or whose boundary closure has no
-    solution (BoundaryClosureSingular), is refused before any per-cell
-    array exists.  A snapshot is the state at the first step whose time
-    is within 1e-12 of the snapshot time or past it (x0 for time 0).
+    cell centre raises ShapeError.  t_final and L must be finite real
+    numbers > 0 and each snapshot time one in [0, t_final], or PhwellError
+    names the argument; a cfl outside (0, 0.9] raises CFLViolation.  A bool
+    is not a number.  A run needing more than MAX_STEPS steps, or whose
+    boundary closure has no solution (BoundaryClosureSingular), is refused
+    before any per-cell array exists.  A snapshot is the state at the
+    first step whose time is within 1e-12 of the snapshot time or past it
+    (x0 for time 0).
 
     First order in space (characteristic upwinding of w = Hx with H frozen
     per cell), classical four-stage explicit stepping in time with
@@ -755,17 +757,18 @@ def simulate(sys: PortHamiltonianSystem, x0, t_final: float, nx: int,
         raise ShapeError("simulate supports first-order (N = 1) systems only")
     if isinstance(nx, bool) or not isinstance(nx, (int, np.integer)) or nx < 16:
         raise ShapeError(f"nx must be an integer >= 16, got {nx!r}")
-    if not 0.0 < cfl <= 0.9:
-        raise CFLViolation(f"cfl must lie in (0, 0.9], got {cfl}")
-    if not 0.0 < t_final < np.inf:
-        raise PhwellError(f"t_final must be a finite number > 0, got {t_final}")
-    if not 0.0 < L < np.inf:
-        raise PhwellError(f"L must be a finite number > 0, got {L}")
-    snap_times = sorted(float(t) for t in snapshot_times)
-    bad = [t for t in snap_times if not 0.0 <= t <= t_final]
+    if not (is_real(cfl) and 0.0 < cfl <= 0.9):
+        raise CFLViolation(f"cfl must lie in (0, 0.9], got {cfl!r}")
+    if not (is_real(t_final) and 0.0 < t_final < np.inf):
+        raise PhwellError(f"t_final must be a finite number > 0, got {t_final!r}")
+    if not (is_real(L) and 0.0 < L < np.inf):
+        raise PhwellError(f"L must be a finite number > 0, got {L!r}")
+    snap_times = list(snapshot_times)
+    bad = [t for t in snap_times if not (is_real(t) and 0.0 <= t <= t_final)]
     if bad:
         raise PhwellError(f"snapshot times must lie in [0, t_final = {t_final:g}], "
                           f"got {bad}")
+    snap_times = sorted(map(float, snap_times))
 
     d = sys.dim_d
     dn = d * nx

@@ -2,8 +2,8 @@
 
 The JSON schema is fixed: one object per condition id carrying
 {applicable, holds, diagnostics, reason}, plus consensus, unitary,
-discrepancy and warnings at the top level.  The report layout lives in
-config.verdict_to_json, which writes it from these fields.
+discrepancy and warnings at the top level.  config.verdict_to_json writes
+that layout from these fields, applicable being holds is not None.
 """
 
 from __future__ import annotations
@@ -20,15 +20,19 @@ UNDETERMINED = "undetermined"
 class ConditionResult:
     """Outcome of one algebraic condition.
 
-    holds is None exactly when the condition is not applicable; reason
-    says why it was skipped.  Diagnostics are named scalars (floats).
+    holds is None exactly when the condition does not apply, so applicable
+    is read from it, never stored; reason says why a condition was skipped
+    or failed.  Diagnostics are named scalars (floats).
     """
 
     condition_id: str
-    applicable: bool
     holds: bool | None
     diagnostics: dict = field(default_factory=dict)
     reason: str | None = None
+
+    @property
+    def applicable(self) -> bool:
+        return self.holds is not None
 
 
 @dataclass(frozen=True)

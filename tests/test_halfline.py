@@ -394,12 +394,26 @@ def test_resolvent_callable_rhs_keeps_its_field(monkeypatch, field):
 
 
 @pytest.mark.parametrize("n2", [0, 1])
-@pytest.mark.parametrize("L", [-30.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("L", [-30.0, 0.0, np.nan, np.inf, None, "3"])
 def test_resolvent_rejects_bad_length(n2, L):
     decomp = unit_decomp(1, n2)
     y = np.vstack([np.exp(-np.linspace(0.0, 30.0, 301))] * (1 + n2))
     with pytest.raises(PhwellError, match="L must be a finite number > 0"):
         solve_resolvent_halfline(decomp, np.zeros((n2, 1)), y, L=L)
+
+
+@pytest.mark.parametrize("threshold", ["a", np.nan, -1.0, np.inf, True, 1j])
+def test_resolvent_rejects_a_bad_threshold_before_solving(threshold, monkeypatch):
+    # refused up front: get_blas_funcs, the sweeps' set-up, is never reached,
+    # and a NaN threshold is a fault of the call, not a GridTooCoarse
+    def sweep(*args, **kwargs):
+        raise AssertionError("solved before the refusal")
+
+    monkeypatch.setattr(scipy.linalg, "get_blas_funcs", sweep)
+    y = np.exp(-np.linspace(0.0, 30.0, 301))[None, :]
+    with pytest.raises(PhwellError, match="residual_threshold must be None or a finite"):
+        solve_resolvent_halfline(unit_decomp(1, 0), np.zeros((0, 1)), y, L=30.0,
+                                 residual_threshold=threshold)
 
 
 def test_resolvent_nan_residual_fails_the_threshold():

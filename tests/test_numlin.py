@@ -47,18 +47,17 @@ def test_kernel_basis_random_properties():
 
 def test_definiteness_zero():
     rep = numlin.definiteness(np.zeros((3, 3)))
-    assert rep.verdict == "zero"
-    assert rep.is_psd and rep.is_nsd
+    assert rep.is_psd and rep.is_nsd and rep.is_zero
 
 
 def test_definiteness_tree_diagonal():
     rep = numlin.definiteness(0.25 * np.diag([1.0, 1.0, 2.0, 2.0, 2.0, 2.0]))
-    assert rep.verdict == "positive_semidefinite"
+    assert rep.is_psd and not rep.is_nsd and not rep.is_zero
 
 
 def test_definiteness_indefinite():
     rep = numlin.definiteness(np.diag([1.0, -1.0]))
-    assert rep.verdict == "indefinite"
+    assert not rep.is_psd and not rep.is_nsd and not rep.is_zero
 
 
 def test_definiteness_rejects_non_hermitian():

@@ -229,7 +229,7 @@ def test_smooth_bump_rejects_a_non_finite_amplitude(amplitude):
         smooth_bump(0.3, 0.2, 2, amplitude=amplitude)
 
 
-@pytest.mark.parametrize("L", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("L", [0.0, -1.0, np.inf, np.nan, None, "10", True])
 def test_simulate_rejects_bad_length(L):
     with pytest.raises(PhwellError, match="L must"):
         simulate(build_wave(HALF_LINE, 0.5), smooth_bump(0.3, 0.2, 2), 0.1,
@@ -249,11 +249,27 @@ def test_simulate_refuses_a_run_beyond_the_step_limit(monkeypatch):
         simulate(sys, x0, 0.2, nx=16)
 
 
-@pytest.mark.parametrize("snap", [-1.0, 5.0, np.nan, np.inf])
+@pytest.mark.parametrize("snap", [-1.0, 5.0, np.nan, np.inf, "a", True, 0.05j])
 def test_simulate_rejects_snapshots_outside_the_run(snap):
     with pytest.raises(PhwellError, match="snapshot"):
         simulate(build_transport(), smooth_bump(0.3, 0.2, 1), 0.1, nx=32,
                  snapshot_times=[0.05, snap])
+
+
+@pytest.mark.parametrize("name, value", [
+    ("t_final", "1"), ("t_final", None), ("t_final", True), ("t_final", 1j),
+    ("t_final", 0.0), ("t_final", np.nan), ("cfl", "0.5"), ("cfl", None),
+    ("cfl", True), ("cfl", 0.5j), ("cfl", 0.0), ("cfl", np.nan),
+])
+def test_simulate_rejects_a_t_final_or_cfl_that_is_no_number(name, value, monkeypatch):
+    # refused before the closure, the first work of a run; a bool is no number
+    def work(*args):
+        raise AssertionError("work before the refusal")
+
+    monkeypatch.setattr(simulator, "_BoundaryClosure", work)
+    args = {"t_final": 0.1, "cfl": 0.45, name: value}
+    with pytest.raises(CFLViolation if name == "cfl" else PhwellError, match=name):
+        simulate(build_transport(), smooth_bump(0.3, 0.2, 1), nx=32, **args)
 
 
 def test_snapshots_at_both_ends_of_the_run():

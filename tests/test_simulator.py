@@ -65,9 +65,10 @@ def test_interpolant_zero_targets_vanish():
     np.testing.assert_allclose(x.derivatives(zs, 2), 0.0, atol=1e-15)
 
 
-def test_interpolant_eps_validation():
-    with pytest.raises(ValueError):
-        boundary_interpolant([1.0], [1.0], eps=0.3)
+@pytest.mark.parametrize("eps", [None, "a", True, np.nan, 0.0, 0.3])
+def test_interpolant_eps_validation(eps):
+    with pytest.raises(ShapeError, match="eps must be a real number in"):
+        boundary_interpolant([1.0], [1.0], eps=eps)
 
 
 @pytest.mark.parametrize("d", [0, -1, True, 2.0, "2"])

@@ -1,5 +1,7 @@
 """The one verdict rule both checkers share, on hand-built condition results."""
 
+import dataclasses
+
 import pytest
 
 from phwell.verdict import (
@@ -10,11 +12,6 @@ from phwell.verdict import (
     ConditionResult,
     decide,
 )
-
-
-def r(cid, holds):
-    """An applicable result, or a skipped one for holds=None."""
-    return ConditionResult(cid, holds is not None, holds)
 
 
 @pytest.mark.parametrize("contraction, unitary, certified, expected", [
@@ -42,9 +39,17 @@ def r(cid, holds):
     ((False, False), (True,), (True, False), (NOT_CONTRACTION, None, False)),
 ])
 def test_decide_table(contraction, unitary, certified, expected):
-    cfam = [r(f"c{i}", h) for i, h in enumerate(contraction)]
-    ufam = [r(f"u{i}", h) for i, h in enumerate(unitary)]
+    cfam = [ConditionResult(f"c{i}", h) for i, h in enumerate(contraction)]
+    ufam = [ConditionResult(f"u{i}", h) for i, h in enumerate(unitary)]
     # each family's first member is its kernel test, as in the checkers; a
     # row's certification follows from its members: another one applies
     assert tuple(any(m.applicable for m in f[1:]) for f in (cfam, ufam)) == certified
     assert decide(cfam, ufam) == expected
+
+
+def test_applicable_is_read_from_holds():
+    # a result states its decision once: holds None is "does not apply"
+    assert ConditionResult("T1.3", None).applicable is False
+    assert ConditionResult("T1.3", False).applicable is True
+    assert ConditionResult("T1.3", True).applicable is True
+    assert "applicable" not in {f.name for f in dataclasses.fields(ConditionResult)}

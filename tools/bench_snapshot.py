@@ -15,6 +15,8 @@ so a snapshot takes about 8 minutes.
 The git record names the commit and, when tracked files differ from it,
 the git tree ids of the working tree's `src` and `perfbench`: a commit
 whose `git rev-parse COMMIT:src` prints the same id ran the same code.
+The objects behind those ids go to a temporary object directory, so the
+repository's `.git` gains none.
 To compare two trees, copy this file into the other tree's tools/ and run
 it there on the same machine.  It prints one line per run and exits 1 if
 a run fails or prints no result.
@@ -23,8 +25,10 @@ a run fails or prints no result.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -57,19 +61,26 @@ def quartiles(values) -> dict:
             "values": list(values)}
 
 
-def git_commit() -> dict:
-    def git(*args):
-        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+def git_commit(root: Path = ROOT) -> dict:
+    def git(*args, env=None):
+        out = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
+                             env=env)
         return out.stdout.strip() if out.returncode == 0 else None
 
     status = git("status", "--porcelain", "--untracked-files=no")
     out = {"commit": git("rev-parse", "HEAD"),
            "dirty": None if status is None else bool(status)}
     if out["dirty"]:
-        # a commit object of the working tree's tracked files, bound to no ref
-        stash = git("stash", "create")
-        out["trees"] = {path: git("rev-parse", f"{stash}:{path}")
-                        for path in ("src", "perfbench")}
+        # a commit object of the working tree's tracked files, bound to no ref;
+        # its new objects go to a throwaway directory that reads the
+        # repository's objects as alternates, so the ids are the same
+        objects = git("rev-parse", "--path-format=absolute", "--git-path", "objects")
+        with tempfile.TemporaryDirectory() as scratch:
+            env = {**os.environ, "GIT_OBJECT_DIRECTORY": scratch,
+                   "GIT_ALTERNATE_OBJECT_DIRECTORIES": objects}
+            stash = git("stash", "create", env=env)
+            out["trees"] = {path: git("rev-parse", f"{stash}:{path}", env=env)
+                            for path in ("src", "perfbench")}
     return out
 
 
