@@ -42,15 +42,13 @@ from .model import (
     derive_boundary_operator,
     validate_system,
 )
-from .simulator import (
-    EnergyTrace,
+from .oracle import (
     SmoothFunction,
     boundary_interpolant,
     dissipativity_oracle,
     quadrature_rayleigh,
-    simulate,
-    smooth_bump,
 )
+from .simulator import EnergyTrace, simulate, smooth_bump
 from .verdict import ConditionResult, Verdict
 
 

@@ -24,6 +24,7 @@ from .model import (
     PortHamiltonianSystem,
     build_q,
     derive_boundary_operator,
+    is_integer,
     validate_system,
 )
 
@@ -310,8 +311,7 @@ def random_system(seed: int, N: int = None, d: int = None,
         raise ValueError(f"unknown klass {klass!r}; expected {INTERVAL_SQUARE!r}, "
                          f"{INTERVAL_RECT!r} or {HALFLINE!r}")
     for name, v in (("N", N), ("d", d)):
-        if v is not None and (isinstance(v, bool)
-                              or not isinstance(v, (int, np.integer)) or v < 1):
+        if v is not None and not (is_integer(v) and v >= 1):
             raise ValueError(f"{name} must be a positive int, got {v!r}")
     if klass == HALFLINE and N not in (None, 1):
         raise ValueError(f"{HALFLINE!r} systems have N = 1, got N={N!r}")

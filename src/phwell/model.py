@@ -19,7 +19,7 @@ import math
 import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field, fields
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -45,6 +45,11 @@ V_NORM_SLACK = 1e-8  # absolute slack for ||V|| <= 1 tests; shifts sit exactly a
 def is_real(value) -> bool:
     """A real number that is not a bool: an int, a float or a numpy one."""
     return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def is_integer(value) -> bool:
+    """An integer that is not a bool: an int or a numpy one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _tolerance_value(value, name: str) -> float:
@@ -249,7 +254,7 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
     real = field == "real"
     N, d = _required(raw, "N"), _required(raw, "d")
     for key, v in (("N", N), ("d", d)):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+        if not (is_integer(v) and v >= 1):
             raise ShapeError(f"N and d must be positive integers, got N={N!r}, d={d!r}",
                              path=key)
     N, d = int(N), int(d)

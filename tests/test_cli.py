@@ -269,7 +269,11 @@ def test_oracle_contradiction_exit_code(tmp_path, monkeypatch, capsys, change):
     monkeypatch.setattr(cli_mod, "dissipativity_oracle",
                         lambda *a, **kw: dataclasses.replace(real(*a, **kw), **change))
     assert main(["oracle", str(cfg)]) == 3
-    assert json.loads(capsys.readouterr().out)["holds"] is change.get("holds", True)
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["holds"] is change.get("holds", True)
+    reason = "T1.5 says holds=True" if "holds" in change else "the boundary form by 1.000e-06"
+    assert captured.err.startswith("CONTRADICTION: ")
+    assert reason in captured.err
 
 
 def test_corpus_list(capsys):

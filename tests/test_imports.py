@@ -8,7 +8,10 @@ what they need on their first call.  No package module but cli.py
 imports phwell.cli, so import phwell leaves the command line unloaded
 and python -m phwell.cli runs without runpy's warning.  The one private
 scipy name the package uses is scipy.sparse._sparsetools, inside a
-function of simulator.py.  An imported
+function of simulator.py.  phwell/oracle.py imports only the standard
+library, numpy and the package's numlin, model and errors, and
+simulator.py still binds every name it exported before the oracle moved
+out of it.  An imported
 name counts as used when it is read anywhere in the same file, or
 listed in that file's __all__ (the package re-exports through
 phwell/__init__.py).  A module-level def or class of
@@ -385,6 +388,66 @@ def test_the_scan_finds_private_scipy_names():
         (5, "scipy._lib", False), (11, "scipy.sparse._sparsetools", True),
         (12, "scipy.sparse._base", True), (12, "scipy.sparse._sputils", True),
         (15, "scipy.sparse._sparsetools", True)]
+
+
+def module_imports(source: str) -> list:
+    """Every module the source imports: a dotted name, or .name for one of the package.
+
+    from . import numlin gives .numlin, from .model import x gives .model,
+    import numpy.linalg gives numpy.linalg; from __future__ is left out.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            if node.level and not node.module:
+                found.update("." + alias.name for alias in node.names)
+            else:
+                found.add("." * node.level + node.module)
+    return sorted(found)
+
+
+def test_the_oracle_imports_no_checker_and_no_simulator():
+    # the oracle is evidence independent of the algebra: stdlib, numpy and
+    # the package's numlin, model and errors only
+    allowed = {".numlin", ".model", ".errors"}
+    found = module_imports((ROOT / "src" / "phwell" / "oracle.py").read_text())
+    stray = [m for m in found if m not in allowed
+             and m.partition(".")[0] not in (*sys.stdlib_module_names, "numpy")]
+    assert stray == []
+    assert allowed <= set(found)
+
+
+def test_the_scan_finds_module_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import numpy as np, os.path\n"
+        "from numpy.polynomial import polynomial as poly\n"
+        "from . import numlin, verdict\n"
+        "from .model import HALF_LINE\n"
+        "def f():\n"
+        "    from .interval import kernel_energy_form\n"
+    )
+    assert module_imports(source) == [".interval", ".model", ".numlin", ".verdict",
+                                      "numpy", "numpy.polynomial", "os.path"]
+
+
+# simulator.__all__ before the oracle moved to phwell.oracle, and the names
+# perfbench/tracer.py wraps as simulator.<name>
+SIMULATOR_NAMES = ("MAX_STEPS", "ORACLE_TOL", "EnergyTrace", "OracleReport",
+                   "SmoothFunction", "boundary_form_value", "boundary_interpolant",
+                   "dissipativity_oracle", "interior_probe", "kernel_energy_form",
+                   "quadrature_rayleigh", "simulate", "smooth_bump", "_gauss_panels",
+                   "_rayleigh_split")
+
+
+@pytest.mark.parametrize("name", SIMULATOR_NAMES)
+def test_simulator_keeps_every_name_it_exported(name):
+    from phwell import oracle, simulator
+
+    assert name in vars(simulator)
+    assert getattr(simulator, name) is vars(oracle).get(name, getattr(simulator, name))
 
 
 # Run in a fresh interpreter: the test process has scipy.sparse loaded

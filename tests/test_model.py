@@ -40,8 +40,8 @@ from phwell.halfline import (
     factorize_boundary,
     unit_decomposition,
 )
-from phwell.model import port_variables
-from phwell.simulator import boundary_interpolant
+from phwell.model import is_integer, port_variables
+from phwell.oracle import boundary_interpolant
 
 
 def wave_raw(**over):
@@ -654,3 +654,11 @@ def test_both_front_ends_decide_alike(change, error, path, tmp_path, capsys):
     config.write_text(json.dumps(doc))
     assert main(["analyze", str(config)]) == (0 if error is None else 2)
     assert ("error: " in capsys.readouterr().err) == (error is not None)
+
+
+@pytest.mark.parametrize("value, want", [
+    (3, True), (np.int64(3), True), (np.uint8(0), True), (True, False),
+    (np.bool_(True), False), (3.0, False), (np.float64(3), False), ("3", False),
+])
+def test_is_integer(value, want):
+    assert is_integer(value) is want

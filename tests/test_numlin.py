@@ -9,7 +9,7 @@ from phwell.errors import NotHermitian
 from phwell.halfline import BoundaryFactorization, FactorizationFailure, HalfLineAlgebra
 from phwell.interval import BoundaryAlgebra
 from phwell.model import derive_boundary_operator
-from phwell.simulator import dissipativity_oracle
+from phwell.oracle import dissipativity_oracle
 
 
 def test_kernel_basis_row_vector():

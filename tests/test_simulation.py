@@ -11,6 +11,7 @@ from scipy.sparse import _sparsetools
 
 from phwell import (
     HamiltonianDensity,
+    analyze,
     simulate,
     simulator,
     smooth_bump,
@@ -30,7 +31,13 @@ from phwell.model import (
     boundary_form,
     port_variables,
 )
-from phwell.simulator import _block_csr, _rk4_matrix, _semidiscrete_operator
+from phwell.simulator import (
+    SIMULATE_RISE_ALLOWANCE,
+    _block_csr,
+    _rk4_matrix,
+    _semidiscrete_operator,
+    energy_contradiction,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -254,6 +261,44 @@ def test_simulate_rejects_snapshots_outside_the_run(snap):
     with pytest.raises(PhwellError, match="snapshot"):
         simulate(build_transport(), smooth_bump(0.3, 0.2, 1), 0.1, nx=32,
                  snapshot_times=[0.05, snap])
+
+
+@pytest.mark.parametrize("snaps", [None, 0.05])
+def test_simulate_rejects_snapshot_times_that_are_no_list(snaps, monkeypatch):
+    # refused before the closure, the first work of a run
+    def work(*args):
+        raise AssertionError("work before the refusal")
+
+    monkeypatch.setattr(simulator, "_BoundaryClosure", work)
+    with pytest.raises(PhwellError, match="snapshot_times"):
+        simulate(build_transport(), smooth_bump(0.3, 0.2, 1), 0.1, nx=32,
+                 snapshot_times=snaps)
+
+
+def test_no_energy_contradiction_on_the_corpus():
+    for name, entry in CORPUS.items():
+        sys = entry.system()
+        trace = simulate(sys, smooth_bump(0.5, 0.25, sys.dim_d), t_final=0.2, nx=32)
+        assert energy_contradiction(trace, analyze(sys)) is None, name
+
+
+def test_energy_contradiction_is_a_rise_beyond_the_allowance_of_a_contraction():
+    # the antidamped wave gains about 6 % of E(0) in one step at these settings
+    sys = CORPUS["wave_interval_antidamped"].system()
+    trace = simulate(sys, smooth_bump(0.3, 0.15, 2), t_final=0.5, nx=32)
+    verdict = analyze(sys)
+    assert verdict.consensus != "contraction"
+    assert trace.max_violation > SIMULATE_RISE_ALLOWANCE * trace.energy[0]
+    assert energy_contradiction(trace, verdict) is None
+    contraction = dataclasses.replace(verdict, consensus="contraction")
+    assert energy_contradiction(trace, contraction).startswith(
+        "analyze says contraction, but the energy rose by")
+    at_limit = dataclasses.replace(
+        trace, max_violation=SIMULATE_RISE_ALLOWANCE * trace.energy[0])
+    assert energy_contradiction(at_limit, contraction) is None
+    above = dataclasses.replace(at_limit, max_violation=np.nextafter(
+        at_limit.max_violation, np.inf))
+    assert energy_contradiction(above, contraction) is not None
 
 
 @pytest.mark.parametrize("name, value", [

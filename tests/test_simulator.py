@@ -9,7 +9,8 @@ from phwell.corpus import CORPUS, build_transport, build_wave, random_system
 from phwell.errors import ShapeError
 from phwell.interval import analyze_interval
 from phwell.model import HALF_LINE, boundary_form, build_q
-from phwell.simulator import (
+from phwell.oracle import (
+    ORACLE_CROSS_CHECK_LIMIT,
     ORACLE_TOL,
     ORACLE_WIDTH,
     ORACLE_WITNESS_WIDTHS,
@@ -22,6 +23,7 @@ from phwell.simulator import (
     boundary_interpolant,
     dissipativity_oracle,
     interior_probe,
+    oracle_contradiction,
     quadrature_rayleigh,
 )
 
@@ -131,7 +133,7 @@ def test_oracle_agrees_on_damped_wave():
     rep = dissipativity_oracle(sys)
     assert rep.holds
     assert rep.max_value <= 1e-10
-    assert rep.cross_check_max_diff <= 1e-8
+    assert rep.cross_check_max_diff <= ORACLE_CROSS_CHECK_LIMIT
 
 
 def test_oracle_finds_positive_witness():
@@ -271,7 +273,7 @@ def test_oracle_matches_kernel_condition_with_p0():
         rep = dissipativity_oracle(sys)
         v = analyze_interval(sys)
         assert rep.holds == v["T1.5"].holds
-        assert rep.cross_check_max_diff <= 1e-8
+        assert rep.cross_check_max_diff <= ORACLE_CROSS_CHECK_LIMIT
 
 
 @pytest.mark.parametrize("seed", [2026557278, 54, 116, 202])
@@ -298,7 +300,7 @@ def test_oracle_agrees_with_ta3_on_the_half_line():
         rep = dissipativity_oracle(sys)
         verdicts.add(rep.holds)
         assert rep.holds == analyze(sys)["TA.3"].holds
-        assert rep.cross_check_max_diff <= 1e-8
+        assert rep.cross_check_max_diff <= ORACLE_CROSS_CHECK_LIMIT
         if rep.witness is not None:
             # a state on [0, 1] that vanishes from z = 0.65 on: one of the half line
             assert not rep.witness.value(np.linspace(0.65, 1.0, 8)).any()
@@ -310,11 +312,34 @@ def test_oracle_never_reads_the_checkers_kernel_form(monkeypatch):
         raise AssertionError("kernel_energy_form called")
 
     systems = {name: entry.system() for name, entry in CORPUS.items()}
-    want = {name: analyze(sys)["TA.3" if sys.interval == HALF_LINE else "T1.5"].holds
-            for name, sys in systems.items()}
+    verdicts = {name: analyze(sys) for name, sys in systems.items()}
     monkeypatch.setattr(interval, "kernel_energy_form", refuse)
     monkeypatch.setattr(simulator, "kernel_energy_form", refuse)
-    assert {name: dissipativity_oracle(sys).holds for name, sys in systems.items()} == want
+    assert {name: oracle_contradiction(sys, dissipativity_oracle(sys), verdicts[name])
+            for name, sys in systems.items()} == dict.fromkeys(systems)
+
+
+def test_no_oracle_contradiction_on_the_corpus():
+    for name, entry in CORPUS.items():
+        sys = entry.system()
+        rep = dissipativity_oracle(sys)
+        assert oracle_contradiction(sys, rep, analyze(sys)) is None, name
+
+
+@pytest.mark.parametrize("name, reference", [("wave_interval_damped", "T1.5"),
+                                             ("wave_halfline_u2", "TA.3")])
+def test_oracle_contradiction_is_a_flipped_verdict_or_a_cross_check_gap(name, reference):
+    sys = CORPUS[name].system()
+    rep, verdict = dissipativity_oracle(sys), analyze(sys)
+    flipped = oracle_contradiction(sys, dataclasses.replace(rep, holds=not rep.holds),
+                                   verdict)
+    assert flipped == (f"the oracle says holds={not rep.holds}, but {reference} says "
+                       f"holds={rep.holds}")
+    gap = oracle_contradiction(sys, dataclasses.replace(rep, cross_check_max_diff=1e-6),
+                               verdict)
+    assert gap.startswith("the quadrature differs from the boundary form by 1.000e-06")
+    at_limit = dataclasses.replace(rep, cross_check_max_diff=ORACLE_CROSS_CHECK_LIMIT)
+    assert oracle_contradiction(sys, at_limit, verdict) is None
 
 
 def kron_oracle_reference(sys):

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
-from phwell import cli, simulator
+from phwell import cli, oracle, simulator
 from phwell.corpus import CORPUS, random_system
 from phwell.halfline import solve_resolvent_halfline, unit_decomposition
-from phwell.simulator import ORACLE_WITNESS_WIDTHS, dissipativity_oracle
+from phwell.oracle import ORACLE_WITNESS_WIDTHS, dissipativity_oracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -21,7 +21,7 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracer as tracer_mod
 
-    simulator._oracle_gram.cache_clear()  # earlier tests may have filled it
+    oracle._oracle_gram.cache_clear()  # earlier tests may have filled it
     tracer = tracer_mod.Tracer()
     try:
         tracer_mod.install(tracer)

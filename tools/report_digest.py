@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from phwell import analyze, config, corpus
-from phwell.simulator import dissipativity_oracle
+from phwell.oracle import dissipativity_oracle
 
 CLASSES = ("interval_square", "interval_rect", "halfline")
 
