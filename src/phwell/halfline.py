@@ -18,6 +18,7 @@ unweighted generators are similar); it is checked at validation only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -281,6 +282,22 @@ def analyze_halfline(sys: PortHamiltonianSystem) -> Verdict:
                    tuple(warnings))
 
 
+@lru_cache(maxsize=8)
+def _spline_factor(n: int):
+    """Read-only ?pttrf factor (d, e) of CubicSpline's n x n slope matrix, per process.
+
+    The matrix depends on n alone.  LAPACK's ?ptsv is ?pttrf followed by
+    ?pttrs, so solving with this factor gives ?ptsv's slopes bit for bit.
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    diag = np.full(n, 4.0)
+    diag[0] = diag[-1] = 0.5
+    d, e, _ = get_lapack_funcs("pttrf", dtype=float)(diag, np.ones(n - 1))
+    d.flags.writeable = e.flags.writeable = False
+    return d, e
+
+
 class CubicSpline:
     """Not-a-knot cubic spline through samples y[..., j] at step h, midpoints only.
 
@@ -292,10 +309,11 @@ class CubicSpline:
     slopes, s[0] + 2 s[1] = (5 m[0] + m[1]) / 2 first and the mirror row
     last.  With the two end rows halved the matrix is symmetric positive
     definite (diagonal 0.5, 4, ..., 4, 0.5, off-diagonal 1; its LDL^T
-    pivots are at least 0.21 for n >= 4), so s comes from one LAPACK ?ptsv
-    solve in float64, complex samples as their float view.  Needs n >= 4
-    samples; h is taken as given.  scipy.linalg loads at the first build,
-    not when phwell is imported.
+    pivots are at least 0.21 for n >= 4), so s comes from one LAPACK ?pttrs
+    solve in float64, complex samples as their float view, with the ?pttrf
+    factor of _spline_factor(n).  Needs n >= 4 samples; h is taken as
+    given.  scipy.linalg loads at the first build, not when phwell is
+    imported.
     """
 
     def __init__(self, y, h: float):
@@ -314,10 +332,8 @@ class CubicSpline:
         rhs[1:-1] *= 3.0 / h
         rhs[0] = (5.0 * dy[0] + dy[1]) / (4.0 * h)
         rhs[-1] = (dy[-2] + 5.0 * dy[-1]) / (4.0 * h)
-        diag = np.full(n, 4.0)
-        diag[0] = diag[-1] = 0.5
-        ptsv = get_lapack_funcs("ptsv", dtype=float)
-        s = ptsv(diag, np.ones(n - 1), rhs.view(float), overwrite_b=1)[2]
+        pttrs = get_lapack_funcs("pttrs", dtype=float)
+        s = pttrs(*_spline_factor(n), rhs.view(float), overwrite_b=1)[0]
         self.s = np.ascontiguousarray(s).view(rhs.dtype)
 
     def midpoints(self) -> np.ndarray:
@@ -333,6 +349,14 @@ class CubicSpline:
         return ym.T.reshape(self.lead + (-1,))
 
 
+def _numbers(name: str, a) -> np.ndarray:
+    """a as an array; PhwellError unless it holds integers, floats or complex numbers."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iufc":
+        raise PhwellError(f"{name} must hold numbers, got dtype {a.dtype}")
+    return a
+
+
 def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y, L: float,
                              residual_threshold: float = None):
     """Solve v - diag(Lambda, Theta) v' = y with the coupling U v1(0) + v2(0) = 0.
@@ -341,7 +365,8 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y, L: float,
     The data should be negligible near L (the half-line tail is
     truncated).  Lambda must be finite and > 0 and Theta finite and < 0,
     L a finite real number > 0 and residual_threshold None or a finite real
-    number >= 0, a bool being no number (PhwellError otherwise); U must be
+    number >= 0, a bool being no number, and y and U (when n2 > 0) must hold
+    integers, floats or complex numbers (PhwellError otherwise); U must be
     (n2, n1) when n2 > 0 (ShapeError otherwise).
 
     Each block is one unit-triangular band sweep (BLAS ?tbsv, k = 1)
@@ -360,9 +385,11 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y, L: float,
     the midpoints of this module's not-a-knot CubicSpline, built from the
     negative block's samples and the step h, and read off its knot slopes
     as (y_j + y_{j+1}) / 2 + h (s_j - s_{j+1}) / 8; the spline costs one
-    ?ptsv solve per call.  The work is done in float64
-    unless y or U is complex, then in complex128; v is returned as
-    complex128 either way.  Returns (v, residual) with the residual
+    ?pttrs solve per call with the ?pttrf factor kept for the grid size.
+    The work is done in float64 unless y or U is complex, then in
+    complex128; v is returned as complex128 either way.  A real run
+    allocates that result first and uses its float view as the scratch of
+    the band sweeps and the residual.  Returns (v, residual) with the residual
     measured as the max over interior nodes of |v - Delta v' - y| using
     fourth-order central differences; raises GridTooCoarse when it is not
     <= residual_threshold (a NaN residual included).
@@ -377,7 +404,7 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y, L: float,
         raise PhwellError("Lambda must be finite and > 0 and Theta finite and < 0, "
                           f"got {lam} and {theta}")
     if n2:
-        U = np.asarray(U)
+        U = _numbers("U", U)
         if U.shape != (n2, n1):
             raise ShapeError(f"U must be ({n2}, {n1}), got {U.shape}")
     if not (is_real(L) and 0.0 < L < np.inf):
@@ -386,7 +413,7 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y, L: float,
             is_real(residual_threshold) and 0.0 <= residual_threshold < np.inf):
         raise PhwellError("residual_threshold must be None or a finite number >= 0, "
                           f"got {residual_threshold!r}")
-    y = np.asarray(y)
+    y = _numbers("y", y)
     dtype = complex if np.iscomplexobj(y) or (n2 and np.iscomplexobj(U)) else float
     y = y.astype(dtype, copy=False)
     if y.ndim != 2 or y.shape[0] != d:
@@ -396,6 +423,10 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y, L: float,
         raise GridTooCoarse("need at least 6 grid points", residual=np.inf)
     h = L / (npts - 1)
     v = np.zeros((d, npts), dtype=dtype)
+    # work holds each block's bands, then the residual: in a real run it is
+    # the float view of the complex128 result, which gets v at the end
+    out = np.empty((d, npts), dtype=complex) if dtype is float else v
+    work = out.view(float) if dtype is float else np.empty((d, 2 * npts), dtype)
     # ?tbsv reads a column-major (2, n) band, band.reshape(-1, 2).T here;
     # with diag=1 it reads only the off-diagonal: band[..., 0] above the
     # unit diagonal (lower=0), band[..., 1] below it (lower=1).  Each
@@ -409,7 +440,7 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y, L: float,
         np.multiply(y[:n1, 1:], decay, out=f)
         f += y[:n1, :-1]
         f *= (0.5 * h / lam)[:, None]
-        band = np.empty((n1, npts, 2), dtype=dtype)
+        band = work[:n1].reshape(n1, npts, 2)
         band[:, 0, 0] = 0.0  # no coupling into a component's first row
         band[:, 1:, 0] = -decay
         tbsv(1, band.reshape(-1, 2).T, v[:n1].reshape(-1), lower=0, diag=1,
@@ -417,7 +448,8 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y, L: float,
 
     if n2:
         # row 0: w_0 = -U v1(0); rows j >= 1: w_j - R w_{j-1} = g_{j-1}
-        v[n1:, 0] = -U @ v[:n1, 0]
+        # negated in floats: -U would wrap for an unsigned or int8 U
+        v[n1:, 0] = -U.astype(np.result_type(U, float), copy=False) @ v[:n1, 0]
         z = h / theta
         R = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
         c = -h / (6.0 * theta)
@@ -428,7 +460,7 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y, L: float,
         np.multiply(ym, b[:, None], out=g)
         g += a[:, None] * y[n1:, :-1]
         g += c[:, None] * y[n1:, 1:]
-        band = np.empty((n2, npts, 2), dtype=dtype)
+        band = work[n1:].reshape(n2, npts, 2)
         band[:, :-1, 1] = -R[:, None]
         band[:, -1, 1] = 0.0  # no coupling out of a component's last row
         tbsv(1, band.reshape(-1, 2).T, v[n1:].reshape(-1), lower=1, diag=1,
@@ -436,16 +468,20 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y, L: float,
 
     # residual with 4th-order central differences on interior nodes:
     # Delta v' - v + y, the stencil 8 (v3 - v1) + v0 - v4 scaled by Delta / 12h
-    res = np.subtract(v[:, 3:-1], v[:, 1:-3])
+    res = np.subtract(v[:, 3:-1], v[:, 1:-3], out=work[:, :npts - 4])
     res *= 8.0
     res += v[:, :-4]
     res -= v[:, 4:]
     res *= (np.concatenate([lam, theta]) / (12.0 * h))[:, None]
     res -= v[:, 2:-2]
     res += y[:, 2:-2]
-    residual = float(np.max(np.abs(res))) if res.size else 0.0
+    np.abs(res, out=res)  # a complex run's moduli land in the real parts
+    residual = float(np.max(res.real)) if res.size else 0.0
     if residual_threshold is not None and not residual <= residual_threshold:
         raise GridTooCoarse(
             f"resolvent residual {residual:.3e} above {residual_threshold:.3e}; "
             "refine the grid", residual=residual)
-    return v.astype(complex, copy=False), residual
+    if dtype is float:
+        out.real = v
+        out.imag = 0.0
+    return out, residual

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -432,26 +435,30 @@ def test_resolvent_nan_residual_fails_the_threshold():
                                                    (1, 1, 1), (2, 2, 1)])
 def test_resolvent_banded_lu_only_in_the_spline(monkeypatch, n1, n2, spline_solves):
     # both recurrences are ?tbsv sweeps; the one factorization is the
-    # spline's tridiagonal ?ptsv solve, made only when there is a negative
-    # block; the spline looks ?ptsv up in scipy.linalg at each build
-    calls = []
+    # spline's tridiagonal ?pttrf, made once per grid size and reused by a
+    # ?pttrs solve per call when there is a negative block; the spline looks
+    # both up in scipy.linalg when it needs them
+    calls = {"pttrf": [], "pttrs": []}
     get_lapack_funcs = scipy.linalg.get_lapack_funcs
 
     def counting_lookup(name, *args, **kwargs):
         routine = get_lapack_funcs(name, *args, **kwargs)
-        if name != "ptsv":
+        if name not in calls:
             return routine
 
         def counting(*a, **kw):
-            calls.append(1)
+            calls[name].append(a[0].size)
             return routine(*a, **kw)
         return counting
 
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting_lookup)
-    t = np.linspace(0.0, 30.0, 601)
-    y = np.vstack([np.exp(-t)] * (n1 + n2))
-    solve_resolvent_halfline(unit_decomp(n1, n2), np.full((n2, n1), 0.5), y, L=30.0)
-    assert len(calls) == spline_solves
+    halfline._spline_factor.cache_clear()
+    for npts in (601, 301, 601, 301, 601):
+        t = np.linspace(0.0, 30.0, npts)
+        y = np.vstack([np.exp(-t)] * (n1 + n2))
+        solve_resolvent_halfline(unit_decomp(n1, n2), np.full((n2, n1), 0.5), y, L=30.0)
+    assert len(calls["pttrs"]) == 5 * spline_solves
+    assert calls["pttrf"] == [601, 301][:2 * spline_solves]
     assert not hasattr(halfline, "solve_banded")
 
 
@@ -475,6 +482,132 @@ def test_resolvent_residual_matches_the_stencil(field):
         v, res = solve_resolvent_halfline(decomp, U, yn, L=30.0)
         want = _old_stencil_residual(v, yn, decomp, 30.0)
         assert abs(res - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("name, bad", [
+    pytest.param("y", np.array([["1"] * 101]), id="y-str"),
+    pytest.param("y", np.ones((1, 101), dtype=bool), id="y-bool"),
+    pytest.param("y", np.array([[None] * 101]), id="y-None"),
+    pytest.param("U", np.array([[True]]), id="U-bool"),
+    pytest.param("U", np.array([["0.5"]]), id="U-str"),
+])
+def test_resolvent_refuses_non_numbers_before_solving(name, bad, monkeypatch):
+    # a str or bool y used to be converted (residual 0.0075), a None y gave a
+    # NaN residual, and a bool or str U raised numpy's TypeError after the
+    # positive sweep; a bool is no number here either
+    def sweep(*args, **kwargs):
+        raise AssertionError("solved before the refusal")
+
+    monkeypatch.setattr(scipy.linalg, "get_blas_funcs", sweep)
+    args = {"y": np.vstack([np.exp(-np.linspace(0.0, 30.0, 101))] * 2),
+            "U": np.array([[0.5]])}
+    args[name] = np.vstack([bad] * 2) if name == "y" else bad
+    with pytest.raises(PhwellError, match=f"{name} must hold numbers, got dtype {bad.dtype}"):
+        solve_resolvent_halfline(unit_decomp(1, 1), args["U"], args["y"], L=30.0)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, np.float16, np.float32,
+                                   np.longdouble, np.complex64, np.clongdouble])
+def test_resolvent_takes_numbers_of_any_precision(dtype):
+    # small non-negative integers, exact in every dtype; the run is float64
+    # or complex128 whatever the precision given
+    y = np.vstack([np.arange(301) % 3, np.arange(301) % 5]).astype(float)
+    U = np.array([[2.0]])
+    field = complex if np.dtype(dtype).kind == "c" else float
+    want, _ = solve_resolvent_halfline(unit_decomp(1, 1), U.astype(field), y.astype(field),
+                                       L=30.0)
+    got, _ = solve_resolvent_halfline(unit_decomp(1, 1), U.astype(dtype), y.astype(dtype),
+                                      L=30.0)
+    np.testing.assert_array_equal(got, want)
+
+
+def _resolvent_pool():
+    """18 fixed calls: float and complex data, (n1, n2) in {(1, 0), (1, 1), (2, 2)},
+    7, 601 and 30,001 points."""
+    rng = np.random.default_rng(37)
+    for field in (float, complex):
+        for n1, n2 in ((1, 0), (1, 1), (2, 2)):
+            decomp = HalfLineDecomposition(S=np.eye(n1 + n2, dtype=complex),
+                                           Lambda=np.array([1.3, 0.02])[:n1],
+                                           Theta=np.array([-0.4, -3.0])[:n2])
+            for npts in (7, 601, 30001):
+                t = np.linspace(0.0, 30.0, npts)
+                y = rng.normal(size=(n1 + n2, 3)) @ np.vstack([t ** 0, t, t * t])
+                y *= np.exp(-t)
+                U = rng.normal(size=(n2, n1))
+                if field is complex:
+                    y = y + 1j * rng.normal(size=y.shape)
+                    U = U + 1j * rng.normal(size=U.shape)
+                yield decomp, U, y
+
+
+# Taken from the tree before the spline factor was cached and the result
+# became the run's scratch, so equality shows those changes moved no bit.
+# numpy's OpenBLAS kernel (the coupling U @ v1(0)) and SIMD exp (the data and
+# the decay factors) set the last bits: it was taken with numpy's OpenBLAS
+# 0.3.31 (DYNAMIC_ARCH) on an AVX-512 x86-64 host.  On a host where the
+# parent tree gives another value, this pin fails with no code change:
+# re-derive it there from the parent before reading the failure as a
+# resolvent regression.
+RESOLVENT_POOL_SHA256 = "0ad3860346611a91e3d3efe4022fd6c51df36adec09c05f928fecacaff1629d1"
+
+
+def test_resolvent_outputs_are_pinned():
+    h = hashlib.sha256()
+    for decomp, U, y in _resolvent_pool():
+        v, residual = solve_resolvent_halfline(decomp, U, y, L=30.0)
+        h.update(v.tobytes())
+        h.update(residual.hex().encode())
+    assert h.hexdigest() == RESOLVENT_POOL_SHA256
+
+
+def test_resolvent_cold_and_warm_spline_factor_agree():
+    decomp, U, y = list(_resolvent_pool())[16]  # complex data, (2, 2), 601 points
+    halfline._spline_factor.cache_clear()
+    cold, cold_res = solve_resolvent_halfline(decomp, U, y, L=30.0)
+    assert halfline._spline_factor.cache_info().currsize == 1
+    warm, warm_res = solve_resolvent_halfline(decomp, U, y, L=30.0)
+    assert cold.tobytes() == warm.tobytes()
+    assert cold_res.hex() == warm_res.hex()
+
+
+def test_spline_factor_is_read_only():
+    for factor in halfline._spline_factor(601):
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0] = 1.0
+
+
+@pytest.mark.parametrize("field", [float, complex])
+@pytest.mark.parametrize("n1, n2", [(1, 0), (1, 1)])
+def test_resolvent_results_share_no_memory(field, n1, n2):
+    # a real run's result is its own scratch; no later call may reuse it
+    t = np.linspace(0.0, 30.0, 601)
+    y = np.vstack([np.exp(-t)] * (n1 + n2)).astype(field)
+    U = np.full((n2, n1), 0.5)
+    first, _ = solve_resolvent_halfline(unit_decomp(n1, n2), U, y, L=30.0)
+    kept = first.copy()
+    second, _ = solve_resolvent_halfline(unit_decomp(n1, n2), U, 2.0 * y, L=30.0)
+    assert not np.shares_memory(first, second)
+    assert not np.shares_memory(first, y)
+    np.testing.assert_array_equal(first, kept)
+    np.testing.assert_array_equal(second, 2.0 * kept)
+
+
+def test_resolvent_real_run_peak_memory():
+    # 30,001 points, one real component: the float64 v and the complex128
+    # result are the only full-length arrays (1.5x the result; 3.0x when
+    # the bands, the residual, its modulus and the result were each fresh)
+    y = np.exp(-np.linspace(0.0, 30.0, 30001))[None, :]
+    args = (unit_decomp(1, 0), np.zeros((0, 1)), y)
+    solve_resolvent_halfline(*args, L=30.0)  # scipy's look-ups
+    tracemalloc.start()
+    try:
+        v, _ = solve_resolvent_halfline(*args, L=30.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * v.nbytes
 
 
 @pytest.mark.parametrize("lam, theta", [(1.0, 0.5), (-1.0, -1.0), (0.0, -1.0),
