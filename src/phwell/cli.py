@@ -30,21 +30,19 @@ EXIT_VALIDATION = 2
 EXIT_DISCREPANCY = 3
 
 
-def _print_text_verdict(verdict, out=None):
-    out = out or _sys.stdout
+def _print_text_verdict(verdict):
     for c in verdict.conditions:
         if not c.applicable:
             status = "not applicable" + (f" ({c.reason})" if c.reason else "")
         else:
             status = "holds" if c.holds else "fails"
-        print(f"  {c.condition_id:8s} {status}", file=out)
-    print(f"consensus:   {verdict.consensus}", file=out)
+        print(f"  {c.condition_id:8s} {status}")
+    print(f"consensus:   {verdict.consensus}")
     uni = {True: "yes", False: "no", None: "undetermined"}[verdict.unitary]
-    print(f"unitary:     {uni}", file=out)
-    print(f"discrepancy: {'YES (bug signal)' if verdict.discrepancy else 'no'}",
-          file=out)
+    print(f"unitary:     {uni}")
+    print(f"discrepancy: {'YES (bug signal)' if verdict.discrepancy else 'no'}")
     for w in verdict.warnings:
-        print(f"warning: {w}", file=out)
+        print(f"warning: {w}")
 
 
 def _cmd_analyze(args) -> int:

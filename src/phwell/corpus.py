@@ -91,8 +91,8 @@ def build_binary_tree(levels: int) -> PortHamiltonianSystem:
     return _first_order(np.eye(d), np.hstack([np.eye(d), tree_coupling(d)]))
 
 
-def build_wave(interval_kind: str = HALF_LINE, u_param=0.5, rho=1.0, T_mod=1.0,
-               damper=None) -> PortHamiltonianSystem:
+def build_wave(interval_kind: str = HALF_LINE, u_param=0.5, rho=1.0,
+               T_mod=1.0) -> PortHamiltonianSystem:
     """Vibrating-string system in first-order form, d=2.
 
     State (momentum, strain), P1 = [[0,1],[1,0]], H = diag(1/rho, T_mod);
@@ -103,8 +103,8 @@ def build_wave(interval_kind: str = HALF_LINE, u_param=0.5, rho=1.0, T_mod=1.0,
     |u| <= 1, unitary group iff |u| = 1.
 
     unit_interval: clamped left end plus damper at the right end,
-    rows k*(Hx)_1(1) + (Hx)_2(1) = 0 and (Hx)_1(0) = 0 with k = damper
-    (defaults to u_param); dissipative iff Re k >= 0.
+    rows k*(Hx)_1(1) + (Hx)_2(1) = 0 and (Hx)_1(0) = 0 with k = u_param;
+    dissipative iff Re k >= 0.
     """
     u = complex(u_param)
     field = "real" if u.imag == 0.0 else "complex"
@@ -125,9 +125,7 @@ def build_wave(interval_kind: str = HALF_LINE, u_param=0.5, rho=1.0, T_mod=1.0,
     if interval_kind == HALF_LINE:
         WB = 0.5 * np.array([[u - 1.0, u + 1.0]])
         return _first_order(P1, WB, H, HALF_LINE, field)
-    k = complex(damper) if damper is not None else u
-    field = "real" if k.imag == 0.0 else "complex"
-    WB = np.array([[k, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    WB = np.array([[u, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
     return _first_order(P1, WB, H, UNIT_INTERVAL, field)
 
 
@@ -151,13 +149,10 @@ class CorpusEntry:
     """A named example with its expected verdicts."""
 
     name: str
-    build: object  # () -> PortHamiltonianSystem
+    system: object  # () -> PortHamiltonianSystem
     contraction: bool
     unitary: bool
     note: str
-
-    def system(self) -> PortHamiltonianSystem:
-        return self.build()
 
 
 def _entries():

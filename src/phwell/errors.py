@@ -59,10 +59,6 @@ class ParseError(PhwellError):
 class BoundaryClosureSingular(PhwellError):
     """The ghost-state linear system of the simulator is singular."""
 
-    def __init__(self, message, matrix=None):
-        super().__init__(message)
-        self.matrix = matrix
-
 
 class CFLViolation(PhwellError):
     """Requested CFL number outside the stable range (0, 0.9]."""

@@ -53,10 +53,10 @@ def is_integer(value) -> bool:
 
 
 def _tolerance_value(value, name: str) -> float:
-    """value as a float; ValidationError naming name unless finite and >= 0."""
+    """value as a float; ValidationError naming name unless is_real, finite and >= 0."""
     try:
-        x = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):  # an int beyond the float range
+        x = float(value) if is_real(value) else math.nan
+    except OverflowError:  # an int beyond the float range
         x = math.nan
     if not (math.isfinite(x) and x >= 0.0):
         raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}",
@@ -69,7 +69,11 @@ def default_tolerance() -> float:
     raw = os.environ.get("PHWELL_TOL")
     if raw is None:
         return 1e-10
-    return _tolerance_value(raw, "PHWELL_TOL")
+    try:
+        value = float(raw)
+    except ValueError:
+        value = raw  # refused, and shown as given
+    return _tolerance_value(value, "PHWELL_TOL")
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,7 @@ class Tolerances:
     the half line) and Q, and the positivity of H.  check decides the
     conditions, except that v_norm_slack, an absolute slack PHWELL_TOL
     does not move, bounds ||V|| <= 1 and the isometry defect of V; see
-    interval.BoundaryAlgebra.  Every value must be a finite number >= 0.
+    interval.BoundaryAlgebra.  Every value must be a finite real number >= 0.
     """
 
     tau_struct: float = dc_field(default_factory=default_tolerance)
@@ -155,10 +159,6 @@ class HamiltonianDensity:
             raise ShapeError("grid H needs at least 2 samples", path="H")
         return HamiltonianDensity("grid", _freeze(m))
 
-    @property
-    def dim(self) -> int:
-        return self.matrices.shape[1]
-
     def at(self, zeta) -> np.ndarray:
         """H at a point or an array of points, shape zeta.shape + (d, d).
 
@@ -209,12 +209,8 @@ class PortHamiltonianSystem:
     def n_conditions(self) -> int:
         return self.WB_hat.shape[0]
 
-    @property
-    def P0(self) -> np.ndarray:
-        return self.P[0]
-
     def re_P0(self) -> np.ndarray:
-        return numlin.hermitian_part(self.P0)
+        return numlin.hermitian_part(self.P[0])
 
 
 @dataclass(frozen=True)

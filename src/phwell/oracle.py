@@ -210,8 +210,6 @@ def _gauss_panels(junctions, n_quad: int):
     per = max(3, int(np.ceil(n_quad / (16.0 * nsub))))
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
-        if b - a <= 0:
-            continue
         sub = np.linspace(a, b, per + 1)
         lo, hi = sub[:-1, None], sub[1:, None]  # one row per panel
         half = 0.5 * (hi - lo)

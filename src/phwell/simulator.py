@@ -35,19 +35,17 @@ from .model import HALF_LINE, UNIT_INTERVAL, PortHamiltonianSystem, boundary_for
 from .model import is_integer, is_real
 from .verdict import CONTRACTION
 
-# The oracle's names stay bound here, as before phwell.oracle held them (simulate
-# reads _forms): the benchmark's tracer (perfbench/tracer.py) wraps them as
-# simulator.<name>, and counts kernel_energy_form calls by this name (none happen).
+# simulate reads _forms.  The other names are bound here only because the
+# benchmark's tracer (perfbench/tracer.py) wraps them as simulator.<name>; it
+# counts kernel_energy_form calls by this name (none happen).
 from .interval import kernel_energy_form
-from .oracle import (ORACLE_TOL, OracleReport, SmoothFunction, _forms, _gauss_panels,
-                     _rayleigh_split, boundary_form_value, boundary_interpolant,
-                     dissipativity_oracle, interior_probe, quadrature_rayleigh)
+from .oracle import (SmoothFunction, _forms, _gauss_panels, _rayleigh_split,
+                     boundary_form_value, dissipativity_oracle)
 
-__all__ = ["MAX_STEPS", "ORACLE_TOL", "SIMULATE_RISE_ALLOWANCE", "EnergyTrace",
-           "OracleReport", "SmoothFunction", "_gauss_panels", "_rayleigh_split",
-           "boundary_form_value", "boundary_interpolant", "dissipativity_oracle",
-           "energy_contradiction", "interior_probe", "kernel_energy_form",
-           "quadrature_rayleigh", "simulate", "smooth_bump"]
+__all__ = ["MAX_STEPS", "SIMULATE_RISE_ALLOWANCE", "EnergyTrace", "SmoothFunction",
+           "_gauss_panels", "_rayleigh_split", "boundary_form_value",
+           "dissipativity_oracle", "energy_contradiction", "kernel_energy_form",
+           "simulate", "smooth_bump"]
 
 # simulate's step limit.  Its per-step records take 24 + 32 d bytes a step
 # (56 MB at d = 1); every run of the tests and the benchmark takes fewer
@@ -200,8 +198,7 @@ class _BoundaryClosure:
         if numlin.rank_from_singular_values(cond_s, 1e-12) < 2 * d:
             raise BoundaryClosureSingular(
                 "ghost-state system is singular: the boundary conditions "
-                "constrain outgoing characteristics inconsistently",
-                matrix=M)
+                "constrain outgoing characteristics inconsistently")
         self.G = np.linalg.solve(M, R)
 
     def traces(self, ends):

@@ -29,6 +29,19 @@ def test_analyze_text(wave_cfg, capsys):
     assert "discrepancy: no" in out
 
 
+def test_analyze_text_prints_each_warning(tmp_path, capsys):
+    # two proportional boundary rows are reduced to one, with a warning
+    doc = system_to_dict(build_wave("half_line", 0.5))
+    doc["P"][1] = [[1.0, 0.0], [0.0, -1.0]]
+    doc["WB_hat"] = [[1.0, 1.0], [2.0, 2.0]]
+    path = tmp_path / "dependent_rows.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == ("warning: WB_hat rows are linearly dependent; reduced 2 rows "
+                         "to 1 with the same kernel")
+
+
 def test_analyze_json_schema(wave_cfg, capsys):
     assert main(["analyze", wave_cfg, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -309,6 +322,20 @@ def test_library_key_error_is_not_a_usage_error(monkeypatch):
 def test_sweep_exit_zero(seed, capsys):
     assert main(["sweep", "--count", "5", "--seed", str(seed)]) == 0
     assert "0 discrepancies" in capsys.readouterr().out
+
+
+def test_sweep_reports_each_discrepancy(monkeypatch, capsys):
+    import phwell.cli as cli_mod
+
+    real = cli_mod.analyze
+    monkeypatch.setattr(cli_mod, "analyze", lambda system: dataclasses.replace(
+        real(system), discrepancy=True))
+    assert main(["sweep", "--count", "1", "--seed", "3"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" seed=")[0] for line in lines[:2]] == [
+        "DISCREPANCY interval", "DISCREPANCY halfline"]
+    assert all(line.split(" seed=")[1].isdigit() for line in lines[:2])
+    assert lines[2:] == ["sweep: 2 systems, 2 discrepancies"]
 
 
 def test_corpus_run_mismatch_exit_code(monkeypatch, capsys):

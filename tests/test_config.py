@@ -144,6 +144,7 @@ def test_bad_env_tolerance_exits_2(value, monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("value", [
     "abc", None, -1.0, True,
     pytest.param(10**400, id="beyond the float range"),  # was OverflowError, exit 1
+    pytest.param("1e-3", id="number in a string"),  # was read as 0.001, exit 0
 ])
 def test_bad_config_tolerance_exits_2(value, tmp_path, capsys):
     doc = wave_doc()
@@ -264,6 +265,49 @@ def test_grid_h_parsing():
                              [[3.0, 0.0], [0.0, 1.0]]]}
     sys = system_from_dict(doc)
     np.testing.assert_allclose(sys.H.at(0.5), np.diag([2.0, 1.0]))
+
+
+_IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("doc, path, message", [
+    (dict(wave_doc(), WB_hat=[0.7, 1.0, 0.0, 0.0]), "WB_hat",
+     "WB_hat: expected an array of rows"),
+    (dict(wave_doc(), H="identity"), "H",
+     "H: expected a matrix or an object with 'kind'"),
+    (dict(wave_doc(), H={"kind": "smooth", "matrices": [_IDENTITY] * 2}), "H",
+     "H.kind: unknown kind 'smooth'"),
+    ([wave_doc()], None, "top level must be an object"),
+    (dict(wave_doc(), H={"kind": "piecewise_constant", "breakpoints": [10**400],
+                         "matrices": [_IDENTITY] * 2}), "H",
+     "H.breakpoints: expected finite numbers"),
+], ids=["WB_hat rows", "H string", "H kind", "top level list", "breakpoint overflow"])
+def test_unreadable_documents_are_parse_errors(doc, path, message, tmp_path, capsys):
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        system_from_dict(doc)
+    assert exc.value.path == path
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps(doc))
+    assert main(["analyze", str(config_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("H", [
+    {"kind": "piecewise_constant", "breakpoints": [0.25, 0.5],
+     "matrices": [_IDENTITY, [[2.0, 0.5], [0.5, 1.0]], [[0.5, 0.0], [0.0, 3.0]]]},
+    {"kind": "grid", "matrices": [_IDENTITY, [[2.0, 0.5], [0.5, 1.0]], _IDENTITY]},
+], ids=lambda H: H["kind"])
+def test_varying_h_round_trips(H):
+    doc = dict(wave_doc(), H=H)
+    sys = system_from_dict(doc)
+    again = json.loads(json.dumps(system_to_dict(sys)))
+    assert again["H"] == H
+    back = system_from_dict(again)
+    assert back.H.kind == sys.H.kind
+    np.testing.assert_array_equal(back.H.matrices, sys.H.matrices)
+    if H["kind"] == "piecewise_constant":
+        np.testing.assert_array_equal(back.H.breakpoints, sys.H.breakpoints)
+    assert verdict_to_json(analyze(back)) == verdict_to_json(analyze(sys))
 
 
 def test_corpus_round_trip_preserves_verdicts(tmp_path):

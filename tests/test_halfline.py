@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from phwell import HamiltonianDensity, halfline, validate_system
+from phwell import HamiltonianDensity, analyze, halfline, validate_system
 from phwell.corpus import build_wave
 from scipy.interpolate import CubicSpline
 
@@ -204,6 +204,24 @@ def test_rank_deficient_rows_are_reduced():
     assert v.warnings
     assert v.consensus == "contraction"
     assert v.unitary is True
+
+
+@pytest.mark.parametrize("WB, reason, warned", [
+    ([[0.0, 0.0]], "need exactly n2 = 1 independent conditions, got 0", True),
+    ([[1.0, 1.0]], "the negative-block columns of WB_hat S^* are singular", False),
+], ids=["no independent row", "singular negative block"])
+def test_a_failed_factorization_refutes_ta4(WB, reason, warned):
+    # WB_hat S^* cannot be split as [U1, U2] with U2 invertible: TA.4 is
+    # decided False, and TA.3 agrees, so the verdict carries no discrepancy
+    v = analyze(halfline_system(P1_WAVE, np.array(WB)))
+    ta4 = v["TA.4"]
+    assert ta4.holds is False and ta4.reason == reason
+    assert ("smin_u2" in ta4.diagnostics) == (not warned)
+    if not warned:
+        assert ta4.diagnostics["smin_u2"] <= 1e-12
+    assert any("reduced 1 rows to 0" in w for w in v.warnings) == warned
+    assert v["TA.3"].holds is False
+    assert (v.consensus, v.unitary, v.discrepancy) == ("not_contraction", False, False)
 
 
 def test_unitary_flip_gives_contraction():
@@ -504,6 +522,18 @@ def test_resolvent_refuses_non_numbers_before_solving(name, bad, monkeypatch):
     args[name] = np.vstack([bad] * 2) if name == "y" else bad
     with pytest.raises(PhwellError, match=f"{name} must hold numbers, got dtype {bad.dtype}"):
         solve_resolvent_halfline(unit_decomp(1, 1), args["U"], args["y"], L=30.0)
+
+
+@pytest.mark.parametrize("y, error, match", [
+    (np.ones((2, 101)), ShapeError, r"y must be \(1, n\+1\), got \(2, 101\)"),
+    (np.ones(101), ShapeError, r"y must be \(1, n\+1\), got \(101,\)"),
+    (np.ones((1, 5)), GridTooCoarse, "need at least 6 grid points"),
+], ids=["two rows", "one dimension", "five points"])
+def test_resolvent_refuses_a_badly_shaped_grid(y, error, match):
+    with pytest.raises(error, match=match) as exc:
+        solve_resolvent_halfline(unit_decomp(1, 0), np.zeros((0, 1)), y, L=30.0)
+    if error is GridTooCoarse:
+        assert exc.value.residual == np.inf
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64, np.float16, np.float32,

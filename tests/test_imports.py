@@ -10,16 +10,16 @@ and python -m phwell.cli runs without runpy's warning.  The one private
 scipy name the package uses is scipy.sparse._sparsetools, inside a
 function of simulator.py.  phwell/oracle.py imports only the standard
 library, numpy and the package's numlin, model and errors, and
-simulator.py still binds every name it exported before the oracle moved
-out of it.  An imported
+simulator.py still binds its own names and the oracle names the
+benchmark's tracer wraps as simulator.<name>.  An imported
 name counts as used when it is read anywhere in the same file, or
 listed in that file's __all__ (the package re-exports through
 phwell/__init__.py).  A module-level def or class of
 the package counts as used when some package module reads it outside its
 own definition, when phwell.__all__ exports it, or when perfbench/*.py,
 the benchmark, names it.  A class field (an annotated name in a class
-body) or property of the package counts as used when some package, test
-or perfbench module loads it as an attribute.
+body), property or attribute a method stores on self counts as used when
+some package, test or perfbench module loads it as an attribute.
 """
 
 import ast
@@ -149,12 +149,16 @@ def test_the_scan_finds_dead_definitions():
 
 
 def dead_members(sources: dict, readers) -> list:
-    """(module, class, name) of every class field or property that nothing reads.
+    """(module, class, name) of every class member that nothing reads.
 
-    sources maps module names to source text.  A field is an annotated
-    name in the body of a module-level class, a property a method of one
-    decorated @property.  It is used when some source text in readers
-    loads its name as an attribute.
+    sources maps module names to source text.  A member of a module-level
+    class is a field (an annotated name in its body), a property (a method
+    decorated @property) or a stored attribute (self.<name> assigned in
+    one of its methods).  It is used when some source text in readers
+    loads its name as an attribute.  Members are matched by name alone, so
+    a dead member whose name another class's member shares, and some
+    reader loads, is not found: no ast scan can tell which class an
+    attribute load reaches.
     """
     loaded = {node.attr for text in readers for node in ast.walk(ast.parse(text))
               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
@@ -163,17 +167,19 @@ def dead_members(sources: dict, readers) -> list:
         for cls in ast.parse(source).body:
             if not isinstance(cls, ast.ClassDef):
                 continue
+            names = set()
             for item in cls.body:
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                    name = item.target.id
-                elif isinstance(item, ast.FunctionDef) and any(
-                        isinstance(d, ast.Name) and d.id == "property"
-                        for d in item.decorator_list):
-                    name = item.name
-                else:
-                    continue
-                if name not in loaded:
-                    dead.append((module, cls.name, name))
+                    names.add(item.target.id)
+                elif isinstance(item, ast.FunctionDef):
+                    if any(isinstance(d, ast.Name) and d.id == "property"
+                           for d in item.decorator_list):
+                        names.add(item.name)
+                    names.update(
+                        node.attr for node in ast.walk(item)
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self")
+            dead += [(module, cls.name, name) for name in names - loaded]
     return sorted(dead)
 
 
@@ -199,11 +205,16 @@ def test_the_scan_finds_dead_members():
         "    def method(self):\n"
         "        self.stored = 1.0\n"
         "        return Report(unread=1)\n"
+        "class Error(Exception):\n"
+        "    def __init__(self, message, matrix=None, path=None):\n"
+        "        super().__init__(message)\n"
+        "        self.matrix, self.path = matrix, path\n"
+        "        self.kept = 0\n"
     )
-    reader = "r = Report()\nprint(r.norm, r.method())\n"
+    reader = "r = Report()\nprint(r.norm, r.method(), Error('x').path)\n"
     found = dead_members({"a": source}, [source, reader])
-    assert found == [("a", "Report", "lonely"), ("a", "Report", "stored"),
-                     ("a", "Report", "unread")]
+    assert found == [("a", "Error", "matrix"), ("a", "Report", "lonely"),
+                     ("a", "Report", "stored"), ("a", "Report", "unread")]
 
 
 def svd_calls(source: str) -> list:
@@ -433,13 +444,11 @@ def test_the_scan_finds_module_imports():
                                       "numpy", "numpy.polynomial", "os.path"]
 
 
-# simulator.__all__ before the oracle moved to phwell.oracle, and the names
-# perfbench/tracer.py wraps as simulator.<name>
-SIMULATOR_NAMES = ("MAX_STEPS", "ORACLE_TOL", "EnergyTrace", "OracleReport",
-                   "SmoothFunction", "boundary_form_value", "boundary_interpolant",
-                   "dissipativity_oracle", "interior_probe", "kernel_energy_form",
-                   "quadrature_rayleigh", "simulate", "smooth_bump", "_gauss_panels",
-                   "_rayleigh_split")
+# simulator's own names, and the oracle names perfbench/tracer.py wraps as
+# simulator.<name>
+SIMULATOR_NAMES = ("MAX_STEPS", "EnergyTrace", "SmoothFunction", "boundary_form_value",
+                   "dissipativity_oracle", "kernel_energy_form", "simulate",
+                   "smooth_bump", "_gauss_panels", "_rayleigh_split")
 
 
 @pytest.mark.parametrize("name", SIMULATOR_NAMES)

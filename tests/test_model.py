@@ -1,5 +1,6 @@
 import json
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -227,6 +228,54 @@ def test_p_must_be_a_list_of_matrices(P, kind):
         validate_system(wave_raw(P=P))
     assert exc.value.path == "P"
     assert str(exc.value).endswith(f"P must be a list of N+1 = 2 matrices, got {kind}")
+
+
+_EYE2 = np.eye(2)
+
+
+@pytest.mark.parametrize("make, error, path, message", [
+    (lambda: HamiltonianDensity.piecewise([0.3, 0.6], [_EYE2] * 2), ShapeError, "H",
+     r"piecewise H needs len\(breakpoints\)\+1 matrices"),
+    (lambda: HamiltonianDensity.piecewise([0.6, 0.3], [_EYE2] * 3), ShapeError, "H",
+     "H breakpoints must be strictly increasing"),
+    (lambda: HamiltonianDensity.grid([_EYE2]), ShapeError, "H",
+     "grid H needs at least 2 samples"),
+    (lambda: validate_system(wave_raw(field="quaternion")), StructureError, "field",
+     "field must be 'real' or 'complex', got 'quaternion'"),
+    (lambda: validate_system(wave_raw(interval="circle")), StructureError, "interval",
+     "unknown interval kind 'circle'"),
+    (lambda: validate_system(wave_raw(P=[np.zeros((2, 2)), np.eye(3)])), ShapeError,
+     "P[1]", r"P\[1\] must be 2x2, got \(3, 3\)"),
+    (lambda: validate_system(wave_raw(interval="half_line", N=2, P=[
+        np.zeros((2, 2)), np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 1.0],
+                                                                        [-1.0, 0.0]])])),
+     StructureError, "N", "half_line systems must have N = 1"),
+    (lambda: validate_system(wave_raw(H=HamiltonianDensity.constant(np.eye(3)))),
+     ShapeError, "H", "H samples must be 2x2, got 3x3"),
+    (lambda: validate_system(wave_raw(WB_hat=[[0.7, 1.0, 0.0, 0.0], [0.0]])), ShapeError,
+     "WB_hat", "WB_hat must be a matrix"),
+], ids=["piecewise count", "breakpoints decreasing", "grid one sample", "field",
+        "interval", "P[1] size", "half line N 2", "H size", "WB_hat ragged"])
+def test_density_and_system_refuse_malformed_input(make, error, path, message):
+    with pytest.raises(error, match=message) as exc:
+        make()
+    assert exc.value.path == path
+
+
+@pytest.mark.parametrize("value", ["1e-3", b"1e-3", " 1e-9 ", Decimal("1e-3")],
+                         ids=["str", "bytes", "padded str", "Decimal"])
+def test_tolerances_refuse_numbers_in_text(value):
+    # only PHWELL_TOL, an environment string, is parsed as a number
+    with pytest.raises(ValidationError, match="tolerances.check must be a finite number"):
+        Tolerances(check=value)
+    with pytest.raises(ValidationError) as exc:
+        validate_system(wave_raw(tolerances={"tau_rank": value}))
+    assert exc.value.path == "tolerances.tau_rank"
+
+
+@pytest.mark.parametrize("value", [1e-3, 0, np.float32(1e-3), np.int64(0)])
+def test_tolerances_take_real_numbers(value):
+    assert Tolerances(check=value).check == float(value)
 
 
 def _two_cell_H(b):

@@ -413,12 +413,22 @@ def _one_condition_wave():
     })
 
 
+def _second_order_scalar():
+    return validate_system({
+        "field": "complex", "interval": UNIT_INTERVAL, "N": 2, "d": 1,
+        "P": [np.zeros((1, 1)), np.eye(1), 1j * np.eye(1)],
+        "H": HamiltonianDensity.constant(np.eye(1)),
+        "WB_hat": np.eye(2, 4),
+    })
+
+
 @pytest.mark.parametrize("build, t_final, error, match", [
     (lambda: build_wave(UNIT_INTERVAL, 0.7), 1e9, PhwellError, "more than the limit"),
     (_one_condition_wave, 0.1, BoundaryClosureSingular, "needs k = 2 conditions"),
     (lambda: build_transport(inflow_zero=False), 0.1, BoundaryClosureSingular,
      "ghost-state system is singular"),
-], ids=["step_limit", "k_not_d", "singular_ghost_system"])
+    (_second_order_scalar, 0.1, ShapeError, r"first-order \(N = 1\) systems only"),
+], ids=["step_limit", "k_not_d", "singular_ghost_system", "second_order"])
 def test_a_refused_run_does_no_per_cell_work(build, t_final, error, match, monkeypatch):
     # the step limit and the closure are decided before x0 is sampled and
     # before any block is placed

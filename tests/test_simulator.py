@@ -215,6 +215,20 @@ def test_oracle_reports_the_kernel_traces_it_drew(WB, P0, dim):
     assert rep.holds
 
 
+def test_boundary_form_value_interpolates_the_state_it_is_not_given():
+    # with P0 != 0 the value needs a state; without one it is the
+    # boundary interpolant of the traces
+    sys = make_system(1, 2, [np.array([[0.0, 1.0], [1.0, 0.0]])],
+                      np.zeros((2, 4)), P0=np.diag([0.5, -1.0]))
+    u, v = np.array([0.3, -1.0]), np.array([1.0, 0.5j])
+    x = boundary_interpolant(u, v, d=2)
+    got = boundary_form_value(sys, u, v)
+    assert got == boundary_form_value(sys, u, v, x=x)
+    assert got == pytest.approx(quadrature_rayleigh(sys, x), abs=1e-8)
+    assert got != boundary_form_value(dataclasses.replace(sys, P=(0 * sys.P[0], sys.P[1])),
+                                      u, v)
+
+
 def test_boundary_form_value_refuses_a_half_line_system():
     # u != 0 is a trace at z = 1 of a state that does not extend by zero
     sys = CORPUS["wave_halfline_u05"].system()

@@ -10,6 +10,7 @@ from phwell.verdict import (
     NOT_CONTRACTION,
     UNDETERMINED,
     ConditionResult,
+    Verdict,
     decide,
 )
 
@@ -53,3 +54,10 @@ def test_applicable_is_read_from_holds():
     assert ConditionResult("T1.3", False).applicable is True
     assert ConditionResult("T1.3", True).applicable is True
     assert "applicable" not in {f.name for f in dataclasses.fields(ConditionResult)}
+
+
+def test_a_verdict_refuses_an_unknown_condition_id():
+    verdict = Verdict((ConditionResult("T1.3", True),), CONTRACTION, False, False)
+    assert verdict["T1.3"].holds is True
+    with pytest.raises(KeyError, match="T1.4"):
+        verdict["T1.4"]
