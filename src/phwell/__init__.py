@@ -34,7 +34,6 @@ from .interval import analyze_interval, extract_v
 from .model import (
     HALF_LINE,
     UNIT_INTERVAL,
-    BoundaryOperator,
     HamiltonianDensity,
     PortHamiltonianSystem,
     Tolerances,
@@ -80,7 +79,6 @@ __all__ = [
     "system_from_dict",
     "system_to_dict",
     "validate_system",
-    "BoundaryOperator",
     "ConditionResult",
     "EnergyTrace",
     "HamiltonianDensity",

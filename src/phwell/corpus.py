@@ -23,7 +23,6 @@ from .model import (
     HamiltonianDensity,
     PortHamiltonianSystem,
     build_q,
-    derive_boundary_operator,
     is_integer,
     validate_system,
 )
@@ -105,7 +104,12 @@ def build_wave(interval_kind: str = HALF_LINE, u_param=0.5, rho=1.0,
     unit_interval: clamped left end plus damper at the right end,
     rows k*(Hx)_1(1) + (Hx)_2(1) = 0 and (Hx)_1(0) = 0 with k = u_param;
     dissipative iff Re k >= 0.
+
+    Any other interval_kind raises ValueError.
     """
+    if interval_kind not in (HALF_LINE, UNIT_INTERVAL):
+        raise ValueError(f"unknown interval kind {interval_kind!r}; expected "
+                         f"{HALF_LINE!r} or {UNIT_INTERVAL!r}")
     u = complex(u_param)
     field = "real" if u.imag == 0.0 else "complex"
 
@@ -275,7 +279,7 @@ def _margin(sys) -> float:
         if sys.n_conditions:
             margins.append(_relative(alg.smin_wb_hat, alg.smax_wb_hat))
     else:
-        alg = BoundaryAlgebra.of(derive_boundary_operator(sys), sys.re_P0(), sys.tol)
+        alg = BoundaryAlgebra.of(sys)
         margins = [_relative(alg.ext.smin, alg.ext.smax),
                    _relative(alg.sigma.min_eig, alg.sigma.norm),
                    _relative(alg.smin_wb_hat, alg.smax_wb_hat)]

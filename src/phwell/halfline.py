@@ -50,31 +50,21 @@ class HalfLineDecomposition:
 
 @dataclass(frozen=True)
 class BoundaryFactorization:
-    """WB_hat = B [U I] S with B (k x k) invertible and U (n2 x n1).
+    """WB_hat = B [U I] S with B (k x k) invertible and U (n2 x n1), or why not.
 
     U1 and B are the leading and trailing blocks of WB_hat S^* (so
     U1 = B U up to rounding); smin_u2 is the smallest singular value of B.
+    On failure U and residual are None and reason says why, with detail;
+    U1 and smin_u2 are then set only when the split was made (a singular
+    trailing block).  On success reason and detail are None.
     """
 
-    U: np.ndarray
-    residual: float
-    U1: np.ndarray
-    smin_u2: float
-
-
-@dataclass(frozen=True)
-class FactorizationFailure:
-    """Why WB_hat admits no factorization B [U I] S.
-
-    U1, the leading block of WB_hat S^*, and smin_u2, the smallest
-    singular value of its trailing block, are set when the split was made
-    (a singular trailing block), None otherwise.
-    """
-
-    reason: str  # 'wrong_row_count' | 'singular_trailing_block'
-    detail: str
-    U1: np.ndarray | None = None
-    smin_u2: float | None = None
+    U: np.ndarray | None
+    residual: float | None
+    U1: np.ndarray | None
+    smin_u2: float | None
+    reason: str | None = None  # 'wrong_row_count' | 'singular_trailing_block'
+    detail: str | None = None
 
 
 def decompose_P1(P1, tol: float = numlin.DEFAULT_TOL) -> HalfLineDecomposition:
@@ -98,32 +88,33 @@ def unit_decomposition(n1: int, n2: int) -> HalfLineDecomposition:
 
 
 def factorize_boundary(WB_hat, decomp: HalfLineDecomposition,
-                       tol: float = numlin.DEFAULT_TOL):
+                       tol: float = numlin.DEFAULT_TOL) -> BoundaryFactorization:
     """Factor WB_hat as B [U I] S, or explain why that is impossible.
 
     Needs k = n2 and an invertible trailing block of WB_hat S^*, which
     also makes WB_hat full row rank (analyze_halfline reduces the rows
     first; a raw rank-deficient WB_hat fails on one of the two).  A
     singular trailing block always certifies failure of the kernel test
-    as well: some (0, u) lies in the kernel and u^* Theta u < 0.
+    as well: some (0, u) lies in the kernel and u^* Theta u < 0.  Every
+    path returns a BoundaryFactorization; when none exists, its U is None
+    and its reason says which requirement failed.
     """
     WB_hat = np.asarray(WB_hat, dtype=complex)
     k, d = WB_hat.shape
     if d != decomp.n1 + decomp.n2:
         raise ShapeError(f"WB_hat width {d} does not match P_1 size")
     if k != decomp.n2:
-        return FactorizationFailure(
-            "wrong_row_count",
+        return BoundaryFactorization(
+            None, None, None, None, "wrong_row_count",
             f"need exactly n2 = {decomp.n2} independent conditions, got {k}")
     split = WB_hat @ decomp.S.conj().T
     U1, U2 = split[:, : decomp.n1], split[:, decomp.n1 :]
     s = numlin.singular_values(U2)
     smin_u2 = float(s[-1])
     if numlin.rank_from_singular_values(s, tol) < k:
-        return FactorizationFailure(
-            "singular_trailing_block",
-            "the negative-block columns of WB_hat S^* are singular",
-            U1, smin_u2)
+        return BoundaryFactorization(
+            None, None, U1, smin_u2, "singular_trailing_block",
+            "the negative-block columns of WB_hat S^* are singular")
     U = np.linalg.solve(U2, U1)
     recon = U2 @ np.hstack([U, np.eye(k, dtype=complex)]) @ decomp.S
     residual = numlin.operator_norm(recon - WB_hat)
@@ -134,6 +125,7 @@ def factorize_boundary(WB_hat, decomp: HalfLineDecomposition,
 class HalfLineAlgebra:
     """Every input the half-line conditions share, each computed once.
 
+    of(sys) reads the system alone, as interval.BoundaryAlgebra.of does.
     One SVD of WB_hat gives its rank, its kernel basis and its extreme
     singular values; dependent rows are replaced by the orthonormal rows
     of the same SVD that span the row space (same kernel).  One split
@@ -152,7 +144,7 @@ class HalfLineAlgebra:
     kernel_dim: int
     smin_wb_hat: float  # 0.0 when WB_hat has no rows, as on the interval
     smax_wb_hat: float
-    fact: BoundaryFactorization | FactorizationFailure
+    fact: BoundaryFactorization
     lambda_utu: numlin.DefinitenessReport | None  # when the factorization exists
     smin_u1: float | None  # this and the next only when k = n1 = n2
     blocks_invertible: bool | None  # both U1 and U2
@@ -169,7 +161,7 @@ class HalfLineAlgebra:
         WB_eff = vh[:rank] if rank < WB.shape[0] else WB
         k = WB_eff.shape[0]
         fact = factorize_boundary(WB_eff, decomp, tol)
-        factored = isinstance(fact, BoundaryFactorization)
+        factored = fact.U is not None
         lam = smin_u1 = invertible = None
         if factored:
             lam = numlin.definiteness(np.diag(decomp.Lambda) + fact.U.conj().T
@@ -209,7 +201,7 @@ def _contraction_conditions(alg: HalfLineAlgebra):
     if alg.k > n2:
         ta4 = ConditionResult("TA.4", None, counts,
                               reason=f"needs k <= n2 = {n2}, got k = {alg.k}")
-    elif isinstance(fact, FactorizationFailure):
+    elif fact.U is None:
         if fact.smin_u2 is not None:
             counts["smin_u2"] = fact.smin_u2
         ta4 = ConditionResult("TA.4", False, counts, reason=fact.detail)

@@ -28,9 +28,7 @@ from . import numlin
 from .errors import ShapeError
 from .model import (
     UNIT_INTERVAL,
-    BoundaryOperator,
     PortHamiltonianSystem,
-    Tolerances,
     boundary_form,
     derive_boundary_operator,
 )
@@ -117,18 +115,21 @@ def isometry_defect(V) -> float:
 class BoundaryAlgebra:
     """Every input the interval conditions share, each computed once.
 
-    Only computations that would otherwise be repeated bit for bit are
-    shared.  One SVD of WB_hat gives its rank, its kernel basis and its
-    extreme singular values; one SVD of W1+W2, in extract_v, gives V, the
-    rank RANBED reads and the smallest singular value every condition
-    reports, for any shape of W1+W2.  The equivalent criteria -- the sigma
-    form, V, the kernel form, injectivity of W1+W2 against surjectivity of
-    WB_hat -- stay separate entries, so their agreement still detects a
-    bug.  Every decision uses Tolerances.check except the tests on V:
-    ||V|| <= 1 + v_norm_slack (T1.4, C2.7) is absolute, and the isometry
-    defect (T3.4, C3.7) is allowed max(v_norm_slack, check ||V||^2).
-    Near ||V|| = 1 those thresholds and check's on the sigma and kernel
-    forms disagree, which raises a false discrepancy (ROADMAP item 12).
+    of(sys) reads the system's WB_hat, Q, Re P0 and tolerances, and its
+    split (W1, W2) from model.derive_boundary_operator, as
+    halfline.HalfLineAlgebra.of reads the system alone.  Only computations
+    that would otherwise be repeated bit for bit are shared.  One SVD of
+    WB_hat gives its rank, its kernel basis and its extreme singular values;
+    one SVD of W1+W2, in extract_v, gives V, the rank RANBED reads and the
+    smallest singular value every condition reports, for any shape of W1+W2.
+    The equivalent criteria -- the sigma form, V, the kernel form,
+    injectivity of W1+W2 against surjectivity of WB_hat -- stay separate
+    entries, so their agreement still detects a bug.  Every decision uses
+    Tolerances.check except the tests on V: ||V|| <= 1 + v_norm_slack (T1.4,
+    C2.7) is absolute, and the isometry defect (T3.4, C3.7) is allowed
+    max(v_norm_slack, check ||V||^2).  Near ||V|| = 1 those thresholds and
+    check's on the sigma and kernel forms disagree, which raises a false
+    discrepancy (ROADMAP item 12).
     """
 
     k: int
@@ -150,13 +151,15 @@ class BoundaryAlgebra:
     v_unitary: bool | None  # isometry defect within its threshold
 
     @classmethod
-    def of(cls, bop: BoundaryOperator, re_P0, tol: Tolerances) -> "BoundaryAlgebra":
+    def of(cls, sys: PortHamiltonianSystem) -> "BoundaryAlgebra":
+        tol = sys.tol
         check = tol.check
-        k, nd = bop.W1.shape
-        s, rank, vh = numlin.svd_rank(bop.WB_hat, check)
+        W1, W2 = derive_boundary_operator(sys)
+        k, nd = W1.shape
+        s, rank, vh = numlin.svd_rank(sys.WB_hat, check)
         K = vh[rank:].conj().T
-        ext = extract_v(bop.W1, bop.W2, check)
-        s_m = numlin.singular_values(bop.W2 - bop.W1)
+        ext = extract_v(W1, W2, check)
+        s_m = numlin.singular_values(W2 - W1)
         v_norm = defect = v_contractive = v_unitary = None
         if ext.V is not None:
             v_norm = numlin.operator_norm(ext.V)
@@ -166,9 +169,9 @@ class BoundaryAlgebra:
         return cls(
             k=k,
             nd=nd,
-            re_p0=numlin.definiteness(re_P0, check),
-            sigma=numlin.definiteness(sigma_form(bop.W1, bop.W2), check),
-            kernel=numlin.definiteness(kernel_energy_form(K, bop.Q), check),
+            re_p0=numlin.definiteness(sys.re_P0(), check),
+            sigma=numlin.definiteness(sigma_form(W1, W2), check),
+            kernel=numlin.definiteness(kernel_energy_form(K, sys.Q), check),
             kernel_dim=K.shape[1],
             ext=ext,
             rank_wb_hat=rank,
@@ -370,8 +373,7 @@ def analyze_interval(sys: PortHamiltonianSystem) -> Verdict:
     """
     if sys.interval != UNIT_INTERVAL:
         raise ShapeError("analyze_interval needs a unit_interval system")
-    bop = derive_boundary_operator(sys)
-    alg = BoundaryAlgebra.of(bop, sys.re_P0(), sys.tol)
+    alg = BoundaryAlgebra.of(sys)
 
     warnings = []
     if not alg.surjective:

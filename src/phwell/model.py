@@ -213,19 +213,6 @@ class PortHamiltonianSystem:
         return numlin.hermitian_part(self.P[0])
 
 
-@dataclass(frozen=True)
-class BoundaryOperator:
-    """WB_hat together with Q and the split (W1, W2).
-
-    The contraction factor V, when it exists, comes from interval.extract_v.
-    """
-
-    WB_hat: np.ndarray
-    Q: np.ndarray
-    W1: np.ndarray
-    W2: np.ndarray
-
-
 def validate_system(raw: dict) -> PortHamiltonianSystem:
     """Validate a raw description and return an immutable system.
 
@@ -300,8 +287,12 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
     if interval == HALF_LINE and N != 1:
         raise StructureError("half_line systems must have N = 1", path="N")
 
-    # P_N invertible; a Hermitian P_1's singular values are its |eigenvalues|
-    s = numlin.singular_values(P[N])
+    # P_N invertible.  It is Hermitian (N odd) or i times a Hermitian matrix,
+    # so its singular values are the |eigenvalues| of that Hermitian matrix:
+    # the eigensolve and rank rule halfline.decompose_P1 repeats on P_1
+    _, w = numlin.hermitian_eigendecomposition(P[N] if N % 2 else 1j * P[N],
+                                               tol.tau_rank)
+    s = np.sort(np.abs(w))[::-1]
     if numlin.rank_from_singular_values(s, tol.tau_rank) < d:
         if interval == HALF_LINE:
             raise SingularP1(f"P[1] has an eigenvalue numerically at zero "
@@ -432,8 +423,8 @@ def boundary_form(Q) -> np.ndarray:
     return B
 
 
-def derive_boundary_operator(sys: PortHamiltonianSystem) -> BoundaryOperator:
-    """sys.Q and the split [W1 W2] = WB_hat [Q -Q; I I]^{-1} of a unit-interval system.
+def derive_boundary_operator(sys: PortHamiltonianSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The split (W1, W2), [W1 W2] = WB_hat [Q -Q; I I]^{-1}, of a unit-interval system.
 
     By the closed-form inverse 0.5 [Q^{-1} I; -Q^{-1} I], W1 = 0.5 (Wh1 - Wh2) Q^{-1}
     and W2 = 0.5 (Wh1 + Wh2) for WB_hat = [Wh1 Wh2], so [W1 W2][Q -Q; I I] =
@@ -445,8 +436,7 @@ def derive_boundary_operator(sys: PortHamiltonianSystem) -> BoundaryOperator:
     Wh1, Wh2 = sys.WB_hat[:, :n], sys.WB_hat[:, n:]
     W1 = 0.5 * (Wh1 - Wh2) @ np.linalg.inv(sys.Q)
     W2 = 0.5 * (Wh1 + Wh2)
-    return BoundaryOperator(WB_hat=sys.WB_hat, Q=sys.Q, W1=_freeze(W1),
-                            W2=_freeze(W2))
+    return _freeze(W1), _freeze(W2)
 
 
 def port_variables(phi1, phi0, Q):

@@ -160,7 +160,7 @@ def boundary_interpolant(u, v, eps: float = 0.25, d: int = None) -> SmoothFuncti
     to order N-1 is matched exactly.  Small eps concentrates the state in
     boundary layers of width ~2 eps.  An eps that is not a real number in
     (0, 1/4], or a d that is not a positive integer, raises ShapeError (a
-    bool is neither).
+    bool is neither), and so do empty targets.
     """
     if not (is_real(eps) and 0.0 < eps <= 0.25):
         raise ShapeError(f"eps must be a real number in (0, 1/4], got {eps!r}")
@@ -168,6 +168,8 @@ def boundary_interpolant(u, v, eps: float = 0.25, d: int = None) -> SmoothFuncti
     v = np.asarray(v, dtype=complex).reshape(-1)
     if u.size != v.size:
         raise ShapeError("trace targets must have equal length")
+    if not u.size:
+        raise ShapeError("trace targets must not be empty")
     if d is None:
         d = u.size  # N = 1 by default
     if not (is_integer(d) and d >= 1):
@@ -218,6 +220,12 @@ def _gauss_panels(junctions, n_quad: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _require_state_dim(sys: PortHamiltonianSystem, x: SmoothFunction) -> None:
+    if x.dim != sys.dim_d:
+        raise ShapeError(f"the state has values in C^{x.dim}, but the system has "
+                         f"d = {sys.dim_d}")
+
+
 def quadrature_rayleigh(sys: PortHamiltonianSystem, x: SmoothFunction) -> float:
     """Re <A0 x, x> = Re integral of x^* sum_k P_k x^{(k)} over [0, 1].
 
@@ -226,7 +234,9 @@ def quadrature_rayleigh(sys: PortHamiltonianSystem, x: SmoothFunction) -> float:
     density plays no role here (the value concerns the unweighted
     generator).  A half-line state needs zero traces at z = 1 (ShapeError
     otherwise); it extends by zero, so its [0, 1] value is the half-line one.
+    A state whose values are not in C^d raises ShapeError.
     """
+    _require_state_dim(sys, x)
     if sys.interval == HALF_LINE and x.derivatives([1.0], sys.order_N - 1).any():
         raise ShapeError("a half-line state needs zero traces at z = 1, so that it "
                          "extends by zero")
@@ -285,8 +295,11 @@ def boundary_form_value(sys: PortHamiltonianSystem, u, v,
     model.boundary_form on [u; v] plus the zeroth order term, which needs
     the state itself, interpolated when not supplied.  A half-line system
     needs u = 0, a state that extends by zero past z = 1.  A u or v without
-    N*d entries, or a nonzero u on the half line, raises ShapeError.
+    N*d entries, a nonzero u on the half line, or a state x whose values
+    are not in C^d raises ShapeError.
     """
+    if x is not None:
+        _require_state_dim(sys, x)
     u, v = (np.asarray(t, dtype=complex).reshape(-1) for t in (u, v))
     if u.size != sys.nd or v.size != sys.nd:
         raise ShapeError(f"u and v need N*d = {sys.nd} entries each, "

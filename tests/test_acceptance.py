@@ -71,10 +71,10 @@ def test_criterion_03_path_graph(capsys):
             assert v.consensus == "contraction"
             assert v.unitary is False
             assert not v.discrepancy
-            bop = derive_boundary_operator(sys)
             expected = np.zeros((d, d))
             expected[-1, -1] = 0.5
-            assert np.max(np.abs(sigma_form(bop.W1, bop.W2) - expected)) <= 1e-12
+            sf = sigma_form(*derive_boundary_operator(sys))
+            assert np.max(np.abs(sf - expected)) <= 1e-12
 
 
 def test_criterion_04_binary_tree(capsys):
@@ -86,8 +86,7 @@ def test_criterion_04_binary_tree(capsys):
             v = analyze_interval(sys)
             assert v.consensus == "contraction"
             assert not v.discrepancy
-            bop = derive_boundary_operator(sys)
-            sf = sigma_form(bop.W1, bop.W2)
+            sf = sigma_form(*derive_boundary_operator(sys))
             block = sf[:interior, :interior]
             assert np.max(np.abs(block - 0.25 * np.eye(interior))) <= 1e-12
 

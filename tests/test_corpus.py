@@ -35,15 +35,13 @@ def test_path_graph_structure():
 
 def test_path_graph_sigma_form_d2():
     sys = build_path_graph(2)
-    bop = derive_boundary_operator(sys)
-    np.testing.assert_allclose(sigma_form(bop.W1, bop.W2),
+    np.testing.assert_allclose(sigma_form(*derive_boundary_operator(sys)),
                                0.5 * np.diag([0.0, 1.0]), atol=1e-14)
 
 
 def test_path_graph_v_is_shift():
     sys = build_path_graph(8)
-    bop = derive_boundary_operator(sys)
-    ext = extract_v(bop.W1, bop.W2)
+    ext = extract_v(*derive_boundary_operator(sys))
     np.testing.assert_allclose(ext.V, shift_matrix(8), atol=1e-13)
 
 
@@ -56,8 +54,7 @@ def test_tree_coupling_row_pattern():
 
 def test_binary_tree_sigma_form_quarter_identity():
     sys = build_binary_tree(2)  # d = 6
-    bop = derive_boundary_operator(sys)
-    sf = sigma_form(bop.W1, bop.W2)
+    sf = sigma_form(*derive_boundary_operator(sys))
     np.testing.assert_allclose(sf, 0.25 * np.diag([1, 1, 2, 2, 2, 2]), atol=1e-14)
     # fully-interior rows carry exactly 1/4
     np.testing.assert_allclose(sf[:2, :2], 0.25 * np.eye(2), atol=1e-14)
@@ -65,8 +62,7 @@ def test_binary_tree_sigma_form_quarter_identity():
 
 def test_binary_tree_l3_interior_rows():
     sys = build_binary_tree(3)  # d = 14; edges 1..6 have both children present
-    bop = derive_boundary_operator(sys)
-    sf = sigma_form(bop.W1, bop.W2)
+    sf = sigma_form(*derive_boundary_operator(sys))
     np.testing.assert_allclose(sf[:6, :6], 0.25 * np.eye(6), atol=1e-14)
 
 
@@ -150,6 +146,14 @@ def test_random_system_golden_fixture():
 def test_random_system_refuses_an_unknown_class():
     with pytest.raises(ValueError, match="interval_square.*interval_rect.*halfline"):
         random_system(0, klass="typo")
+
+
+@pytest.mark.parametrize("kind", ["half-line", "interval", None])
+def test_build_wave_refuses_an_unknown_interval_kind(kind):
+    # formerly the damped string on [0, 1] for any kind but half_line, so
+    # "half-line" with u = 2 analyzed to contraction
+    with pytest.raises(ValueError, match="'half_line' or 'unit_interval'"):
+        build_wave(kind, 2.0)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -11,8 +11,6 @@ from scipy.interpolate import CubicSpline
 
 from phwell.errors import GridTooCoarse, PhwellError, ShapeError, SingularP1
 from phwell.halfline import (
-    BoundaryFactorization,
-    FactorizationFailure,
     HalfLineDecomposition,
     analyze_halfline,
     decompose_P1,
@@ -72,7 +70,7 @@ def test_factorize_wave_boundary():
     for u in (0.5, 2.0, -1.0):
         WB = 0.5 * np.array([[u - 1.0, u + 1.0]])
         fact = factorize_boundary(WB, dec)
-        assert isinstance(fact, BoundaryFactorization)
+        assert fact.reason is None and fact.detail is None
         assert fact.residual < 1e-12
         # Lambda + U* Theta U = 1 - |u|^2 regardless of eigenvector signs
         M = np.diag(dec.Lambda) + fact.U.conj().T @ np.diag(dec.Theta) @ fact.U
@@ -82,21 +80,21 @@ def test_factorize_wave_boundary():
 def test_factorize_full_clamp_negative_p1():
     dec = decompose_P1(-np.eye(3))
     fact = factorize_boundary(np.eye(3), dec)
-    assert isinstance(fact, BoundaryFactorization)
+    assert fact.reason is None and fact.detail is None
     assert fact.U.shape == (3, 0)
 
 
 def test_factorize_empty_boundary_positive_p1():
     dec = decompose_P1(np.eye(3))
     fact = factorize_boundary(np.zeros((0, 3)), dec)
-    assert isinstance(fact, BoundaryFactorization)
+    assert fact.reason is None and fact.detail is None
     assert fact.U1.shape == (0, 3) and fact.U.shape == (0, 3)
 
 
 def test_factorize_wrong_row_count():
     dec = decompose_P1(np.diag([1.0, -1.0, -2.0]))  # n2 = 2
     fact = factorize_boundary(np.array([[1.0, 0.0, 0.0]]), dec)
-    assert isinstance(fact, FactorizationFailure)
+    assert fact.U is None and fact.residual is None
     assert fact.reason == "wrong_row_count"
     assert fact.U1 is None and fact.smin_u2 is None  # no split was made
 
@@ -104,7 +102,7 @@ def test_factorize_wrong_row_count():
 def test_factorize_singular_trailing_block():
     dec = decompose_P1(np.diag([1.0, -1.0]))  # S = I, columns (pos, neg)
     fact = factorize_boundary(np.array([[1.0, 0.0]]), dec)  # hits only Lambda block
-    assert isinstance(fact, FactorizationFailure)
+    assert fact.U is None and fact.residual is None
     assert fact.reason == "singular_trailing_block"
     assert fact.smin_u2 == 0.0
     np.testing.assert_array_equal(np.abs(fact.U1), [[1.0]])
@@ -114,7 +112,7 @@ def test_factorize_raw_rank_deficient_rows():
     # k = n2 = 2 but rank 1: the trailing block is singular
     dec = decompose_P1(np.diag([1.0, -1.0, -2.0]))
     fact = factorize_boundary(np.array([[1.0, 1.0, 2.0], [2.0, 2.0, 4.0]]), dec)
-    assert isinstance(fact, FactorizationFailure)
+    assert fact.U is None and fact.residual is None
     assert fact.reason == "singular_trailing_block"
     # k != n2: the row count decides first
     fact = factorize_boundary(np.array([[0.0, 1.0, 0.0]] * 3), dec)

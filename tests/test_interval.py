@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,38 +19,30 @@ from phwell.interval import (
     range_containment,
     sigma_form,
 )
-from phwell.model import BoundaryOperator
+from phwell.model import UNIT_INTERVAL, derive_boundary_operator
 
 NO_P0 = np.zeros((1, 1))
 TOL = Tolerances(check=numlin.DEFAULT_TOL)
+
+
+def stand_in(WB_hat, Q, re_P0=NO_P0):
+    """A raw (WB_hat, Q, Re P0) as the unit-interval system BoundaryAlgebra.of reads."""
+    Q = np.asarray(Q, dtype=complex)
+    return SimpleNamespace(interval=UNIT_INTERVAL, nd=Q.shape[0],
+                           WB_hat=np.asarray(WB_hat, dtype=complex), Q=Q, tol=TOL,
+                           re_P0=lambda: re_P0)
+
+
+def algebra(WB_hat, Q, re_P0=NO_P0):
+    """Condition inputs for a raw boundary operator and Q."""
+    return BoundaryAlgebra.of(stand_in(WB_hat, Q, re_P0))
 
 
 def algebra_from_split(W1, W2, re_P0=NO_P0):
     """Condition inputs for a given split, realised with Q = I."""
     W1 = np.asarray(W1, dtype=complex)
     W2 = np.asarray(W2, dtype=complex)
-    bop = BoundaryOperator(np.hstack([W1 + W2, W2 - W1]), np.eye(W1.shape[1]), W1, W2)
-    return BoundaryAlgebra.of(bop, re_P0, TOL)
-
-
-def split(WB_hat, Q):
-    """Reference (W1, W2) with [W1 W2] [Q -Q; I I] = WB_hat, Q invertible.
-
-    The closed form of model.derive_boundary_operator, kept here so the
-    checks can take a raw (WB_hat, Q) pair.
-    """
-    WB_hat = np.asarray(WB_hat, dtype=complex)
-    n = np.shape(Q)[0]
-    Wh1, Wh2 = WB_hat[:, :n], WB_hat[:, n:]
-    return 0.5 * (Wh1 - Wh2) @ np.linalg.inv(Q), 0.5 * (Wh1 + Wh2)
-
-
-def algebra(WB_hat, Q, re_P0=NO_P0):
-    """Condition inputs for a raw boundary operator and Q."""
-    W1, W2 = split(WB_hat, Q)
-    bop = BoundaryOperator(np.asarray(WB_hat, dtype=complex), np.asarray(Q, dtype=complex),
-                           W1, W2)
-    return BoundaryAlgebra.of(bop, re_P0, TOL)
+    return algebra(np.hstack([W1 + W2, W2 - W1]), np.eye(W1.shape[1]), re_P0)
 
 
 def algebra_from_v(V):
@@ -185,7 +178,7 @@ def test_surjective_psd_cases():
     assert check_surjective_psd(algebra(sys.WB_hat, np.eye(d))).holds
     # counterexample truncation: surjectivity holds but PSD fails
     WBc = np.hstack([-L, -np.eye(d)])
-    W1c, W2c = split(WBc, np.eye(d))
+    W1c, W2c = derive_boundary_operator(stand_in(WBc, np.eye(d)))
     np.testing.assert_allclose(W1c, 0.5 * (np.eye(d) - L), atol=1e-14)
     np.testing.assert_allclose(W2c, -0.5 * (np.eye(d) + L), atol=1e-14)
     res = check_surjective_psd(algebra(WBc, np.eye(d)))
@@ -257,11 +250,8 @@ def test_analyze_non_square_dissipative_only():
     assert not v["T1.3"].applicable
     assert v["T1.5"].holds
     # internal pieces stay numerically consistent: sigma form indefinite
-    from phwell.model import derive_boundary_operator
-
-    bop = derive_boundary_operator(sys)
-    np.testing.assert_allclose(sigma_form(bop.W1, bop.W2), np.diag([0.5, -0.5]),
-                               atol=1e-14)
+    np.testing.assert_allclose(sigma_form(*derive_boundary_operator(sys)),
+                               np.diag([0.5, -0.5]), atol=1e-14)
 
 
 def test_analyze_non_square_not_contraction():

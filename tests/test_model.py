@@ -1,6 +1,7 @@
 import json
 import re
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +37,6 @@ from phwell.errors import (
     ValidationError,
 )
 from phwell.halfline import (
-    BoundaryFactorization,
     decompose_P1,
     factorize_boundary,
     unit_decomposition,
@@ -95,10 +95,16 @@ def test_validate_rejects_singular_q():
     assert isinstance(exc.value, ValidationError)
 
 
-def test_first_order_validation_runs_one_svd(count_svds):
-    # Q = P_1 = P_N for N = 1, so the P_N decision is the Q decision
+def test_first_order_validation_decides_p_n_with_one_eigensolve(count_svds, monkeypatch):
+    # Q = P_1 = P_N for N = 1, so the P_N decision is the Q decision; it
+    # is the eigensolve of P_1 that halfline.decompose_P1 repeats (one SVD
+    # before that decision moved to it)
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda *a, **kw: eighs.append(1) or eigh(*a, **kw))
     validate_system(wave_raw())
-    assert len(count_svds) == 1
+    assert (len(count_svds), len(eighs)) == (0, 1)
 
 
 def test_rank_boundary_is_singular_in_validation_and_checkers():
@@ -420,8 +426,7 @@ def split(WB, Q):
                                    H=HamiltonianDensity.constant(np.eye(n)),
                                    WB_hat=WB))
     assert np.array_equal(sys.Q, Q)
-    bop = derive_boundary_operator(sys)
-    return bop.W1, bop.W2
+    return derive_boundary_operator(sys)
 
 
 def test_split_path_graph():
@@ -504,7 +509,7 @@ def test_q_is_decided_once(monkeypatch):
     real = model_mod._check_q
     monkeypatch.setattr(model_mod, "_check_q",
                         lambda *a, **kw: calls.append(a) or real(*a, **kw))
-    assert derive_boundary_operator(sys).Q is sys.Q
+    derive_boundary_operator(sys)
     assert calls == []  # validate_system already decided Q
 
 
@@ -513,7 +518,7 @@ def test_an_omitted_tol_is_the_numlin_default(monkeypatch):
     # numlin.DEFAULT_TOL, so a 1e-6 singular-value ratio is invertible
     monkeypatch.setenv("PHWELL_TOL", "1e-3")
     fact = factorize_boundary(np.diag([1.0, 1e-6]), unit_decomposition(0, 2))
-    assert isinstance(fact, BoundaryFactorization)
+    assert fact.reason is None
 
 
 def test_derive_boundary_operator_refuses_a_half_line_system():
@@ -523,16 +528,16 @@ def test_derive_boundary_operator_refuses_a_half_line_system():
 
 def test_derive_boundary_operator_reconstruction():
     sys = validate_system(wave_raw())
-    bop = derive_boundary_operator(sys)
-    recon = np.hstack([bop.W1 @ bop.Q + bop.W2, -bop.W1 @ bop.Q + bop.W2])
+    W1, W2 = derive_boundary_operator(sys)
+    recon = np.hstack([W1 @ sys.Q + W2, -W1 @ sys.Q + W2])
     np.testing.assert_allclose(recon, sys.WB_hat, atol=1e-12)
-    V = extract_v(bop.W1, bop.W2).V
+    V = extract_v(W1, W2).V
     assert V is not None
     # factorization identity 0.5 (W1+W2) [I+V, I-V] = [W1, W2]
-    T = bop.W1 + bop.W2
+    T = W1 + W2
     eye = np.eye(2)
-    np.testing.assert_allclose(0.5 * T @ (eye + V), bop.W1, atol=1e-12)
-    np.testing.assert_allclose(0.5 * T @ (eye - V), bop.W2, atol=1e-12)
+    np.testing.assert_allclose(0.5 * T @ (eye + V), W1, atol=1e-12)
+    np.testing.assert_allclose(0.5 * T @ (eye - V), W2, atol=1e-12)
 
 
 @pytest.mark.parametrize("interval", ["unit_interval", "half_line"])
@@ -596,6 +601,49 @@ def test_p1_rank_threshold_is_one_rule(interval, error):
         decompose_P1(raw["P"][1], tol.tau_rank)
 
 
+def _p1_decisions(P1):
+    """(validate_system accepts P1, decompose_P1 accepts it) on the half line, k = 0."""
+    try:
+        validate_system(wave_raw(interval="half_line", P=[np.zeros((2, 2)), P1],
+                                 WB_hat=[]))
+        validated = True
+    except SingularP1:
+        validated = False
+    try:
+        decompose_P1(P1, Tolerances().tau_rank)
+        decomposed = True
+    except SingularP1:
+        decomposed = False
+    return validated, decomposed
+
+
+def test_p1_that_analyze_refused_after_validation_is_refused_by_validation():
+    # formerly validated by an SVD of P_1, then refused by decompose_P1's
+    # eigensolve inside analyze
+    P1 = np.array([[0.34635257815751497, 0.4758071771490235],
+                   [0.4758071771490235, 0.6536474217424851]])
+    assert _p1_decisions(P1) == (False, False)
+
+
+def test_validation_and_decompose_p1_agree_at_the_rank_threshold():
+    # rotations of diag(1, +-1e-10 (1 + eps)), |eps| <= 3e-6: |w|min / |w|max
+    # sits on tau_rank = 1e-10, where an SVD and an eigensolve round apart;
+    # validation decides P_1 by the eigensolve decompose_P1 repeats, so both
+    # decide alike (an SVD disagreed on about 1 draw in 20 each way)
+    rng = np.random.default_rng(0)
+    n = 4000
+    theta = rng.uniform(0.0, np.pi, n)
+    small = rng.choice([1.0, -1.0], n) * 1e-10 * (1.0 + rng.uniform(-3e-6, 3e-6, n))
+    outcomes = []
+    for t, w in zip(theta, small):
+        R = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        P1 = R @ np.diag([1.0, w]) @ R.T
+        outcomes.append(_p1_decisions(0.5 * (P1 + P1.T)))  # kept bit for bit
+    validated, decomposed = np.array(outcomes).T
+    assert 0 < validated.sum() < n  # both outcomes occur
+    assert (np.sum(validated & ~decomposed), np.sum(decomposed & ~validated)) == (0, 0)
+
+
 def test_package_exports_resolve():
     import phwell
 
@@ -604,11 +652,43 @@ def test_package_exports_resolve():
     assert "derive_boundary_operator" in phwell.__all__
     # removed or no longer exported; port_variables stays in phwell.model
     for name in ("boundary_trace", "port_variables", "split_boundary_operator",
-                 "BoundaryTrace", "PortVariables", "OrderError"):
+                 "BoundaryTrace", "PortVariables", "OrderError", "BoundaryOperator",
+                 "FactorizationFailure"):
         assert name not in phwell.__all__
         assert not hasattr(phwell, name)
-    for name in ("split_boundary_operator", "BoundaryTrace", "PortVariables"):
+    for name in ("split_boundary_operator", "BoundaryTrace", "PortVariables",
+                 "BoundaryOperator"):
         assert not hasattr(phwell.model, name)
+    assert not hasattr(phwell.halfline, "FactorizationFailure")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_API_BULLETS = ("systems", "boundary algebra", "verdicts", "evidence")
+
+
+def readme_api_names(text: str) -> set:
+    """The backticked names before the first ';' of README's library API bullets."""
+    section = text.split("`phwell.__all__` is the library API:", 1)[1]
+    names = set()
+    for label in README_API_BULLETS:
+        bullet = re.search(rf"^\* {label}:(.*?)(?=^\* |^$)", section, re.M | re.S)
+        names |= set(re.findall(r"`([^`]+)`", bullet.group(1).split(";", 1)[0]))
+    return names
+
+
+def test_readme_lists_the_library_api():
+    import phwell
+
+    errors = {name for name, obj in vars(phwell.errors).items()
+              if isinstance(obj, type) and obj.__module__ == "phwell.errors"}
+    assert errors <= set(phwell.__all__)
+    assert readme_api_names(README.read_text()) == set(phwell.__all__) - errors
+
+
+def test_readme_api_scan_sees_a_name_the_package_does_not_export():
+    text = README.read_text().replace("`factorize_boundary`;",
+                                      "`factorize_boundary`, `Gone`;")
+    assert readme_api_names(text) - readme_api_names(README.read_text()) == {"Gone"}
 
 
 @pytest.mark.parametrize("H", [

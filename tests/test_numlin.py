@@ -6,9 +6,8 @@ import json
 from phwell import HamiltonianDensity, cli, config, numlin, validate_system
 from phwell.corpus import CORPUS
 from phwell.errors import NotHermitian
-from phwell.halfline import BoundaryFactorization, FactorizationFailure, HalfLineAlgebra
+from phwell.halfline import HalfLineAlgebra
 from phwell.interval import BoundaryAlgebra
-from phwell.model import derive_boundary_operator
 from phwell.oracle import dissipativity_oracle
 
 
@@ -262,8 +261,7 @@ def test_no_boundary_conditions_read_alike_on_both_sides(P1):
     # k = 0: every trace is in the kernel (K = I, so the kernel form is the
     # whole form) and WB_hat's singular values read [0.0]
     interval = _first_order("unit_interval", np.eye(1), np.zeros((0, 2)))
-    alg_i = BoundaryAlgebra.of(derive_boundary_operator(interval), interval.re_P0(),
-                               interval.tol)
+    alg_i = BoundaryAlgebra.of(interval)
     alg_h = HalfLineAlgebra.of(_first_order("half_line", P1, np.zeros((0, 2))))
     assert alg_i.kernel_dim == alg_h.kernel_dim == 2
     assert (alg_i.kernel.min_eig, alg_i.kernel.max_eig) == (-1.0, 1.0)  # diag(Q, -Q)
@@ -274,7 +272,7 @@ def test_no_boundary_conditions_read_alike_on_both_sides(P1):
     if alg_h.decomp.n2:
         assert alg_h.fact.reason == "wrong_row_count"
     else:
-        assert isinstance(alg_h.fact, BoundaryFactorization)
+        assert alg_h.fact.reason is None
         assert alg_h.fact.U.shape == (0, 2) and alg_h.fact.residual == 0.0
 
 
@@ -282,7 +280,7 @@ def test_more_half_line_conditions_than_n2_fail_to_factor():
     sys = _first_order("half_line", np.diag([1.0, -1.0]), np.eye(2))
     alg = HalfLineAlgebra.of(sys)
     assert (alg.k, alg.decomp.n2) == (2, 1)
-    assert isinstance(alg.fact, FactorizationFailure)
+    assert alg.fact.U is None
     assert alg.fact.reason == "wrong_row_count"
     ta4 = cli.analyze(sys)["TA.4"]
     assert ta4.applicable is False
@@ -300,16 +298,19 @@ def test_parse_and_analyze_svd_budget(name, budget, count_svds):
 def test_ranbed_shares_the_w1_plus_w2_svd(count_svds):
     # 8 while RANBED took its own SVD of the square W1+W2 that extract_v
     # already decomposes, 7 while it took one of [W1+W2 | W1-W2], whose
-    # rank is the rank of WB_hat
+    # rank is the rank of WB_hat, and 6 while validation decided P_N
+    # invertible by an SVD instead of an eigensolve
     text = json.dumps(config.system_to_dict(CORPUS["path_graph_d32"].system()))
     count_svds.clear()
     cli.analyze(config.system_from_dict(json.loads(text)))
-    assert len(count_svds) == 6
+    assert len(count_svds) == 5
 
 
 def test_halfline_parse_and_analyze_eigensolves(monkeypatch):
-    # 6 while validation counted P_1's zero eigenvalues with an eigensolve
-    # of its own beside the P_N SVD
+    # validation decides P_1 invertible by the eigensolve decompose_P1
+    # repeats: 6 while validation also counted P_1's zero eigenvalues with
+    # an eigensolve of its own beside a P_N SVD, 5 while that SVD decided
+    # alone
     calls = []
     for name in ("eigvalsh", "eigh"):
         def counting(*args, _f=getattr(np.linalg, name), **kwargs):
@@ -320,7 +321,7 @@ def test_halfline_parse_and_analyze_eigensolves(monkeypatch):
     text = json.dumps(config.system_to_dict(CORPUS["wave_halfline_u05"].system()))
     calls.clear()
     cli.analyze(config.system_from_dict(json.loads(text)))
-    assert len(calls) == 5
+    assert len(calls) == 6
 
 
 def test_oracle_runs_one_svd(count_svds):

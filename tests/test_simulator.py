@@ -79,6 +79,29 @@ def test_interpolant_refuses_a_d_that_is_not_a_positive_integer(d):
         boundary_interpolant([1.0, 0.0], [0.0, 1.0], d=d)
 
 
+def test_interpolant_refuses_empty_targets():
+    # formerly a state whose first use failed with IndexError
+    with pytest.raises(ShapeError, match="must not be empty"):
+        boundary_interpolant([], [], d=1)
+
+
+@pytest.mark.parametrize("z", [[1.0], [1.0, 0.0, 0.0]], ids=["dim 1", "dim 3"])
+def test_quadrature_rayleigh_refuses_a_state_of_the_wrong_dimension(z):
+    # on d = 2, a dim-1 state formerly broadcast to a value (-4.6e-16) and a
+    # dim-3 one raised numpy's ValueError
+    with pytest.raises(ShapeError, match="C\\^%d, but the system has d = 2" % len(z)):
+        quadrature_rayleigh(build_wave("unit_interval", 0.7), interior_probe(z))
+
+
+@pytest.mark.parametrize("z", [[1.0], [1.0, 0.0, 0.0]], ids=["dim 1", "dim 3"])
+def test_boundary_form_value_refuses_a_state_of_the_wrong_dimension(z):
+    # with P0 != 0 the value reads the state: a dim-1 one formerly gave -0.1217
+    sys = make_system(1, 2, [np.array([[0.0, 1.0], [1.0, 0.0]])],
+                      np.zeros((2, 4)), P0=np.diag([0.5, -1.0]))
+    with pytest.raises(ShapeError, match="C\\^%d, but the system has d = 2" % len(z)):
+        boundary_form_value(sys, [0.3, -1.0], [1.0, 0.5], x=interior_probe(z))
+
+
 def test_quadrature_wave_hand_value():
     # traces Phi1=(1,1), Phi0=(0,1): value = (x(1)*P1x(1) - x(0)*P1x(0))/2 = 1
     sys = make_system(1, 2, [np.array([[0.0, 1.0], [1.0, 0.0]])], np.zeros((2, 4)))
