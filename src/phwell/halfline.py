@@ -17,6 +17,7 @@ unweighted generators are similar); it is checked at validation only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -70,13 +71,20 @@ class BoundaryFactorization:
 def decompose_P1(P1, tol: float = numlin.DEFAULT_TOL) -> HalfLineDecomposition:
     """Unitary diagonalization of Hermitian P_1 with the positive block first.
 
-    Raises SingularP1 when an eigenvalue sits numerically at zero, by the
-    one rank rule on the |eigenvalues| (P_1's singular values).
+    P1 is a matrix, or a validated N = 1 system, whose split validation
+    has already made (sys.P1_split): it is read, not solved again, and tol
+    is not used.  A matrix raises SingularP1 when an eigenvalue sits
+    numerically at zero, by the one rank rule on the |eigenvalues| (P_1's
+    singular values), as validation refuses such a system.
     """
-    P1 = np.asarray(P1, dtype=complex)
-    S, w = numlin.hermitian_eigendecomposition(P1, tol)
-    if numlin.rank_from_singular_values(np.sort(np.abs(w))[::-1], tol) < w.size:
-        raise SingularP1("P_1 has an eigenvalue numerically at zero")
+    if isinstance(P1, PortHamiltonianSystem):
+        if P1.P1_split is None:
+            raise ShapeError(f"decompose_P1 needs an N = 1 system, got N = {P1.order_N}")
+        S, w = P1.P1_split
+    else:
+        S, w = numlin.hermitian_eigendecomposition(np.asarray(P1, dtype=complex), tol)
+        if numlin.rank_from_singular_values(np.sort(np.abs(w))[::-1], tol) < w.size:
+            raise SingularP1("P_1 has an eigenvalue numerically at zero")
     n1 = int(np.sum(w > 0))
     return HalfLineDecomposition(S=S, Lambda=w[:n1], Theta=w[n1:])
 
@@ -134,7 +142,8 @@ class HalfLineAlgebra:
     stay separate entries -- the kernel form (TA.3, TA2.3) against the
     factorization (TA.4, TA2.4) -- so their agreement still detects a bug.
     Every condition decision uses Tolerances.check; the sign split of P_1
-    (decompose_P1) that they all start from uses Tolerances.tau_rank.
+    that they all start from is validation's (decompose_P1 of the system),
+    whose zero eigenvalues were counted with Tolerances.tau_rank.
     """
 
     decomp: HalfLineDecomposition
@@ -152,7 +161,7 @@ class HalfLineAlgebra:
     @classmethod
     def of(cls, sys: PortHamiltonianSystem) -> "HalfLineAlgebra":
         tol = sys.tol.check
-        decomp = decompose_P1(sys.P[1], sys.tol.tau_rank)
+        decomp = decompose_P1(sys)
         n1, n2 = decomp.n1, decomp.n2
         WB = np.asarray(sys.WB_hat, dtype=complex)
         s, rank, vh = numlin.svd_rank(WB, tol)
@@ -305,7 +314,9 @@ class CubicSpline:
     solve in float64, complex samples as their float view, with the ?pttrf
     factor of _spline_factor(n).  Needs n >= 4 samples; h is taken as
     given.  scipy.linalg loads at the first build, not when phwell is
-    imported.
+    imported.  A build takes the secants as one slice difference (np.diff
+    costs three times as much on a short grid), forms the right-hand side
+    and makes the one solve; midpoints() is five array operations.
     """
 
     def __init__(self, y, h: float):
@@ -318,7 +329,7 @@ class CubicSpline:
                              f"axis, got shape {y.shape}")
         self.h, self.lead = h, y.shape[:-1]
         self.y = y.reshape(-1, n).T
-        dy = np.diff(self.y, axis=0)
+        dy = self.y[1:] - self.y[:-1]
         rhs = np.empty((n, dy.shape[1]), dtype=np.result_type(dy, float))
         np.add(dy[:-1], dy[1:], out=rhs[1:-1])
         rhs[1:-1] *= 3.0 / h
@@ -385,36 +396,47 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y, L: float,
     measured as the max over interior nodes of |v - Delta v' - y| using
     fourth-order central differences; raises GridTooCoarse when it is not
     <= residual_threshold (a NaN residual included).
+
+    Per call, the fixed work is O(d) Python steps: Lambda and Theta are
+    checked as Python floats, and each component's scalars (0.5 h / lambda,
+    R, a, b, c and the residual scale Delta / 12h) are computed once as
+    Python floats, the same IEEE operations in the same order as on arrays;
+    exp(-h / lambda) stays numpy's, which can differ from libm's.  v comes
+    from np.empty: the sweeps write every entry but the positive block's
+    last column, which is set to 0.
     """
     from scipy.linalg import get_blas_funcs
 
     n1, n2 = decomp.n1, decomp.n2
     d = n1 + n2
-    lam, theta = decomp.Lambda, decomp.Theta
-    if not (np.all((0.0 < lam) & (lam < np.inf))
-            and np.all((-np.inf < theta) & (theta < 0.0))):
+    lam, theta = decomp.Lambda.tolist(), decomp.Theta.tolist()
+    if not (all(0.0 < x < math.inf for x in lam)
+            and all(-math.inf < x < 0.0 for x in theta)):
         raise PhwellError("Lambda must be finite and > 0 and Theta finite and < 0, "
-                          f"got {lam} and {theta}")
+                          f"got {decomp.Lambda} and {decomp.Theta}")
     if n2:
         U = _numbers("U", U)
         if U.shape != (n2, n1):
             raise ShapeError(f"U must be ({n2}, {n1}), got {U.shape}")
-    if not (is_real(L) and 0.0 < L < np.inf):
+        if U.dtype.kind in "iu":  # -U would wrap for an unsigned or int8 U
+            U = U.astype(float)
+    if not (is_real(L) and 0.0 < L < math.inf):
         raise PhwellError(f"L must be a finite number > 0, got {L}")
     if residual_threshold is not None and not (
-            is_real(residual_threshold) and 0.0 <= residual_threshold < np.inf):
+            is_real(residual_threshold) and 0.0 <= residual_threshold < math.inf):
         raise PhwellError("residual_threshold must be None or a finite number >= 0, "
                           f"got {residual_threshold!r}")
     y = _numbers("y", y)
-    dtype = complex if np.iscomplexobj(y) or (n2 and np.iscomplexobj(U)) else float
+    dtype = complex if y.dtype.kind == "c" or (n2 and U.dtype.kind == "c") else float
     y = y.astype(dtype, copy=False)
     if y.ndim != 2 or y.shape[0] != d:
         raise ShapeError(f"y must be ({d}, n+1), got {y.shape}")
     npts = y.shape[1]
     if npts < 6:
-        raise GridTooCoarse("need at least 6 grid points", residual=np.inf)
+        raise GridTooCoarse("need at least 6 grid points", residual=math.inf)
     h = L / (npts - 1)
-    v = np.zeros((d, npts), dtype=dtype)
+    # every entry of v is written below but the positive block's last column
+    v = np.empty((d, npts), dtype=dtype)
     # work holds each block's bands, then the residual: in a real run it is
     # the float view of the complex128 result, which gets v at the end
     out = np.empty((d, npts), dtype=complex) if dtype is float else v
@@ -427,34 +449,37 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y, L: float,
 
     if n1:
         # rows j < n-1: x_j - a x_{j+1} = f_j; row n-1: x_{n-1} = 0
-        decay = np.exp(-h / lam)[:, None]
-        f = v[:n1, :-1]
-        np.multiply(y[:n1, 1:], decay, out=f)
-        f += y[:n1, :-1]
-        f *= (0.5 * h / lam)[:, None]
         band = work[:n1].reshape(n1, npts, 2)
         band[:, 0, 0] = 0.0  # no coupling into a component's first row
-        band[:, 1:, 0] = -decay
+        v[:n1, -1] = 0.0  # row n-1's right-hand side
+        # numpy's exp, which can differ from libm's in the last bit
+        decay = np.exp(-h / decomp.Lambda).tolist()
+        for i, (lam_i, a) in enumerate(zip(lam, decay)):
+            f = v[i, :-1]
+            np.multiply(y[i, 1:], a, out=f)
+            f += y[i, :-1]
+            f *= 0.5 * h / lam_i
+            band[i, 1:, 0] = -a
         tbsv(1, band.reshape(-1, 2).T, v[:n1].reshape(-1), lower=0, diag=1,
              overwrite_x=1)
 
     if n2:
         # row 0: w_0 = -U v1(0); rows j >= 1: w_j - R w_{j-1} = g_{j-1}
-        # negated in floats: -U would wrap for an unsigned or int8 U
-        v[n1:, 0] = -U.astype(np.result_type(U, float), copy=False) @ v[:n1, 0]
-        z = h / theta
-        R = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-        c = -h / (6.0 * theta)
-        a = c * (1.0 + z * (1.0 + z * (0.5 + 0.25 * z)))
-        b = c * (4.0 + z * (2.0 + 0.5 * z))
+        v[n1:, 0] = -U @ v[:n1, 0]
         ym = CubicSpline(y[n1:], h).midpoints()
-        g = v[n1:, 1:]
-        np.multiply(ym, b[:, None], out=g)
-        g += a[:, None] * y[n1:, :-1]
-        g += c[:, None] * y[n1:, 1:]
         band = work[n1:].reshape(n2, npts, 2)
-        band[:, :-1, 1] = -R[:, None]
         band[:, -1, 1] = 0.0  # no coupling out of a component's last row
+        for i, theta_i in enumerate(theta, start=n1):
+            z = h / theta_i
+            R = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+            c = -h / (6.0 * theta_i)
+            a = c * (1.0 + z * (1.0 + z * (0.5 + 0.25 * z)))
+            b = c * (4.0 + z * (2.0 + 0.5 * z))
+            g = v[i, 1:]
+            np.multiply(ym[i - n1], b, out=g)
+            g += a * y[i, :-1]
+            g += c * y[i, 1:]
+            band[i - n1, :-1, 1] = -R
         tbsv(1, band.reshape(-1, 2).T, v[n1:].reshape(-1), lower=1, diag=1,
              overwrite_x=1)
 
@@ -464,16 +489,16 @@ def solve_resolvent_halfline(decomp: HalfLineDecomposition, U, y, L: float,
     res *= 8.0
     res += v[:, :-4]
     res -= v[:, 4:]
-    res *= (np.concatenate([lam, theta]) / (12.0 * h))[:, None]
+    for i, delta in enumerate(lam + theta):
+        res[i] *= delta / (12.0 * h)
     res -= v[:, 2:-2]
     res += y[:, 2:-2]
     np.abs(res, out=res)  # a complex run's moduli land in the real parts
-    residual = float(np.max(res.real)) if res.size else 0.0
+    residual = float(res.real.max()) if res.size else 0.0
     if residual_threshold is not None and not residual <= residual_threshold:
         raise GridTooCoarse(
             f"resolvent residual {residual:.3e} above {residual_threshold:.3e}; "
             "refine the grid", residual=residual)
     if dtype is float:
-        out.real = v
-        out.imag = 0.0
+        out[...] = v  # imaginary parts 0.0
     return out, residual

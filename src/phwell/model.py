@@ -195,6 +195,9 @@ class PortHamiltonianSystem:
     dim_d: int
     P: tuple  # N+1 frozen (d, d) complex arrays
     Q: np.ndarray  # frozen build_q(P[1:]), the Q validate_system decided on
+    # N = 1: validation's (S, delta), P_1 = S^* diag(delta) S with delta
+    # descending (frozen); None for N > 1
+    P1_split: tuple | None
     H: HamiltonianDensity
     WB_hat: np.ndarray  # (k, 2Nd) or (k, d)
     tol: Tolerances
@@ -288,11 +291,11 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
         raise StructureError("half_line systems must have N = 1", path="N")
 
     # P_N invertible.  It is Hermitian (N odd) or i times a Hermitian matrix,
-    # so its singular values are the |eigenvalues| of that Hermitian matrix:
-    # the eigensolve and rank rule halfline.decompose_P1 repeats on P_1
-    _, w = numlin.hermitian_eigendecomposition(P[N] if N % 2 else 1j * P[N],
-                                               tol.tau_rank)
-    s = np.sort(np.abs(w))[::-1]
+    # exactly so after the loop above, and its singular values are the
+    # |eigenvalues| of that Hermitian matrix: decompose_P1's eigensolve and
+    # rank rule.  For N = 1 the system keeps this split of P_1.
+    split = numlin.descending_eigh(P[N] if N % 2 else 1j * P[N])
+    s = np.sort(np.abs(split[1]))[::-1]
     if numlin.rank_from_singular_values(s, tol.tau_rank) < d:
         if interval == HALF_LINE:
             raise SingularP1(f"P[1] has an eigenvalue numerically at zero "
@@ -347,6 +350,7 @@ def validate_system(raw: dict) -> PortHamiltonianSystem:
         dim_d=d,
         P=tuple(_freeze(Pk) for Pk in P),
         Q=_freeze(Q),
+        P1_split=tuple(map(_freeze, split)) if N == 1 else None,
         H=H,
         WB_hat=_freeze(WB),
         tol=tol,

@@ -177,6 +177,15 @@ def hermitian_eigendecomposition(P, tol: float = DEFAULT_TOL):
     """
     P = _as2d(P)
     require_hermitian(P, 10.0 * tol)
+    return descending_eigh(P)
+
+
+def descending_eigh(P):
+    """hermitian_eigendecomposition without its symmetry check.
+
+    For a P its caller has made exactly Hermitian: one eigh of
+    hermitian_part(P), the same bits hermitian_eigendecomposition gives.
+    """
     w, u = np.linalg.eigh(hermitian_part(P))
     order = np.argsort(-w)
     w = w[order]

@@ -343,11 +343,16 @@ def _kron_stack(S, P) -> np.ndarray:
     return (S[:, :, None, :, None] * P[:, None, :, None, :]).reshape(len(P), n, n)
 
 
-def _boundary_witness(P, z) -> SmoothFunction | None:
-    """Interpolant of traces z at the widest width whose full value is > ORACLE_TOL."""
+def _boundary_witness(P, T, z) -> SmoothFunction | None:
+    """Interpolant of traces z at the widest width whose full value is > ORACLE_TOL.
+
+    T is the stack at ORACLE_WIDTH, the first width, as the decision built it.
+    """
     N, d = len(P) - 1, P.shape[1]
     for eps in ORACLE_WITNESS_WIDTHS:
-        M = _kron_stack(_oracle_gram(N, eps), P).sum(axis=0)
+        if eps != ORACLE_WIDTH:
+            T = _kron_stack(_oracle_gram(N, eps), P)
+        M = T.sum(axis=0)
         if _forms(M, z[:, None])[0] > ORACLE_TOL:
             return boundary_interpolant(z[:N * d], z[N * d:], eps=eps, d=d)
     return None
@@ -392,7 +397,7 @@ def dissipativity_oracle(sys: PortHamiltonianSystem, n_samples=None,
         B = K.conj().T @ (0.5 * boundary_form(sys.Q)) @ K
         gaps.append(np.abs(np.linalg.eigvalsh(G - B)).max())
         w, C = np.linalg.eigh(G)
-        families.append((w[-1], K @ C[:, -1], lambda z: _boundary_witness(P, z)))
+        families.append((w[-1], K @ C[:, -1], lambda z, T=T: _boundary_witness(P, T, z)))
     if P[0].any():
         T = _kron_stack(_oracle_gram(N, None), P)
         gaps.append(np.abs(np.linalg.eigvalsh(

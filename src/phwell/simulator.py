@@ -157,8 +157,9 @@ def _initial_state(x0, centers, d) -> np.ndarray:
 class _BoundaryClosure:
     """P1's characteristics, and the ghost traces as one linear map of the end cells.
 
-    S and delta factor P1 = S* diag(delta) S.  Unknown z = [w_hat(1);
-    w_hat(0)] (model.boundary_form's order) with the boundary rows plus one
+    S and delta factor P1 = S* diag(delta) S: validation's split,
+    sys.P1_split (read-only).  Unknown z = [w_hat(1); w_hat(0)]
+    (model.boundary_form's order) with the boundary rows plus one
     characteristic extrapolation row per outgoing component at each end,
     so z = G [w_first; w_last], solved once for all columns.  Unit
     interval: the boundary rows are WB_hat.  Half line: the truncation end
@@ -167,8 +168,7 @@ class _BoundaryClosure:
     """
 
     def __init__(self, sys):
-        S, delta = numlin.hermitian_eigendecomposition(np.asarray(sys.P[1], dtype=complex))
-        self.S, self.delta = S, delta
+        S, delta = self.S, self.delta = sys.P1_split
         self.pos = np.where(delta > 0)[0]  # moving left; outgoing at z=0
         self.neg = np.where(delta < 0)[0]  # moving right; outgoing at z=1
         d = S.shape[0]

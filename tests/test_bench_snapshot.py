@@ -2,6 +2,7 @@ import importlib.util
 import json
 import re
 import subprocess
+import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_snapshot.py"
@@ -74,3 +75,38 @@ def test_git_record_of_a_dirty_tree_writes_no_object(tmp_path, monkeypatch):
     stash = git("stash", "create")
     assert record["trees"] == {path: git("rev-parse", f"{stash}:{path}")
                                for path in ("src", "perfbench")}
+
+
+def test_network_rows_time_build_and_analyze_apart(capsys):
+    # row names and units at tiny sizes; the snapshot's own sizes are named
+    script = load_script()
+    assert script.NETWORKS == {
+        "path_graph_128": ("build_path_graph", 128),
+        "path_graph_512": ("build_path_graph", 512),
+        "path_graph_1024": ("build_path_graph", 1024),
+        "binary_tree_8": ("build_binary_tree", 8),
+    }
+    assert script.NETWORK_REPEATS == 3
+    tiny = {"path_graph_4": ("build_path_graph", 4), "binary_tree_2": ("build_binary_tree", 2)}
+    data = json.loads(json.dumps(script.network_rows(tiny, repeats=2)))
+    assert sorted(data) == ["blas_threads", "repeats", "rows"] and data["repeats"] == 2
+    assert list(data["rows"]) == list(tiny)
+    for row in data["rows"].values():
+        assert sorted(row) == ["analyze_s", "build_validate_s"]
+        for timing in row.values():
+            assert timing["unit"] == "s" and len(timing["values"]) == 2
+            assert 0.0 < timing["q1"] <= timing["median"] <= timing["q3"]
+    assert capsys.readouterr().out.splitlines()[0].startswith("path_graph_4: analyze ")
+
+
+def test_tier1_row_records_wall_time_and_summary(capsys):
+    # a stand-in command: tier-1 does not run inside tier-1
+    script = load_script()
+    assert script.TIER1[1:] == ("-m", "pytest", "-q", "--continue-on-collection-errors")
+    row = script.tier1_row([sys.executable, "-c", "print('3 passed in 0.01s')"])
+    assert sorted(row) == ["blas_threads", "returncode", "summary", "wall_s"]
+    assert row["returncode"] == 0 and row["summary"] == "3 passed in 0.01s"
+    assert row["wall_s"]["unit"] == "s" and row["wall_s"]["value"] > 0.0
+    assert capsys.readouterr().out.startswith("tier-1: 3 passed in 0.01s (")
+    failed = script.tier1_row([sys.executable, "-c", "import sys; sys.exit(1)"])
+    assert failed["returncode"] == 1 and failed["summary"] == ""

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from phwell import HamiltonianDensity, analyze, halfline, validate_system
-from phwell.corpus import build_wave
+from phwell.corpus import HALFLINE, build_wave, random_system
 from scipy.interpolate import CubicSpline
 
 from phwell.errors import GridTooCoarse, PhwellError, ShapeError, SingularP1
@@ -63,6 +63,27 @@ def test_decompose_diagonal_permutation():
 def test_decompose_rejects_zero_eigenvalue():
     with pytest.raises(SingularP1):
         decompose_P1(np.diag([1.0, 0.0]))
+
+
+def test_decompose_a_system_reads_the_split_validation_made(monkeypatch):
+    # the analysis's split is validation's eigensolve, bit for bit what a
+    # fresh decomposition of the stored P_1 gives
+    systems = [build_wave("half_line", 0.5)] + [random_system(seed, klass=HALFLINE)
+                                                 for seed in range(20)]
+    fresh = [decompose_P1(sys.P[1], sys.tol.tau_rank) for sys in systems]
+    beam = random_system(0, N=2)
+
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("P_1 eigensolved again")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+    for sys, want in zip(systems, fresh):
+        got = decompose_P1(sys)
+        for name in ("S", "Lambda", "Theta"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert not got.S.flags.writeable
+    with pytest.raises(ShapeError, match="needs an N = 1 system, got N = 2"):
+        decompose_P1(beam)
 
 
 def test_factorize_wave_boundary():
@@ -638,17 +659,54 @@ def test_resolvent_real_run_peak_memory():
     assert peak <= 1.6 * v.nbytes
 
 
-@pytest.mark.parametrize("lam, theta", [(1.0, 0.5), (-1.0, -1.0), (0.0, -1.0),
-                                        (np.nan, -1.0), (np.inf, -1.0),
-                                        (1.0, 0.0), (1.0, -np.inf)])
+@pytest.mark.parametrize("lam, theta", [
+    (1.0, 0.5), (-1.0, -1.0), (0.0, -1.0), (np.nan, -1.0), (np.inf, -1.0), (-np.inf, -1.0),
+    (1.0, 0.0), (1.0, -np.inf), (1.0, np.nan),
+    pytest.param([2.0, -0.0], -1.0, id="[2.0, -0.0]--1.0"),
+])
 def test_resolvent_rejects_wrongly_signed_blocks(lam, theta):
     # Theta = +0.5 used to return a residual of 3.5e20, Lambda = -1 a wrong
-    # solve with a small residual and Lambda = 0 a divide-by-zero warning
-    decomp = HalfLineDecomposition(S=np.eye(2, dtype=complex), Lambda=np.array([lam]),
+    # solve with a small residual and Lambda = 0 a divide-by-zero warning;
+    # one bad entry of several is enough
+    lam = np.atleast_1d(lam)
+    decomp = HalfLineDecomposition(S=np.eye(lam.size + 1, dtype=complex), Lambda=lam,
                                    Theta=np.array([theta]))
-    y = np.vstack([np.exp(-np.linspace(0.0, 30.0, 601))] * 2)
+    y = np.vstack([np.exp(-np.linspace(0.0, 30.0, 601))] * (lam.size + 1))
     with pytest.raises(PhwellError, match="Lambda must be finite and > 0"):
-        solve_resolvent_halfline(decomp, np.array([[0.5]]), y, L=30.0)
+        solve_resolvent_halfline(decomp, np.full((1, lam.size), 0.5), y, L=30.0)
+
+
+@pytest.mark.parametrize("field", [float, complex])
+def test_resolvent_writes_every_entry_it_allocates(monkeypatch, field):
+    # v, the result and the scratch come from np.empty: with every new
+    # array NaN-filled, an entry the solve leaves unwritten would show
+    rng = np.random.default_rng(40)
+    t = np.linspace(0.0, 30.0, 61)
+    calls = []
+    for n1, n2 in [(1, 0), (0, 1), (1, 1), (2, 2)]:
+        decomp = HalfLineDecomposition(S=np.eye(n1 + n2, dtype=complex),
+                                       Lambda=np.array([1.3, 0.02])[:n1],
+                                       Theta=np.array([-0.4, -3.0])[:n2])
+        y = (rng.normal(size=(n1 + n2, 2)) @ np.vstack([t ** 0, t])) * np.exp(-t)
+        U = rng.normal(size=(n2, n1))
+        if field is complex:
+            y = y + 1j * rng.normal(size=y.shape)
+            U = U + 1j * rng.normal(size=U.shape)
+        calls.append((decomp, U, y))
+    want = [solve_resolvent_halfline(*c, L=30.0) for c in calls]
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        a = empty(*args, **kwargs)
+        a.fill(np.nan)
+        return a
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    assert np.isnan(np.empty(2)).all()
+    for c, (v, res) in zip(calls, want):
+        got, got_res = solve_resolvent_halfline(*c, L=30.0)
+        assert got.tobytes() == v.tobytes() and got_res.hex() == res.hex()
+        assert np.isfinite(got).all()
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 101, 3001])

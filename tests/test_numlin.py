@@ -307,10 +307,9 @@ def test_ranbed_shares_the_w1_plus_w2_svd(count_svds):
 
 
 def test_halfline_parse_and_analyze_eigensolves(monkeypatch):
-    # validation decides P_1 invertible by the eigensolve decompose_P1
-    # repeats: 6 while validation also counted P_1's zero eigenvalues with
-    # an eigensolve of its own beside a P_N SVD, 5 while that SVD decided
-    # alone
+    # validation's eigh of P_1, the H sample's and the analysis's three
+    # definiteness forms: the analysis reads validation's split of P_1
+    # (6 while decompose_P1 eigensolved P_1 again)
     calls = []
     for name in ("eigvalsh", "eigh"):
         def counting(*args, _f=getattr(np.linalg, name), **kwargs):
@@ -321,7 +320,7 @@ def test_halfline_parse_and_analyze_eigensolves(monkeypatch):
     text = json.dumps(config.system_to_dict(CORPUS["wave_halfline_u05"].system()))
     calls.clear()
     cli.analyze(config.system_from_dict(json.loads(text)))
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 def test_oracle_runs_one_svd(count_svds):
